@@ -33,9 +33,9 @@ print("detour radius =", dprof.radius, " detour diameter =", dprof.diameter)
 
 # Distance degree sequences: per-vertex counts of vertices at each
 # distance, grouped into a multiset summary.
-dds = distance_degree_sequence(graph, "shortest")
+dds = distance_degree_sequence(dm)
 print("\ndds summary:", dds.summary)
-ddsd = distance_degree_sequence(graph, "detour")
+ddsd = distance_degree_sequence(dd)
 print("detour dds summary:", ddsd.summary)
 
 # The Hosoya polynomial counts vertex pairs by distance (x^0 counts the

@@ -7,13 +7,14 @@ Subcommands:
   verify-paper  run the full closed-form verification report
 
 Exit codes: 0 success / all match, 1 axiom failure or mismatch, 2 usage or
-precondition error, 3 exponential-search bound exceeded.
+precondition error, 3 search or iteration bound exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .distances import (
@@ -24,9 +25,10 @@ from .distances import (
     distance_matrix,
     eccentricity_profile,
     hosoya_polynomial,
+    reciprocal_status_edge_sums,
     reciprocal_status_hosoya,
 )
-from .errors import BoundExceededError
+from .errors import BoundExceededError, ConvergenceError
 from .graphs import classify_gn_shape, export, power_graph
 from .gyrogroups import (
     GyroGroup,
@@ -38,12 +40,7 @@ from .gyrogroups import (
 from .resolving import metric_dimension, resolving_polynomial, twin_partition
 from .spectral import adjacency_matrix, char_poly_exact, spectral_radius
 from .structure import is_hamiltonian, is_planar
-from .verification import run_verification
-
-#: Detour entries refuse graphs above this many vertices unless the user
-#: raises --detour-bound (the library detour_matrix default is 64; the CLI
-#: is stricter because the longest-path search is exponential).
-CLI_DETOUR_BOUND = 16
+from .verification import REPORT_DETOUR_BOUND, run_verification
 
 INVARIANT_FLAGS = (
     "distances",
@@ -71,7 +68,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_invariants(args)
         if args.command == "verify-paper":
             return _cmd_verify(args)
-    except BoundExceededError as exc:
+    except (BoundExceededError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
@@ -114,8 +111,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "human table derived from it",
     )
     inv.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-    inv.add_argument("--tol", type=float, default=1e-10)
-    inv.add_argument("--detour-bound", type=int, default=CLI_DETOUR_BOUND)
+    inv.add_argument("--tol", type=_tolerance, default=1e-10)
+    inv.add_argument("--detour-bound", type=int, default=REPORT_DETOUR_BOUND)
 
     vp = sub.add_parser("verify-paper", help="verify all closed forms against "
                         "direct computation")
@@ -125,9 +122,20 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="only the bundled-table demonstrations")
     vp.add_argument("--format", choices=("text", "json"), default="text")
     vp.add_argument("--out", metavar="PATH")
-    vp.add_argument("--tol", type=float, default=1e-10)
-    vp.add_argument("--detour-bound", type=int, default=CLI_DETOUR_BOUND)
+    vp.add_argument("--tol", type=_tolerance, default=1e-10)
+    vp.add_argument("--detour-bound", type=int, default=REPORT_DETOUR_BOUND)
     return parser
+
+
+def _tolerance(text: str) -> float:
+    """A --tol value: finite and > 0, since power iteration never reaches 0."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return tol
 
 
 def _load_input(args: argparse.Namespace) -> GyroGroup:
@@ -228,27 +236,23 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
 
 def _compute_invariant(flag: str, g: GyroGroup, graph, args) -> object:
     if flag == "distances":
-        prof = eccentricity_profile(distance_matrix(graph))
-        return {
-            "radius": prof.radius,
-            "diameter": prof.diameter,
-            "eccentricities": list(prof.eccentricities),
-        }
+        return _eccentricities(distance_matrix(graph))
     if flag == "detour":
-        prof = eccentricity_profile(detour_matrix(graph, args.detour_bound))
-        return {
-            "radius": prof.radius,
-            "diameter": prof.diameter,
-            "eccentricities": list(prof.eccentricities),
-        }
+        return _eccentricities(detour_matrix(graph, args.detour_bound))
     if flag == "hosoya":
         p = hosoya_polynomial(graph)
         return {"polynomial": str(p), "coefficients": p.to_dict()}
     if flag == "rs_hosoya":
-        p = reciprocal_status_hosoya(graph)
+        try:
+            p = reciprocal_status_hosoya(graph)
+        except ValueError:
+            # Non-integer edge sums make no polynomial in x; report their
+            # exact multiset (a disconnected graph raises again here).
+            sums = reciprocal_status_edge_sums(graph)
+            return {"edge_sums": {str(s): count for s, count in sums.items()}}
         return {"polynomial": str(p), "coefficients": p.to_dict()}
     if flag == "dds":
-        dds = distance_degree_sequence(graph, "shortest")
+        dds = distance_degree_sequence(distance_matrix(graph))
         return {
             "summary": [
                 {"tuple": list(t), "count": c} for t, c in dds.summary
@@ -292,6 +296,15 @@ def _compute_invariant(flag: str, g: GyroGroup, graph, args) -> object:
             "closure_is_fixed_point": closure.edges == graph.edges,
         }
     raise AssertionError(f"unhandled invariant {flag}")
+
+
+def _eccentricities(dm) -> dict:
+    prof = eccentricity_profile(dm)
+    return {
+        "radius": prof.radius,
+        "diameter": prof.diameter,
+        "eccentricities": list(prof.eccentricities),
+    }
 
 
 def _render_invariants(data: dict) -> str:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BoundExceededError, DisconnectedGraphError
-from .graphs import Graph
+from .graphs import Graph, reachable
 from .polynomials import IntPolynomial
 
 INF = float("inf")
@@ -100,20 +100,6 @@ def detour_matrix(graph: Graph, order_bound: int = DETOUR_ORDER_BOUND) -> Distan
     adj_bits = [graph.neighbor_bits(v) for v in range(n)]
     full = (1 << n) - 1
 
-    def reachable_from(v: int, allowed: int) -> int:
-        """Bitmask of vertices reachable from v inside allowed | {v}."""
-        seen = 1 << v
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            fresh = adj_bits[x] & allowed & ~seen
-            while fresh:
-                low = fresh & -fresh
-                fresh ^= low
-                seen |= low
-                stack.append(low.bit_length() - 1)
-        return seen
-
     def search(s: int, t: int) -> int:
         best_len = -1
         # Iterative DFS over simple paths from s to t.
@@ -128,7 +114,7 @@ def detour_matrix(graph: Graph, order_bound: int = DETOUR_ORDER_BOUND) -> Distan
             # Upper bound: each unvisited vertex adds at most one edge.
             if length + bin(free).count("1") <= best_len:
                 continue
-            if not reachable_from(v, free) >> t & 1:
+            if not reachable(adj_bits, v, free) >> t & 1:
                 continue
             nxt = adj_bits[v] & free
             while nxt:
@@ -160,19 +146,13 @@ def eccentricity_profile(dm: DistanceMatrix) -> EccentricityProfile:
     )
 
 
-def distance_degree_sequence(
-    graph: Graph,
-    kind: str = "shortest",
-    order_bound: int = DETOUR_ORDER_BOUND,
-) -> DistanceDegreeSequences:
+def distance_degree_sequence(dm: DistanceMatrix) -> DistanceDegreeSequences:
     """For each vertex u, the counts (|{v : d(u,v) = k}|) for k = 0..ecc(u);
     the summary groups equal tuples with multiplicities."""
-    dm = _matrix_for(graph, kind, order_bound)
     if not dm.is_finite():
         raise DisconnectedGraphError("distance degree sequences need a connected graph")
     per_vertex = []
-    for u in graph.vertices():
-        row = dm.entries[u]
+    for row in dm.entries:
         ecc = int(max(row))
         counts = [0] * (ecc + 1)
         for d in row:
@@ -185,14 +165,6 @@ def distance_degree_sequence(
     return DistanceDegreeSequences(
         kind=dm.kind, per_vertex=tuple(per_vertex), summary=summary
     )
-
-
-def _matrix_for(graph: Graph, kind: str, order_bound: int) -> DistanceMatrix:
-    if kind == "shortest":
-        return distance_matrix(graph)
-    if kind == "detour":
-        return detour_matrix(graph, order_bound)
-    raise ValueError(f"unknown distance kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

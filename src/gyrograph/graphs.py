@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .gyrogroups import GyroGroup, power_closure
 
@@ -147,6 +147,22 @@ class Graph:
     @classmethod
     def star(cls, leaves: int) -> "Graph":
         return cls.from_edges(leaves + 1, ((0, i) for i in range(1, leaves + 1)))
+
+
+def reachable(adj_bits: Sequence[int], v: int, allowed: int) -> int:
+    """Bitmask of the vertices reachable from v inside allowed | {v}, given
+    the bitmask adjacency rows (one int per vertex, as neighbor_bits)."""
+    seen = 1 << v
+    stack = [v]
+    while stack:
+        x = stack.pop()
+        fresh = adj_bits[x] & allowed & ~seen
+        while fresh:
+            low = fresh & -fresh
+            fresh ^= low
+            seen |= low
+            stack.append(low.bit_length() - 1)
+    return seen
 
 
 @dataclass(frozen=True)

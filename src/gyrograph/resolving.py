@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, dropwhile, product
 from typing import Iterable, Iterator, Sequence
 
 from .distances import distance_matrix
@@ -20,7 +20,8 @@ from .errors import BoundExceededError, DisconnectedGraphError
 from .graphs import Graph
 from .polynomials import IntPolynomial
 
-#: Default cap on the number of candidate subsets examined per enumeration.
+#: Default cap on the number of candidate subsets examined by one search,
+#: summed over all subset sizes.
 SUBSET_BUDGET = 5_000_000
 
 #: Default vertex-count cap for the metric-dimension search.
@@ -144,20 +145,16 @@ def _candidate_subsets(
             yield tuple(sorted(full.difference(omitted)))
 
 
-def metric_dimension(
-    graph: Graph,
-    order_bound: int = METRIC_DIMENSION_ORDER_BOUND,
-    subset_budget: int = SUBSET_BUDGET,
-) -> int:
-    """Minimum size of a resolving set, by ascending-size enumeration over
-    twin-pruned candidates."""
-    psi, _ = _metric_dimension_with_witness(graph, order_bound, subset_budget)
-    return psi
-
-
-def _metric_dimension_with_witness(
+def _resolving_layers(
     graph: Graph, order_bound: int, subset_budget: int
-) -> tuple[int, tuple[int, ...]]:
+) -> Iterator[tuple[int, int, tuple[int, ...] | None]]:
+    """Yield (k, number of resolving k-subsets, least resolving k-subset or
+    None) for k from the twin lower bound up to n.
+
+    One pass: the distance matrix and the omission units are built once,
+    every twin-pruned candidate is examined once, and subset_budget caps
+    the candidates examined over all layers together.
+    """
     if graph.n > order_bound:
         raise BoundExceededError(
             f"metric dimension refused: order {graph.n} exceeds bound {order_bound}"
@@ -165,24 +162,35 @@ def _metric_dimension_with_witness(
     dm = distance_matrix(graph)
     if not dm.is_finite():
         raise DisconnectedGraphError("metric dimension needs a connected graph")
-    if graph.n == 1:
-        return 0, ()
-    units = _omission_units(graph, twin_partition(graph))
+    partition = twin_partition(graph)
+    units = _omission_units(graph, partition)
     examined = 0
-    start = max(1, sum(len(u) - 1 for u in units if len(u) > 1))
-    for k in range(start, graph.n + 1):
-        best: tuple[int, ...] | None = None
+    for k in range(partition.lower_bound(), graph.n + 1):
+        count = 0
+        least: tuple[int, ...] | None = None
         for subset in _candidate_subsets(graph.n, units, k):
             examined += 1
             if examined > subset_budget:
                 raise BoundExceededError(
-                    f"metric dimension refused: more than {subset_budget} candidates"
+                    f"resolving-set search refused: more than {subset_budget} candidates"
                 )
             if _resolves(dm.entries, graph.n, subset):
-                if best is None or subset < best:
-                    best = subset
-        if best is not None:
-            return k, best
+                count += 1
+                if least is None or subset < least:
+                    least = subset
+        yield k, count, least
+
+
+def metric_dimension(
+    graph: Graph,
+    order_bound: int = METRIC_DIMENSION_ORDER_BOUND,
+    subset_budget: int = SUBSET_BUDGET,
+) -> int:
+    """Minimum size of a resolving set: the first non-empty layer of the
+    ascending-size enumeration over twin-pruned candidates."""
+    for k, count, _ in _resolving_layers(graph, order_bound, subset_budget):
+        if count:
+            return k
     raise AssertionError("the full vertex set always resolves")
 
 
@@ -198,26 +206,17 @@ def resolving_polynomial(
     without distance checks (twins share distance vectors), so only the
     pruned candidates are ever tested.
     """
-    psi, witness = _metric_dimension_with_witness(graph, order_bound, subset_budget)
-    dm = distance_matrix(graph)
-    units = _omission_units(graph, twin_partition(graph))
-    counts: dict[int, int] = {}
-    examined = 0
-    for k in range(psi, graph.n + 1):
-        r_k = 0
-        for subset in _candidate_subsets(graph.n, units, k):
-            examined += 1
-            if examined > subset_budget:
-                raise BoundExceededError(
-                    f"resolving polynomial refused: more than {subset_budget} candidates"
-                )
-            if _resolves(dm.entries, graph.n, subset):
-                r_k += 1
-        counts[k] = r_k
-    sequence = tuple(counts[k] for k in range(psi, graph.n + 1))
+    layers = list(
+        dropwhile(
+            lambda layer: not layer[1],
+            _resolving_layers(graph, order_bound, subset_budget),
+        )
+    )
+    psi, _, witness = layers[0]
+    counts = {k: count for k, count, _ in layers}
     return ResolvingProfile(
         metric_dimension=psi,
-        resolving_sequence=sequence,
+        resolving_sequence=tuple(counts.values()),
         polynomial=IntPolynomial(counts),
         witness_basis=witness,
     )

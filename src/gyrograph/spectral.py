@@ -240,7 +240,6 @@ def spectral_radius(
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    charpoly: IntPolynomial
     spectral_radius: float
     residual_tolerance: float
     bound_lower: float
@@ -249,7 +248,6 @@ class SpectralSummary:
 
     def to_dict(self) -> dict:
         return {
-            "charpoly": self.charpoly.to_dict(),
             "spectral_radius": self.spectral_radius,
             "residual_tolerance": self.residual_tolerance,
             "bound_lower": self.bound_lower,
@@ -268,15 +266,12 @@ def verify_spectral_bounds(n: int, tol: float = 1e-10) -> SpectralSummary:
     from .graphs import power_graph  # local import to avoid cycles
     from .gyrogroups import build_gn
 
-    graph = power_graph(build_gn(n))
-    adj = adjacency_matrix(graph)
-    lam = spectral_radius(adj, tol=tol)
+    lam = spectral_radius(adjacency_matrix(power_graph(build_gn(n))), tol=tol)
     m = 2 ** (n - 1)
     lower = float(m - 1)
     upper = lower + math.sqrt(m)
     satisfied = (lam > lower + tol) and (lam <= upper + tol)
     return SpectralSummary(
-        charpoly=char_poly_exact(adj),
         spectral_radius=lam,
         residual_tolerance=tol,
         bound_lower=lower,

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 
 from .errors import BoundExceededError
-from .graphs import Graph
+from .graphs import Graph, reachable
 from .gyrogroups import GyroGroup, Permutation, power_closure
 
 PLANARITY_ORDER_BOUND = 128
@@ -554,24 +554,11 @@ def is_hamiltonian(
     full = (1 << n) - 1
     path = [0]
 
-    def reachable(v: int, allowed: int) -> int:
-        seen = 1 << v
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            fresh = adj_bits[x] & allowed & ~seen
-            while fresh:
-                low = fresh & -fresh
-                fresh ^= low
-                seen |= low
-                stack.append(low.bit_length() - 1)
-        return seen
-
     def extend(v: int, visited: int) -> bool:
         if len(path) == n:
             return bool(adj_bits[v] >> 0 & 1)
         free = full & ~visited
-        if reachable(v, free) & free != free:
+        if reachable(adj_bits, v, free) & free != free:
             return False
         for w in graph.neighbors(v):
             if not visited >> w & 1:

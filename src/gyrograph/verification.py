@@ -21,6 +21,7 @@ from .distances import (
     boundary_interior_center,
     detour_matrix,
     distance_degree_sequence,
+    distance_matrix,
     eccentricity_profile,
     hosoya_polynomial,
     reciprocal_status_hosoya,
@@ -34,7 +35,7 @@ from .gyrogroups import (
     verify_axioms,
 )
 from .polynomials import IntPolynomial
-from .resolving import resolving_polynomial
+from .resolving import METRIC_DIMENSION_ORDER_BOUND, resolving_polynomial
 from .spectral import (
     adjacency_matrix,
     char_poly_exact,
@@ -52,7 +53,9 @@ from .structure import (
     verify_kuratowski,
 )
 
-#: Default vertex-count cap for detour entries inside the report.
+#: Default vertex-count cap for detour entries in the report and the CLI
+#: (the library detour_matrix default is 64; this is stricter because the
+#: longest-path search is exponential).
 REPORT_DETOUR_BOUND = 16
 
 # The printed cubic factor of the characteristic polynomial is malformed
@@ -228,7 +231,6 @@ def verify_gn(
     n: int,
     tol: float = 1e-10,
     detour_bound: int = REPORT_DETOUR_BOUND,
-    resolving_order_bound: int = 32,
 ) -> list[ReportEntry]:
     """All closed-form checks for one n."""
     g = build_gn(n)
@@ -260,9 +262,10 @@ def verify_gn(
     )
 
     # Power conventions and empirical power associativity.
+    powers = [power_sequence(g, a, big) for a in g.elements()]
     left_right_agree = all(
-        power_sequence(g, a, big) == power_sequence(g, a, big, right=True)
-        for a in g.elements()
+        seq == power_sequence(g, a, big, right=True)
+        for a, seq in zip(g.elements(), powers)
     )
     entries.append(
         _entry(
@@ -274,8 +277,7 @@ def verify_gn(
         )
     )
     pa = True
-    for a in g.elements():
-        seq = power_sequence(g, a, big)
+    for seq in powers:
         for i in range(1, big):
             for j in range(1, big - i + 1):
                 if g.op(seq[i - 1], seq[j - 1]) != seq[i + j - 1]:
@@ -388,8 +390,8 @@ def verify_gn(
     )
 
     # Metric dimension and resolving polynomial.
-    if graph.n <= resolving_order_bound:
-        profile = resolving_polynomial(graph, order_bound=resolving_order_bound)
+    if graph.n <= METRIC_DIMENSION_ORDER_BOUND:
+        profile = resolving_polynomial(graph)
         seq4 = profile.resolving_sequence
         exp_seq = cf.resolving_sequence_closed_form(n)
         entries.append(
@@ -412,18 +414,13 @@ def verify_gn(
             )
         )
     else:
+        why = f"order {graph.n} exceeds bound {METRIC_DIMENSION_ORDER_BOUND}"
         entries.append(
-            _skipped(
-                f"metric-dimension[{tag}]",
-                "metric dimension = 2^n - 3",
-                f"order {graph.n} exceeds bound {resolving_order_bound}",
-            )
+            _skipped(f"metric-dimension[{tag}]", "metric dimension = 2^n - 3", why)
         )
         entries.append(
             _skipped(
-                f"resolving-polynomial[{tag}]",
-                "resolving sequence closed form",
-                f"order {graph.n} exceeds bound {resolving_order_bound}",
+                f"resolving-polynomial[{tag}]", "resolving sequence closed form", why
             )
         )
 
@@ -499,7 +496,7 @@ def verify_gn(
                 ecc_ok and rad_dia == cf.detour_radius_diameter_closed_form(n),
             )
         )
-        ddsd = distance_degree_sequence(graph, "detour")
+        ddsd = distance_degree_sequence(dm)
         entries.append(
             _entry(
                 f"dds-detour[{tag}]",
@@ -518,7 +515,7 @@ def verify_gn(
             _skipped(f"dds-detour[{tag}]", "detour distance degree sequence", why)
         )
 
-    dds = distance_degree_sequence(graph, "shortest")
+    dds = distance_degree_sequence(distance_matrix(graph))
     entries.append(
         _entry(
             f"dds[{tag}]",

@@ -6,7 +6,16 @@ import sys
 
 import pytest
 
-from gyrograph import bundled_gyrogroup, to_cayley_csv
+from gyrograph import (
+    ConvergenceError,
+    bundled_gyrogroup,
+    cli,
+    cyclic_group,
+    power_graph,
+    reciprocal_status_edge_sums,
+    spectral,
+    to_cayley_csv,
+)
 
 
 def run_cli(*args, env=None):
@@ -135,6 +144,58 @@ def test_invariants_from_bundled_json_table(tmp_path):
     r = run_cli("invariants", "--table", str(path), "--planarity", "--format", "json")
     assert r.returncode == 0
     assert json.loads(r.stdout)["planarity"]["planar"] is True
+
+
+def test_invariants_all_on_cyclic_table_reports_rs_edge_sums(tmp_path):
+    # Z12 has half-integer edge sums such as 39/2: no polynomial in x, so
+    # rs_hosoya reports the exact multiset and the command still succeeds.
+    path = tmp_path / "z12.csv"
+    path.write_text(to_cayley_csv(cyclic_group(12)))
+    r = run_cli("invariants", "--table", str(path), "--all", "--format", "json")
+    assert r.returncode == 0, r.stderr
+    data = json.loads(r.stdout)
+    sums = reciprocal_status_edge_sums(power_graph(cyclic_group(12)))
+    assert data["rs_hosoya"] == {
+        "edge_sums": {str(s): count for s, count in sums.items()}
+    }
+    assert data["rs_hosoya"]["edge_sums"]["39/2"] == 4
+    assert sum(data["rs_hosoya"]["edge_sums"].values()) == data["edges"]
+
+
+def test_invariants_rs_hosoya_integer_case_is_a_polynomial():
+    r = run_cli("invariants", "--gn", "3", "--rs-hosoya", "--format", "json")
+    assert r.returncode == 0
+    assert json.loads(r.stdout)["rs_hosoya"] == {
+        "polynomial": "3x^12 + 4x^11 + 3x^10",
+        "coefficients": {"12": 3, "11": 4, "10": 3},
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants", "--gn", "3", "--spectral"],
+        ["verify-paper", "--n", "3..3"],
+    ],
+)
+def test_convergence_failure_exits_3_with_one_line(monkeypatch, capsys, argv):
+    def fail(matrix, tol=1e-10, max_iterations=1_000_000):
+        raise ConvergenceError("power iteration did not reach tolerance")
+
+    monkeypatch.setattr(cli, "spectral_radius", fail)
+    monkeypatch.setattr(spectral, "spectral_radius", fail)
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err == "error: power iteration did not reach tolerance\n"
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-3", "inf", "nan", "abc"])
+@pytest.mark.parametrize("command", [["invariants", "--gn", "3"], ["verify-paper"]])
+def test_tol_must_be_finite_and_positive(capsys, command, tol):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--tol", tol])
+    assert exc.value.code == 2
+    assert "argument --tol" in capsys.readouterr().err
 
 
 def test_invariants_output_is_deterministic():

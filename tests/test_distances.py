@@ -186,17 +186,17 @@ def test_detour_matches_naive_oracle_on_random_graphs():
 
 
 def test_dds_gn3_summary(gn3):
-    dds = distance_degree_sequence(gn3, "shortest")
+    dds = distance_degree_sequence(distance_matrix(gn3))
     assert dds.summary_dict() == {(1, 7): 1, (1, 3, 4): 3, (1, 1, 6): 4}
 
 
 def test_dds_k1():
-    dds = distance_degree_sequence(Graph.complete(1))
+    dds = distance_degree_sequence(distance_matrix(Graph.complete(1)))
     assert dds.summary_dict() == {(1,): 1}
 
 
 def test_dds_detour_gn3(gn3):
-    ddsd = distance_degree_sequence(gn3, "detour")
+    ddsd = distance_degree_sequence(detour_matrix(gn3))
     assert ddsd.per_vertex[0] == (1, 4, 0, 3)
     assert ddsd.summary_dict() == {
         (1, 4, 0, 3): 1,
@@ -206,7 +206,7 @@ def test_dds_detour_gn3(gn3):
 
 
 def test_dds_detour_gn4(gn4):
-    ddsd = distance_degree_sequence(gn4, "detour")
+    ddsd = distance_degree_sequence(detour_matrix(gn4))
     assert ddsd.summary_dict() == {
         (1, 8, 0, 0, 0, 0, 0, 7): 1,
         (1, 0, 0, 0, 0, 0, 0, 7, 8): 7,
@@ -216,7 +216,7 @@ def test_dds_detour_gn4(gn4):
 
 def test_dds_counts_tie_out_with_pair_counts(gn3):
     # Summing per-vertex counts at distance k double-counts the pairs.
-    dds = distance_degree_sequence(gn3, "shortest")
+    dds = distance_degree_sequence(distance_matrix(gn3))
     hosoya = hosoya_polynomial(gn3)
     for k in (1, 2):
         total = sum(t[k] if len(t) > k else 0 for t in dds.per_vertex)

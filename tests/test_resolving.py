@@ -1,5 +1,6 @@
 """Twin detection, resolving sets, metric dimension, resolving polynomial."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -9,10 +10,12 @@ from gyrograph import (
     Graph,
     IntPolynomial,
     build_gn,
+    cyclic_group,
     distance_matrix,
     is_resolving,
     metric_dimension,
     power_graph,
+    resolving,
     resolving_polynomial,
     twin_partition,
 )
@@ -21,6 +24,12 @@ from gyrograph import (
 @pytest.fixture(scope="module")
 def gn3():
     return power_graph(build_gn(3))
+
+
+@pytest.fixture(scope="module")
+def z12():
+    # Twin lower bound 7 but metric dimension 8: one layer below psi.
+    return power_graph(cyclic_group(12))
 
 
 def unpruned_resolving_counts(graph):
@@ -205,3 +214,69 @@ def test_profile_serializes():
     assert data["psi"] == 2
     assert data["sequence"] == [3, 1]
     assert data["witness_basis"] == [0, 1]
+
+
+# ---------------------------------------------------------------------------
+# One enumeration pass, checked against the unpruned oracle
+# ---------------------------------------------------------------------------
+
+
+def random_connected_graph(rng, n):
+    """A random spanning tree plus edges of a random density."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    p = rng.random()
+    edges |= {(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p}
+    return Graph.from_edges(n, edges)
+
+
+def assert_matches_unpruned(graph):
+    full = unpruned_resolving_counts(graph)
+    psi = min(full)
+    least = next(
+        s for s in combinations(range(graph.n), psi) if is_resolving(graph, s)
+    )
+    prof = resolving_polynomial(graph)
+    assert metric_dimension(graph) == prof.metric_dimension == psi
+    assert prof.resolving_sequence == tuple(full[k] for k in range(psi, graph.n + 1))
+    assert prof.polynomial == IntPolynomial(full)
+    assert prof.witness_basis == least
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_single_pass_matches_all_subsets_on_random_graphs(seed):
+    rng = random.Random(seed)
+    assert_matches_unpruned(random_connected_graph(rng, rng.randint(1, 8)))
+
+
+def test_single_pass_matches_all_subsets_on_z12(z12):
+    assert twin_partition(z12).lower_bound() == 7
+    assert metric_dimension(z12) == 8
+    assert_matches_unpruned(z12)
+
+
+def record_layers(monkeypatch):
+    """Record the size k of every _candidate_subsets enumeration."""
+    original = resolving._candidate_subsets
+    layers = []
+
+    def recording(n, units, k):
+        layers.append(k)
+        return original(n, units, k)
+
+    monkeypatch.setattr(resolving, "_candidate_subsets", recording)
+    return layers
+
+
+def test_resolving_polynomial_enumerates_each_layer_once(monkeypatch, gn3, z12):
+    layers = record_layers(monkeypatch)
+    resolving_polynomial(z12)
+    assert layers == list(range(7, 13))
+    layers.clear()
+    resolving_polynomial(gn3)
+    assert layers == list(range(5, 9))
+
+
+def test_metric_dimension_stops_at_the_first_resolving_layer(monkeypatch, z12):
+    layers = record_layers(monkeypatch)
+    assert metric_dimension(z12) == 8
+    assert layers == [7, 8]

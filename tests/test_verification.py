@@ -1,10 +1,11 @@
 """Structure and invariants of the verification report."""
 
 import json
+import sys
 
 import pytest
 
-from gyrograph import run_verification
+from gyrograph import distances, run_verification, spectral
 from gyrograph.verification import verify_example_tables, verify_gn
 
 
@@ -96,3 +97,34 @@ def test_example_entries_isolated():
     assert "m1 -> g8" in by_id["power-graph-iso[g8,m1]"].note
     assert by_id["gyro-noniso[k1,n1]"].verdict == "match"
     assert by_id["gyro-noniso[g8,m1]"].verdict == "mismatch"
+
+
+def count_calls(monkeypatch, module, name):
+    """Replace module.name in every gyrograph module that holds it with a
+    wrapper recording each call's first argument; return the record."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for key, mod in list(sys.modules.items()):
+        if key == "gyrograph" or key.startswith("gyrograph."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
+@pytest.mark.parametrize(("n", "detour_runs"), [(3, 1), (4, 1), (5, 0)])
+def test_verify_gn_computes_detour_and_charpoly_once(monkeypatch, n, detour_runs):
+    # One detour matrix serves both detour entries; the exact charpoly runs
+    # once on the adjacency matrix and once on the pendant part, never
+    # again inside the spectral-bounds entry.
+    detours = count_calls(monkeypatch, distances, "detour_matrix")
+    charpolys = count_calls(monkeypatch, spectral, "char_poly_exact")
+    entries = verify_gn(n)
+    assert all(e.verdict != "mismatch" for e in entries)
+    assert len(detours) == detour_runs
+    assert [m.n for m in charpolys] == [2**n, 2**n]
