@@ -222,6 +222,10 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
                 "skipped": f"order {graph.n} exceeds bound {args.detour_bound}"
             }
             continue
+        if flag == "metric_dimension" and "resolving" in result:
+            # The resolving profile already holds psi; do not search again.
+            result[flag] = result["resolving"]["psi"]
+            continue
         result[flag] = _compute_invariant(flag, g, graph, args)
 
     payload = json.dumps(result, sort_keys=True, indent=2, default=str) + "\n"

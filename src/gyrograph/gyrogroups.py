@@ -26,6 +26,9 @@ BUNDLED_TABLES = ("k1", "n1", "g8", "m1", "gn3")
 
 _DATA_DIR_ENV = "GYROGRAPH_DATA_DIR"
 
+#: Witnesses kept per axiom in an AxiomReport.
+MAX_COUNTEREXAMPLES = 3
+
 
 @dataclass(frozen=True)
 class Permutation:
@@ -102,9 +105,6 @@ class GyroGroup:
             return col.index(self.identity)
         except ValueError:
             raise ValueError(f"element {a} has no left inverse") from None
-
-    def table_array(self) -> np.ndarray:
-        return np.array(self.table, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -296,7 +296,7 @@ def gyration_symbol_grid(g: GyroGroup) -> tuple[list[str], dict[str, Permutation
     return rows, legend
 
 
-def verify_axioms(g: GyroGroup, max_counterexamples: int = 3) -> AxiomReport:
+def verify_axioms(g: GyroGroup) -> AxiomReport:
     """Exhaustively check the gyrogroup axioms over all element triples.
 
     Checks, in order: the left identity row, existence of left inverses,
@@ -304,110 +304,101 @@ def verify_axioms(g: GyroGroup, max_counterexamples: int = 3) -> AxiomReport:
     loop property, that every gyration is an automorphism of the table,
     gyro-commutativity, and plain associativity (is_group).  Failures are
     collected with witnesses, never raised.
+
+    Each axiom is a boolean mask over pairs (a, b) or triples (a, b, c),
+    read off one gyration tensor gyr[a, b, c] built from the table; the
+    automorphism check runs once per distinct gyration.  An axiom's
+    witnesses are the first MAX_COUNTEREXAMPLES failures of its mask in
+    row-major order (gyro-commutativity keeps only the first).
     """
     n = g.order
-    t = g.table
+    index = np.min_scalar_type(n - 1)
+    t = np.array(g.table, dtype=index)
+    elements = np.arange(n, dtype=index)
     counterexamples: list[tuple[str, tuple[int, ...]]] = []
 
-    def note(axiom: str, witness: tuple[int, ...], flag: list[bool]) -> None:
-        flag[0] = False
-        if sum(1 for ax, _ in counterexamples if ax == axiom) < max_counterexamples:
-            counterexamples.append((axiom, witness))
+    def note(axiom, mask, witness=lambda *i: i, limit=MAX_COUNTEREXAMPLES) -> bool:
+        for i in np.argwhere(mask)[:limit]:
+            counterexamples.append((axiom, witness(*i.tolist())))
+        return not mask.any()
 
     # Left identity: guaranteed by construction, but re-checked so the
     # report stands on its own.
-    li = [True]
-    for a in range(n):
-        if t[g.identity][a] != a:
-            note("left_identity", (g.identity, a), li)
+    li = note("left_identity", t[g.identity] != elements, lambda a: (g.identity, a))
 
-    # Left inverses.
-    inv = [True]
-    left_inv: list[int | None] = [None] * n
-    for a in range(n):
-        for y in range(n):
-            if t[y][a] == g.identity:
-                left_inv[a] = y
-                break
-        if left_inv[a] is None:
-            note("left_inverse", (a,), inv)
+    # Left inverses: the first y with y + a = e.
+    is_e = t == g.identity
+    has_inv = is_e.any(axis=0)
+    inv = is_e.argmax(axis=0).astype(index)
+    inv_ok = note("left_inverse", ~has_inv)
 
-    # Candidate gyrations from the left-cancellation formula (undefined
-    # only when the needed left inverse is missing).
-    gyr: list[list[tuple[int, ...] | None]] = [[None] * n for _ in range(n)]
-    for a in range(n):
-        ra = t[a]
-        for b in range(n):
-            iab = left_inv[ra[b]]
-            if iab is not None:
-                gyr[a][b] = tuple(t[iab][ra[t[b][c]]] for c in range(n))
+    # gyr[a,b,c] = -(a+b) + (a+(b+c)), undefined when a+b lacks an inverse.
+    a_bc = t[:, t]
+    undefined = ~has_inv[t]
+    gyr = t[inv[t][:, :, None], a_bc]
 
-    # Gyroassociative law, pointwise over all triples.
-    gassoc = [True]
-    for a in range(n):
-        ra = t[a]
-        for b in range(n):
-            gab = gyr[a][b]
-            if gab is None:
-                note("gyroassociativity", (a, b), gassoc)
-                continue
-            rb = t[b]
-            rab = t[ra[b]]
-            for c in range(n):
-                if ra[rb[c]] != rab[gab[c]]:
-                    note("gyroassociativity", (a, b, c), gassoc)
-                    break
+    # Gyroassociative law: a+(b+c) = (a+b) + gyr[a,b]c.
+    gassoc_fail = t[t[:, :, None], gyr] != a_bc
+    gassoc = note(
+        "gyroassociativity",
+        undefined | gassoc_fail.any(axis=2),
+        lambda a, b: (
+            (a, b) if undefined[a, b] else (a, b, int(gassoc_fail[a, b].argmax()))
+        ),
+    )
 
-    loop = [True]
-    for a in range(n):
-        for b in range(n):
-            if gyr[a][b] is None or gyr[t[a][b]][b] is None:
-                note("left_loop", (a, b), loop)
-            elif gyr[t[a][b]][b] != gyr[a][b]:
-                note("left_loop", (a, b), loop)
+    # Left loop: gyr[a+b, b] = gyr[a, b].
+    loop = note(
+        "left_loop",
+        undefined
+        | undefined[t, elements]
+        | (gyr[t, elements] != gyr).any(axis=2),
+    )
 
-    # Each gyration must be a bijective automorphism of the table,
-    # vectorized as perm[t[x][y]] == t[perm[x]][perm[y]].
-    auto = [True]
-    ta = g.table_array()
-    for a in range(n):
-        for b in range(n):
-            gab = gyr[a][b]
-            if gab is None or sorted(gab) != list(range(n)):
-                note("gyr_is_automorphism", (a, b), auto)
-                continue
-            p = np.array(gab, dtype=np.int64)
-            lhs = p[ta]
-            rhs = ta[np.ix_(p, p)]
-            if not np.array_equal(lhs, rhs):
-                x, y = np.argwhere(lhs != rhs)[0]
-                note("gyr_is_automorphism", (a, b, int(x), int(y)), auto)
+    # Each gyration must be a bijective automorphism of the table, checked
+    # once per distinct gyration.
+    distinct: dict[bytes, int] = {}
+    rows = gyr.reshape(n * n, n)
+    gyr_id = np.array(
+        [distinct.setdefault(row.tobytes(), len(distinct)) for row in rows]
+    ).reshape(n, n)
+    failures = [
+        _automorphism_failure(t, np.frombuffer(key, dtype=index)) for key in distinct
+    ]
+    failing = np.array([f is not None for f in failures])
+    auto = note(
+        "gyr_is_automorphism",
+        undefined | failing[gyr_id],
+        lambda a, b: (a, b) if undefined[a, b] else (a, b, *failures[gyr_id[a, b]]),
+    )
 
-    gcomm = [True]
-    for a in range(n):
-        for b in range(n):
-            gab = gyr[a][b]
-            if gab is None or t[a][b] != gab[t[b][a]]:
-                note("gyrocommutative", (a, b), gcomm)
-                break
-        if not gcomm[0]:
-            break
-
-    # Associativity via numpy: t[t[a][b]][c] == t[a][t[b][c]].
-    assoc_lhs = ta[ta]  # [a][b][c] = t[t[a][b]][c]
-    assoc_rhs = ta[:, ta]  # [a][b][c] = t[a][t[b][c]]
-    group = bool(np.array_equal(assoc_lhs, assoc_rhs))
+    # Gyro-commutativity: a+b = gyr[a,b](b+a).
+    gcomm = note(
+        "gyrocommutative",
+        undefined | (t != gyr[elements[:, None], elements, t.T]),
+        limit=1,
+    )
 
     return AxiomReport(
-        left_identity_ok=li[0],
-        left_inverse_ok=inv[0],
-        gyroassociativity_ok=gassoc[0],
-        left_loop_ok=loop[0],
-        gyr_is_automorphism_ok=auto[0],
-        gyrocommutative=gcomm[0],
-        is_group=group,
+        left_identity_ok=li,
+        left_inverse_ok=inv_ok,
+        gyroassociativity_ok=gassoc,
+        left_loop_ok=loop,
+        gyr_is_automorphism_ok=auto,
+        gyrocommutative=gcomm,
+        is_group=bool(np.array_equal(t[t], a_bc)),
         counterexamples=tuple(counterexamples),
     )
+
+
+def _automorphism_failure(t: np.ndarray, p: np.ndarray) -> tuple[int, ...] | None:
+    """None when p is an automorphism of the table t; () when p is not a
+    bijection; otherwise the first (x, y), row-major, with
+    p(x+y) != p(x) + p(y)."""
+    if np.unique(p).size != p.size:
+        return ()
+    bad = p[t] != t[np.ix_(p, p)]
+    return tuple(np.argwhere(bad)[0].tolist()) if bad.any() else None
 
 
 # ---------------------------------------------------------------------------

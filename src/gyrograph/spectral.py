@@ -256,18 +256,16 @@ class SpectralSummary:
         }
 
 
-def verify_spectral_bounds(n: int, tol: float = 1e-10) -> SpectralSummary:
-    """Sandwich check for the order-2^n power graph: with m = 2^(n-1),
+def verify_spectral_bounds(graph: Graph, tol: float = 1e-10) -> SpectralSummary:
+    """Sandwich check for the power graph of G(n), of order 2m with
+    m = 2^(n-1):
 
         m - 1 < lambda_1 <= (m - 1) + sqrt(m)
 
     (the complete block pins the strict lower bound; the pendant part has
     top eigenvalue sqrt(m), giving the upper bound)."""
-    from .graphs import power_graph  # local import to avoid cycles
-    from .gyrogroups import build_gn
-
-    lam = spectral_radius(adjacency_matrix(power_graph(build_gn(n))), tol=tol)
-    m = 2 ** (n - 1)
+    lam = spectral_radius(adjacency_matrix(graph), tol=tol)
+    m = graph.n // 2
     lower = float(m - 1)
     upper = lower + math.sqrt(m)
     satisfied = (lam > lower + tol) and (lam <= upper + tol)

@@ -459,7 +459,7 @@ def verify_gn(
             ),
         )
     )
-    spectral = verify_spectral_bounds(n, tol=tol)
+    spectral = verify_spectral_bounds(graph, tol=tol)
     entries.append(
         _entry(
             f"spectral-bounds[{tag}]",

@@ -13,6 +13,7 @@ from gyrograph import (
     cyclic_group,
     power_graph,
     reciprocal_status_edge_sums,
+    resolving,
     spectral,
     to_cayley_csv,
 )
@@ -169,6 +170,24 @@ def test_invariants_rs_hosoya_integer_case_is_a_polynomial():
         "polynomial": "3x^12 + 4x^11 + 3x^10",
         "coefficients": {"12": 3, "11": 4, "10": 3},
     }
+
+
+@pytest.mark.parametrize("flags", [["--all"], ["--resolving", "--metric-dimension"]])
+def test_invariants_reads_metric_dimension_from_the_resolving_profile(
+    monkeypatch, capsys, flags
+):
+    runs = []
+    layers = resolving._resolving_layers
+
+    def counted(*args, **kwargs):
+        runs.append(args)
+        return layers(*args, **kwargs)
+
+    monkeypatch.setattr(resolving, "_resolving_layers", counted)
+    assert cli.main(["invariants", "--gn", "3", *flags, "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert len(runs) == 1
+    assert data["metric_dimension"] == data["resolving"]["psi"] == 5
 
 
 @pytest.mark.parametrize(

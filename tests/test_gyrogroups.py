@@ -1,8 +1,15 @@
 """Gyrogroup construction, gyrations, axiom verification, and powers."""
 
+import random
+import time
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gyrograph import (
+    AxiomReport,
     Permutation,
     build_gn,
     bundled_gyrogroup,
@@ -254,6 +261,200 @@ def test_gyration_symbol_grids_match_published_layouts():
         grid, legend = gyration_symbol_grid(bundled_gyrogroup(name))
         assert set(legend) == {"I", "X1"}
         assert tuple(r.replace("X1", "X") for r in grid) == target
+
+
+def test_order_256_axiom_check_within_gate():
+    g = build_gn(8)
+    rows = [list(r) for r in g.table]
+    rows[200][77] = (rows[200][77] + 1) % g.order
+    start = time.perf_counter()
+    valid = verify_axioms(g)
+    corrupted = verify_axioms(load_table(rows))
+    elapsed = time.perf_counter() - start
+    assert valid.is_gyrogroup and not valid.is_group
+    assert not corrupted.is_gyrogroup
+    assert elapsed < 10.0, f"order-256 axiom checks took {elapsed:.1f} s"
+
+
+# ---------------------------------------------------------------------------
+# verify_axioms against the per-triple loop reference
+# ---------------------------------------------------------------------------
+
+
+def reference_verify_axioms(g):
+    """The axiom check written as plain loops over pairs and triples, with
+    every gyration checked for the automorphism property separately."""
+    max_counterexamples = 3
+    n = g.order
+    t = g.table
+    counterexamples = []
+
+    def note(axiom, witness, flag):
+        flag[0] = False
+        if sum(1 for ax, _ in counterexamples if ax == axiom) < max_counterexamples:
+            counterexamples.append((axiom, witness))
+
+    li = [True]
+    for a in range(n):
+        if t[g.identity][a] != a:
+            note("left_identity", (g.identity, a), li)
+
+    inv = [True]
+    left_inv = [None] * n
+    for a in range(n):
+        for y in range(n):
+            if t[y][a] == g.identity:
+                left_inv[a] = y
+                break
+        if left_inv[a] is None:
+            note("left_inverse", (a,), inv)
+
+    gyr = [[None] * n for _ in range(n)]
+    for a in range(n):
+        ra = t[a]
+        for b in range(n):
+            iab = left_inv[ra[b]]
+            if iab is not None:
+                gyr[a][b] = tuple(t[iab][ra[t[b][c]]] for c in range(n))
+
+    gassoc = [True]
+    for a in range(n):
+        ra = t[a]
+        for b in range(n):
+            gab = gyr[a][b]
+            if gab is None:
+                note("gyroassociativity", (a, b), gassoc)
+                continue
+            rb = t[b]
+            rab = t[ra[b]]
+            for c in range(n):
+                if ra[rb[c]] != rab[gab[c]]:
+                    note("gyroassociativity", (a, b, c), gassoc)
+                    break
+
+    loop = [True]
+    for a in range(n):
+        for b in range(n):
+            if gyr[a][b] is None or gyr[t[a][b]][b] is None:
+                note("left_loop", (a, b), loop)
+            elif gyr[t[a][b]][b] != gyr[a][b]:
+                note("left_loop", (a, b), loop)
+
+    auto = [True]
+    ta = np.array(t, dtype=np.int64)
+    for a in range(n):
+        for b in range(n):
+            gab = gyr[a][b]
+            if gab is None or sorted(gab) != list(range(n)):
+                note("gyr_is_automorphism", (a, b), auto)
+                continue
+            p = np.array(gab, dtype=np.int64)
+            lhs = p[ta]
+            rhs = ta[np.ix_(p, p)]
+            if not np.array_equal(lhs, rhs):
+                x, y = np.argwhere(lhs != rhs)[0]
+                note("gyr_is_automorphism", (a, b, int(x), int(y)), auto)
+
+    gcomm = [True]
+    for a in range(n):
+        for b in range(n):
+            gab = gyr[a][b]
+            if gab is None or t[a][b] != gab[t[b][a]]:
+                note("gyrocommutative", (a, b), gcomm)
+                break
+        if not gcomm[0]:
+            break
+
+    group = all(
+        t[t[a][b]][c] == t[a][t[b][c]]
+        for a in range(n) for b in range(n) for c in range(n)
+    )
+    return AxiomReport(
+        left_identity_ok=li[0],
+        left_inverse_ok=inv[0],
+        gyroassociativity_ok=gassoc[0],
+        left_loop_ok=loop[0],
+        gyr_is_automorphism_ok=auto[0],
+        gyrocommutative=gcomm[0],
+        is_group=group,
+        counterexamples=tuple(counterexamples),
+    )
+
+
+def _corrupt(g, rng):
+    """g with one entry outside the identity row changed."""
+    rows = [list(r) for r in g.table]
+    a = rng.choice([x for x in g.elements() if x != g.identity])
+    b = rng.randrange(g.order)
+    rows[a][b] = (rows[a][b] + rng.randrange(1, g.order)) % g.order
+    return load_table(rows, identity_hint=g.identity)
+
+
+def _assert_matches_reference(g):
+    report = verify_axioms(g)
+    assert report == reference_verify_axioms(g)
+    # Plain ints, so the report serializes and prints like the reference.
+    assert all(type(v) is int for _, w in report.counterexamples for v in w)
+
+
+# Groups and gyrogroups of order <= 8 that the random magmas start from.
+_BASES = (
+    [cyclic_group(k) for k in range(1, 9)]
+    + [load_table(KLEIN4), build_gn(3)]
+    + [bundled_gyrogroup(name) for name in ("k1", "n1", "g8", "m1")]
+)
+
+
+@st.composite
+def magmas(draw):
+    """A table of order <= 8 with a left-identity row: either uniformly
+    random (often without left inverses) or a relabelled group or
+    gyrogroup with a few entries changed (often with left inverses but
+    non-bijective or non-automorphic gyrations)."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 8))
+        e = draw(st.integers(0, n - 1))
+        cell = st.integers(0, n - 1)
+        rows = [
+            list(range(n)) if a == e else draw(st.lists(cell, min_size=n, max_size=n))
+            for a in range(n)
+        ]
+        return load_table(rows, identity_hint=e)
+    base = draw(st.sampled_from(_BASES))
+    g = relabel(base, Permutation(tuple(draw(st.permutations(range(base.order))))))
+    rows = [list(r) for r in g.table]
+    for _ in range(draw(st.integers(0, 3)) if g.order > 1 else 0):
+        a = draw(st.sampled_from([x for x in g.elements() if x != g.identity]))
+        rows[a][draw(st.integers(0, g.order - 1))] = draw(st.integers(0, g.order - 1))
+    return load_table(rows, identity_hint=g.identity)
+
+
+@settings(max_examples=300, deadline=None)
+@given(magmas())
+def test_verify_axioms_matches_reference_on_random_magmas(g):
+    _assert_matches_reference(g)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_verify_axioms_matches_reference_on_relabelled_and_corrupted_gn(n):
+    rng = random.Random(n)
+    g = build_gn(n)
+    perm = list(g.elements())
+    rng.shuffle(perm)
+    h = relabel(g, Permutation(tuple(perm)))
+    _assert_matches_reference(h)
+    for _ in range(3):
+        _assert_matches_reference(_corrupt(h, rng))
+
+
+@pytest.mark.parametrize("name", ["k1", "n1", "g8", "m1", "gn3"])
+def test_verify_axioms_matches_reference_on_bundled_tables(name):
+    _assert_matches_reference(bundled_gyrogroup(name))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 6, 12])
+def test_verify_axioms_matches_reference_on_cyclic_groups(k):
+    _assert_matches_reference(cyclic_group(k))
 
 
 # ---------------------------------------------------------------------------

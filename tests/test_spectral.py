@@ -182,7 +182,7 @@ def test_spectral_radius_matches_numpy_on_random_graphs():
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_spectral_sandwich_bounds(n):
-    s = verify_spectral_bounds(n, tol=1e-10)
+    s = verify_spectral_bounds(power_graph(build_gn(n)), tol=1e-10)
     m = 2 ** (n - 1)
     assert s.satisfied
     assert s.bound_lower == m - 1
