@@ -23,8 +23,9 @@ print("d(1,2) =", dm[1, 2], " d(1,4) =", dm[1, 4], " d(4,5) =", dm[4, 5])
 prof = eccentricity_profile(dm)
 print("radius =", prof.radius, " diameter =", prof.diameter)
 
-# Detour distance = length of a longest simple path (exact, exponential
-# search with pruning; refuse beyond the order bound).
+# Detour distance = length of a longest simple path (exact: summed along
+# the block-cut tree, searching only blocks that are not complete; refuse
+# beyond the order bound).
 dd = detour_matrix(graph)
 print("\ndetour d_D(0,1) =", dd[0, 1], " d_D(4,1) =", dd[4, 1],
       " d_D(4,5) =", dd[4, 5])

@@ -2,8 +2,9 @@
 boundary / interior / center / closure machinery.
 
 Shortest distances come from BFS.  Detour distances (longest simple
-paths) come from an exhaustive DFS with reachability pruning, which is
-exponential in general and therefore guarded by an order bound.
+paths) are summed along the block-cut tree: complete blocks need no
+search, and only the other blocks run an exhaustive DFS, exponential in
+the block's size.  An order bound still guards the whole computation.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ from fractions import Fraction
 from .errors import BoundExceededError, DisconnectedGraphError
 from .graphs import Graph, reachable
 from .polynomials import IntPolynomial
+from .structure import biconnected_components
 
 INF = float("inf")
 
-#: Default vertex-count cap for the exponential detour search.
+#: Default vertex-count cap for the detour computation.
 DETOUR_ORDER_BOUND = 64
 
 
@@ -87,51 +89,82 @@ def distance_matrix(graph: Graph) -> DistanceMatrix:
 def detour_matrix(graph: Graph, order_bound: int = DETOUR_ORDER_BOUND) -> DistanceMatrix:
     """Exact longest-simple-path lengths between all pairs.
 
-    Refuses graphs larger than order_bound: the search is exponential.
-    Runtime is governed by structure, not just order; dense graphs above
-    ~16 vertices are impractical.
+    A simple path cannot leave a block (biconnected component) and enter
+    it again, so the detour distance is the sum of the in-block detours
+    along the block-cut-tree path.  A complete block on k vertices (a
+    bridge is one with k = 2) gives k - 1 between any two of its vertices;
+    any other block is searched exhaustively, which is exponential in that
+    block's size only.  Refuses graphs larger than order_bound.
     """
     if graph.n > order_bound:
         raise BoundExceededError(
             f"detour search refused: order {graph.n} exceeds bound {order_bound}"
         )
     n = graph.n
-    best = [[0 if u == v else -1 for v in range(n)] for u in range(n)]
     adj_bits = [graph.neighbor_bits(v) for v in range(n)]
-    full = (1 << n) - 1
+    # blocks[b] = (vertices, in-block detour by vertex pair or None when
+    # the block is complete); vertex_blocks[v] = the blocks holding v.
+    blocks: list[tuple[list[int], dict[int, dict[int, int]] | None]] = []
+    vertex_blocks: list[list[int]] = [[] for _ in range(n)]
+    for edges in biconnected_components(graph):
+        verts = sorted({v for edge in edges for v in edge})
+        inner = None
+        if len(edges) < len(verts) * (len(verts) - 1) // 2:
+            allowed = sum(1 << v for v in verts)
+            inner = {u: {} for u in verts}
+            for i, u in enumerate(verts):
+                for v in verts[i + 1:]:
+                    inner[u][v] = inner[v][u] = _longest_path(adj_bits, allowed, u, v)
+        for v in verts:
+            vertex_blocks[v].append(len(blocks))
+        blocks.append((verts, inner))
 
-    def search(s: int, t: int) -> int:
-        best_len = -1
-        # Iterative DFS over simple paths from s to t.
-        stack = [(s, 1 << s, 0)]
+    rows = []
+    for s in range(n):
+        row: list[float] = [INF] * n
+        row[s] = 0
+        # Walk the block-cut tree from s: (vertex reached, block it was
+        # reached through).
+        stack = [(s, -1)]
         while stack:
-            v, visited, length = stack.pop()
-            if v == t:
-                if length > best_len:
-                    best_len = length
-                continue
-            free = full & ~visited
-            # Upper bound: each unvisited vertex adds at most one edge.
-            if length + bin(free).count("1") <= best_len:
-                continue
-            if not reachable(adj_bits, v, free) >> t & 1:
-                continue
-            nxt = adj_bits[v] & free
-            while nxt:
-                low = nxt & -nxt
-                nxt ^= low
-                w = low.bit_length() - 1
-                stack.append((w, visited | low, length + 1))
-        return best_len
+            w, came = stack.pop()
+            for b in vertex_blocks[w]:
+                if b == came:
+                    continue
+                verts, inner = blocks[b]
+                for x in verts:
+                    if x != w:
+                        row[x] = row[w] + (len(verts) - 1 if inner is None else inner[w][x])
+                        stack.append((x, b))
+        rows.append(tuple(row))
+    return DistanceMatrix(kind="detour", entries=tuple(rows))
 
-    for u in range(n):
-        for v in range(u + 1, n):
-            d = search(u, v)
-            best[u][v] = best[v][u] = d
-    entries = tuple(
-        tuple(INF if x < 0 else x for x in row) for row in best
-    )
-    return DistanceMatrix(kind="detour", entries=entries)
+
+def _longest_path(adj_bits: list[int], allowed: int, s: int, t: int) -> int:
+    """Length of a longest simple s-t path inside the vertex mask allowed
+    (which holds s and t), or -1 when there is none: iterative DFS over
+    simple paths, pruned by counting and by reachability."""
+    best_len = -1
+    stack = [(s, 1 << s, 0)]
+    while stack:
+        v, visited, length = stack.pop()
+        if v == t:
+            if length > best_len:
+                best_len = length
+            continue
+        free = allowed & ~visited
+        # Upper bound: each unvisited vertex adds at most one edge.
+        if length + free.bit_count() <= best_len:
+            continue
+        if not reachable(adj_bits, v, free) >> t & 1:
+            continue
+        nxt = adj_bits[v] & free
+        while nxt:
+            low = nxt & -nxt
+            nxt ^= low
+            w = low.bit_length() - 1
+            stack.append((w, visited | low, length + 1))
+    return best_len
 
 
 def eccentricity_profile(dm: DistanceMatrix) -> EccentricityProfile:

@@ -165,6 +165,25 @@ def reachable(adj_bits: Sequence[int], v: int, allowed: int) -> int:
     return seen
 
 
+def twin_classes(adj_bits: Sequence[int]) -> list[tuple[list[int], bool]]:
+    """Nontrivial twin classes of the bitmask adjacency rows, as (ascending
+    vertices, adjacent) pairs ordered by least vertex: equal closed
+    neighborhoods give adjacent twins, equal open ones non-adjacent twins.
+
+    A pair cannot be in nontrivial classes of both kinds, so the classes
+    are disjoint.
+    """
+    closed: dict[int, list[int]] = {}
+    open_: dict[int, list[int]] = {}
+    for v, nb in enumerate(adj_bits):
+        closed.setdefault(nb | 1 << v, []).append(v)
+        open_.setdefault(nb, []).append(v)
+    classes = [(group, True) for group in closed.values() if len(group) >= 2]
+    classes += [(group, False) for group in open_.values() if len(group) >= 2]
+    classes.sort(key=lambda item: item[0][0])
+    return classes
+
+
 @dataclass(frozen=True)
 class StructureSummary:
     """Decomposition test for 'complete block plus pendants on one hub'."""

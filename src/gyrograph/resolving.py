@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .distances import distance_matrix
 from .errors import BoundExceededError, DisconnectedGraphError
-from .graphs import Graph
+from .graphs import Graph, twin_classes
 from .polynomials import IntPolynomial
 
 #: Default cap on the number of candidate subsets examined by one search,
@@ -66,26 +66,15 @@ class ResolvingProfile:
 
 def twin_partition(graph: Graph) -> TwinPartition:
     """Group vertices by equal closed neighborhoods (adjacent twins) and by
-    equal open neighborhoods (non-adjacent twins); keep classes of size >= 2.
-
-    A pair cannot be in nontrivial classes of both kinds, so the classes
-    are disjoint.
-    """
-    closed: dict[int, list[int]] = {}
-    open_: dict[int, list[int]] = {}
-    for v in graph.vertices():
-        nb = graph.neighbor_bits(v)
-        closed.setdefault(nb | (1 << v), []).append(v)
-        open_.setdefault(nb, []).append(v)
-    classes: list[tuple[frozenset[int], str]] = []
-    for group in closed.values():
-        if len(group) >= 2:
-            classes.append((frozenset(group), "adjacent"))
-    for group in open_.values():
-        if len(group) >= 2:
-            classes.append((frozenset(group), "non-adjacent"))
-    classes.sort(key=lambda item: min(item[0]))
-    return TwinPartition(classes=tuple(classes))
+    equal open neighborhoods (non-adjacent twins); keep classes of size >= 2
+    (see :func:`graphs.twin_classes`)."""
+    classes = twin_classes([graph.neighbor_bits(v) for v in graph.vertices()])
+    return TwinPartition(
+        classes=tuple(
+            (frozenset(group), "adjacent" if adjacent else "non-adjacent")
+            for group, adjacent in classes
+        )
+    )
 
 
 def is_resolving(graph: Graph, subset: Iterable[int]) -> bool:

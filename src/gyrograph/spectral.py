@@ -2,9 +2,10 @@
 matrices.
 
 Characteristic polynomials are computed over exact integers (a trace
-recurrence with checked divisions), so coefficients can never overflow or
-round.  The spectral radius uses shifted power iteration with a
-deterministic start vector and an explicit convergence failure.
+recurrence with checked divisions, run on the twin quotient of an
+adjacency matrix), so coefficients can never overflow or round.  The
+spectral radius uses shifted power iteration with a deterministic start
+vector and an explicit convergence failure.
 """
 
 from __future__ import annotations
@@ -15,11 +16,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .graphs import Graph
+from .graphs import Graph, twin_classes
 from .polynomials import IntPolynomial
 
 #: Largest matrix dimension accepted by the exact characteristic polynomial.
 CHARPOLY_DIMENSION_BOUND = 64
+
+#: Power-iteration steps without a new least residual after which an
+#: attempt is taken to have stalled at float64's floor.
+STALL_WINDOW = 1000
 
 
 @dataclass(frozen=True)
@@ -76,7 +81,9 @@ def char_poly_exact(matrix: IntMatrix) -> IntPolynomial:
     coefficients, via the Faddeev-LeVerrier trace recurrence.
 
     Every division in the recurrence is by the step index and is exact
-    over the integers; this is asserted, not assumed.
+    over the integers; this is asserted, not assumed.  The recurrence runs
+    on the twin quotient of M (see :func:`twin_quotient`), which for the
+    power graph of G(n) is 3 x 3 whatever n is.
     """
     n = matrix.n
     if n > CHARPOLY_DIMENSION_BOUND:
@@ -84,9 +91,53 @@ def char_poly_exact(matrix: IntMatrix) -> IntPolynomial:
             f"characteristic polynomial refused: dimension {n} exceeds "
             f"{CHARPOLY_DIMENSION_BOUND}"
         )
+    quotient, factor = twin_quotient(matrix)
+    return _faddeev_leverrier(quotient.rows) * factor
+
+
+def twin_quotient(matrix: IntMatrix) -> tuple[IntMatrix, IntPolynomial]:
+    """(B, f) with det(xI - M) = det(xI - B) * f.
+
+    When M is a graph's adjacency matrix (symmetric, 0/1, zero diagonal)
+    with twins, the twin classes and the remaining single vertices form an
+    equitable partition (Godsil & Royle, Algebraic Graph Theory, ch. 9):
+    B[i][j] counts the neighbors in part j of any vertex of part i, and f
+    is (x+1)^(|C|-1) per class C of adjacent twins times x^(|C|-1) per
+    class of non-adjacent twins.  Every other matrix gives (M, 1).
+    """
+    rows = matrix.rows
+    n = matrix.n
+    one = IntPolynomial.constant(1)
+    if not (
+        matrix.is_symmetric()
+        and all(v in (0, 1) for row in rows for v in row)
+        and not any(rows[i][i] for i in range(n))
+    ):
+        return matrix, one
+    bits = [sum(v << j for j, v in enumerate(row)) for row in rows]
+    classes = twin_classes(bits)
+    if not classes:
+        return matrix, one
+    in_class = {v for group, _ in classes for v in group}
+    parts = [group for group, _ in classes]
+    parts += [[v] for v in range(n) if v not in in_class]
+    masks = [sum(1 << v for v in part) for part in parts]
+    quotient = IntMatrix.from_rows(
+        [(bits[part[0]] & mask).bit_count() for mask in masks] for part in parts
+    )
+    factor = one
+    for group, adjacent in classes:
+        root = IntPolynomial({0: 1, 1: 1}) if adjacent else IntPolynomial.x_power(1)
+        factor = factor * root ** (len(group) - 1)
+    return quotient, factor
+
+
+def _faddeev_leverrier(rows) -> IntPolynomial:
+    """det(xI - A) for a square integer matrix given by its rows."""
+    n = len(rows)
     if n == 0:
         return IntPolynomial.constant(1)
-    a = [list(row) for row in matrix.rows]
+    a = [list(row) for row in rows]
     coeffs = {n: 1}
     m = [row[:] for row in a]  # M_1 = A
     c = -sum(m[i][i] for i in range(n))
@@ -197,8 +248,10 @@ def spectral_radius(
     Shifted power iteration (shift = max row sum, making the iteration
     matrix PSD so the Rayleigh quotient converges to the top eigenvalue
     even on bipartite graphs).  Starts from the all-ones vector; on
-    stagnation retries once from a fixed perturbation; failure to reach
-    the residual tolerance raises instead of returning an approximation.
+    stagnation (max_iterations steps, or STALL_WINDOW steps without a new
+    least residual, which means float64 cannot get closer) retries once
+    from a fixed perturbation; failure to reach the residual tolerance
+    raises instead of returning an approximation.
     """
     if not matrix.is_symmetric():
         raise ValueError("spectral radius requires a symmetric matrix")
@@ -212,18 +265,31 @@ def spectral_radius(
     if shift == 0.0:
         return 0.0
     b = a + shift * np.eye(n)
+    least = math.inf  # over both attempts, for the error message
+    steps = 0
 
     def iterate(x: np.ndarray) -> float | None:
+        nonlocal least, steps
         x = x / np.linalg.norm(x)
+        best, since_best = math.inf, 0
         for _ in range(max_iterations):
+            steps += 1
             y = b @ x
             norm = np.linalg.norm(y)
             if norm == 0.0:
                 return None
             x = y / norm
             rho = float(x @ (b @ x))
-            if np.linalg.norm(b @ x - rho * x) < tol:
+            residual = float(np.linalg.norm(b @ x - rho * x))
+            if residual < tol:
                 return rho - shift
+            least = min(least, residual)
+            if residual < best:
+                best, since_best = residual, 0
+            else:
+                since_best += 1
+                if since_best >= STALL_WINDOW:
+                    return None
         return None
 
     result = iterate(np.ones(n))
@@ -233,7 +299,8 @@ def spectral_radius(
         result = iterate(start)
     if result is None:
         raise ConvergenceError(
-            f"power iteration did not reach tolerance {tol} in {max_iterations} steps"
+            f"power iteration did not reach tolerance {tol}: least residual "
+            f"{least:.3g} after {steps} steps"
         )
     return result
 

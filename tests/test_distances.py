@@ -1,9 +1,13 @@
 """Distances, detour distances, Hosoya-type polynomials, and the
 boundary/interior/center/closure machinery."""
 
+import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gyrograph import (
     BoundExceededError,
@@ -12,7 +16,9 @@ from gyrograph import (
     IntPolynomial,
     bondy_chvatal_closure,
     boundary_interior_center,
+    Permutation,
     build_gn,
+    closed_forms,
     detour_matrix,
     distance_degree_sequence,
     distance_matrix,
@@ -22,7 +28,9 @@ from gyrograph import (
     reciprocal_status,
     reciprocal_status_edge_sums,
     reciprocal_status_hosoya,
+    relabel,
 )
+from gyrograph.graphs import reachable
 
 INF = float("inf")
 
@@ -178,6 +186,120 @@ def test_detour_matches_naive_oracle_on_random_graphs():
         for u in range(n):
             for v in range(n):
                 assert dd[u, v] == oracle[u][v], (n, sorted(edges), u, v)
+
+
+# ---------------------------------------------------------------------------
+# detour_matrix against the whole-graph search
+# ---------------------------------------------------------------------------
+
+
+def reference_detour_matrix(graph):
+    """Longest simple paths by one exhaustive DFS per vertex pair over the
+    whole graph, pruned by counting and by reachability."""
+    n = graph.n
+    best = [[0 if u == v else -1 for v in range(n)] for u in range(n)]
+    adj_bits = [graph.neighbor_bits(v) for v in range(n)]
+    full = (1 << n) - 1
+
+    def search(s, t):
+        best_len = -1
+        stack = [(s, 1 << s, 0)]
+        while stack:
+            v, visited, length = stack.pop()
+            if v == t:
+                best_len = max(best_len, length)
+                continue
+            free = full & ~visited
+            if length + bin(free).count("1") <= best_len:
+                continue
+            if not reachable(adj_bits, v, free) >> t & 1:
+                continue
+            nxt = adj_bits[v] & free
+            while nxt:
+                low = nxt & -nxt
+                nxt ^= low
+                stack.append((low.bit_length() - 1, visited | low, length + 1))
+        return best_len
+
+    for u in range(n):
+        for v in range(u + 1, n):
+            best[u][v] = best[v][u] = search(u, v)
+    return tuple(tuple(INF if x < 0 else x for x in row) for row in best)
+
+
+@st.composite
+def graphs(draw, max_n=10):
+    """A graph on 0..max_n vertices: either a random edge subset (often
+    disconnected, with isolated vertices) or a chain of random blocks glued
+    at single vertices (cliques, cycles and denser pieces), so that both
+    complete and searched blocks meet at cut vertices."""
+    if draw(st.booleans()):
+        n = draw(st.integers(0, max_n))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+        return Graph.from_edges(n, edges)
+    n, edges = 1, set()
+    while n < max_n:
+        k = draw(st.integers(2, min(5, max_n - n + 1)))
+        at = draw(st.integers(0, n - 1))
+        verts = [at] + list(range(n, n + k - 1))
+        n += k - 1
+        pairs = [(u, v) for i, u in enumerate(verts) for v in verts[i + 1:]]
+        kind = draw(st.sampled_from(["complete", "cycle", "random"]))
+        if kind == "complete" or k == 2:
+            edges.update(pairs)
+        elif kind == "cycle":
+            edges.update(zip(verts, verts[1:] + verts[:1]))
+        else:
+            edges.update(zip(verts, verts[1:] + verts[:1]))
+            edges.update(draw(st.sets(st.sampled_from(pairs))))
+        if draw(st.booleans()):
+            break
+    return Graph.from_edges(n, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs())
+def test_detour_matches_reference_on_random_graphs(graph):
+    assert detour_matrix(graph).entries == reference_detour_matrix(graph)
+
+
+def _relabelled_power_graph(n):
+    g = build_gn(n)
+    perm = list(g.elements())
+    random.Random(n).shuffle(perm)
+    return power_graph(g), power_graph(relabel(g, Permutation(tuple(perm)))), perm
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_detour_on_relabelled_gn(n):
+    graph, relabelled, perm = _relabelled_power_graph(n)
+    dd, rd = detour_matrix(graph), detour_matrix(relabelled)
+    assert all(
+        rd[perm[u], perm[v]] == dd[u, v] for u in graph.vertices() for v in graph.vertices()
+    )
+    if n <= 4:
+        assert rd.entries == reference_detour_matrix(relabelled)
+    prof = eccentricity_profile(rd)
+    assert (prof.radius, prof.diameter) == closed_forms.detour_radius_diameter_closed_form(n)
+
+
+def test_detour_order_64_gate():
+    # Order 64 at the full library bound: the whole-graph search does not
+    # finish order 32 in minutes; the block-cut-tree form needs no search.
+    n = 6
+    g = build_gn(n)
+    graph = power_graph(g)
+    start = time.perf_counter()
+    prof = eccentricity_profile(detour_matrix(graph, order_bound=64))
+    elapsed = time.perf_counter() - start
+    m = 2 ** (n - 1)
+    ecc_e, ecc_p, ecc_h = closed_forms.detour_eccentricities_closed_form(n)
+    assert prof.eccentricities[g.identity] == ecc_e
+    assert all(prof.eccentricities[v] == ecc_p for v in range(1, m))
+    assert all(prof.eccentricities[v] == ecc_h for v in range(m, 2 * m))
+    assert (prof.radius, prof.diameter) == closed_forms.detour_radius_diameter_closed_form(n)
+    assert elapsed < 10.0, f"order-64 detour took {elapsed:.1f} s"
 
 
 # ---------------------------------------------------------------------------

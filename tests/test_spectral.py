@@ -1,14 +1,18 @@
 """Exact characteristic polynomials, spectral radius, sandwich bounds."""
 
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gyrograph import (
     Graph,
     IntMatrix,
     IntPolynomial,
+    Permutation,
     adjacency_matrix,
     build_gn,
     char_poly_exact,
@@ -16,9 +20,12 @@ from gyrograph import (
     integer_determinant,
     pendant_split_matrices,
     power_graph,
+    relabel,
     spectral_radius,
     verify_spectral_bounds,
 )
+from gyrograph.errors import ConvergenceError
+from gyrograph.spectral import twin_quotient
 
 GN3_CHARPOLY = IntPolynomial({8: 1, 6: -10, 5: -8, 4: 9, 3: 8})
 
@@ -130,6 +137,114 @@ def test_charpoly_dimension_bound():
         char_poly_exact(IntMatrix.zeros(65))
 
 
+# ---------------------------------------------------------------------------
+# char_poly_exact against the plain recurrence on the whole matrix
+# ---------------------------------------------------------------------------
+
+
+def reference_char_poly(matrix):
+    """Faddeev-LeVerrier on the whole matrix, with exact divisions."""
+    n = matrix.n
+    if n == 0:
+        return IntPolynomial.constant(1)
+    a = [list(row) for row in matrix.rows]
+    coeffs = {n: 1}
+    m = [row[:] for row in a]  # M_1 = A
+    c = -sum(m[i][i] for i in range(n))
+    coeffs[n - 1] = c
+    for k in range(2, n + 1):
+        # M_k = A (M_{k-1} + c_{k-1} I)
+        for i in range(n):
+            m[i][i] += c
+        mt = [[m[i][j] for i in range(n)] for j in range(n)]
+        m = [[sum(x * y for x, y in zip(row, col)) for col in mt] for row in a]
+        q, r = divmod(-sum(m[i][i] for i in range(n)), k)
+        assert r == 0, "trace recurrence divided inexactly"
+        c = q
+        coeffs[n - k] = c
+    return IntPolynomial(coeffs)
+
+
+@st.composite
+def twinned_graphs(draw):
+    """A graph on at most 10 vertices: a random edge subset (often
+    disconnected, with isolated vertices), or a random graph on 2-5
+    vertices with each vertex blown up into a clique or an independent set
+    of 1-3 twins."""
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 10))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        return Graph.from_edges(n, draw(st.sets(st.sampled_from(pairs))) if pairs else ())
+    k = draw(st.integers(2, 5))
+    base = draw(st.sets(st.sampled_from([(u, v) for u in range(k) for v in range(u + 1, k)])))
+    sizes = [draw(st.integers(1, 3 if k > 3 else 2)) for _ in range(k)]
+    cliques = [draw(st.booleans()) for _ in range(k)]
+    start = [sum(sizes[:i]) for i in range(k)]
+    blob = [range(start[i], start[i] + sizes[i]) for i in range(k)]
+    edges = {(u, v) for i in range(k) if cliques[i] for u in blob[i] for v in blob[i] if u < v}
+    edges |= {(u, v) for i, j in base for u in blob[i] for v in blob[j]}
+    perm = draw(st.permutations(range(sum(sizes))))
+    return Graph.from_edges(sum(sizes), {(perm[u], perm[v]) for u, v in edges})
+
+
+@settings(max_examples=300, deadline=None)
+@given(twinned_graphs())
+def test_charpoly_matches_reference_on_random_graphs(graph):
+    a = adjacency_matrix(graph)
+    assert char_poly_exact(a) == reference_char_poly(a)
+
+
+@st.composite
+def general_matrices(draw):
+    """Square integer matrices of dimension <= 6 that are mostly not
+    adjacency matrices: arbitrary entries, 0/1 ones (rarely symmetric), or
+    symmetric 0/1 ones with a loop."""
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["any", "directed", "loop"]))
+    cell = st.integers(-3, 3) if kind == "any" else st.integers(0, 1)
+    rows = [[draw(cell) for _ in range(n)] for _ in range(n)]
+    if kind == "loop":
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+        i = draw(st.integers(0, n - 1))
+        rows[i][i] = 1
+    return IntMatrix.from_rows(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(general_matrices())
+def test_charpoly_matches_reference_on_general_matrices(matrix):
+    is_adjacency = (
+        matrix.is_symmetric()
+        and all(v in (0, 1) for row in matrix.rows for v in row)
+        and not any(matrix[i, i] for i in range(matrix.n))
+    )
+    if not is_adjacency:
+        assert twin_quotient(matrix) == (matrix, IntPolynomial.constant(1))
+    assert char_poly_exact(matrix) == reference_char_poly(matrix)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_charpoly_on_relabelled_gn(n):
+    g = build_gn(n)
+    perm = list(g.elements())
+    random.Random(n).shuffle(perm)
+    a = adjacency_matrix(power_graph(relabel(g, Permutation(tuple(perm)))))
+    p = char_poly_exact(a)
+    assert p == closed_form_charpoly_gn(n)
+    if n <= 5:
+        assert p == reference_char_poly(a)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_twin_quotient_of_gn_is_the_cubic(n):
+    m = 2 ** (n - 1)
+    quotient, factor = twin_quotient(adjacency_matrix(power_graph(build_gn(n))))
+    cubic = IntPolynomial({3: 1, 2: 2 - m, 1: -(2**n - 1), 0: m * m - 2**n})
+    assert quotient.n == 3
+    assert reference_char_poly(quotient) == cubic
+    assert factor == IntPolynomial.x_power(m - 1) * IntPolynomial({0: 1, 1: 1}) ** (m - 2)
+
+
 def test_bareiss_determinant_basics():
     assert integer_determinant(IntMatrix.from_rows([[2, 0], [0, 3]])) == 6
     assert integer_determinant(IntMatrix.from_rows([[0, 1], [1, 0]])) == -1
@@ -178,6 +293,13 @@ def test_spectral_radius_matches_numpy_on_random_graphs():
         assert spectral_radius(m) == pytest.approx(
             float(np.max(np.linalg.eigvalsh(mat))), abs=1e-8
         )
+
+
+def test_spectral_radius_stops_at_the_float_floor():
+    # 1e-20 is below what float64 residuals reach: each attempt stops once
+    # the residual stops falling instead of running max_iterations steps.
+    with pytest.raises(ConvergenceError, match=r"least residual \S+ after \d+ steps"):
+        spectral_radius(adjacency_matrix(power_graph(build_gn(3))), tol=1e-20)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

@@ -3,6 +3,8 @@
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gyrograph import (
     BoundExceededError,
@@ -250,6 +252,59 @@ def test_pendant_shortcut_agrees_with_exhaustive_search():
         with_shortcut = is_hamiltonian(graph, shortcut=True)
         without = is_hamiltonian(graph, shortcut=False)
         assert with_shortcut.is_hamiltonian == without.is_hamiltonian
+
+
+def test_cut_vertex_shortcut():
+    # Two triangles sharing vertex 2, and K4 with a triangle hung on 3:
+    # no vertex of degree <= 1, but a cycle would pass the cut vertex twice.
+    bowtie = Graph.from_edges(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
+    res = is_hamiltonian(bowtie)
+    assert not res.is_hamiltonian
+    assert res.reason == "vertex 2 is a cut vertex"
+    hung = Graph.from_edges(
+        6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 3)]
+    )
+    assert is_hamiltonian(hung).reason == "vertex 3 is a cut vertex"
+    assert is_hamiltonian(hung, shortcut=False).reason == "exhaustive search found no cycle"
+
+
+def test_cut_vertex_shortcut_needs_no_search_above_the_bound():
+    # Two 20-cycles sharing a vertex: order 39 > the default bound 32.
+    edges = [(i, (i + 1) % 20) for i in range(20)]
+    edges += [(0, 20), (38, 0)] + [(i, i + 1) for i in range(20, 38)]
+    res = is_hamiltonian(Graph.from_edges(39, edges))
+    assert res.reason == "vertex 0 is a cut vertex"
+
+
+@st.composite
+def small_graphs(draw):
+    """A random graph on at most 9 vertices, or two dense random graphs
+    glued at one vertex (which is then often a cut vertex of a graph with
+    minimum degree >= 2)."""
+    rnd = draw(st.randoms(use_true_random=False))
+    density = draw(st.sampled_from([0.3, 0.5, 0.7, 0.9]))
+
+    def random_edges(vertices, p):
+        return [(u, v) for i, u in enumerate(vertices) for v in vertices[i + 1:]
+                if rnd.random() < p]
+
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 9))
+        return Graph.from_edges(n, random_edges(range(n), density))
+    a = draw(st.integers(3, 6))
+    n = draw(st.integers(a + 2, 9))
+    glue = draw(st.integers(0, a - 1))
+    edges = random_edges(list(range(a)), 0.8)
+    edges += random_edges([glue] + list(range(a, n)), 0.8)
+    return Graph.from_edges(n, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+def test_shortcuts_agree_with_exhaustive_search_on_random_graphs(graph):
+    with_shortcut = is_hamiltonian(graph, shortcut=True)
+    without = is_hamiltonian(graph, shortcut=False)
+    assert with_shortcut.is_hamiltonian == without.is_hamiltonian
 
 
 def test_hamiltonian_order_bound():
