@@ -4,7 +4,7 @@ Every closed-form invariant of the order-2^n family is recomputed from
 the constructed graph and compared; the bundled-table demonstrations are
 appended.  Verdicts: match, mismatch, typo-corrected (a malformed
 printed formula whose correction the computation confirms), skipped
-(an order bound).
+(an order bound or work budget).
 
 Equivalent CLI: gyrograph verify-paper --n 3..4
 """

@@ -3,16 +3,18 @@ polynomial.
 
 Twin vertices (equal open or closed neighborhoods) are interchangeable in
 distance vectors, so a resolving set can omit at most one vertex of each
-twin class.  That fact drives both the lower bound and the pruned subset
-enumeration: candidate sets are generated by choosing which vertices to
-omit, never more than one per twin class.
+twin class.  Swapping two twins is an automorphism that fixes every other
+vertex, so whether a subset resolves depends only on which classes its
+complement touches: the search tests one subset per such omission
+pattern, and a budget of distance lookups, not the order, fences it.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import combinations, dropwhile, product
+from itertools import combinations, dropwhile
+from math import comb, prod
 from typing import Iterable, Iterator, Sequence
 
 from .distances import distance_matrix
@@ -20,12 +22,9 @@ from .errors import BoundExceededError, DisconnectedGraphError
 from .graphs import Graph, twin_classes
 from .polynomials import IntPolynomial
 
-#: Default cap on the number of candidate subsets examined by one search,
-#: summed over all subset sizes.
-SUBSET_BUDGET = 5_000_000
-
-#: Default vertex-count cap for the metric-dimension search.
-METRIC_DIMENSION_ORDER_BOUND = 32
+#: Default cap on the distance lookups of one search (omission patterns x
+#: order x subset size, summed over the layers searched).
+LOOKUP_BUDGET = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -88,63 +87,52 @@ def is_resolving(graph: Graph, subset: Iterable[int]) -> bool:
     dm = distance_matrix(graph)
     if not dm.is_finite():
         raise DisconnectedGraphError("resolving sets need a connected graph")
-    return _resolves(dm.entries, graph.n, s)
+    return _resolves(dm.entries, s)
 
 
-def _resolves(rows: Sequence[Sequence[float]], n: int, subset: Sequence[int]) -> bool:
-    seen = set()
-    for v in range(n):
-        vec = tuple(rows[v][s] for s in subset)
-        if vec in seen:
-            return False
-        seen.add(vec)
-    return True
+def _resolves(rows: Sequence[Sequence[float]], subset: Sequence[int]) -> bool:
+    """Distance vectors are read down the columns rows[s]: the distance
+    matrix of an undirected graph is symmetric."""
+    return len(rows) <= 1 or len(set(zip(*map(rows.__getitem__, subset)))) == len(rows)
 
 
 def _omission_units(graph: Graph, partition: TwinPartition) -> list[tuple[int, ...]]:
     """Units from which set complements are drawn: one unit per nontrivial
     twin class (pick at most one of its vertices) plus one per remaining
     vertex."""
-    in_class = set()
-    units: list[tuple[int, ...]] = []
-    for cls, _ in partition.classes:
-        units.append(tuple(sorted(cls)))
-        in_class |= cls
-    for v in graph.vertices():
-        if v not in in_class:
-            units.append((v,))
-    units.sort()
-    return units
+    units = [tuple(sorted(cls)) for cls, _ in partition.classes]
+    in_class = {v for unit in units for v in unit}
+    return units + [(v,) for v in graph.vertices() if v not in in_class]
 
 
-def _candidate_subsets(
+def _omission_patterns(
     n: int, units: list[tuple[int, ...]], k: int
-) -> Iterator[tuple[int, ...]]:
-    """All k-subsets whose complement takes at most one vertex per unit,
-    yielded as sorted tuples."""
-    t = n - k
-    if t == 0:
-        yield tuple(range(n))
-        return
-    if t > len(units):
-        return
-    full = set(range(n))
-    for chosen in combinations(units, t):
-        for omitted in product(*chosen):
-            yield tuple(sorted(full.difference(omitted)))
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """(representative, weight) for every choice of n - k units to omit a
+    vertex from.  The representative omits each chosen unit's largest
+    vertex, so it is the least k-subset of its pattern; the weight, the
+    product of the chosen units' sizes, counts the pattern's k-subsets.
+    Choices are enumerated by the k - (n - len(units)) units kept whole."""
+    base = [v for unit in units for v in unit[:-1]]
+    total = prod(map(len, units))
+    for kept in combinations(units, k - len(base)):
+        yield (
+            tuple(sorted(base + [unit[-1] for unit in kept])),
+            total // prod(map(len, kept)),
+        )
 
 
 def _resolving_layers(
-    graph: Graph, order_bound: int, subset_budget: int
+    graph: Graph, order_bound: int | None, lookup_budget: int
 ) -> Iterator[tuple[int, int, tuple[int, ...] | None]]:
     """Yield (k, number of resolving k-subsets, least resolving k-subset or
     None) for k from the twin lower bound up to n.
 
-    One pass: the distance matrix and the omission units are built once,
-    every twin-pruned candidate is examined once, and subset_budget caps
-    the candidates examined over all layers together.
+    One pass: the distance matrix and the omission units are built once
+    and every omission pattern is tested once.  A layer whose lookups
+    (patterns x n x k) would take the total past lookup_budget is refused.
     """
-    if graph.n > order_bound:
+    if order_bound is not None and graph.n > order_bound:
         raise BoundExceededError(
             f"metric dimension refused: order {graph.n} exceeds bound {order_bound}"
         )
@@ -153,18 +141,22 @@ def _resolving_layers(
         raise DisconnectedGraphError("metric dimension needs a connected graph")
     partition = twin_partition(graph)
     units = _omission_units(graph, partition)
-    examined = 0
+    spent = 0
     for k in range(partition.lower_bound(), graph.n + 1):
+        patterns = comb(len(units), graph.n - k)
+        lookups = patterns * graph.n * k
+        if spent + lookups > lookup_budget:
+            raise BoundExceededError(
+                f"resolving-set search refused at layer k={k}: {patterns} "
+                f"omission patterns, {lookups} distance lookups avoided "
+                f"({spent} spent, budget {lookup_budget})"
+            )
+        spent += lookups
         count = 0
         least: tuple[int, ...] | None = None
-        for subset in _candidate_subsets(graph.n, units, k):
-            examined += 1
-            if examined > subset_budget:
-                raise BoundExceededError(
-                    f"resolving-set search refused: more than {subset_budget} candidates"
-                )
-            if _resolves(dm.entries, graph.n, subset):
-                count += 1
+        for subset, weight in _omission_patterns(graph.n, units, k):
+            if _resolves(dm.entries, subset):
+                count += weight
                 if least is None or subset < least:
                     least = subset
         yield k, count, least
@@ -172,12 +164,12 @@ def _resolving_layers(
 
 def metric_dimension(
     graph: Graph,
-    order_bound: int = METRIC_DIMENSION_ORDER_BOUND,
-    subset_budget: int = SUBSET_BUDGET,
+    order_bound: int | None = None,
+    lookup_budget: int = LOOKUP_BUDGET,
 ) -> int:
     """Minimum size of a resolving set: the first non-empty layer of the
-    ascending-size enumeration over twin-pruned candidates."""
-    for k, count, _ in _resolving_layers(graph, order_bound, subset_budget):
+    ascending-size search over omission patterns."""
+    for k, count, _ in _resolving_layers(graph, order_bound, lookup_budget):
         if count:
             return k
     raise AssertionError("the full vertex set always resolves")
@@ -185,20 +177,22 @@ def metric_dimension(
 
 def resolving_polynomial(
     graph: Graph,
-    order_bound: int = METRIC_DIMENSION_ORDER_BOUND,
-    subset_budget: int = SUBSET_BUDGET,
+    order_bound: int | None = None,
+    lookup_budget: int = LOOKUP_BUDGET,
 ) -> ResolvingProfile:
     """Count resolving k-subsets for every k from the metric dimension up
-    to n, with twin-class pruning.
+    to n.
 
-    Subsets omitting two or more vertices of one twin class are rejected
-    without distance checks (twins share distance vectors), so only the
-    pruned candidates are ever tested.
+    Subsets omitting two vertices of one twin class never resolve and are
+    never generated; the others are tested one omission pattern at a time
+    (its least member stands for all, which differ by twin swaps).  Raises
+    BoundExceededError when the order exceeds order_bound (if given) or
+    the next layer would take the lookups past lookup_budget.
     """
     layers = list(
         dropwhile(
             lambda layer: not layer[1],
-            _resolving_layers(graph, order_bound, subset_budget),
+            _resolving_layers(graph, order_bound, lookup_budget),
         )
     )
     psi, _, witness = layers[0]

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import BoundExceededError, ConvergenceError
 from .graphs import Graph, twin_classes
 from .polynomials import IntPolynomial
 
-#: Largest matrix dimension accepted by the exact characteristic polynomial.
+#: Largest twin-quotient dimension accepted by char_poly_exact.
 CHARPOLY_DIMENSION_BOUND = 64
 
 #: Power-iteration steps without a new least residual after which an
@@ -83,15 +83,15 @@ def char_poly_exact(matrix: IntMatrix) -> IntPolynomial:
     Every division in the recurrence is by the step index and is exact
     over the integers; this is asserted, not assumed.  The recurrence runs
     on the twin quotient of M (see :func:`twin_quotient`), which for the
-    power graph of G(n) is 3 x 3 whatever n is.
+    power graph of G(n) is 3 x 3 whatever n is; a quotient larger than
+    CHARPOLY_DIMENSION_BOUND is refused.
     """
-    n = matrix.n
-    if n > CHARPOLY_DIMENSION_BOUND:
-        raise ValueError(
-            f"characteristic polynomial refused: dimension {n} exceeds "
-            f"{CHARPOLY_DIMENSION_BOUND}"
-        )
     quotient, factor = twin_quotient(matrix)
+    if quotient.n > CHARPOLY_DIMENSION_BOUND:
+        raise BoundExceededError(
+            f"characteristic polynomial refused: twin-quotient dimension "
+            f"{quotient.n} exceeds {CHARPOLY_DIMENSION_BOUND}"
+        )
     return _faddeev_leverrier(quotient.rows) * factor
 
 

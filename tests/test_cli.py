@@ -12,6 +12,8 @@ from gyrograph import (
     ConvergenceError,
     bundled_gyrogroup,
     cli,
+    closed_form_charpoly_gn,
+    closed_forms,
     cyclic_group,
     power_graph,
     reciprocal_status_edge_sums,
@@ -114,6 +116,20 @@ def test_invariants_detour_bound_refusal():
     r = run_cli("invariants", "--gn", "6", "--detour")
     assert r.returncode == 3
     assert "bound" in r.stderr
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_invariants_all_on_large_gn(n):
+    # Resolving patterns and the 3 x 3 twin quotient keep every default
+    # bound clear of these orders; only detour is skipped.
+    r = run_cli("invariants", "--gn", str(n), "--all", "--format", "json")
+    assert r.returncode == 0, r.stderr
+    data = json.loads(r.stdout)
+    assert data["resolving"]["sequence"] == list(
+        closed_forms.resolving_sequence_closed_form(n)
+    )
+    assert data["spectral"]["charpoly"] == str(closed_form_charpoly_gn(n))
+    assert "skipped" in data["detour"]
 
 
 def test_invariants_detour_within_bound():

@@ -1,15 +1,19 @@
 """Twin detection, resolving sets, metric dimension, resolving polynomial."""
 
 import random
+import time
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gyrograph import (
     BoundExceededError,
     Graph,
     IntPolynomial,
     build_gn,
+    closed_forms,
     cyclic_group,
     distance_matrix,
     is_resolving,
@@ -255,15 +259,15 @@ def test_single_pass_matches_all_subsets_on_z12(z12):
 
 
 def record_layers(monkeypatch):
-    """Record the size k of every _candidate_subsets enumeration."""
-    original = resolving._candidate_subsets
+    """Record the size k of every _omission_patterns enumeration."""
+    original = resolving._omission_patterns
     layers = []
 
     def recording(n, units, k):
         layers.append(k)
         return original(n, units, k)
 
-    monkeypatch.setattr(resolving, "_candidate_subsets", recording)
+    monkeypatch.setattr(resolving, "_omission_patterns", recording)
     return layers
 
 
@@ -280,3 +284,76 @@ def test_metric_dimension_stops_at_the_first_resolving_layer(monkeypatch, z12):
     layers = record_layers(monkeypatch)
     assert metric_dimension(z12) == 8
     assert layers == [7, 8]
+
+
+# ---------------------------------------------------------------------------
+# One pattern per twin-omission choice, checked against the unpruned oracle
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def twin_blow_ups(draw):
+    """A random connected graph on 2-5 vertices with each vertex blown up
+    into a clique or an independent set of twins, then relabelled (at most
+    10 vertices, so the all-subsets oracle stays fast)."""
+    k = draw(st.integers(2, 5))
+    tree = {(draw(st.integers(0, v - 1)), v) for v in range(1, k)}
+    extra = draw(st.sets(st.sampled_from([(u, v) for u in range(k) for v in range(u + 1, k)])))
+    sizes = [draw(st.integers(1, 3 if k <= 3 else 2)) for _ in range(k)]
+    cliques = [draw(st.booleans()) for _ in range(k)]
+    start = [sum(sizes[:i]) for i in range(k)]
+    blob = [range(start[i], start[i] + sizes[i]) for i in range(k)]
+    edges = {(u, v) for i in range(k) if cliques[i] for u in blob[i] for v in blob[i] if u < v}
+    edges |= {(u, v) for i, j in tree | extra for u in blob[i] for v in blob[j]}
+    perm = draw(st.permutations(range(sum(sizes))))
+    return Graph.from_edges(sum(sizes), {(perm[u], perm[v]) for u, v in edges})
+
+
+@settings(max_examples=200, deadline=None)
+@given(twin_blow_ups())
+def test_patterns_match_all_subsets_on_twin_blow_ups(graph):
+    assert_matches_unpruned(graph)
+
+
+def test_budget_refuses_before_a_layer_it_cannot_afford(monkeypatch):
+    # Path(6) is twinless: layer k costs C(6, 6 - k) * 6 * k lookups, so
+    # layers 0..2 spend 0 + 36 + 180 = 216 and layer 3 would add 360.
+    layers = record_layers(monkeypatch)
+    message = (
+        "resolving-set search refused at layer k=3: 20 omission patterns, "
+        "360 distance lookups avoided (216 spent, budget 216)"
+    )
+    with pytest.raises(BoundExceededError) as info:
+        resolving_polynomial(Graph.path(6), lookup_budget=216)
+    assert str(info.value) == message
+    assert layers == [0, 1, 2]
+    # metric_dimension stops at layer 1 and never asks for layer 3.
+    assert metric_dimension(Graph.path(6), lookup_budget=216) == 1
+
+
+def test_large_twinless_graph_is_refused_quickly():
+    start = time.perf_counter()
+    with pytest.raises(BoundExceededError, match="lookups avoided"):
+        resolving_polynomial(Graph.path(200))
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_resolving_polynomial_of_gn_within_the_default_budget(n):
+    graph = power_graph(build_gn(n))
+    start = time.perf_counter()
+    prof = resolving_polynomial(graph)
+    assert time.perf_counter() - start < 10.0
+    assert prof.metric_dimension == closed_forms.metric_dimension_closed_form(n)
+    assert prof.resolving_sequence == closed_forms.resolving_sequence_closed_form(n)
+    assert prof.polynomial == closed_forms.resolving_polynomial_closed_form(n)
+    assert is_resolving(graph, prof.witness_basis)
+
+
+def test_z60_is_within_the_default_budget():
+    graph = power_graph(cyclic_group(60))
+    start = time.perf_counter()
+    prof = resolving_polynomial(graph)
+    assert time.perf_counter() - start < 10.0
+    assert prof.resolving_sequence[-1] == 1
+    assert is_resolving(graph, prof.witness_basis)

@@ -24,7 +24,7 @@ from gyrograph import (
     spectral_radius,
     verify_spectral_bounds,
 )
-from gyrograph.errors import ConvergenceError
+from gyrograph.errors import BoundExceededError, ConvergenceError
 from gyrograph.spectral import twin_quotient
 
 GN3_CHARPOLY = IntPolynomial({8: 1, 6: -10, 5: -8, 4: 9, 3: 8})
@@ -133,8 +133,11 @@ def test_closed_form_gn4_factored():
 
 
 def test_charpoly_dimension_bound():
-    with pytest.raises(ValueError, match="dimension"):
-        char_poly_exact(IntMatrix.zeros(65))
+    # The bound applies to the twin quotient: a twinless path keeps all 65
+    # vertices, while 65 isolated vertices collapse to a 1 x 1 quotient.
+    with pytest.raises(BoundExceededError, match="dimension 65 exceeds 64"):
+        char_poly_exact(adjacency_matrix(Graph.path(65)))
+    assert char_poly_exact(IntMatrix.zeros(65)) == IntPolynomial.x_power(65)
 
 
 # ---------------------------------------------------------------------------

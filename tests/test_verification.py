@@ -1,12 +1,25 @@
 """Structure and invariants of the verification report."""
 
 import json
+import random
 import sys
 
+import numpy as np
 import pytest
 
-from gyrograph import distances, run_verification, spectral
-from gyrograph.verification import verify_example_tables, verify_gn
+from gyrograph import (
+    build_gn,
+    distances,
+    load_table,
+    power_sequence,
+    run_verification,
+    spectral,
+)
+from gyrograph.verification import (
+    _power_associative,
+    verify_example_tables,
+    verify_gn,
+)
 
 
 @pytest.fixture(scope="module")
@@ -85,6 +98,44 @@ def test_detour_entries_skip_above_bound():
     assert verdicts["dds-detour[n=5]"] == "skipped"
     # Skips never count as failures.
     assert all(v != "mismatch" for v in verdicts.values())
+
+
+def test_verify_gn_passes_the_detour_bound_through():
+    verdicts = {e.claim_id: e.verdict for e in verify_gn(7, detour_bound=128)}
+    assert verdicts["detour-eccentricity[n=7]"] == "match"
+    assert verdicts["dds-detour[n=7]"] == "match"
+    assert verdicts["resolving-polynomial[n=7]"] == "match"
+
+
+def reference_power_associative(g):
+    """The report's former loop: a^i + a^j = a^(i+j) for i + j <= order."""
+    big = g.order
+    for a in g.elements():
+        seq = power_sequence(g, a, big)
+        for i in range(1, big):
+            for j in range(1, big - i + 1):
+                if g.op(seq[i - 1], seq[j - 1]) != seq[i + j - 1]:
+                    return False
+    return True
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_power_associativity_matches_the_loop(n):
+    rng = random.Random(n)
+    g = build_gn(n)
+    tables = [g]
+    for _ in range(8):
+        rows = [list(r) for r in g.table]
+        a = rng.randrange(1, g.order)
+        b = rng.randrange(g.order)
+        rows[a][b] = (rows[a][b] + rng.randrange(1, g.order)) % g.order
+        tables.append(load_table(rows, identity_hint=g.identity))
+    verdicts = []
+    for h in tables:
+        powers = np.array([power_sequence(h, a, h.order) for a in h.elements()])
+        verdicts.append(_power_associative(np.array(h.table), powers))
+        assert verdicts[-1] == reference_power_associative(h)
+    assert verdicts[0] and not all(verdicts)
 
 
 def test_example_entries_isolated():
