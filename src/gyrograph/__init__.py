@@ -35,7 +35,7 @@ from .distances import (
     reciprocal_status_edge_sums,
     reciprocal_status_hosoya,
 )
-from .errors import BoundExceededError, ConvergenceError, DisconnectedGraphError
+from .errors import BoundExceededError, DisconnectedGraphError
 from .graphs import (
     Graph,
     StructureSummary,

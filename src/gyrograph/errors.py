@@ -7,7 +7,3 @@ class BoundExceededError(ValueError):
 
 class DisconnectedGraphError(ValueError):
     """Raised by operations that are only defined on connected graphs."""
-
-
-class ConvergenceError(RuntimeError):
-    """An iterative numeric method failed to reach the requested tolerance."""

@@ -1,15 +1,13 @@
 """Command-line interface: subcommands, exit codes, output determinism."""
 
 import json
-import re
 import subprocess
 import sys
-import time
 
 import pytest
 
 from gyrograph import (
-    ConvergenceError,
+    BoundExceededError,
     bundled_gyrogroup,
     cli,
     closed_form_charpoly_gn,
@@ -118,10 +116,11 @@ def test_invariants_detour_bound_refusal():
     assert "bound" in r.stderr
 
 
-@pytest.mark.parametrize("n", [6, 7])
+@pytest.mark.parametrize("n", [6, 7, 8])
 def test_invariants_all_on_large_gn(n):
     # Resolving patterns and the 3 x 3 twin quotient keep every default
-    # bound clear of these orders; only detour is skipped.
+    # bound clear of these orders; detour is skipped, and so is planarity
+    # at order 256.
     r = run_cli("invariants", "--gn", str(n), "--all", "--format", "json")
     assert r.returncode == 0, r.stderr
     data = json.loads(r.stdout)
@@ -130,6 +129,7 @@ def test_invariants_all_on_large_gn(n):
     )
     assert data["spectral"]["charpoly"] == str(closed_form_charpoly_gn(n))
     assert "skipped" in data["detour"]
+    assert ("skipped" in data["planarity"]) == (n == 8)
 
 
 def test_invariants_detour_within_bound():
@@ -208,39 +208,50 @@ def test_invariants_reads_metric_dimension_from_the_resolving_profile(
     assert data["metric_dimension"] == data["resolving"]["psi"] == 5
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["invariants", "--gn", "3", "--spectral"],
-        ["verify-paper", "--n", "3..3"],
-    ],
-)
-def test_convergence_failure_exits_3_with_one_line(monkeypatch, capsys, argv):
-    def fail(matrix, tol=1e-10, max_iterations=1_000_000):
-        raise ConvergenceError("power iteration did not reach tolerance")
-
-    monkeypatch.setattr(cli, "spectral_radius", fail)
-    monkeypatch.setattr(spectral, "spectral_radius", fail)
-    assert cli.main(argv) == 3
-    err = capsys.readouterr().err
-    assert err == "error: power iteration did not reach tolerance\n"
+def test_tol_is_accepted_and_has_no_effect(capsys):
+    # One eigensolve has no tolerance to miss: a --tol below float64's
+    # reach changes nothing.
+    assert cli.main(["invariants", "--gn", "3", "--spectral"]) == 0
+    default = capsys.readouterr()
+    assert cli.main(["invariants", "--gn", "3", "--spectral", "--tol", "1e-20"]) == 0
+    assert capsys.readouterr() == default
 
 
-def test_unreachable_tol_exits_3_quickly():
-    # 1e-20 is finite and positive but below float64's residual floor; the
-    # power iteration notices the stall instead of running 2 x 1M steps.
-    start = time.perf_counter()
-    proc = run_cli("invariants", "--gn", "3", "--spectral", "--tol", "1e-20")
-    elapsed = time.perf_counter() - start
-    assert proc.returncode == 3
-    assert proc.stdout == ""
-    assert len(proc.stderr.splitlines()) == 1
-    assert re.fullmatch(
-        r"error: power iteration did not reach tolerance 1e-20: "
-        r"least residual \S+ after \d+ steps\n",
-        proc.stderr,
-    )
-    assert elapsed < 5.0, f"took {elapsed:.1f} s"
+def refuse(*args, **kwargs):
+    raise BoundExceededError("search refused: order 8 exceeds bound 4")
+
+
+def test_refusal_of_an_implied_flag_is_skipped(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "is_planar", refuse)
+    assert cli.main(["invariants", "--gn", "3", "--all", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["planarity"] == {"skipped": "search refused: order 8 exceeds bound 4"}
+    assert data["hamiltonicity"]["hamiltonian"] is False
+
+
+@pytest.mark.parametrize("flags", [["--planarity"], ["--all", "--planarity"]])
+def test_refusal_of_a_named_flag_exits_3(monkeypatch, capsys, flags):
+    monkeypatch.setattr(cli, "is_planar", refuse)
+    assert cli.main(["invariants", "--gn", "3", *flags]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: search refused: order 8 exceeds bound 4\n"
+
+
+def test_metric_dimension_searches_when_resolving_was_skipped(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "resolving_polynomial", refuse)
+    assert cli.main(["invariants", "--gn", "3", "--all", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert "skipped" in data["resolving"]
+    assert data["metric_dimension"] == 5
+
+
+def test_implied_detour_skip_carries_the_library_refusal(capsys):
+    assert cli.main(["invariants", "--gn", "5", "--all", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["detour"] == {
+        "skipped": "detour search refused: order 32 exceeds bound 16"
+    }
 
 
 @pytest.mark.parametrize("tol", ["0", "-1e-3", "inf", "nan", "abc"])

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from gyrograph import (
     spectral_radius,
     verify_spectral_bounds,
 )
-from gyrograph.errors import BoundExceededError, ConvergenceError
+from gyrograph.errors import BoundExceededError
 from gyrograph.spectral import twin_quotient
 
 GN3_CHARPOLY = IntPolynomial({8: 1, 6: -10, 5: -8, 4: 9, 3: 8})
@@ -276,7 +277,7 @@ def test_spectral_radius_zero_matrix():
 
 
 def test_spectral_radius_bipartite_graph():
-    # Shifted iteration must handle the +-lambda symmetry of K33.
+    # K33's spectrum is symmetric, +-3 and 0; the radius is +3, not -3.
     k33 = Graph.from_edges(6, [(i, j + 3) for i in range(3) for j in range(3)])
     assert spectral_radius(adjacency_matrix(k33)) == pytest.approx(3.0, abs=1e-9)
 
@@ -298,16 +299,83 @@ def test_spectral_radius_matches_numpy_on_random_graphs():
         )
 
 
-def test_spectral_radius_stops_at_the_float_floor():
-    # 1e-20 is below what float64 residuals reach: each attempt stops once
-    # the residual stops falling instead of running max_iterations steps.
-    with pytest.raises(ConvergenceError, match=r"least residual \S+ after \d+ steps"):
-        spectral_radius(adjacency_matrix(power_graph(build_gn(3))), tol=1e-20)
+def taylor_shift(p, c):
+    """Coefficients, ascending, of p(y + c) for an exact rational c."""
+    return [
+        sum(coeff * math.comb(e, k) * c ** (e - k) for e, coeff in p.items() if e >= k)
+        for k in range(p.degree + 1)
+    ]
+
+
+def has_no_root_from(p, c):
+    """True when every coefficient of p(y + c) is positive: then p(y + c) > 0
+    for y >= 0 (Descartes), so p has no root at or above c.  For a monic
+    real-rooted p the converse holds as well."""
+    return all(coeff > 0 for coeff in taylor_shift(p, c))
+
+
+@st.composite
+def connected_graphs(draw):
+    """A connected graph on 1-10 vertices: a random tree (each vertex
+    hangs off an earlier one) plus a random set of extra edges, relabelled."""
+    n = draw(st.integers(1, 10))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges |= draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    perm = draw(st.permutations(range(n)))
+    return Graph.from_edges(n, {(perm[u], perm[v]) for u, v in edges})
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_graphs(), st.randoms(use_true_random=False))
+def test_spectral_radius_brackets_the_exact_top_root(graph, rnd):
+    # The exact charpoly changes sign across lambda (a simple root for a
+    # connected graph) and has no root above lambda + 1e-9.
+    a = adjacency_matrix(graph)
+    lam = spectral_radius(a)
+    p = char_poly_exact(a)
+    eps = Fraction(1, 10**9)
+    assert p(Fraction(lam) - eps) < 0 < p(Fraction(lam) + eps)
+    assert has_no_root_from(p, Fraction(lam) + eps)
+    perm = list(range(graph.n))
+    rnd.shuffle(perm)
+    shuffled = Graph.from_edges(graph.n, {(perm[u], perm[v]) for u, v in graph.edges})
+    assert abs(spectral_radius(adjacency_matrix(shuffled)) - lam) <= 1e-12
+
+
+def largest_cubic_root(n):
+    """Largest root of the closed-form cubic factor for G(n): 60 exact
+    rational bisections of an interval of width isqrt(m) + 2 above m - 1."""
+    m = 2 ** (n - 1)
+    cubic = IntPolynomial({3: 1, 2: 2 - m, 1: -(2**n - 1), 0: m * m - 2**n})
+    lo, hi = Fraction(m - 1), Fraction(m - 1 + math.isqrt(m) + 1)
+    assert cubic(lo) < 0 < cubic(hi)
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if cubic(mid) < 0 else (lo, mid)
+    assert has_no_root_from(cubic, hi)  # so hi bounds the largest root
+    return float(hi)
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_spectral_radius_is_the_cubic_root(n):
+    lam = spectral_radius(adjacency_matrix(power_graph(build_gn(n))))
+    assert abs(lam - largest_cubic_root(n)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_spectral_radius_on_relabelled_gn(n):
+    g = build_gn(n)
+    perm = list(g.elements())
+    random.Random(n).shuffle(perm)
+    relabelled = relabel(g, Permutation(tuple(perm)))
+    lam = spectral_radius(adjacency_matrix(power_graph(g)))
+    assert abs(spectral_radius(adjacency_matrix(power_graph(relabelled))) - lam) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_spectral_sandwich_bounds(n):
-    s = verify_spectral_bounds(power_graph(build_gn(n)), tol=1e-10)
+    s = verify_spectral_bounds(power_graph(build_gn(n)))
     m = 2 ** (n - 1)
     assert s.satisfied
     assert s.bound_lower == m - 1

@@ -3,6 +3,7 @@
 import json
 import random
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from gyrograph import (
     power_sequence,
     run_verification,
     spectral,
+    verification,
 )
+from gyrograph.errors import BoundExceededError
 from gyrograph.verification import (
     _power_associative,
     verify_example_tables,
@@ -105,6 +108,31 @@ def test_verify_gn_passes_the_detour_bound_through():
     assert verdicts["detour-eccentricity[n=7]"] == "match"
     assert verdicts["dds-detour[n=7]"] == "match"
     assert verdicts["resolving-polynomial[n=7]"] == "match"
+
+
+def test_refused_planarity_is_skipped(monkeypatch):
+    def refuse(graph, order_bound=128):
+        raise BoundExceededError(f"planarity refused: order {graph.n} exceeds bound 4")
+
+    monkeypatch.setattr(verification, "is_planar", refuse)
+    entries = {e.claim_id: e for e in verify_gn(3)}
+    planarity = entries["planarity[n=3]"]
+    assert planarity.verdict == "skipped"
+    assert planarity.note == "planarity refused: order 8 exceeds bound 4"
+    assert all(e.verdict != "mismatch" for e in entries.values())
+
+
+def test_report_reaches_n8_with_planarity_skipped():
+    # P(G(8)) has order 256, above the planarity order bound; the report
+    # records the refusal and still exits 1 on the g8/m1 mismatch alone.
+    start = time.perf_counter()
+    report = run_verification([8])
+    elapsed = time.perf_counter() - start
+    verdicts = {e.claim_id: e.verdict for e in report.entries}
+    assert verdicts["planarity[n=8]"] == "skipped"
+    assert verdicts["spectral-bounds[n=8]"] == "match"
+    assert [c for c, v in verdicts.items() if v == "mismatch"] == ["gyro-noniso[g8,m1]"]
+    assert elapsed < 20.0, f"took {elapsed:.1f} s"
 
 
 def reference_power_associative(g):
