@@ -1,6 +1,9 @@
 """Distance invariants: shortest and detour distances, distance degree
 sequences, Hosoya and reciprocal-status Hosoya polynomials, and the
-boundary/interior/center/closure classification."""
+boundary/interior/center/closure classification.
+
+Every invariant of the shortest-path metric reads the one distance
+matrix built below; only the closure works on the graph itself."""
 
 from gyrograph import (
     bondy_chvatal_closure,
@@ -41,17 +44,17 @@ print("detour dds summary:", ddsd.summary)
 
 # The Hosoya polynomial counts vertex pairs by distance (x^0 counts the
 # diagonal pairs).
-print("\nHosoya:", hosoya_polynomial(graph))
+print("\nHosoya:", hosoya_polynomial(dm))
 
 # Reciprocal status rs(v) = sum of 1/d(u,v); the reciprocal-status
 # Hosoya polynomial sums x^(rs(u)+rs(v)) over edges.  All arithmetic is
 # exact rational.
-print("rs(0) =", reciprocal_status(graph, 0),
-      " rs(1) =", reciprocal_status(graph, 1),
-      " rs(4) =", reciprocal_status(graph, 4))
-print("reciprocal-status Hosoya:", reciprocal_status_hosoya(graph))
+print("rs(0) =", reciprocal_status(dm, 0),
+      " rs(1) =", reciprocal_status(dm, 1),
+      " rs(4) =", reciprocal_status(dm, 4))
+print("reciprocal-status Hosoya:", reciprocal_status_hosoya(dm))
 
-boundary, interior, center = boundary_interior_center(graph)
+boundary, interior, center = boundary_interior_center(dm)
 print("\nboundary:", sorted(boundary))
 print("interior:", sorted(interior), " center:", sorted(center))
 

@@ -39,6 +39,7 @@ from .errors import BoundExceededError, DisconnectedGraphError
 from .graphs import (
     Graph,
     StructureSummary,
+    biconnected_components,
     classify_gn_shape,
     export,
     from_json,
@@ -93,7 +94,6 @@ from .structure import (
     HamiltonicityResult,
     IsomorphismWitness,
     PlanarityResult,
-    biconnected_components,
     check_embedding,
     find_isomorphism,
     gyro_isomorphic,

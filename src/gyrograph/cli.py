@@ -209,13 +209,14 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
         "order": g.order,
         "edges": graph.edge_count,
     }
+    shortest = _ShortestDistances(graph)
     for flag in selected:
         if flag == "metric_dimension" and "psi" in result.get("resolving", {}):
             # The resolving profile already holds psi; do not search again.
             result[flag] = result["resolving"]["psi"]
             continue
         try:
-            result[flag] = _compute_invariant(flag, g, graph, args)
+            result[flag] = _compute_invariant(flag, graph, shortest, args)
         except BoundExceededError as exc:
             # A refusal fails the command only for a flag the user named;
             # one implied by --all (or by no flags) is reported as skipped.
@@ -233,25 +234,39 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     return 0
 
 
-def _compute_invariant(flag: str, g: GyroGroup, graph, args) -> object:
+class _ShortestDistances:
+    """The graph's shortest-distance matrix, built by the first invariant
+    that reads it: one BFS serves every flag, and flags that read no
+    distances run none (a traced run shows the BFS inside that invariant)."""
+
+    def __init__(self, graph) -> None:
+        self.graph, self.matrix = graph, None
+
+    def __getattr__(self, name: str):
+        if self.matrix is None:
+            self.matrix = distance_matrix(self.graph)
+        return getattr(self.matrix, name)
+
+
+def _compute_invariant(flag: str, graph, shortest, args) -> object:
     if flag == "distances":
-        return _eccentricities(distance_matrix(graph))
+        return _eccentricities(shortest)
     if flag == "detour":
         return _eccentricities(detour_matrix(graph, args.detour_bound))
     if flag == "hosoya":
-        p = hosoya_polynomial(graph)
+        p = hosoya_polynomial(shortest)
         return {"polynomial": str(p), "coefficients": p.to_dict()}
     if flag == "rs_hosoya":
         try:
-            p = reciprocal_status_hosoya(graph)
+            p = reciprocal_status_hosoya(shortest)
         except ValueError:
             # Non-integer edge sums make no polynomial in x; report their
             # exact multiset (a disconnected graph raises again here).
-            sums = reciprocal_status_edge_sums(graph)
+            sums = reciprocal_status_edge_sums(shortest)
             return {"edge_sums": {str(s): count for s, count in sums.items()}}
         return {"polynomial": str(p), "coefficients": p.to_dict()}
     if flag == "dds":
-        dds = distance_degree_sequence(distance_matrix(graph))
+        dds = distance_degree_sequence(shortest)
         return {
             "summary": [
                 {"tuple": list(t), "count": c} for t, c in dds.summary
@@ -263,9 +278,9 @@ def _compute_invariant(flag: str, g: GyroGroup, graph, args) -> object:
             {"class": sorted(cls), "kind": kind} for cls, kind in tp.classes
         ]
     if flag == "metric_dimension":
-        return metric_dimension(graph)
+        return metric_dimension(shortest)
     if flag == "resolving":
-        profile = resolving_polynomial(graph)
+        profile = resolving_polynomial(shortest)
         return json.loads(profile.to_json())
     if flag == "spectral":
         adj = adjacency_matrix(graph)
@@ -286,7 +301,7 @@ def _compute_invariant(flag: str, g: GyroGroup, graph, args) -> object:
     if flag == "power_graph":
         shape = classify_gn_shape(graph)
         closure = bondy_chvatal_closure(graph)
-        _, interior, center = boundary_interior_center(graph)
+        _, interior, center = boundary_interior_center(shortest)
         return {
             "edges": [list(e) for e in graph.sorted_edges()],
             "gn_shape": shape.matches_gn_shape,

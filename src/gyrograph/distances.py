@@ -1,6 +1,10 @@
 """Shortest and detour distances, Hosoya-type polynomials, and the
 boundary / interior / center / closure machinery.
 
+Invariants of a metric take its DistanceMatrix, not the graph, so one
+matrix per graph serves them all; those of the shortest-path metric read
+the edges as the entries equal to 1.
+
 Shortest distances come from BFS.  Detour distances (longest simple
 paths) are summed along the block-cut tree: complete blocks need no
 search, and only the other blocks run an exhaustive DFS, exponential in
@@ -9,14 +13,13 @@ the block's size.  An order bound still guards the whole computation.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import BoundExceededError, DisconnectedGraphError
-from .graphs import Graph, reachable
+from .graphs import Graph, biconnected_components, reachable
 from .polynomials import IntPolynomial
-from .structure import biconnected_components
 
 INF = float("inf")
 
@@ -205,69 +208,65 @@ def distance_degree_sequence(dm: DistanceMatrix) -> DistanceDegreeSequences:
 # ---------------------------------------------------------------------------
 
 
-def hosoya_polynomial(graph: Graph) -> IntPolynomial:
+def _shortest_entries(
+    dm: DistanceMatrix, disconnected: str
+) -> tuple[tuple[float, ...], ...]:
+    """The entries of dm, which must be the shortest-distance matrix of a
+    connected graph; `disconnected` is the DisconnectedGraphError message."""
+    if dm.kind != "shortest":
+        raise ValueError(f"expected a shortest-distance matrix, got kind {dm.kind!r}")
+    if not dm.is_finite():
+        raise DisconnectedGraphError(disconnected)
+    return dm.entries
+
+
+def hosoya_polynomial(dm: DistanceMatrix) -> IntPolynomial:
     """Vertex-pair counts by distance, as a polynomial.
 
     Convention: the x^0 coefficient counts the N diagonal pairs (u,u); for
     i >= 1 the x^i coefficient counts unordered pairs at distance i.
     """
-    dm = distance_matrix(graph)
-    if not dm.is_finite():
-        raise DisconnectedGraphError("Hosoya polynomial needs a connected graph")
-    coeffs: dict[int, int] = {0: graph.n}
-    for u in graph.vertices():
-        for v in range(u + 1, graph.n):
-            d = int(dm.entries[u][v])
-            coeffs[d] = coeffs.get(d, 0) + 1
-    return IntPolynomial(coeffs)
+    rows = _shortest_entries(dm, "Hosoya polynomial needs a connected graph")
+    pairs = Counter(int(d) for u, row in enumerate(rows) for d in row[u + 1:])
+    return IntPolynomial({0: dm.n, **pairs})
 
 
-def reciprocal_status(graph: Graph, v: int) -> Fraction:
+def reciprocal_status(dm: DistanceMatrix, v: int) -> Fraction:
     """rs(v) = sum over u != v of 1/d(u,v), exactly."""
-    dm = distance_matrix(graph)
-    if not dm.is_finite():
-        raise DisconnectedGraphError("reciprocal status needs a connected graph")
-    return _rs_from_row(dm.entries[v], v)
+    rows = _shortest_entries(dm, "reciprocal status needs a connected graph")
+    if not 0 <= v < dm.n:
+        raise ValueError(f"vertex {v} out of range")
+    return _rs_from_row(rows[v])
 
 
-def _rs_from_row(row: tuple[float, ...], v: int) -> Fraction:
-    total = Fraction(0)
-    for u, d in enumerate(row):
-        if u != v:
-            total += Fraction(1, int(d))
-    return total
+def _rs_from_row(row: tuple[float, ...]) -> Fraction:
+    """Sum of count/d over the distinct distances d > 0 of the row."""
+    return sum((Fraction(c, int(d)) for d, c in Counter(row).items() if d), Fraction(0))
 
 
-def reciprocal_status_edge_sums(graph: Graph) -> dict[Fraction, int]:
+def reciprocal_status_edge_sums(dm: DistanceMatrix) -> dict[Fraction, int]:
     """Multiset {rs(u)+rs(v) : uv an edge} with exact rational keys."""
-    dm = distance_matrix(graph)
-    if not dm.is_finite():
-        raise DisconnectedGraphError("reciprocal status needs a connected graph")
-    rs = [_rs_from_row(dm.entries[v], v) for v in graph.vertices()]
-    sums: dict[Fraction, int] = {}
-    for u, v in graph.edges:
-        key = rs[u] + rs[v]
-        sums[key] = sums.get(key, 0) + 1
-    return sums
+    rows = _shortest_entries(dm, "reciprocal status needs a connected graph")
+    rs = [_rs_from_row(row) for row in rows]
+    ends = [(u, v) for u, row in enumerate(rows) for v in range(u + 1, dm.n) if row[v] == 1]
+    return dict(Counter(rs[u] + rs[v] for u, v in ends))
 
 
-def reciprocal_status_hosoya(graph: Graph) -> IntPolynomial:
+def reciprocal_status_hosoya(dm: DistanceMatrix) -> IntPolynomial:
     """Sum over edges uv of x^(rs(u)+rs(v)).
 
     All exponents must be integers (true for the power graphs treated
     here); for graphs with fractional sums use
     :func:`reciprocal_status_edge_sums`, which reports the exact rationals.
     """
-    sums = reciprocal_status_edge_sums(graph)
-    coeffs: dict[int, int] = {}
-    for key, count in sums.items():
+    sums = reciprocal_status_edge_sums(dm)
+    for key in sums:
         if key.denominator != 1:
             raise ValueError(
                 f"edge reciprocal-status sum {key} is not an integer; "
                 "use reciprocal_status_edge_sums for the exact rationals"
             )
-        coeffs[int(key)] = coeffs.get(int(key), 0) + count
-    return IntPolynomial(coeffs)
+    return IntPolynomial({int(key): count for key, count in sums.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +275,7 @@ def reciprocal_status_hosoya(graph: Graph) -> IntPolynomial:
 
 
 def boundary_interior_center(
-    graph: Graph,
+    dm: DistanceMatrix,
 ) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
     """(boundary, interior, center) vertex sets.
 
@@ -285,16 +284,13 @@ def boundary_interior_center(
     boundary vertex of some v.  Interior is the complement of the
     boundary; center collects the vertices of minimum eccentricity.
     """
-    dm = distance_matrix(graph)
-    if not dm.is_finite():
-        raise DisconnectedGraphError("boundary/interior need a connected graph")
-    n = graph.n
+    rows = _shortest_entries(dm, "boundary/interior need a connected graph")
+    n = dm.n
     boundary = set()
     for u in range(n):
+        neighbors = [w for w, d in enumerate(rows[u]) if d == 1]
         for v in range(n):
-            if v == u:
-                continue
-            if all(dm.entries[w][v] <= dm.entries[u][v] for w in graph.neighbors(u)):
+            if v != u and all(rows[w][v] <= rows[u][v] for w in neighbors):
                 boundary.add(u)
                 break
     interior = frozenset(range(n)) - boundary

@@ -86,19 +86,7 @@ class Graph:
         return range(self.n)
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        seen = 1
-        stack = [0]
-        count = 1
-        while stack:
-            v = stack.pop()
-            for w in self._adj_lists[v]:
-                if not seen >> w & 1:
-                    seen |= 1 << w
-                    count += 1
-                    stack.append(w)
-        return count == self.n
+        return len(self.connected_components()) <= 1
 
     def connected_components(self) -> list[list[int]]:
         comps = []
@@ -182,6 +170,53 @@ def twin_classes(adj_bits: Sequence[int]) -> list[tuple[list[int], bool]]:
     classes += [(group, False) for group in open_.values() if len(group) >= 2]
     classes.sort(key=lambda item: item[0][0])
     return classes
+
+
+def biconnected_components(graph: Graph) -> list[list[tuple[int, int]]]:
+    """Edge sets of the biconnected blocks (bridges appear as single edges)."""
+    n = graph.n
+    disc = [-1] * n
+    low = [0] * n
+    parent = [-1] * n
+    ptr = [0] * n
+    estack: list[tuple[int, int]] = []
+    blocks: list[list[tuple[int, int]]] = []
+    timer = 0
+    for root in range(n):
+        if disc[root] != -1:
+            continue
+        disc[root] = low[root] = timer
+        timer += 1
+        stack = [root]
+        while stack:
+            v = stack[-1]
+            nbrs = graph.neighbors(v)
+            if ptr[v] < len(nbrs):
+                w = nbrs[ptr[v]]
+                ptr[v] += 1
+                if disc[w] == -1:
+                    parent[w] = v
+                    estack.append((v, w))
+                    disc[w] = low[w] = timer
+                    timer += 1
+                    stack.append(w)
+                elif w != parent[v] and disc[w] < disc[v]:
+                    estack.append((v, w))
+                    low[v] = min(low[v], disc[w])
+            else:
+                stack.pop()
+                if stack:
+                    u = stack[-1]
+                    low[u] = min(low[u], low[v])
+                    if low[v] >= disc[u]:
+                        block = []
+                        while estack:
+                            e = estack.pop()
+                            block.append(e)
+                            if e == (u, v):
+                                break
+                        blocks.append(block)
+    return blocks
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,9 @@ twin class.  Swapping two twins is an automorphism that fixes every other
 vertex, so whether a subset resolves depends only on which classes its
 complement touches: the search tests one subset per such omission
 pattern, and a budget of distance lookups, not the order, fences it.
+
+Everything but `twin_partition` takes the shortest-distance matrix: it
+holds the distance vectors and, as its entries equal to 1, the edges.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from itertools import combinations, dropwhile
 from math import comb, prod
 from typing import Iterable, Iterator, Sequence
 
-from .distances import distance_matrix
-from .errors import BoundExceededError, DisconnectedGraphError
+from .distances import DistanceMatrix, _shortest_entries
+from .errors import BoundExceededError
 from .graphs import Graph, twin_classes
 from .polynomials import IntPolynomial
 
@@ -76,18 +79,15 @@ def twin_partition(graph: Graph) -> TwinPartition:
     )
 
 
-def is_resolving(graph: Graph, subset: Iterable[int]) -> bool:
+def is_resolving(dm: DistanceMatrix, subset: Iterable[int]) -> bool:
     """True iff the distance-vector map v -> (d(v, s) for s in subset) is
     injective on the vertices.  The subset is canonicalized to ascending
     order; injectivity does not depend on the ordering."""
     s = sorted(set(subset))
     for v in s:
-        if not 0 <= v < graph.n:
+        if not 0 <= v < dm.n:
             raise ValueError(f"vertex {v} out of range")
-    dm = distance_matrix(graph)
-    if not dm.is_finite():
-        raise DisconnectedGraphError("resolving sets need a connected graph")
-    return _resolves(dm.entries, s)
+    return _resolves(_shortest_entries(dm, "resolving sets need a connected graph"), s)
 
 
 def _resolves(rows: Sequence[Sequence[float]], subset: Sequence[int]) -> bool:
@@ -96,13 +96,14 @@ def _resolves(rows: Sequence[Sequence[float]], subset: Sequence[int]) -> bool:
     return len(rows) <= 1 or len(set(zip(*map(rows.__getitem__, subset)))) == len(rows)
 
 
-def _omission_units(graph: Graph, partition: TwinPartition) -> list[tuple[int, ...]]:
+def _omission_units(rows: Sequence[Sequence[float]]) -> list[tuple[int, ...]]:
     """Units from which set complements are drawn: one unit per nontrivial
-    twin class (pick at most one of its vertices) plus one per remaining
-    vertex."""
-    units = [tuple(sorted(cls)) for cls, _ in partition.classes]
+    twin class of the graph whose edges are the entries equal to 1 (pick
+    at most one of its vertices) plus one per remaining vertex."""
+    adj_bits = [sum(1 << w for w, d in enumerate(row) if d == 1) for row in rows]
+    units = [tuple(group) for group, _ in twin_classes(adj_bits)]
     in_class = {v for unit in units for v in unit}
-    return units + [(v,) for v in graph.vertices() if v not in in_class]
+    return units + [(v,) for v in range(len(rows)) if v not in in_class]
 
 
 def _omission_patterns(
@@ -123,28 +124,26 @@ def _omission_patterns(
 
 
 def _resolving_layers(
-    graph: Graph, order_bound: int | None, lookup_budget: int
+    dm: DistanceMatrix, order_bound: int | None, lookup_budget: int
 ) -> Iterator[tuple[int, int, tuple[int, ...] | None]]:
     """Yield (k, number of resolving k-subsets, least resolving k-subset or
     None) for k from the twin lower bound up to n.
 
-    One pass: the distance matrix and the omission units are built once
-    and every omission pattern is tested once.  A layer whose lookups
-    (patterns x n x k) would take the total past lookup_budget is refused.
+    One pass: the omission units are built once and every omission pattern
+    is tested once.  A layer whose lookups (patterns x n x k) would take
+    the total past lookup_budget is refused.
     """
-    if order_bound is not None and graph.n > order_bound:
+    n = dm.n
+    if order_bound is not None and n > order_bound:
         raise BoundExceededError(
-            f"metric dimension refused: order {graph.n} exceeds bound {order_bound}"
+            f"metric dimension refused: order {n} exceeds bound {order_bound}"
         )
-    dm = distance_matrix(graph)
-    if not dm.is_finite():
-        raise DisconnectedGraphError("metric dimension needs a connected graph")
-    partition = twin_partition(graph)
-    units = _omission_units(graph, partition)
+    rows = _shortest_entries(dm, "metric dimension needs a connected graph")
+    units = _omission_units(rows)
     spent = 0
-    for k in range(partition.lower_bound(), graph.n + 1):
-        patterns = comb(len(units), graph.n - k)
-        lookups = patterns * graph.n * k
+    for k in range(n - len(units), n + 1):
+        patterns = comb(len(units), n - k)
+        lookups = patterns * n * k
         if spent + lookups > lookup_budget:
             raise BoundExceededError(
                 f"resolving-set search refused at layer k={k}: {patterns} "
@@ -154,8 +153,8 @@ def _resolving_layers(
         spent += lookups
         count = 0
         least: tuple[int, ...] | None = None
-        for subset, weight in _omission_patterns(graph.n, units, k):
-            if _resolves(dm.entries, subset):
+        for subset, weight in _omission_patterns(n, units, k):
+            if _resolves(rows, subset):
                 count += weight
                 if least is None or subset < least:
                     least = subset
@@ -163,20 +162,20 @@ def _resolving_layers(
 
 
 def metric_dimension(
-    graph: Graph,
+    dm: DistanceMatrix,
     order_bound: int | None = None,
     lookup_budget: int = LOOKUP_BUDGET,
 ) -> int:
     """Minimum size of a resolving set: the first non-empty layer of the
     ascending-size search over omission patterns."""
-    for k, count, _ in _resolving_layers(graph, order_bound, lookup_budget):
+    for k, count, _ in _resolving_layers(dm, order_bound, lookup_budget):
         if count:
             return k
     raise AssertionError("the full vertex set always resolves")
 
 
 def resolving_polynomial(
-    graph: Graph,
+    dm: DistanceMatrix,
     order_bound: int | None = None,
     lookup_budget: int = LOOKUP_BUDGET,
 ) -> ResolvingProfile:
@@ -192,7 +191,7 @@ def resolving_polynomial(
     layers = list(
         dropwhile(
             lambda layer: not layer[1],
-            _resolving_layers(graph, order_bound, lookup_budget),
+            _resolving_layers(dm, order_bound, lookup_budget),
         )
     )
     psi, _, witness = layers[0]

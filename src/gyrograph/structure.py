@@ -16,7 +16,8 @@ import json
 from dataclasses import dataclass
 
 from .errors import BoundExceededError
-from .graphs import Graph, reachable
+from .distances import distance_matrix
+from .graphs import Graph, biconnected_components, reachable
 from .gyrogroups import GyroGroup, Permutation, power_closure
 
 PLANARITY_ORDER_BOUND = 128
@@ -88,53 +89,6 @@ def _planar_rotation(graph: Graph) -> tuple[tuple[int, ...], ...] | None:
         for v, cyc in _rotation_from_faces(faces).items():
             rotations[v].extend(cyc)
     return tuple(tuple(r) for r in rotations)
-
-
-def biconnected_components(graph: Graph) -> list[list[tuple[int, int]]]:
-    """Edge sets of the biconnected blocks (bridges appear as single edges)."""
-    n = graph.n
-    disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
-    ptr = [0] * n
-    estack: list[tuple[int, int]] = []
-    blocks: list[list[tuple[int, int]]] = []
-    timer = 0
-    for root in range(n):
-        if disc[root] != -1:
-            continue
-        disc[root] = low[root] = timer
-        timer += 1
-        stack = [root]
-        while stack:
-            v = stack[-1]
-            nbrs = graph.neighbors(v)
-            if ptr[v] < len(nbrs):
-                w = nbrs[ptr[v]]
-                ptr[v] += 1
-                if disc[w] == -1:
-                    parent[w] = v
-                    estack.append((v, w))
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append(w)
-                elif w != parent[v] and disc[w] < disc[v]:
-                    estack.append((v, w))
-                    low[v] = min(low[v], disc[w])
-            else:
-                stack.pop()
-                if stack:
-                    u = stack[-1]
-                    low[u] = min(low[u], low[v])
-                    if low[v] >= disc[u]:
-                        block = []
-                        while estack:
-                            e = estack.pop()
-                            block.append(e)
-                            if e == (u, v):
-                                break
-                        blocks.append(block)
-    return blocks
 
 
 def _embed_block(block_edges: list[tuple[int, int]]) -> list[list[int]] | None:
@@ -658,8 +612,6 @@ def find_isomorphism(
 
 
 def _vertex_signatures(graph: Graph) -> list[tuple]:
-    from .distances import distance_matrix
-
     dm = distance_matrix(graph)
     sigs = []
     for v in graph.vertices():

@@ -356,8 +356,9 @@ def verify_gn(n: int, detour_bound: int = REPORT_DETOUR_BOUND) -> list[ReportEnt
         )
     )
 
-    # Pair-distance counts and Hosoya-type polynomials.
-    hosoya = hosoya_polynomial(graph)
+    # Pair-distance counts and Hosoya-type polynomials, off the one BFS matrix.
+    shortest = distance_matrix(graph)
+    hosoya = hosoya_polynomial(shortest)
     counts = tuple(hosoya.coefficient(i) for i in range(3))
     entries.append(
         _entry(
@@ -378,7 +379,7 @@ def verify_gn(n: int, detour_bound: int = REPORT_DETOUR_BOUND) -> list[ReportEnt
             hosoya == cf.hosoya_closed_form(n),
         )
     )
-    rsh = reciprocal_status_hosoya(graph)
+    rsh = reciprocal_status_hosoya(shortest)
     entries.append(
         _entry(
             f"rs-hosoya-polynomial[{tag}]",
@@ -396,7 +397,7 @@ def verify_gn(n: int, detour_bound: int = REPORT_DETOUR_BOUND) -> list[ReportEnt
 
     # Metric dimension and resolving polynomial.
     try:
-        profile = resolving_polynomial(graph)
+        profile = resolving_polynomial(shortest)
     except BoundExceededError as exc:
         for claim_id, statement in (
             (f"metric-dimension[{tag}]", "metric dimension = 2^n - 3"),
@@ -474,8 +475,8 @@ def verify_gn(n: int, detour_bound: int = REPORT_DETOUR_BOUND) -> list[ReportEnt
 
     # Detour distances.
     if graph.n <= detour_bound:
-        dm = detour_matrix(graph, order_bound=detour_bound)
-        prof = eccentricity_profile(dm)
+        detour = detour_matrix(graph, order_bound=detour_bound)
+        prof = eccentricity_profile(detour)
         ecc_e, ecc_p, ecc_h = cf.detour_eccentricities_closed_form(n)
         ecc_ok = (
             prof.eccentricities[g.identity] == ecc_e
@@ -498,7 +499,7 @@ def verify_gn(n: int, detour_bound: int = REPORT_DETOUR_BOUND) -> list[ReportEnt
                 ecc_ok and rad_dia == cf.detour_radius_diameter_closed_form(n),
             )
         )
-        ddsd = distance_degree_sequence(dm)
+        ddsd = distance_degree_sequence(detour)
         entries.append(
             _entry(
                 f"dds-detour[{tag}]",
@@ -517,7 +518,7 @@ def verify_gn(n: int, detour_bound: int = REPORT_DETOUR_BOUND) -> list[ReportEnt
             _skipped(f"dds-detour[{tag}]", "detour distance degree sequence", why)
         )
 
-    dds = distance_degree_sequence(distance_matrix(graph))
+    dds = distance_degree_sequence(shortest)
     entries.append(
         _entry(
             f"dds[{tag}]",
@@ -529,7 +530,7 @@ def verify_gn(n: int, detour_bound: int = REPORT_DETOUR_BOUND) -> list[ReportEnt
     )
 
     # Interior, center, closure.
-    _, interior, center = boundary_interior_center(graph)
+    _, interior, center = boundary_interior_center(shortest)
     entries.append(
         _entry(
             f"interior-center[{tag}]",

@@ -1,20 +1,27 @@
 """Command-line interface: subcommands, exit codes, output determinism."""
 
 import json
+import random
 import subprocess
 import sys
 
 import pytest
+from test_verification import count_calls
 
 from gyrograph import (
     BoundExceededError,
+    Permutation,
+    build_gn,
     bundled_gyrogroup,
     cli,
     closed_form_charpoly_gn,
     closed_forms,
     cyclic_group,
+    distance_matrix,
+    distances,
     power_graph,
     reciprocal_status_edge_sums,
+    relabel,
     resolving,
     spectral,
     to_cayley_csv,
@@ -173,7 +180,7 @@ def test_invariants_all_on_cyclic_table_reports_rs_edge_sums(tmp_path):
     r = run_cli("invariants", "--table", str(path), "--all", "--format", "json")
     assert r.returncode == 0, r.stderr
     data = json.loads(r.stdout)
-    sums = reciprocal_status_edge_sums(power_graph(cyclic_group(12)))
+    sums = reciprocal_status_edge_sums(distance_matrix(power_graph(cyclic_group(12))))
     assert data["rs_hosoya"] == {
         "edge_sums": {str(s): count for s, count in sums.items()}
     }
@@ -206,6 +213,65 @@ def test_invariants_reads_metric_dimension_from_the_resolving_profile(
     data = json.loads(capsys.readouterr().out)
     assert len(runs) == 1
     assert data["metric_dimension"] == data["resolving"]["psi"] == 5
+
+
+def invariants_json(capsys, *argv):
+    assert cli.main(["invariants", *argv, "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize(
+    ("flags", "runs"),
+    [
+        (["--all"], 1),
+        (["--distances", "--hosoya", "--rs-hosoya", "--resolving"], 1),
+        (["--spectral"], 0),
+        (["--twins"], 0),
+        (["--detour"], 0),
+    ],
+)
+def test_invariants_run_at_most_one_bfs(monkeypatch, capsys, flags, runs):
+    bfs = count_calls(monkeypatch, distances, "distance_matrix")
+    invariants_json(capsys, "--gn", "4", *flags)
+    assert len(bfs) == runs
+
+
+def test_invariants_on_z12_run_one_bfs(monkeypatch, capsys, tmp_path):
+    # The rs_hosoya fallback to edge sums reads the same matrix.
+    path = tmp_path / "z12.csv"
+    path.write_text(to_cayley_csv(cyclic_group(12)))
+    bfs = count_calls(monkeypatch, distances, "distance_matrix")
+    flags = ["--hosoya", "--rs-hosoya", "--dds", "--resolving", "--metric-dimension",
+             "--power-graph"]
+    data = invariants_json(capsys, "--table", str(path), *flags)
+    assert "edge_sums" in data["rs_hosoya"]
+    assert len(bfs) == 1
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_invariants_survive_relabelling(capsys, tmp_path, n):
+    gn = invariants_json(capsys, "--gn", str(n), "--all")
+    rng = random.Random(n)
+    for trial in range(2):
+        perm = list(range(2**n))
+        rng.shuffle(perm)
+        path = tmp_path / f"g{n}-{trial}.csv"
+        path.write_text(to_cayley_csv(relabel(build_gn(n), Permutation(tuple(perm)))))
+        table = invariants_json(capsys, "--table", str(path), "--all")
+        for key in ("order", "edges", "hosoya", "rs_hosoya", "dds", "metric_dimension"):
+            assert table[key] == gn[key], key
+        for key in ("psi", "sequence", "polynomial"):
+            assert table["resolving"][key] == gn["resolving"][key], key
+        assert table["spectral"]["charpoly"] == gn["spectral"]["charpoly"]
+        for key in ("radius", "diameter"):
+            assert table["distances"][key] == gn["distances"][key], key
+        ecc = gn["distances"]["eccentricities"]
+        assert table["distances"]["eccentricities"] == [
+            ecc[perm.index(v)] for v in range(2**n)
+        ]
+        for key in ("planar", "kind"):
+            assert table["planarity"].get(key) == gn["planarity"].get(key), key
+        assert table["hamiltonicity"]["hamiltonian"] == gn["hamiltonicity"]["hamiltonian"]
 
 
 def test_tol_is_accepted_and_has_no_effect(capsys):

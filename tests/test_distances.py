@@ -24,11 +24,14 @@ from gyrograph import (
     distance_matrix,
     eccentricity_profile,
     hosoya_polynomial,
+    is_resolving,
+    metric_dimension,
     power_graph,
     reciprocal_status,
     reciprocal_status_edge_sums,
     reciprocal_status_hosoya,
     relabel,
+    resolving_polynomial,
 )
 from gyrograph.graphs import reachable
 
@@ -339,7 +342,7 @@ def test_dds_detour_gn4(gn4):
 def test_dds_counts_tie_out_with_pair_counts(gn3):
     # Summing per-vertex counts at distance k double-counts the pairs.
     dds = distance_degree_sequence(distance_matrix(gn3))
-    hosoya = hosoya_polynomial(gn3)
+    hosoya = hosoya_polynomial(distance_matrix(gn3))
     for k in (1, 2):
         total = sum(t[k] if len(t) > k else 0 for t in dds.per_vertex)
         assert total == 2 * hosoya.coefficient(k)
@@ -351,21 +354,21 @@ def test_dds_counts_tie_out_with_pair_counts(gn3):
 
 
 def test_hosoya_gn3(gn3):
-    assert hosoya_polynomial(gn3) == IntPolynomial({0: 8, 1: 10, 2: 18})
+    assert hosoya_polynomial(distance_matrix(gn3)) == IntPolynomial({0: 8, 1: 10, 2: 18})
 
 
 def test_hosoya_k1():
-    assert hosoya_polynomial(Graph.complete(1)) == IntPolynomial({0: 1})
+    assert hosoya_polynomial(distance_matrix(Graph.complete(1))) == IntPolynomial({0: 1})
 
 
 def test_hosoya_gn4(gn4):
-    assert hosoya_polynomial(gn4) == IntPolynomial({0: 16, 1: 36, 2: 84})
+    assert hosoya_polynomial(distance_matrix(gn4)) == IntPolynomial({0: 16, 1: 36, 2: 84})
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_hosoya_coefficient_sum_counts_all_pairs(n):
     graph = power_graph(build_gn(n))
-    p = hosoya_polynomial(graph)
+    p = hosoya_polynomial(distance_matrix(graph))
     big = graph.n
     assert p.coefficient_sum() == big + big * (big - 1) // 2
     assert p.coefficient(1) == graph.edge_count
@@ -373,7 +376,7 @@ def test_hosoya_coefficient_sum_counts_all_pairs(n):
 
 def test_hosoya_refuses_disconnected():
     with pytest.raises(DisconnectedGraphError):
-        hosoya_polynomial(Graph.from_edges(3, [(0, 1)]))
+        hosoya_polynomial(distance_matrix(Graph.from_edges(3, [(0, 1)])))
 
 
 # ---------------------------------------------------------------------------
@@ -382,34 +385,73 @@ def test_hosoya_refuses_disconnected():
 
 
 def test_reciprocal_status_gn3(gn3):
-    assert reciprocal_status(gn3, 0) == 7
-    assert reciprocal_status(gn3, 1) == 5  # 3 at distance 1, 4 at distance 2
-    assert reciprocal_status(gn3, 4) == 4  # 1 at distance 1, 6 at distance 2
+    dm = distance_matrix(gn3)
+    assert reciprocal_status(dm, 0) == 7
+    assert reciprocal_status(dm, 1) == 5  # 3 at distance 1, 4 at distance 2
+    assert reciprocal_status(dm, 4) == 4  # 1 at distance 1, 6 at distance 2
 
 
 def test_reciprocal_status_k2():
-    g = Graph.complete(2)
-    assert reciprocal_status(g, 0) == 1
-    assert reciprocal_status_hosoya(g) == IntPolynomial({2: 1})
+    dm = distance_matrix(Graph.complete(2))
+    assert reciprocal_status(dm, 0) == 1
+    assert reciprocal_status_hosoya(dm) == IntPolynomial({2: 1})
 
 
 def test_rs_hosoya_gn3(gn3):
-    assert reciprocal_status_hosoya(gn3) == IntPolynomial({12: 3, 11: 4, 10: 3})
+    assert reciprocal_status_hosoya(distance_matrix(gn3)) == IntPolynomial({12: 3, 11: 4, 10: 3})
 
 
 def test_rs_hosoya_gn4(gn4):
-    assert reciprocal_status_hosoya(gn4) == IntPolynomial({26: 7, 23: 8, 22: 21})
+    assert reciprocal_status_hosoya(distance_matrix(gn4)) == IntPolynomial({26: 7, 23: 8, 22: 21})
 
 
 def test_rs_is_exact_rational_on_paths():
     # Path 0-1-2-3: rs(0) = 1 + 1/2 + 1/3 = 11/6; integral Hosoya refuses.
     g = Graph.path(4)
-    assert reciprocal_status(g, 0) == Fraction(11, 6)
-    sums = reciprocal_status_edge_sums(g)
+    dm = distance_matrix(g)
+    assert reciprocal_status(dm, 0) == Fraction(11, 6)
+    sums = reciprocal_status_edge_sums(dm)
     assert all(isinstance(k, Fraction) for k in sums)
     assert sum(sums.values()) == g.edge_count
     with pytest.raises(ValueError, match="not an integer"):
-        reciprocal_status_hosoya(g)
+        reciprocal_status_hosoya(dm)
+
+
+@pytest.mark.parametrize("v", [-1, 8, 100])
+def test_reciprocal_status_rejects_out_of_range_vertices(gn3, v):
+    with pytest.raises(ValueError, match="out of range"):
+        reciprocal_status(distance_matrix(gn3), v)
+
+
+# ---------------------------------------------------------------------------
+# Metric invariants take the shortest-distance matrix of a connected graph
+# ---------------------------------------------------------------------------
+
+METRIC_INVARIANTS = {
+    "hosoya": (hosoya_polynomial, "Hosoya polynomial needs a connected graph"),
+    "rs": (lambda dm: reciprocal_status(dm, 0), "reciprocal status needs a connected graph"),
+    "rs_edge_sums": (reciprocal_status_edge_sums, "reciprocal status needs a connected graph"),
+    "rs_hosoya": (reciprocal_status_hosoya, "reciprocal status needs a connected graph"),
+    "interior": (boundary_interior_center, "boundary/interior need a connected graph"),
+    "is_resolving": (lambda dm: is_resolving(dm, [0]), "resolving sets need a connected graph"),
+    "metric_dimension": (metric_dimension, "metric dimension needs a connected graph"),
+    "resolving": (resolving_polynomial, "metric dimension needs a connected graph"),
+}
+
+
+@pytest.mark.parametrize("name", METRIC_INVARIANTS)
+def test_metric_invariants_refuse_a_detour_matrix(gn3, name):
+    invariant, _ = METRIC_INVARIANTS[name]
+    with pytest.raises(ValueError, match="shortest-distance matrix"):
+        invariant(detour_matrix(gn3))
+
+
+@pytest.mark.parametrize("name", METRIC_INVARIANTS)
+def test_metric_invariants_keep_their_disconnected_message(name):
+    invariant, message = METRIC_INVARIANTS[name]
+    with pytest.raises(DisconnectedGraphError) as info:
+        invariant(distance_matrix(Graph.from_edges(3, [(0, 1)])))
+    assert str(info.value) == message
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +460,7 @@ def test_rs_is_exact_rational_on_paths():
 
 
 def test_boundary_interior_center_gn3(gn3):
-    boundary, interior, center = boundary_interior_center(gn3)
+    boundary, interior, center = boundary_interior_center(distance_matrix(gn3))
     assert interior == frozenset({0})
     assert center == frozenset({0})
     assert boundary == frozenset(range(1, 8))
@@ -426,14 +468,14 @@ def test_boundary_interior_center_gn3(gn3):
 
 def test_complete_graph_has_empty_interior():
     for k in (2, 3, 5):
-        boundary, interior, _ = boundary_interior_center(Graph.complete(k))
+        boundary, interior, _ = boundary_interior_center(distance_matrix(Graph.complete(k)))
         assert boundary == frozenset(range(k))
         assert interior == frozenset()
 
 
 def test_path_interior_is_middle():
     # In a path, the two leaves are the boundary.
-    boundary, interior, center = boundary_interior_center(Graph.path(5))
+    boundary, interior, center = boundary_interior_center(distance_matrix(Graph.path(5)))
     assert boundary == frozenset({0, 4})
     assert interior == frozenset({1, 2, 3})
     assert center == frozenset({2})

@@ -95,31 +95,35 @@ def test_twins_share_distance_vectors(gn3):
 
 
 def test_is_resolving_examples(gn3):
-    assert is_resolving(gn3, {2, 3, 5, 6, 7})
-    assert not is_resolving(gn3, {1, 2, 3})
+    dm = distance_matrix(gn3)
+    assert is_resolving(dm, {2, 3, 5, 6, 7})
+    assert not is_resolving(dm, {1, 2, 3})
     for v in range(8):
-        assert is_resolving(gn3, set(range(8)) - {v})
+        assert is_resolving(dm, set(range(8)) - {v})
 
 
 def test_resolving_superset_property(gn3):
     # Adding a vertex to a resolving set keeps it resolving.
     base = {2, 3, 5, 6, 7}
+    dm = distance_matrix(gn3)
     for w in range(8):
-        assert is_resolving(gn3, base | {w})
+        assert is_resolving(dm, base | {w})
 
 
 def test_twin_exchange_property(gn3):
     # Swap a twin inside the set for its twin outside: still resolving.
     s = {2, 3, 5, 6, 7}
-    assert is_resolving(gn3, (s - {2}) | {1})
-    assert is_resolving(gn3, (s - {5}) | {4})
+    dm = distance_matrix(gn3)
+    assert is_resolving(dm, (s - {2}) | {1})
+    assert is_resolving(dm, (s - {5}) | {4})
 
 
 def test_every_resolving_set_nearly_covers_each_twin_class(gn3):
     classes = [c for c, _ in twin_partition(gn3).classes]
+    dm = distance_matrix(gn3)
     for k in range(5, 9):
         for subset in combinations(range(8), k):
-            if is_resolving(gn3, subset):
+            if is_resolving(dm, subset):
                 for cls in classes:
                     assert len(cls - set(subset)) <= 1
 
@@ -130,28 +134,28 @@ def test_every_resolving_set_nearly_covers_each_twin_class(gn3):
 
 
 def test_metric_dimension_gn3(gn3):
-    assert metric_dimension(gn3) == 5
+    assert metric_dimension(distance_matrix(gn3)) == 5
 
 
 def test_metric_dimension_complete_graph():
-    assert metric_dimension(Graph.complete(4)) == 3
+    assert metric_dimension(distance_matrix(Graph.complete(4))) == 3
 
 
 def test_metric_dimension_gn4():
-    assert metric_dimension(power_graph(build_gn(4))) == 13
+    assert metric_dimension(distance_matrix(power_graph(build_gn(4)))) == 13
 
 
 def test_metric_dimension_path_is_one():
-    assert metric_dimension(Graph.path(6)) == 1
+    assert metric_dimension(distance_matrix(Graph.path(6))) == 1
 
 
 def test_metric_dimension_cycle_is_two():
-    assert metric_dimension(Graph.cycle(6)) == 2
+    assert metric_dimension(distance_matrix(Graph.cycle(6))) == 2
 
 
 def test_metric_dimension_order_bound():
     with pytest.raises(BoundExceededError):
-        metric_dimension(power_graph(build_gn(4)), order_bound=8)
+        metric_dimension(distance_matrix(power_graph(build_gn(4))), order_bound=8)
 
 
 # ---------------------------------------------------------------------------
@@ -160,27 +164,27 @@ def test_metric_dimension_order_bound():
 
 
 def test_resolving_polynomial_gn3(gn3):
-    prof = resolving_polynomial(gn3)
+    prof = resolving_polynomial(distance_matrix(gn3))
     assert prof.metric_dimension == 5
     assert prof.resolving_sequence == (12, 19, 8, 1)
     assert prof.polynomial == IntPolynomial({8: 1, 7: 8, 6: 19, 5: 12})
-    assert is_resolving(gn3, prof.witness_basis)
+    assert is_resolving(distance_matrix(gn3), prof.witness_basis)
     assert len(prof.witness_basis) == 5
 
 
 def test_resolving_polynomial_k3():
-    prof = resolving_polynomial(Graph.complete(3))
+    prof = resolving_polynomial(distance_matrix(Graph.complete(3)))
     assert prof.polynomial == IntPolynomial({3: 1, 2: 3})
 
 
 def test_resolving_polynomial_k2():
-    prof = resolving_polynomial(Graph.complete(2))
+    prof = resolving_polynomial(distance_matrix(Graph.complete(2)))
     assert prof.polynomial == IntPolynomial({2: 1, 1: 2})
 
 
 def test_pruned_enumeration_matches_full_enumeration_gn3(gn3):
     # The twin-pruned counts must agree with testing all 2^8 subsets.
-    prof = resolving_polynomial(gn3)
+    prof = resolving_polynomial(distance_matrix(gn3))
     full = unpruned_resolving_counts(gn3)
     assert full == {
         k: prof.polynomial.coefficient(k)
@@ -191,7 +195,7 @@ def test_pruned_enumeration_matches_full_enumeration_gn3(gn3):
 
 def test_pruned_matches_full_on_twinless_graph():
     g = Graph.path(5)
-    prof = resolving_polynomial(g)
+    prof = resolving_polynomial(distance_matrix(g))
     assert unpruned_resolving_counts(g) == {
         k: prof.polynomial.coefficient(k)
         for k in range(prof.metric_dimension, 6)
@@ -199,19 +203,19 @@ def test_pruned_matches_full_on_twinless_graph():
 
 
 def test_resolving_polynomial_gn4_closed_form():
-    prof = resolving_polynomial(power_graph(build_gn(4)))
+    prof = resolving_polynomial(distance_matrix(power_graph(build_gn(4))))
     assert prof.metric_dimension == 13
     assert prof.resolving_sequence == (56, 71, 16, 1)
 
 
 def test_sequence_top_coefficient_is_one(gn3):
-    prof = resolving_polynomial(gn3)
+    prof = resolving_polynomial(distance_matrix(gn3))
     assert prof.resolving_sequence[-1] == 1
     assert prof.polynomial.coefficient(gn3.n) == 1
 
 
 def test_profile_serializes():
-    prof = resolving_polynomial(Graph.complete(3))
+    prof = resolving_polynomial(distance_matrix(Graph.complete(3)))
     import json
 
     data = json.loads(prof.to_json())
@@ -236,11 +240,12 @@ def random_connected_graph(rng, n):
 def assert_matches_unpruned(graph):
     full = unpruned_resolving_counts(graph)
     psi = min(full)
+    dm = distance_matrix(graph)
     least = next(
-        s for s in combinations(range(graph.n), psi) if is_resolving(graph, s)
+        s for s in combinations(range(graph.n), psi) if is_resolving(dm, s)
     )
-    prof = resolving_polynomial(graph)
-    assert metric_dimension(graph) == prof.metric_dimension == psi
+    prof = resolving_polynomial(dm)
+    assert metric_dimension(dm) == prof.metric_dimension == psi
     assert prof.resolving_sequence == tuple(full[k] for k in range(psi, graph.n + 1))
     assert prof.polynomial == IntPolynomial(full)
     assert prof.witness_basis == least
@@ -254,7 +259,7 @@ def test_single_pass_matches_all_subsets_on_random_graphs(seed):
 
 def test_single_pass_matches_all_subsets_on_z12(z12):
     assert twin_partition(z12).lower_bound() == 7
-    assert metric_dimension(z12) == 8
+    assert metric_dimension(distance_matrix(z12)) == 8
     assert_matches_unpruned(z12)
 
 
@@ -273,16 +278,16 @@ def record_layers(monkeypatch):
 
 def test_resolving_polynomial_enumerates_each_layer_once(monkeypatch, gn3, z12):
     layers = record_layers(monkeypatch)
-    resolving_polynomial(z12)
+    resolving_polynomial(distance_matrix(z12))
     assert layers == list(range(7, 13))
     layers.clear()
-    resolving_polynomial(gn3)
+    resolving_polynomial(distance_matrix(gn3))
     assert layers == list(range(5, 9))
 
 
 def test_metric_dimension_stops_at_the_first_resolving_layer(monkeypatch, z12):
     layers = record_layers(monkeypatch)
-    assert metric_dimension(z12) == 8
+    assert metric_dimension(distance_matrix(z12)) == 8
     assert layers == [7, 8]
 
 
@@ -324,17 +329,17 @@ def test_budget_refuses_before_a_layer_it_cannot_afford(monkeypatch):
         "360 distance lookups avoided (216 spent, budget 216)"
     )
     with pytest.raises(BoundExceededError) as info:
-        resolving_polynomial(Graph.path(6), lookup_budget=216)
+        resolving_polynomial(distance_matrix(Graph.path(6)), lookup_budget=216)
     assert str(info.value) == message
     assert layers == [0, 1, 2]
     # metric_dimension stops at layer 1 and never asks for layer 3.
-    assert metric_dimension(Graph.path(6), lookup_budget=216) == 1
+    assert metric_dimension(distance_matrix(Graph.path(6)), lookup_budget=216) == 1
 
 
 def test_large_twinless_graph_is_refused_quickly():
     start = time.perf_counter()
     with pytest.raises(BoundExceededError, match="lookups avoided"):
-        resolving_polynomial(Graph.path(200))
+        resolving_polynomial(distance_matrix(Graph.path(200)))
     assert time.perf_counter() - start < 1.0
 
 
@@ -342,18 +347,20 @@ def test_large_twinless_graph_is_refused_quickly():
 def test_resolving_polynomial_of_gn_within_the_default_budget(n):
     graph = power_graph(build_gn(n))
     start = time.perf_counter()
-    prof = resolving_polynomial(graph)
+    dm = distance_matrix(graph)
+    prof = resolving_polynomial(dm)
     assert time.perf_counter() - start < 10.0
     assert prof.metric_dimension == closed_forms.metric_dimension_closed_form(n)
     assert prof.resolving_sequence == closed_forms.resolving_sequence_closed_form(n)
     assert prof.polynomial == closed_forms.resolving_polynomial_closed_form(n)
-    assert is_resolving(graph, prof.witness_basis)
+    assert is_resolving(dm, prof.witness_basis)
 
 
 def test_z60_is_within_the_default_budget():
     graph = power_graph(cyclic_group(60))
     start = time.perf_counter()
-    prof = resolving_polynomial(graph)
+    dm = distance_matrix(graph)
+    prof = resolving_polynomial(dm)
     assert time.perf_counter() - start < 10.0
     assert prof.resolving_sequence[-1] == 1
-    assert is_resolving(graph, prof.witness_basis)
+    assert is_resolving(dm, prof.witness_basis)

@@ -207,3 +207,13 @@ def test_verify_gn_computes_detour_and_charpoly_once(monkeypatch, n, detour_runs
     assert all(e.verdict != "mismatch" for e in entries)
     assert len(detours) == detour_runs
     assert [m.n for m in charpolys] == [2**n, 2**n]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_verify_gn_runs_one_bfs(monkeypatch, n):
+    # Hosoya, rs-Hosoya, resolving, dds and interior/center entries all
+    # read the one shortest-distance matrix.
+    bfs = count_calls(monkeypatch, distances, "distance_matrix")
+    entries = verify_gn(n)
+    assert all(e.verdict != "mismatch" for e in entries)
+    assert [graph.n for graph in bfs] == [2**n]
