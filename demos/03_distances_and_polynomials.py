@@ -27,8 +27,8 @@ prof = eccentricity_profile(dm)
 print("radius =", prof.radius, " diameter =", prof.diameter)
 
 # Detour distance = length of a longest simple path (exact: summed along
-# the block-cut tree, searching only blocks that are not complete; refuse
-# beyond the order bound).
+# the block-cut tree, searching only blocks that are not complete; refused
+# when such a block has more than DETOUR_BLOCK_BOUND = 16 vertices).
 dd = detour_matrix(graph)
 print("\ndetour d_D(0,1) =", dd[0, 1], " d_D(4,1) =", dd[4, 1],
       " d_D(4,5) =", dd[4, 5])

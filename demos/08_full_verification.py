@@ -4,7 +4,8 @@ Every closed-form invariant of the order-2^n family is recomputed from
 the constructed graph and compared; the bundled-table demonstrations are
 appended.  Verdicts: match, mismatch, typo-corrected (a malformed
 printed formula whose correction the computation confirms), skipped
-(an order bound or work budget).
+(a library search refused the input; the entry carries the refusal, and
+no entry of the order-2^n family is refused).
 
 Equivalent CLI: gyrograph verify-paper --n 3..4
 """

@@ -18,6 +18,7 @@ import math
 import sys
 
 from .distances import (
+    DETOUR_BLOCK_BOUND,
     bondy_chvatal_closure,
     boundary_interior_center,
     detour_matrix,
@@ -26,7 +27,6 @@ from .distances import (
     eccentricity_profile,
     hosoya_polynomial,
     reciprocal_status_edge_sums,
-    reciprocal_status_hosoya,
 )
 from .errors import BoundExceededError
 from .graphs import classify_gn_shape, export, power_graph
@@ -37,10 +37,11 @@ from .gyrogroups import (
     to_cayley_json,
     verify_axioms,
 )
+from .polynomials import IntPolynomial
 from .resolving import metric_dimension, resolving_polynomial, twin_partition
 from .spectral import adjacency_matrix, char_poly_exact, spectral_radius
 from .structure import is_hamiltonian, is_planar
-from .verification import REPORT_DETOUR_BOUND, run_verification
+from .verification import run_verification
 
 INVARIANT_FLAGS = (
     "distances",
@@ -112,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     inv.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
     inv.add_argument("--tol", type=_tolerance, default=1e-10)
-    inv.add_argument("--detour-bound", type=int, default=REPORT_DETOUR_BOUND)
+    inv.add_argument("--detour-bound", type=_count, default=DETOUR_BLOCK_BOUND)
 
     vp = sub.add_parser("verify-paper", help="verify all closed forms against "
                         "direct computation")
@@ -123,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
     vp.add_argument("--format", choices=("text", "json"), default="text")
     vp.add_argument("--out", metavar="PATH")
     vp.add_argument("--tol", type=_tolerance, default=1e-10)
-    vp.add_argument("--detour-bound", type=int, default=REPORT_DETOUR_BOUND)
+    vp.add_argument("--detour-bound", type=_count, default=DETOUR_BLOCK_BOUND)
     return parser
 
 
@@ -138,6 +139,14 @@ def _tolerance(text: str) -> float:
     if not (math.isfinite(tol) and tol > 0):
         raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
     return tol
+
+
+def _count(text: str) -> int:
+    """A --detour-bound value: an integer >= 0.  verify-paper checks it, as
+    it does --tol, but never reads it: no block of P(G(n)) is searched."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _load_input(args: argparse.Namespace) -> GyroGroup:
@@ -252,18 +261,17 @@ def _compute_invariant(flag: str, graph, shortest, args) -> object:
     if flag == "distances":
         return _eccentricities(shortest)
     if flag == "detour":
-        return _eccentricities(detour_matrix(graph, args.detour_bound))
+        return _eccentricities(detour_matrix(graph, block_bound=args.detour_bound))
     if flag == "hosoya":
         p = hosoya_polynomial(shortest)
         return {"polynomial": str(p), "coefficients": p.to_dict()}
     if flag == "rs_hosoya":
-        try:
-            p = reciprocal_status_hosoya(shortest)
-        except ValueError:
+        sums = reciprocal_status_edge_sums(shortest)
+        if any(s.denominator != 1 for s in sums):
             # Non-integer edge sums make no polynomial in x; report their
-            # exact multiset (a disconnected graph raises again here).
-            sums = reciprocal_status_edge_sums(shortest)
+            # exact multiset.
             return {"edge_sums": {str(s): count for s, count in sums.items()}}
+        p = IntPolynomial({int(s): count for s, count in sums.items()})
         return {"polynomial": str(p), "coefficients": p.to_dict()}
     if flag == "dds":
         dds = distance_degree_sequence(shortest)
@@ -357,11 +365,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
         report = VerificationReport(entries=tuple(verify_example_tables()))
     else:
-        report = run_verification(
-            _parse_range(args.n),
-            include_examples=True,
-            detour_bound=args.detour_bound,
-        )
+        report = run_verification(_parse_range(args.n), include_examples=True)
     text = report.to_json() + "\n" if args.format == "json" else report.render_text()
     _emit(text, args.out)
     return 1 if report.has_mismatch else 0

@@ -2,7 +2,8 @@
 
 
 class BoundExceededError(ValueError):
-    """An input is larger than the configured bound for an exponential search."""
+    """A search refused its input before starting: the size that drives its
+    work (block, edges x vertices, lookups, quotient, order) exceeds a bound."""
 
 
 class DisconnectedGraphError(ValueError):

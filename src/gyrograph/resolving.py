@@ -124,7 +124,7 @@ def _omission_patterns(
 
 
 def _resolving_layers(
-    dm: DistanceMatrix, order_bound: int | None, lookup_budget: int
+    dm: DistanceMatrix, lookup_budget: int
 ) -> Iterator[tuple[int, int, tuple[int, ...] | None]]:
     """Yield (k, number of resolving k-subsets, least resolving k-subset or
     None) for k from the twin lower bound up to n.
@@ -134,10 +134,6 @@ def _resolving_layers(
     the total past lookup_budget is refused.
     """
     n = dm.n
-    if order_bound is not None and n > order_bound:
-        raise BoundExceededError(
-            f"metric dimension refused: order {n} exceeds bound {order_bound}"
-        )
     rows = _shortest_entries(dm, "metric dimension needs a connected graph")
     units = _omission_units(rows)
     spent = 0
@@ -161,23 +157,17 @@ def _resolving_layers(
         yield k, count, least
 
 
-def metric_dimension(
-    dm: DistanceMatrix,
-    order_bound: int | None = None,
-    lookup_budget: int = LOOKUP_BUDGET,
-) -> int:
+def metric_dimension(dm: DistanceMatrix, lookup_budget: int = LOOKUP_BUDGET) -> int:
     """Minimum size of a resolving set: the first non-empty layer of the
     ascending-size search over omission patterns."""
-    for k, count, _ in _resolving_layers(dm, order_bound, lookup_budget):
+    for k, count, _ in _resolving_layers(dm, lookup_budget):
         if count:
             return k
     raise AssertionError("the full vertex set always resolves")
 
 
 def resolving_polynomial(
-    dm: DistanceMatrix,
-    order_bound: int | None = None,
-    lookup_budget: int = LOOKUP_BUDGET,
+    dm: DistanceMatrix, lookup_budget: int = LOOKUP_BUDGET
 ) -> ResolvingProfile:
     """Count resolving k-subsets for every k from the metric dimension up
     to n.
@@ -185,13 +175,13 @@ def resolving_polynomial(
     Subsets omitting two vertices of one twin class never resolve and are
     never generated; the others are tested one omission pattern at a time
     (its least member stands for all, which differ by twin swaps).  Raises
-    BoundExceededError when the order exceeds order_bound (if given) or
-    the next layer would take the lookups past lookup_budget.
+    BoundExceededError when the next layer would take the lookups past
+    lookup_budget.
     """
     layers = list(
         dropwhile(
             lambda layer: not layer[1],
-            _resolving_layers(dm, order_bound, lookup_budget),
+            _resolving_layers(dm, lookup_budget),
         )
     )
     psi, _, witness = layers[0]

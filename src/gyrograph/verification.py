@@ -6,8 +6,9 @@ isomorphism demonstrations.
 Verdicts: "match" (computed value equals the closed form exactly, or,
 for the real-valued spectral radius, lies in the stated interval),
 "mismatch", "typo-corrected" (the computation confirms a corrected
-form of a malformed printed formula), and "skipped" (an order bound or
-work budget kept an entry from running; never counted as a failure).
+form of a malformed printed formula), and "skipped" (a library search
+refused the input with BoundExceededError; the entry carries the
+refusal and is never counted as a failure).
 """
 
 from __future__ import annotations
@@ -55,12 +56,6 @@ from .structure import (
     verify_isomorphism,
     verify_kuratowski,
 )
-
-#: Default vertex-count cap for detour entries in the report and the CLI
-#: (the library detour_matrix default is 64).  It is 16 so that the
-#: report's detour entries for n >= 5 read "skipped" and its output stays
-#: stable; the block-cut-tree detour would compute them in milliseconds.
-REPORT_DETOUR_BOUND = 16
 
 # The printed cubic factor of the characteristic polynomial is malformed
 # (a duplicated quadratic token and a sign slip); the corrected factor is
@@ -215,15 +210,14 @@ def _entry(
     )
 
 
-def _skipped(claim_id: str, statement: str, why: str) -> ReportEntry:
-    return ReportEntry(
-        claim_id=claim_id,
-        statement=statement,
-        expected="",
-        computed="",
-        verdict="skipped",
-        note=why,
-    )
+def _bounded(entries: list[ReportEntry], claims: list[tuple[str, str]], search, *args):
+    """search(*args), or None after recording each (claim_id, statement)
+    as skipped with the library's refusal text."""
+    try:
+        return search(*args)
+    except BoundExceededError as exc:
+        entries += [ReportEntry(c, s, "", "", "skipped", str(exc)) for c, s in claims]
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +235,7 @@ def _power_associative(table: np.ndarray, powers: np.ndarray) -> bool:
     )
 
 
-def verify_gn(n: int, detour_bound: int = REPORT_DETOUR_BOUND) -> list[ReportEntry]:
+def verify_gn(n: int) -> list[ReportEntry]:
     """All closed-form checks for one n."""
     g = build_gn(n)
     graph = power_graph(g)
@@ -318,15 +312,12 @@ def verify_gn(n: int, detour_bound: int = REPORT_DETOUR_BOUND) -> list[ReportEnt
     )
 
     # Planarity and Hamiltonicity.
-    pl_id = f"planarity[{tag}]"
-    pl_statement = (
-        "planar exactly when n = 3; non-planar beyond (complete block swallows K5)"
+    pl_claim = (
+        f"planarity[{tag}]",
+        "planar exactly when n = 3; non-planar beyond (complete block swallows K5)",
     )
-    try:
-        pl = is_planar(graph)
-    except BoundExceededError as exc:
-        entries.append(_skipped(pl_id, pl_statement, str(exc)))
-    else:
+    pl = _bounded(entries, [pl_claim], is_planar, graph)
+    if pl is not None:
         if n == 3:
             pl_ok = pl.is_planar and check_embedding(graph, pl.rotation)
             pl_computed = "planar, embedding self-check passed" if pl_ok else "failed"
@@ -343,18 +334,22 @@ def verify_gn(n: int, detour_bound: int = REPORT_DETOUR_BOUND) -> list[ReportEnt
                 else "planar"
             )
             pl_expected = "non-planar with a K5 subdivision inside the complete block"
-        entries.append(_entry(pl_id, pl_statement, pl_expected, pl_computed, pl_ok))
+        entries.append(_entry(*pl_claim, pl_expected, pl_computed, pl_ok))
 
-    ham = is_hamiltonian(graph)
-    entries.append(
-        _entry(
-            f"hamiltonicity[{tag}]",
-            "never Hamiltonian: the pendants and the identity induce a tree",
-            "not Hamiltonian",
-            f"not Hamiltonian ({ham.reason})" if not ham.is_hamiltonian else "Hamiltonian",
-            not ham.is_hamiltonian,
-        )
+    ham_claim = (
+        f"hamiltonicity[{tag}]",
+        "never Hamiltonian: the pendants and the identity induce a tree",
     )
+    ham = _bounded(entries, [ham_claim], is_hamiltonian, graph)
+    if ham is not None:
+        entries.append(
+            _entry(
+                *ham_claim,
+                "not Hamiltonian",
+                f"not Hamiltonian ({ham.reason})" if not ham.is_hamiltonian else "Hamiltonian",
+                not ham.is_hamiltonian,
+            )
+        )
 
     # Pair-distance counts and Hosoya-type polynomials, off the one BFS matrix.
     shortest = distance_matrix(graph)
@@ -396,21 +391,21 @@ def verify_gn(n: int, detour_bound: int = REPORT_DETOUR_BOUND) -> list[ReportEnt
     )
 
     # Metric dimension and resolving polynomial.
-    try:
-        profile = resolving_polynomial(shortest)
-    except BoundExceededError as exc:
-        for claim_id, statement in (
-            (f"metric-dimension[{tag}]", "metric dimension = 2^n - 3"),
-            (f"resolving-polynomial[{tag}]", "resolving sequence closed form"),
-        ):
-            entries.append(_skipped(claim_id, statement, str(exc)))
-    else:
+    md_claim = (
+        f"metric-dimension[{tag}]",
+        "metric dimension = 2^n - 3 (twin classes force the lower bound)",
+    )
+    rp_claim = (
+        f"resolving-polynomial[{tag}]",
+        "resolving sequence = (m(m-1), m^2+m-1, 2m, 1)",
+    )
+    profile = _bounded(entries, [md_claim, rp_claim], resolving_polynomial, shortest)
+    if profile is not None:
         seq4 = profile.resolving_sequence
         exp_seq = cf.resolving_sequence_closed_form(n)
         entries.append(
             _entry(
-                f"metric-dimension[{tag}]",
-                "metric dimension = 2^n - 3 (twin classes force the lower bound)",
+                *md_claim,
                 cf.metric_dimension_closed_form(n),
                 profile.metric_dimension,
                 profile.metric_dimension == cf.metric_dimension_closed_form(n),
@@ -418,8 +413,7 @@ def verify_gn(n: int, detour_bound: int = REPORT_DETOUR_BOUND) -> list[ReportEnt
         )
         entries.append(
             _entry(
-                f"resolving-polynomial[{tag}]",
-                "resolving sequence = (m(m-1), m^2+m-1, 2m, 1)",
+                *rp_claim,
                 exp_seq,
                 seq4,
                 seq4 == exp_seq
@@ -474,8 +468,14 @@ def verify_gn(n: int, detour_bound: int = REPORT_DETOUR_BOUND) -> list[ReportEnt
     )
 
     # Detour distances.
-    if graph.n <= detour_bound:
-        detour = detour_matrix(graph, order_bound=detour_bound)
+    ecc_claim = (
+        f"detour-eccentricity[{tag}]",
+        "detour eccentricities (m-1 at the identity, m elsewhere); "
+        "detour radius m-1, diameter m",
+    )
+    dds_claim = (f"dds-detour[{tag}]", "detour distance degree sequence summary")
+    detour = _bounded(entries, [ecc_claim, dds_claim], detour_matrix, graph)
+    if detour is not None:
         prof = eccentricity_profile(detour)
         ecc_e, ecc_p, ecc_h = cf.detour_eccentricities_closed_form(n)
         ecc_ok = (
@@ -486,9 +486,7 @@ def verify_gn(n: int, detour_bound: int = REPORT_DETOUR_BOUND) -> list[ReportEnt
         rad_dia = (prof.radius, prof.diameter)
         entries.append(
             _entry(
-                f"detour-eccentricity[{tag}]",
-                "detour eccentricities (m-1 at the identity, m elsewhere); "
-                "detour radius m-1, diameter m",
+                *ecc_claim,
                 (ecc_e, ecc_p, ecc_h, cf.detour_radius_diameter_closed_form(n)),
                 (
                     prof.eccentricities[g.identity],
@@ -502,20 +500,11 @@ def verify_gn(n: int, detour_bound: int = REPORT_DETOUR_BOUND) -> list[ReportEnt
         ddsd = distance_degree_sequence(detour)
         entries.append(
             _entry(
-                f"dds-detour[{tag}]",
-                "detour distance degree sequence summary",
+                *dds_claim,
                 sorted(cf.dds_detour_summary_closed_form(n).items()),
                 sorted(ddsd.summary_dict().items()),
                 ddsd.summary_dict() == cf.dds_detour_summary_closed_form(n),
             )
-        )
-    else:
-        why = f"order {graph.n} exceeds detour bound {detour_bound}"
-        entries.append(
-            _skipped(f"detour-eccentricity[{tag}]", "detour radius/diameter", why)
-        )
-        entries.append(
-            _skipped(f"dds-detour[{tag}]", "detour distance degree sequence", why)
         )
 
     dds = distance_degree_sequence(shortest)
@@ -681,14 +670,10 @@ def verify_example_tables() -> list[ReportEntry]:
     return entries
 
 
-def run_verification(
-    ns: list[int],
-    include_examples: bool = True,
-    detour_bound: int = REPORT_DETOUR_BOUND,
-) -> VerificationReport:
+def run_verification(ns: list[int], include_examples: bool = True) -> VerificationReport:
     entries: list[ReportEntry] = []
     for n in ns:
-        entries.extend(verify_gn(n, detour_bound=detour_bound))
+        entries.extend(verify_gn(n))
     if include_examples:
         entries.extend(verify_example_tables())
     return VerificationReport(entries=tuple(entries))

@@ -17,6 +17,7 @@ from gyrograph import (
     closed_form_charpoly_gn,
     closed_forms,
     cyclic_group,
+    detour_matrix,
     distance_matrix,
     distances,
     power_graph,
@@ -25,6 +26,7 @@ from gyrograph import (
     resolving,
     spectral,
     to_cayley_csv,
+    verification,
 )
 
 
@@ -117,26 +119,44 @@ def test_invariants_json_format():
     assert data["hosoya"]["coefficients"] == {"2": 18, "1": 10, "0": 8}
 
 
-def test_invariants_detour_bound_refusal():
-    r = run_cli("invariants", "--gn", "6", "--detour")
+def z20_table(tmp_path):
+    # P(Z20) is one non-complete block of 20 vertices, past the detour
+    # block bound of 16.
+    path = tmp_path / "z20.csv"
+    path.write_text(to_cayley_csv(cyclic_group(20)))
+    return str(path)
+
+
+def test_invariants_detour_bound_refusal(tmp_path):
+    r = run_cli("invariants", "--table", z20_table(tmp_path), "--detour")
     assert r.returncode == 3
-    assert "bound" in r.stderr
+    assert r.stderr == (
+        "error: detour search refused: a non-complete block of 20 vertices "
+        "exceeds block bound 16\n"
+    )
+    # An explicit bound at the block size lets the search run.
+    r = run_cli("invariants", "--table", z20_table(tmp_path), "--detour",
+                "--detour-bound", "20", "--format", "json")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["detour"]["diameter"] == 19
 
 
-@pytest.mark.parametrize("n", [6, 7, 8])
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_invariants_all_on_large_gn(n):
-    # Resolving patterns and the 3 x 3 twin quotient keep every default
-    # bound clear of these orders; detour is skipped, and so is planarity
-    # at order 256.
+    # Every block of P(G(n)) is complete and K_m holds a 5-clique, so no
+    # default bound refuses anything: no field reads "skipped".
     r = run_cli("invariants", "--gn", str(n), "--all", "--format", "json")
     assert r.returncode == 0, r.stderr
+    assert "skipped" not in r.stdout
     data = json.loads(r.stdout)
     assert data["resolving"]["sequence"] == list(
         closed_forms.resolving_sequence_closed_form(n)
     )
     assert data["spectral"]["charpoly"] == str(closed_form_charpoly_gn(n))
-    assert "skipped" in data["detour"]
-    assert ("skipped" in data["planarity"]) == (n == 8)
+    assert (data["detour"]["radius"], data["detour"]["diameter"]) == (
+        closed_forms.detour_radius_diameter_closed_form(n)
+    )
+    assert data["planarity"]["kind"] == "K5"
 
 
 def test_invariants_detour_within_bound():
@@ -312,12 +332,27 @@ def test_metric_dimension_searches_when_resolving_was_skipped(monkeypatch, capsy
     assert data["metric_dimension"] == 5
 
 
-def test_implied_detour_skip_carries_the_library_refusal(capsys):
-    assert cli.main(["invariants", "--gn", "5", "--all", "--format", "json"]) == 0
+def test_implied_detour_skip_carries_the_library_refusal(capsys, tmp_path):
+    with pytest.raises(BoundExceededError) as refusal:
+        detour_matrix(power_graph(cyclic_group(20)))
+    path = z20_table(tmp_path)
+    assert cli.main(["invariants", "--table", path, "--all", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
-    assert data["detour"] == {
-        "skipped": "detour search refused: order 32 exceeds bound 16"
-    }
+    assert data["detour"] == {"skipped": str(refusal.value)}
+    # Named, the same refusal fails the command with exit 3.
+    assert cli.main(["invariants", "--table", path, "--detour"]) == 3
+    assert capsys.readouterr().err == f"error: {refusal.value}\n"
+
+
+def test_rs_hosoya_on_fractional_sums_computes_statuses_once(monkeypatch, capsys, tmp_path):
+    # Z12's edge sums are not all integers: the statuses of its 12
+    # vertices are computed once, not again after a failed polynomial.
+    rows = count_calls(monkeypatch, distances, "_rs_from_row")
+    path = tmp_path / "z12.csv"
+    path.write_text(to_cayley_csv(cyclic_group(12)))
+    assert cli.main(["invariants", "--table", str(path), "--rs-hosoya"]) == 0
+    assert "edge_sums" in capsys.readouterr().out
+    assert len(rows) == 12
 
 
 @pytest.mark.parametrize("tol", ["0", "-1e-3", "inf", "nan", "abc"])
@@ -327,6 +362,15 @@ def test_tol_must_be_finite_and_positive(capsys, command, tol):
         cli.main([*command, "--tol", tol])
     assert exc.value.code == 2
     assert "argument --tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bound", ["-1", "1.5", "abc", ""])
+@pytest.mark.parametrize("command", [["invariants", "--gn", "3", "--detour"], ["verify-paper"]])
+def test_detour_bound_must_be_a_nonnegative_integer(capsys, command, bound):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--detour-bound", bound])
+    assert exc.value.code == 2
+    assert "argument --detour-bound" in capsys.readouterr().err
 
 
 def test_invariants_output_is_deterministic():
@@ -376,14 +420,21 @@ def test_verify_paper_without_examples_all_match():
     ]
 
 
-def test_verify_paper_skips_detour_beyond_bound():
-    r = run_cli("verify-paper", "--n", "5..5", "--format", "json",
-                "--detour-bound", "16")
-    data = json.loads(r.stdout)
-    verdicts = {e["claim_id"]: e["verdict"] for e in data["entries"]}
-    assert verdicts["detour-eccentricity[n=5]"] == "skipped"
-    assert verdicts["dds-detour[n=5]"] == "skipped"
-    assert verdicts["hosoya-polynomial[n=5]"] == "match"
+def test_verify_paper_skips_detour_beyond_bound(monkeypatch, capsys):
+    # No block of P(G(n)) reaches the detour search, so --detour-bound
+    # changes nothing; a refusal by the library, stood in for here, is
+    # reported as skipped with its text.
+    def refuse(graph):
+        raise BoundExceededError("detour search refused: stand-in")
+
+    monkeypatch.setattr(verification, "detour_matrix", refuse)
+    args = ["verify-paper", "--n", "5..5", "--format", "json", "--detour-bound", "0"]
+    assert cli.main(args) == 1
+    entries = {e["claim_id"]: e for e in json.loads(capsys.readouterr().out)["entries"]}
+    for claim_id in ("detour-eccentricity[n=5]", "dds-detour[n=5]"):
+        assert entries[claim_id]["verdict"] == "skipped"
+        assert entries[claim_id]["note"] == "detour search refused: stand-in"
+    assert entries["hosoya-polynomial[n=5]"]["verdict"] == "match"
 
 
 def test_verify_paper_output_deterministic():

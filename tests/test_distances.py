@@ -19,12 +19,14 @@ from gyrograph import (
     Permutation,
     build_gn,
     closed_forms,
+    cyclic_group,
     detour_matrix,
     distance_degree_sequence,
     distance_matrix,
     eccentricity_profile,
     hosoya_polynomial,
     is_resolving,
+    load_table,
     metric_dimension,
     power_graph,
     reciprocal_status,
@@ -82,7 +84,7 @@ def test_disconnected_pairs_are_inf():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     dm = distance_matrix(g)
     assert dm[0, 2] == INF
-    assert not dm.is_finite()
+    assert not dm.is_finite
     with pytest.raises(DisconnectedGraphError):
         eccentricity_profile(dm)
 
@@ -134,9 +136,34 @@ def test_detour_dominates_distance_and_equals_on_trees(gn3):
         assert detour_matrix(tree).entries == distance_matrix(tree).entries
 
 
-def test_detour_order_bound():
-    with pytest.raises(BoundExceededError):
-        detour_matrix(power_graph(build_gn(4)), order_bound=8)
+def test_detour_block_bound():
+    # The bound counts the largest non-complete block, not the order:
+    # P(G(4)) has order 16 and only complete blocks, so it needs no search.
+    assert detour_matrix(power_graph(build_gn(4)), block_bound=0).n == 16
+    with pytest.raises(BoundExceededError, match="block of 5 vertices exceeds block bound 4"):
+        detour_matrix(Graph.cycle(5), block_bound=4)
+    assert detour_matrix(Graph.cycle(5), block_bound=5)[0, 1] == 4
+
+
+def z2_times(k):
+    """Z2 x Zk, the element (a, b) numbered a*k + b."""
+    return load_table(
+        [[(x // k + y // k) % 2 * k + (x + y) % k for y in range(2 * k)] for x in range(2 * k)]
+    )
+
+
+@pytest.mark.parametrize(("group", "block"), [(cyclic_group(20), 20), (z2_times(30), 60)])
+def test_detour_refuses_a_large_block_before_searching(group, block):
+    # One non-complete block holds every vertex of each power graph; the
+    # search takes about 22 s on Z2 x Z10 and had not ended after 130 s
+    # on Z2 x Z30.
+    graph = power_graph(group)
+    start = time.perf_counter()
+    with pytest.raises(
+        BoundExceededError, match=f"block of {block} vertices exceeds block bound 16"
+    ):
+        detour_matrix(graph)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_detour_on_cycle():
@@ -288,13 +315,13 @@ def test_detour_on_relabelled_gn(n):
 
 
 def test_detour_order_64_gate():
-    # Order 64 at the full library bound: the whole-graph search does not
+    # Order 64 at the library default: the whole-graph search does not
     # finish order 32 in minutes; the block-cut-tree form needs no search.
     n = 6
     g = build_gn(n)
     graph = power_graph(g)
     start = time.perf_counter()
-    prof = eccentricity_profile(detour_matrix(graph, order_bound=64))
+    prof = eccentricity_profile(detour_matrix(graph))
     elapsed = time.perf_counter() - start
     m = 2 ** (n - 1)
     ecc_e, ecc_p, ecc_h = closed_forms.detour_eccentricities_closed_form(n)

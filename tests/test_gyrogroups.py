@@ -511,3 +511,39 @@ def test_relabel_transports_structure():
         for b in g.elements():
             assert h.op(perm(a), perm(b)) == perm(g.op(a, b))
     assert verify_axioms(h).is_gyrogroup
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic: axiom verdicts do not depend on labels or on the file format
+# ---------------------------------------------------------------------------
+
+
+def _metamorphic_table(name):
+    if name == "G4-corrupted":
+        return _corrupt(build_gn(4), random.Random(4))
+    if name.startswith("G"):
+        return build_gn(int(name[1:]))
+    return bundled_gyrogroup(name)
+
+
+def _verdicts(g):
+    return {k: v for k, v in verify_axioms(g).to_dict().items() if k != "counterexamples"}
+
+
+@pytest.mark.parametrize(
+    "name", ["k1", "n1", "g8", "m1", "gn3", "G3", "G4", "G5", "G6", "G4-corrupted"]
+)
+def test_axiom_verdicts_survive_relabelling_and_round_trips(name):
+    g = _metamorphic_table(name)
+    want = _verdicts(g)
+    assert want["is_gyrogroup"] == (name != "G4-corrupted")
+    for seed in (1, 2):
+        perm = list(g.elements())
+        random.Random(seed).shuffle(perm)
+        assert _verdicts(relabel(g, Permutation(tuple(perm)))) == want
+    # CSV -> JSON -> CSV keeps the labels, so the whole report is equal.
+    csv_text = to_cayley_csv(g)
+    json_text = to_cayley_json(parse_cayley_csv(csv_text))
+    back = parse_cayley_csv(to_cayley_csv(parse_cayley_json(json_text)))
+    assert to_cayley_csv(back) == csv_text
+    assert verify_axioms(back) == verify_axioms(g)

@@ -153,11 +153,6 @@ def test_metric_dimension_cycle_is_two():
     assert metric_dimension(distance_matrix(Graph.cycle(6))) == 2
 
 
-def test_metric_dimension_order_bound():
-    with pytest.raises(BoundExceededError):
-        metric_dimension(distance_matrix(power_graph(build_gn(4))), order_bound=8)
-
-
 # ---------------------------------------------------------------------------
 # Resolving polynomial
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Planarity certificates, Hamiltonicity, and isomorphism searches."""
 
+import time
 from itertools import permutations
 
 import pytest
@@ -136,9 +137,23 @@ def test_k6_nonplanar():
     )
 
 
-def test_planarity_order_bound():
-    with pytest.raises(BoundExceededError):
-        is_planar(Graph.complete(3), order_bound=2)
+def complete_bipartite(k):
+    return Graph.from_edges(2 * k, {(u, k + v) for u in range(k) for v in range(k)})
+
+
+def test_planarity_extraction_bound():
+    # Deciding is never refused, and neither is a K5 found as a clique;
+    # only the edge-deletion extraction counts against the bound.
+    assert is_planar(grid_graph(16, 16), work_bound=0).is_planar
+    assert is_planar(Graph.complete(6), work_bound=0).kuratowski_kind == "K5"
+    with pytest.raises(BoundExceededError, match="9 edges x 6 vertices = 54 exceeds bound 53"):
+        is_planar(complete_bipartite(3), work_bound=53)
+    assert is_planar(complete_bipartite(3), work_bound=54).kuratowski_kind == "K33"
+    # K64,64 would take about 35 s to extract; it is refused at once.
+    start = time.perf_counter()
+    with pytest.raises(BoundExceededError, match="4096 edges x 128 vertices = 524288"):
+        is_planar(complete_bipartite(64))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_verify_kuratowski_rejects_bogus_witness():

@@ -1,5 +1,6 @@
 """Structure and invariants of the verification report."""
 
+import functools
 import json
 import random
 import sys
@@ -94,42 +95,66 @@ def test_report_is_deterministic():
     assert a == b
 
 
-def test_detour_entries_skip_above_bound():
-    entries = verify_gn(5, detour_bound=16)
-    verdicts = {e.claim_id: e.verdict for e in entries}
-    assert verdicts["detour-eccentricity[n=5]"] == "skipped"
-    assert verdicts["dds-detour[n=5]"] == "skipped"
-    # Skips never count as failures.
-    assert all(v != "mismatch" for v in verdicts.values())
+def assert_refusal_is_skipped(monkeypatch, search, claim_ids):
+    """With `search` refusing every input, verify_gn(3) reports the
+    claim_ids as skipped with the refusal text, and nothing as mismatch."""
+    def refuse(*args, **kwargs):
+        raise BoundExceededError(f"{search} refused: stand-in")
+
+    monkeypatch.setattr(verification, search, refuse)
+    entries = {e.claim_id: e for e in verify_gn(3)}
+    assert [c for c, e in entries.items() if e.verdict == "skipped"] == claim_ids
+    assert all(entries[c].note == f"{search} refused: stand-in" for c in claim_ids)
+    assert all(e.verdict != "mismatch" for e in entries.values())
 
 
-def test_verify_gn_passes_the_detour_bound_through():
-    verdicts = {e.claim_id: e.verdict for e in verify_gn(7, detour_bound=128)}
+def test_detour_entries_skip_above_bound(monkeypatch):
+    assert_refusal_is_skipped(
+        monkeypatch, "detour_matrix", ["detour-eccentricity[n=3]", "dds-detour[n=3]"]
+    )
+
+
+def test_refused_planarity_is_skipped(monkeypatch):
+    assert_refusal_is_skipped(monkeypatch, "is_planar", ["planarity[n=3]"])
+
+
+def test_refused_resolving_search_is_skipped(monkeypatch):
+    assert_refusal_is_skipped(
+        monkeypatch,
+        "resolving_polynomial",
+        ["metric-dimension[n=3]", "resolving-polynomial[n=3]"],
+    )
+
+
+def test_verify_gn_passes_the_detour_bound_through(monkeypatch):
+    # verify_gn has no detour bound of its own: detour_matrix runs on the
+    # graph alone, at the library default, and every block of P(G(7)) is
+    # complete, so order 128 is computed.
+    calls = []
+    original = verification.detour_matrix
+
+    def spy(*args, **kwargs):
+        calls.append((len(args), kwargs))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verification, "detour_matrix", spy)
+    verdicts = {e.claim_id: e.verdict for e in verify_gn(7)}
+    assert calls == [(1, {})]
     assert verdicts["detour-eccentricity[n=7]"] == "match"
     assert verdicts["dds-detour[n=7]"] == "match"
     assert verdicts["resolving-polynomial[n=7]"] == "match"
 
 
-def test_refused_planarity_is_skipped(monkeypatch):
-    def refuse(graph, order_bound=128):
-        raise BoundExceededError(f"planarity refused: order {graph.n} exceeds bound 4")
-
-    monkeypatch.setattr(verification, "is_planar", refuse)
-    entries = {e.claim_id: e for e in verify_gn(3)}
-    planarity = entries["planarity[n=3]"]
-    assert planarity.verdict == "skipped"
-    assert planarity.note == "planarity refused: order 8 exceeds bound 4"
-    assert all(e.verdict != "mismatch" for e in entries.values())
-
-
-def test_report_reaches_n8_with_planarity_skipped():
-    # P(G(8)) has order 256, above the planarity order bound; the report
-    # records the refusal and still exits 1 on the g8/m1 mismatch alone.
+def test_report_reaches_n8_with_every_entry_computed():
+    # P(G(8)) has order 256: no entry is skipped, and the report exits 1
+    # on the g8/m1 mismatch alone.
     start = time.perf_counter()
     report = run_verification([8])
     elapsed = time.perf_counter() - start
     verdicts = {e.claim_id: e.verdict for e in report.entries}
-    assert verdicts["planarity[n=8]"] == "skipped"
+    assert report.summary["skipped"] == 0
+    assert verdicts["planarity[n=8]"] == "match"
+    assert verdicts["detour-eccentricity[n=8]"] == "match"
     assert verdicts["spectral-bounds[n=8]"] == "match"
     assert [c for c, v in verdicts.items() if v == "mismatch"] == ["gyro-noniso[g8,m1]"]
     assert elapsed < 20.0, f"took {elapsed:.1f} s"
@@ -196,7 +221,7 @@ def count_calls(monkeypatch, module, name):
     return calls
 
 
-@pytest.mark.parametrize(("n", "detour_runs"), [(3, 1), (4, 1), (5, 0)])
+@pytest.mark.parametrize(("n", "detour_runs"), [(3, 1), (4, 1), (5, 1)])
 def test_verify_gn_computes_detour_and_charpoly_once(monkeypatch, n, detour_runs):
     # One detour matrix serves both detour entries; the exact charpoly runs
     # once on the adjacency matrix and once on the pendant part, never
@@ -217,3 +242,21 @@ def test_verify_gn_runs_one_bfs(monkeypatch, n):
     entries = verify_gn(n)
     assert all(e.verdict != "mismatch" for e in entries)
     assert [graph.n for graph in bfs] == [2**n]
+
+
+def test_verify_gn_scans_each_matrix_for_infinity_once(monkeypatch):
+    # Every metric invariant asks whether its matrix is finite; the answer
+    # is computed once per matrix (one BFS matrix, one detour matrix).
+    scans = []
+    scan = distances.DistanceMatrix.is_finite.func
+
+    def counting(dm):
+        scans.append(dm.kind)
+        return scan(dm)
+
+    prop = functools.cached_property(counting)
+    prop.__set_name__(distances.DistanceMatrix, "is_finite")
+    monkeypatch.setattr(distances.DistanceMatrix, "is_finite", prop)
+    entries = verify_gn(5)
+    assert all(e.verdict != "mismatch" for e in entries)
+    assert sorted(scans) == ["detour", "shortest"]
