@@ -130,8 +130,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _tolerance(text: str) -> float:
     """A --tol value: finite and > 0.  Nothing reads it, since the
-    spectral radius is one eigensolve with no tolerance; the flag stays so
-    that existing command lines keep working."""
+    spectral radius is the exact top root of a characteristic polynomial,
+    correctly rounded, with no tolerance; the flag stays so that existing
+    command lines keep working."""
     try:
         tol = float(text)
     except ValueError:

@@ -19,8 +19,6 @@ import os
 from dataclasses import dataclass, field
 from importlib import resources
 
-import numpy as np
-
 # Names of the Cayley tables shipped with the package.
 BUNDLED_TABLES = ("k1", "n1", "g8", "m1", "gn3")
 
@@ -311,6 +309,8 @@ def verify_axioms(g: GyroGroup) -> AxiomReport:
     witnesses are the first MAX_COUNTEREXAMPLES failures of its mask in
     row-major order (gyro-commutativity keeps only the first).
     """
+    import numpy as np  # imported here so that invariants never loads it
+
     n = g.order
     index = np.min_scalar_type(n - 1)
     t = np.array(g.table, dtype=index)
@@ -391,10 +391,12 @@ def verify_axioms(g: GyroGroup) -> AxiomReport:
     )
 
 
-def _automorphism_failure(t: np.ndarray, p: np.ndarray) -> tuple[int, ...] | None:
-    """None when p is an automorphism of the table t; () when p is not a
-    bijection; otherwise the first (x, y), row-major, with
-    p(x+y) != p(x) + p(y)."""
+def _automorphism_failure(t, p) -> tuple[int, ...] | None:
+    """None when the numpy index array p is an automorphism of the numpy
+    table t; () when p is not a bijection; otherwise the first (x, y),
+    row-major, with p(x+y) != p(x) + p(y)."""
+    import numpy as np
+
     if np.unique(p).size != p.size:
         return ()
     bad = p[t] != t[np.ix_(p, p)]

@@ -21,7 +21,8 @@ from .graphs import Graph, biconnected_components, reachable
 from .gyrogroups import GyroGroup, Permutation, power_closure
 
 #: Default cap on edges x vertices for the Kuratowski edge deletion (one
-#: planarity test per edge).  On 2 CPUs K48,48 (221 184) takes 8.2 s, a
+#: planarity test per edge), and, past it, on the fruitless steps of the
+#: 5-clique search tried first.  On 2 CPUs K48,48 (221 184) takes 8.2 s, a
 #: 20 x 20 grid with two chords (304 800) 10 s and K64,64 (524 288) 35 s.
 KURATOWSKI_WORK_BOUND = 250_000
 HAMILTONIAN_ORDER_BOUND = 32
@@ -59,8 +60,9 @@ class PlanarityResult:
 def is_planar(graph: Graph, work_bound: int = KURATOWSKI_WORK_BOUND) -> PlanarityResult:
     """Exact planarity with a certificate either way: a rotation system
     when planar, a verified K5/K33 subdivision when not.  Deciding is never
-    refused; extracting a subdivision that is not a 5-clique is, when
-    edges x vertices exceeds work_bound."""
+    refused; extracting a witness is, when edges x vertices exceeds
+    work_bound and the 5-clique search either finds none or takes more than
+    work_bound fruitless steps."""
     rotation = _planar_rotation(graph)
     if rotation is not None:
         return PlanarityResult(is_planar=True, rotation=rotation)
@@ -348,18 +350,26 @@ def check_embedding(graph: Graph, rotation: tuple[tuple[int, ...], ...]) -> bool
 
 
 def _extract_kuratowski(graph: Graph, work_bound: int) -> tuple[frozenset[tuple[int, int]], str]:
-    clique = _find_k5_clique(graph)
+    work = graph.edge_count * graph.n
+    refusal = (
+        f"{graph.edge_count} edges x {graph.n} vertices = {work} exceeds "
+        f"bound {work_bound} (one planarity test per edge deleted)"
+    )
+    clique = _find_k5_clique(graph, work_bound if work > work_bound else None)
+    if isinstance(clique, int):
+        raise BoundExceededError(
+            f"Kuratowski extraction refused: {clique} steps of the 5-clique "
+            f"search found none, and {refusal}"
+        )
     if clique is not None:
         edges = frozenset(
             (u, v) for i, u in enumerate(clique) for v in clique[i + 1 :]
         )
         return edges, "K5"
-    work = graph.edge_count * graph.n
     if work > work_bound:
         raise BoundExceededError(
             f"Kuratowski extraction refused: non-planar with no 5-clique, and "
-            f"{graph.edge_count} edges x {graph.n} vertices = {work} exceeds "
-            f"bound {work_bound} (one planarity test per edge deleted)"
+            f"{refusal}"
         )
     current = set(graph.edges)
     for e in sorted(graph.edges):
@@ -371,21 +381,33 @@ def _extract_kuratowski(graph: Graph, work_bound: int) -> tuple[frozenset[tuple[
     return witness, kind
 
 
-def _find_k5_clique(graph: Graph) -> tuple[int, ...] | None:
-    """First 5-clique in lexicographic order, via bitset intersection."""
+def _find_k5_clique(graph: Graph, step_budget: int | None = None) -> tuple[int, ...] | int | None:
+    """First 5-clique in lexicographic order, or None.  Each level walks
+    the set bits, above the previous vertex, of the common neighborhood of
+    the vertices chosen so far.  A vertex tried whose search finds no
+    5-clique is a fruitless step; the first fruitless step past
+    step_budget stops the search, which then returns the step count."""
     bits = [graph.neighbor_bits(v) for v in range(graph.n)]
-    cands = [v for v in range(graph.n) if graph.degree(v) >= 4]
-    for a in cands:
-        ba = bits[a]
-        for b in (v for v in cands if v > a and ba >> v & 1):
-            bab = ba & bits[b]
-            for c in (v for v in cands if v > b and bab >> v & 1):
-                babc = bab & bits[c]
-                for d in (v for v in cands if v > c and babc >> v & 1):
-                    rest = babc & bits[d]
-                    for e in (v for v in cands if v > d and rest >> v & 1):
-                        return (a, b, c, d, e)
-    return None
+    cands = sum(1 << v for v in range(graph.n) if graph.degree(v) >= 4)
+    fruitless = 0
+
+    def extend(clique: tuple[int, ...], mask: int):
+        nonlocal fruitless
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            v = low.bit_length() - 1
+            found = (*clique, v)
+            if len(found) < 5:
+                found = extend(found, mask & bits[v])
+            if found is not None:
+                return found
+            fruitless += 1
+            if step_budget is not None and fruitless > step_budget:
+                return fruitless
+        return None
+
+    return extend((), cands)
 
 
 def verify_kuratowski(graph: Graph, edges: frozenset[tuple[int, int]]) -> str:

@@ -16,8 +16,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import closed_forms as cf
 from .distances import (
     bondy_chvatal_closure,
@@ -225,9 +223,13 @@ def _bounded(entries: list[ReportEntry], claims: list[tuple[str, str]], search, 
 # ---------------------------------------------------------------------------
 
 
-def _power_associative(table: np.ndarray, powers: np.ndarray) -> bool:
+def _power_associative(table, powers) -> bool:
     """True iff a^i + a^j = a^(i+j) for every row (a^1, ..., a^N) of
-    powers and all i, j >= 1 with i + j <= N."""
+    powers and all i, j >= 1 with i + j <= N (both nested sequences of
+    element indices)."""
+    import numpy as np  # imported here so that invariants never loads it
+
+    table, powers = np.array(table), np.array(powers)
     big = powers.shape[1]
     return all(
         (table[powers[:, i - 1, None], powers[:, : big - i]] == powers[:, i:]).all()
@@ -280,7 +282,7 @@ def verify_gn(n: int) -> list[ReportEntry]:
             left_right_agree,
         )
     )
-    pa = _power_associative(np.array(g.table), np.array(powers))
+    pa = _power_associative(g.table, powers)
     entries.append(
         _entry(
             f"power-associativity[{tag}]",

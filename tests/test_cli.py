@@ -256,6 +256,37 @@ def test_invariants_run_at_most_one_bfs(monkeypatch, capsys, flags, runs):
     assert len(bfs) == runs
 
 
+@pytest.mark.parametrize("flags", [["--spectral"], ["--all"]])
+def test_invariants_run_one_charpoly_recurrence(monkeypatch, capsys, flags):
+    # The charpoly and the spectral radius share one run on the quotient.
+    spectral._quotient_charpoly.cache_clear()
+    runs = count_calls(monkeypatch, spectral, "_faddeev_leverrier")
+    data = invariants_json(capsys, "--gn", "4", *flags)
+    assert len(runs) == 1
+    assert data["spectral"]["charpoly"] == str(closed_form_charpoly_gn(4))
+
+
+def run_python(code):
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+
+
+def test_invariants_never_import_numpy():
+    r = run_python(
+        "import sys, gyrograph, gyrograph.cli\n"
+        "argv = ['invariants', '--gn', '5', '--all', '--format', 'json']\n"
+        "assert gyrograph.cli.main(argv) == 0\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    assert r.returncode == 0, r.stderr
+    # The axiom check is numpy masks: build loads it.
+    r = run_python(
+        "import sys, gyrograph.cli\n"
+        "assert gyrograph.cli.main(['build', '--gn', '3']) == 0\n"
+        "assert 'numpy' in sys.modules\n"
+    )
+    assert r.returncode == 0, r.stderr
+
+
 def test_invariants_on_z12_run_one_bfs(monkeypatch, capsys, tmp_path):
     # The rs_hosoya fallback to edge sums reads the same matrix.
     path = tmp_path / "z12.csv"
@@ -295,8 +326,8 @@ def test_invariants_survive_relabelling(capsys, tmp_path, n):
 
 
 def test_tol_is_accepted_and_has_no_effect(capsys):
-    # One eigensolve has no tolerance to miss: a --tol below float64's
-    # reach changes nothing.
+    # The correctly rounded exact root has no tolerance to miss: a --tol
+    # below float64's reach changes nothing.
     assert cli.main(["invariants", "--gn", "3", "--spectral"]) == 0
     default = capsys.readouterr()
     assert cli.main(["invariants", "--gn", "3", "--spectral", "--tol", "1e-20"]) == 0

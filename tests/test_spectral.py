@@ -18,10 +18,12 @@ from gyrograph import (
     build_gn,
     char_poly_exact,
     closed_form_charpoly_gn,
+    cyclic_group,
     integer_determinant,
     pendant_split_matrices,
     power_graph,
     relabel,
+    spectral,
     spectral_radius,
     verify_spectral_bounds,
 )
@@ -90,7 +92,7 @@ def test_charpoly_against_bareiss_determinant(gn3_adj):
 
 
 def test_charpoly_against_numpy_eigenvalues(gn3_adj):
-    roots = np.sort(np.linalg.eigvalsh(gn3_adj.to_numpy()))
+    roots = np.sort(np.linalg.eigvalsh(np.array(gn3_adj.rows, dtype=float)))
     p = char_poly_exact(gn3_adj)
     coeffs = [p.coefficient(k) for k in range(p.degree, -1, -1)]
     nproots = np.sort(np.roots(coeffs).real)
@@ -326,21 +328,80 @@ def connected_graphs(draw):
     return Graph.from_edges(n, {(perm[u], perm[v]) for u, v in edges})
 
 
+def assert_correctly_rounded(p, x):
+    """x is the float nearest the largest root of the real-rooted p: p has
+    a root at or above the midpoint below x and none at or above the
+    midpoint above it."""
+    below = (Fraction(math.nextafter(x, -math.inf)) + Fraction(x)) / 2
+    above = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2
+    assert not has_no_root_from(p, below)
+    assert has_no_root_from(p, above)
+
+
 @settings(max_examples=200, deadline=None)
 @given(connected_graphs(), st.randoms(use_true_random=False))
 def test_spectral_radius_brackets_the_exact_top_root(graph, rnd):
     # The exact charpoly changes sign across lambda (a simple root for a
-    # connected graph) and has no root above lambda + 1e-9.
+    # connected graph), and lambda is its top root correctly rounded.
     a = adjacency_matrix(graph)
     lam = spectral_radius(a)
     p = char_poly_exact(a)
     eps = Fraction(1, 10**9)
     assert p(Fraction(lam) - eps) < 0 < p(Fraction(lam) + eps)
-    assert has_no_root_from(p, Fraction(lam) + eps)
+    assert_correctly_rounded(p, lam)
     perm = list(range(graph.n))
     rnd.shuffle(perm)
     shuffled = Graph.from_edges(graph.n, {(perm[u], perm[v]) for u, v in graph.edges})
-    assert abs(spectral_radius(adjacency_matrix(shuffled)) - lam) <= 1e-12
+    assert spectral_radius(adjacency_matrix(shuffled)) == lam
+
+
+@settings(max_examples=300, deadline=None)
+@given(twinned_graphs())
+def test_spectral_radius_is_correctly_rounded_with_twins_and_components(graph):
+    # Disconnected graphs repeat the top eigenvalue across components, and
+    # twin blow-ups shrink the quotient the root is taken from.
+    a = adjacency_matrix(graph)
+    if graph.n:
+        assert_correctly_rounded(char_poly_exact(a), spectral_radius(a))
+
+
+@st.composite
+def weighted_symmetric_matrices(draw):
+    """Symmetric matrices of dimension 1-6 with entries 0-5, diagonal
+    included, and at least one entry above 1."""
+    n = draw(st.integers(1, 6))
+    upper = {(i, j): draw(st.integers(0, 5)) for i in range(n) for j in range(i, n)}
+    i, j = draw(st.sampled_from(sorted(upper)))
+    upper[i, j] = draw(st.integers(2, 5))
+    return IntMatrix.from_rows(
+        [[upper[min(i, j), max(i, j)] for j in range(n)] for i in range(n)]
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(weighted_symmetric_matrices())
+def test_spectral_radius_is_correctly_rounded_on_weighted_matrices(matrix):
+    assert_correctly_rounded(char_poly_exact(matrix), spectral_radius(matrix))
+    eig = float(np.linalg.eigvalsh(np.array(matrix.rows, dtype=float))[-1])
+    assert spectral_radius(matrix) == pytest.approx(eig, rel=1e-12, abs=1e-12)
+
+
+def test_spectral_radius_refuses_a_large_quotient_before_the_recurrence(monkeypatch):
+    runs = []
+    monkeypatch.setattr(
+        spectral, "_faddeev_leverrier", lambda rows: runs.append(rows)
+    )
+    spectral._quotient_charpoly.cache_clear()
+    with pytest.raises(BoundExceededError, match="dimension 65 exceeds 64"):
+        spectral_radius(adjacency_matrix(Graph.path(65)))
+    assert runs == []
+
+
+def test_spectral_radius_on_z28_matches_numpy():
+    a = adjacency_matrix(power_graph(cyclic_group(28)))
+    eig = float(np.linalg.eigvalsh(np.array(a.rows, dtype=float))[-1])
+    assert abs(spectral_radius(a) - eig) <= 1e-10
+    assert twin_quotient(a)[0].n == 5
 
 
 def largest_cubic_root(n):
@@ -361,6 +422,9 @@ def largest_cubic_root(n):
 def test_spectral_radius_is_the_cubic_root(n):
     lam = spectral_radius(adjacency_matrix(power_graph(build_gn(n))))
     assert abs(lam - largest_cubic_root(n)) <= 1e-12
+    m = 2 ** (n - 1)
+    cubic = IntPolynomial({3: 1, 2: 2 - m, 1: -(2**n - 1), 0: m * m - 2**n})
+    assert_correctly_rounded(cubic, lam)
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
@@ -396,7 +460,7 @@ def test_pendant_part_charpoly_is_rank_two(n):
     m = 2 ** (n - 1)
     _, e = pendant_split_matrices(n)
     assert char_poly_exact(e) == IntPolynomial({2 * m: 1, 2 * m - 2: -m})
-    eigs = np.linalg.eigvalsh(e.to_numpy())
+    eigs = np.linalg.eigvalsh(np.array(e.rows, dtype=float))
     assert eigs[-1] == pytest.approx(math.sqrt(m), abs=1e-9)
     assert eigs[0] == pytest.approx(-math.sqrt(m), abs=1e-9)
     assert np.allclose(np.sort(np.abs(eigs))[:-2], 0, atol=1e-9)
@@ -418,7 +482,7 @@ def test_weyl_split_bound(n):
 def test_vertex_deletion_strictly_decreases_radius():
     # Removing any vertex of the n=3 power graph lowers the top eigenvalue.
     graph = power_graph(build_gn(3))
-    lam = float(np.max(np.linalg.eigvalsh(adjacency_matrix(graph).to_numpy())))
+    lam = float(np.max(np.linalg.eigvalsh(np.array(adjacency_matrix(graph).rows, dtype=float))))
     for u in graph.vertices():
         rest = sorted(set(graph.vertices()) - {u})
         idx = {v: i for i, v in enumerate(rest)}
@@ -431,6 +495,6 @@ def test_vertex_deletion_strictly_decreases_radius():
             ],
         )
         sub_lam = float(
-            np.max(np.linalg.eigvalsh(adjacency_matrix(sub).to_numpy()))
+            np.max(np.linalg.eigvalsh(np.array(adjacency_matrix(sub).rows, dtype=float)))
         )
         assert sub_lam < lam - 1e-9

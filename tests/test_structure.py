@@ -24,6 +24,7 @@ from gyrograph import (
     verify_isomorphism,
     verify_kuratowski,
 )
+from gyrograph.structure import _find_k5_clique
 
 K33 = Graph.from_edges(6, [(i, j + 3) for i in range(3) for j in range(3)])
 PETERSEN = Graph.from_edges(
@@ -142,8 +143,8 @@ def complete_bipartite(k):
 
 
 def test_planarity_extraction_bound():
-    # Deciding is never refused, and neither is a K5 found as a clique;
-    # only the edge-deletion extraction counts against the bound.
+    # Deciding is never refused, and neither is a K5 clique reached with no
+    # fruitless step; otherwise the extraction counts against the bound.
     assert is_planar(grid_graph(16, 16), work_bound=0).is_planar
     assert is_planar(Graph.complete(6), work_bound=0).kuratowski_kind == "K5"
     with pytest.raises(BoundExceededError, match="9 edges x 6 vertices = 54 exceeds bound 53"):
@@ -154,6 +155,66 @@ def test_planarity_extraction_bound():
     with pytest.raises(BoundExceededError, match="4096 edges x 128 vertices = 524288"):
         is_planar(complete_bipartite(64))
     assert time.perf_counter() - start < 1.0
+
+
+def reference_k5_clique(graph):
+    """The former clique search: every level rescans all candidates."""
+    bits = [graph.neighbor_bits(v) for v in range(graph.n)]
+    cands = [v for v in range(graph.n) if graph.degree(v) >= 4]
+    for a in cands:
+        ba = bits[a]
+        for b in (v for v in cands if v > a and ba >> v & 1):
+            bab = ba & bits[b]
+            for c in (v for v in cands if v > b and bab >> v & 1):
+                babc = bab & bits[c]
+                for d in (v for v in cands if v > c and babc >> v & 1):
+                    rest = babc & bits[d]
+                    for e in (v for v in cands if v > d and rest >> v & 1):
+                        return (a, b, c, d, e)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 12),
+    st.sampled_from([0.3, 0.5, 0.7, 0.9]),
+    st.integers(0, 40),
+    st.randoms(use_true_random=False),
+)
+def test_clique_search_matches_the_rescanning_search(n, density, budget, rnd):
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < density]
+    graph = Graph.from_edges(n, edges)
+    expected = reference_k5_clique(graph)
+    assert _find_k5_clique(graph) == expected
+    # A budget either leaves the answer alone or stops the search one
+    # fruitless step past it.
+    assert _find_k5_clique(graph, budget) in (expected, budget + 1)
+
+
+def turan_graph(n, parts):
+    return Graph.from_edges(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if u % parts != v % parts]
+    )
+
+
+def test_clique_search_counts_its_steps_against_the_bound():
+    # T(128,4) has no 5-clique and 786432 > 250000 edges x vertices: the
+    # clique search stops at its first fruitless step past 250000 instead
+    # of running to the end.
+    start = time.perf_counter()
+    with pytest.raises(
+        BoundExceededError,
+        match="250001 steps of the 5-clique search found none, "
+        "and 6144 edges x 128 vertices = 786432 exceeds bound 250000",
+    ):
+        is_planar(turan_graph(128, 4))
+    assert time.perf_counter() - start < 1.0
+    # P(G(8)) is over the bound as well, and its first 5-clique comes at once.
+    result = is_planar(power_graph(build_gn(8)))
+    assert result.kuratowski_kind == "K5"
+    assert result.kuratowski_edges == frozenset(
+        (u, v) for u in range(5) for v in range(u + 1, 5)
+    )
 
 
 def test_verify_kuratowski_rejects_bogus_witness():
