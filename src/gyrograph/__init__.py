@@ -57,7 +57,6 @@ from .gyrogroups import (
     cyclic_group,
     gyration,
     gyration_symbol_grid,
-    gyration_table,
     load_table,
     parse_cayley_csv,
     parse_cayley_json,

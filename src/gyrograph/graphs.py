@@ -72,9 +72,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self._adj_lists[v])
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted((self.degree(v) for v in range(self.n)), reverse=True))
-
     @property
     def edge_count(self) -> int:
         return len(self.edges)

@@ -18,6 +18,8 @@ import json
 import os
 from dataclasses import dataclass, field
 from importlib import resources
+from operator import itemgetter
+from typing import Callable, Sequence
 
 # Names of the Cayley tables shipped with the package.
 BUNDLED_TABLES = ("k1", "n1", "g8", "m1", "gn3")
@@ -47,10 +49,6 @@ class Permutation:
 
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self.map))
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self*other)(i) = self(other(i))."""
-        return Permutation(tuple(self.map[other.map[i]] for i in range(self.size)))
 
     @classmethod
     def identity(cls, size: int) -> "Permutation":
@@ -262,11 +260,6 @@ def gyration(g: GyroGroup, a: int, b: int) -> Permutation:
     return Permutation(image)
 
 
-def gyration_table(g: GyroGroup) -> list[list[Permutation]]:
-    """All gyrations gyr[a,b], indexed [a][b]."""
-    return [[gyration(g, a, b) for b in g.elements()] for a in g.elements()]
-
-
 def gyration_symbol_grid(g: GyroGroup) -> tuple[list[str], dict[str, Permutation]]:
     """Name the distinct gyrations and lay them out as an NxN symbol grid.
 
@@ -294,6 +287,17 @@ def gyration_symbol_grid(g: GyroGroup) -> tuple[list[str], dict[str, Permutation
     return rows, legend
 
 
+def gatherer(index: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """The map seq -> (seq[index[0]], ..., seq[index[-1]]), gathered in C.
+
+    For a table row index = row x, gatherer(row x)(row a) is the row of
+    L_a o L_x, where L_a is the left translation c -> a + c.
+    """
+    get = itemgetter(*index)
+    # itemgetter with a single index returns the item, not a 1-tuple.
+    return get if len(index) > 1 else lambda seq: (get(seq),)
+
+
 def verify_axioms(g: GyroGroup) -> AxiomReport:
     """Exhaustively check the gyrogroup axioms over all element triples.
 
@@ -303,104 +307,104 @@ def verify_axioms(g: GyroGroup) -> AxiomReport:
     gyro-commutativity, and plain associativity (is_group).  Failures are
     collected with witnesses, never raised.
 
-    Each axiom is a boolean mask over pairs (a, b) or triples (a, b, c),
-    read off one gyration tensor gyr[a, b, c] built from the table; the
-    automorphism check runs once per distinct gyration.  An axiom's
-    witnesses are the first MAX_COUNTEREXAMPLES failures of its mask in
-    row-major order (gyro-commutativity keeps only the first).
+    One row-major pass over the pairs (a, b) composes table rows with
+    :func:`gatherer`.  gyr[a,b] = L_-s o L_a o L_b, with s = a + b, is
+    interned to an id, and each distinct gyration is checked for the
+    automorphism property once.  a + (b + c) = s + gyr[a,b]c holds for
+    every c when L_s o L_-s is the identity, so only the pairs whose s
+    fails that test are checked per c.  The left loop property compares
+    ids one column at a time; is_group compares L_a o L_b with L_s.
+    Memory is the n^2 ids plus the distinct gyrations.  An axiom's
+    witnesses are its first MAX_COUNTEREXAMPLES failures in row-major
+    order (gyro-commutativity keeps only the first).
     """
-    import numpy as np  # imported here so that invariants never loads it
-
-    n = g.order
-    index = np.min_scalar_type(n - 1)
-    t = np.array(g.table, dtype=index)
-    elements = np.arange(n, dtype=index)
-    counterexamples: list[tuple[str, tuple[int, ...]]] = []
-
-    def note(axiom, mask, witness=lambda *i: i, limit=MAX_COUNTEREXAMPLES) -> bool:
-        for i in np.argwhere(mask)[:limit]:
-            counterexamples.append((axiom, witness(*i.tolist())))
-        return not mask.any()
-
-    # Left identity: guaranteed by construction, but re-checked so the
-    # report stands on its own.
-    li = note("left_identity", t[g.identity] != elements, lambda a: (g.identity, a))
-
+    n, t, e = g.order, g.table, g.identity
+    gather = [gatherer(row) for row in t]
     # Left inverses: the first y with y + a = e.
-    is_e = t == g.identity
-    has_inv = is_e.any(axis=0)
-    inv = is_e.argmax(axis=0).astype(index)
-    inv_ok = note("left_inverse", ~has_inv)
+    inv = [column.index(e) if e in column else None for column in zip(*t)]
+    found: dict[str, list[tuple[int, ...]]] = {
+        # Left identity: guaranteed by construction, but re-checked so the
+        # report stands on its own.
+        "left_identity": [(e, a) for a in range(n) if t[e][a] != a][:MAX_COUNTEREXAMPLES],
+        "left_inverse": [(a,) for a in range(n) if inv[a] is None][:MAX_COUNTEREXAMPLES],
+        "gyroassociativity": [],
+        "left_loop": [],
+        "gyr_is_automorphism": [],
+        "gyrocommutative": [],
+    }
 
-    # gyr[a,b,c] = -(a+b) + (a+(b+c)), undefined when a+b lacks an inverse.
-    a_bc = t[:, t]
-    undefined = ~has_inv[t]
-    gyr = t[inv[t][:, :, None], a_bc]
+    def note(axiom: str, witness: tuple[int, ...]) -> None:
+        limit = 1 if axiom == "gyrocommutative" else MAX_COUNTEREXAMPLES
+        if len(found[axiom]) < limit:
+            found[axiom].append(witness)
 
-    # Gyroassociative law: a+(b+c) = (a+b) + gyr[a,b]c.
-    gassoc_fail = t[t[:, :, None], gyr] != a_bc
-    gassoc = note(
-        "gyroassociativity",
-        undefined | gassoc_fail.any(axis=2),
-        lambda a, b: (
-            (a, b) if undefined[a, b] else (a, b, int(gassoc_fail[a, b].argmax()))
-        ),
-    )
+    identity = tuple(range(n))
+    cancels = [y is not None and gather[y](t[s]) == identity for s, y in enumerate(inv)]
+    distinct: dict[tuple[int, ...], int] = {}
+    automorphism_failures: list[tuple[int, ...] | None] = []
+    gyr_ids = []  # -1 where a + b has no left inverse and gyr[a,b] is undefined
+    is_group = True
+    for a, row_a in enumerate(t):
+        ids = []
+        gyr_ids.append(ids)
+        for b, s in enumerate(row_a):
+            if is_group:
+                is_group = gather[b](row_a) == t[s]
+            if inv[s] is None:
+                ids.append(-1)
+                note("gyroassociativity", (a, b))
+                note("gyr_is_automorphism", (a, b))
+                note("gyrocommutative", (a, b))
+                continue
+            gyr = gather[b](gather[a](t[inv[s]]))
+            k = distinct.setdefault(gyr, len(distinct))
+            if k == len(automorphism_failures):  # a new gyration
+                automorphism_failures.append(_automorphism_failure(t, gather, gyr))
+            ids.append(k)
+            if not cancels[s]:
+                a_bc = gather[b](row_a)
+                c = next((c for c in range(n) if t[s][gyr[c]] != a_bc[c]), None)
+                if c is not None:
+                    note("gyroassociativity", (a, b, c))
+            if automorphism_failures[k] is not None:
+                note("gyr_is_automorphism", (a, b, *automorphism_failures[k]))
+            # Gyro-commutativity: a + b = gyr[a,b](b + a).
+            if not found["gyrocommutative"] and s != gyr[t[b][a]]:
+                note("gyrocommutative", (a, b))
 
     # Left loop: gyr[a+b, b] = gyr[a, b].
-    loop = note(
-        "left_loop",
-        undefined
-        | undefined[t, elements]
-        | (gyr[t, elements] != gyr).any(axis=2),
-    )
-
-    # Each gyration must be a bijective automorphism of the table, checked
-    # once per distinct gyration.
-    distinct: dict[bytes, int] = {}
-    rows = gyr.reshape(n * n, n)
-    gyr_id = np.array(
-        [distinct.setdefault(row.tobytes(), len(distinct)) for row in rows]
-    ).reshape(n, n)
-    failures = [
-        _automorphism_failure(t, np.frombuffer(key, dtype=index)) for key in distinct
-    ]
-    failing = np.array([f is not None for f in failures])
-    auto = note(
-        "gyr_is_automorphism",
-        undefined | failing[gyr_id],
-        lambda a, b: (a, b) if undefined[a, b] else (a, b, *failures[gyr_id[a, b]]),
-    )
-
-    # Gyro-commutativity: a+b = gyr[a,b](b+a).
-    gcomm = note(
-        "gyrocommutative",
-        undefined | (t != gyr[elements[:, None], elements, t.T]),
-        limit=1,
-    )
+    loop_failures = []
+    for b, (column, ids) in enumerate(zip(zip(*t), zip(*gyr_ids))):
+        if -1 in ids or gatherer(column)(ids) != ids:
+            loop_failures += [
+                (a, b) for a, s in enumerate(column) if not -1 < ids[a] == ids[s]
+            ]
+    found["left_loop"] = sorted(loop_failures)[:MAX_COUNTEREXAMPLES]
 
     return AxiomReport(
-        left_identity_ok=li,
-        left_inverse_ok=inv_ok,
-        gyroassociativity_ok=gassoc,
-        left_loop_ok=loop,
-        gyr_is_automorphism_ok=auto,
-        gyrocommutative=gcomm,
-        is_group=bool(np.array_equal(t[t], a_bc)),
-        counterexamples=tuple(counterexamples),
+        left_identity_ok=not found["left_identity"],
+        left_inverse_ok=not found["left_inverse"],
+        gyroassociativity_ok=not found["gyroassociativity"],
+        left_loop_ok=not found["left_loop"],
+        gyr_is_automorphism_ok=not found["gyr_is_automorphism"],
+        gyrocommutative=not found["gyrocommutative"],
+        is_group=is_group,
+        counterexamples=tuple((ax, w) for ax, ws in found.items() for w in ws),
     )
 
 
-def _automorphism_failure(t, p) -> tuple[int, ...] | None:
-    """None when the numpy index array p is an automorphism of the numpy
-    table t; () when p is not a bijection; otherwise the first (x, y),
-    row-major, with p(x+y) != p(x) + p(y)."""
-    import numpy as np
-
-    if np.unique(p).size != p.size:
+def _automorphism_failure(t, gather, p: tuple[int, ...]) -> tuple[int, ...] | None:
+    """None when p is an automorphism of the table t, with gather[x] =
+    gatherer(t[x]); () when p is not a bijection; otherwise the first
+    (x, y), row-major, with p(x+y) != p(x) + p(y)."""
+    if len(set(p)) != len(p):
         return ()
-    bad = p[t] != t[np.ix_(p, p)]
-    return tuple(np.argwhere(bad)[0].tolist()) if bad.any() else None
+    image = gatherer(p)
+    for x, gather_x in enumerate(gather):
+        lhs, rhs = gather_x(p), image(t[p[x]])
+        if lhs != rhs:
+            return x, next(y for y in range(len(p)) if lhs[y] != rhs[y])
+    return None
 
 
 # ---------------------------------------------------------------------------

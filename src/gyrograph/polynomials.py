@@ -46,11 +46,6 @@ class IntPolynomial:
     def x_power(cls, exp: int, coeff: int = 1) -> "IntPolynomial":
         return cls({exp: coeff})
 
-    @classmethod
-    def from_coefficient_list(cls, ascending: list[int]) -> "IntPolynomial":
-        """Build from [c0, c1, c2, ...] = c0 + c1 x + c2 x^2 + ..."""
-        return cls({e: c for e, c in enumerate(ascending)})
-
     # -- queries -----------------------------------------------------------
 
     @property

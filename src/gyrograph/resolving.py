@@ -36,12 +36,6 @@ class TwinPartition:
 
     classes: tuple[tuple[frozenset[int], str], ...]
 
-    def class_of(self, v: int) -> frozenset[int] | None:
-        for cls, _ in self.classes:
-            if v in cls:
-                return cls
-        return None
-
     def lower_bound(self) -> int:
         """Every resolving set misses at most one vertex per class."""
         return sum(len(cls) - 1 for cls, _ in self.classes)

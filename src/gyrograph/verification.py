@@ -32,6 +32,7 @@ from .graphs import classify_gn_shape, power_graph
 from .gyrogroups import (
     build_gn,
     bundled_gyrogroup,
+    gatherer,
     gyration_symbol_grid,
     power_sequence,
     verify_axioms,
@@ -226,15 +227,20 @@ def _bounded(entries: list[ReportEntry], claims: list[tuple[str, str]], search, 
 def _power_associative(table, powers) -> bool:
     """True iff a^i + a^j = a^(i+j) for every row (a^1, ..., a^N) of
     powers and all i, j >= 1 with i + j <= N (both nested sequences of
-    element indices)."""
-    import numpy as np  # imported here so that invariants never loads it
-
-    table, powers = np.array(table), np.array(powers)
-    big = powers.shape[1]
-    return all(
-        (table[powers[:, i - 1, None], powers[:, : big - i]] == powers[:, i:]).all()
-        for i in range(1, big)
-    )
+    element indices, the rows left-iterated: a^(k+1) = a + a^k).  Row
+    a^i of the table gathered over the powers must start with
+    (a^(i+1), ..., a^N); once a power repeats, the sequence cycles and
+    each later check repeats an earlier one on a shorter slice."""
+    for seq in map(tuple, powers):
+        over_powers = gatherer(seq)
+        seen = set()
+        for i, x in enumerate(seq[:-1], 1):
+            if x in seen:
+                break
+            seen.add(x)
+            if over_powers(table[x])[: len(seq) - i] != seq[i:]:
+                return False
+    return True
 
 
 def verify_gn(n: int) -> list[ReportEntry]:
@@ -423,8 +429,10 @@ def verify_gn(n: int) -> list[ReportEntry]:
             )
         )
 
-    # Characteristic polynomial (corrected closed form) and spectral radius.
+    # Characteristic polynomial (corrected closed form) and spectral radius,
+    # both before the pendant-part charpoly evicts their shared twin quotient.
     charpoly = char_poly_exact(adjacency_matrix(graph))
+    spectral = verify_spectral_bounds(graph)
     closed = closed_form_charpoly_gn(n)
     entries.append(
         _entry(
@@ -458,7 +466,6 @@ def verify_gn(n: int) -> list[ReportEntry]:
             ),
         )
     )
-    spectral = verify_spectral_bounds(graph)
     entries.append(
         _entry(
             f"spectral-bounds[{tag}]",

@@ -270,21 +270,42 @@ def run_python(code):
     return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
 
 
-def test_invariants_never_import_numpy():
-    r = run_python(
-        "import sys, gyrograph, gyrograph.cli\n"
-        "argv = ['invariants', '--gn', '5', '--all', '--format', 'json']\n"
-        "assert gyrograph.cli.main(argv) == 0\n"
-        "assert 'numpy' not in sys.modules\n"
-    )
-    assert r.returncode == 0, r.stderr
-    # The axiom check is numpy masks: build loads it.
+def test_no_subcommand_imports_numpy(tmp_path):
+    # The axiom check, power associativity and the spectral layer are plain
+    # Python; numpy is a test dependency only.
+    g = build_gn(4)
+    rows = [list(r) for r in g.table]
+    valid, bad = tmp_path / "g4.csv", tmp_path / "g4bad.csv"
+    valid.write_text(to_cayley_csv(g))
+    rows[5][9] = (rows[5][9] + 1) % 16
+    bad.write_text("\n".join(",".join(map(str, r)) for r in rows) + "\n")
+    commands = [
+        (["build", "--table", str(valid)], 0),
+        (["build", "--table", str(bad)], 1),
+        (["verify-paper", "--n", "3..4"], 1),
+        (["invariants", "--gn", "5", "--all", "--format", "json"], 0),
+    ]
     r = run_python(
         "import sys, gyrograph.cli\n"
-        "assert gyrograph.cli.main(['build', '--gn', '3']) == 0\n"
-        "assert 'numpy' in sys.modules\n"
+        f"for argv, rc in {commands!r}:\n"
+        "    assert gyrograph.cli.main(argv) == rc, argv\n"
+        "    assert 'numpy' not in sys.modules, argv\n"
     )
     assert r.returncode == 0, r.stderr
+
+
+def test_build_gn8_peak_memory():
+    # The axiom check holds n^2 gyration ids, not n^3 tensors: 18-22 MiB
+    # on CPython 3.11, against 112 MiB with whole-tensor masks.
+    r = run_python(
+        "import contextlib, io, resource, gyrograph.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert gyrograph.cli.main(['build', '--gn', '8']) == 0\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    assert r.returncode == 0, r.stderr
+    peak_mib = int(r.stdout.split()[-1]) / 1024
+    assert peak_mib < 64, f"build --gn 8 peaked at {peak_mib:.0f} MiB"
 
 
 def test_invariants_on_z12_run_one_bfs(monkeypatch, capsys, tmp_path):

@@ -27,6 +27,7 @@ from gyrograph import (
     to_cayley_json,
     verify_axioms,
 )
+from gyrograph.gyrogroups import MAX_COUNTEREXAMPLES
 
 KLEIN4 = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
 
@@ -455,6 +456,138 @@ def test_verify_axioms_matches_reference_on_bundled_tables(name):
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 6, 12])
 def test_verify_axioms_matches_reference_on_cyclic_groups(k):
     _assert_matches_reference(cyclic_group(k))
+
+
+# ---------------------------------------------------------------------------
+# verify_axioms against the whole-tensor reference
+# ---------------------------------------------------------------------------
+
+
+def tensor_verify_axioms(g):
+    """The axiom check as boolean numpy masks over pairs and triples, read
+    off one n^3 gyration tensor (n^3 memory: about 1 GB at order 512)."""
+    n = g.order
+    index = np.min_scalar_type(n - 1)
+    t = np.array(g.table, dtype=index)
+    elements = np.arange(n, dtype=index)
+    counterexamples = []
+
+    def note(axiom, mask, witness=lambda *i: i, limit=3):
+        for i in np.argwhere(mask)[:limit]:
+            counterexamples.append((axiom, witness(*i.tolist())))
+        return not mask.any()
+
+    li = note("left_identity", t[g.identity] != elements, lambda a: (g.identity, a))
+    is_e = t == g.identity
+    has_inv = is_e.any(axis=0)
+    inv = is_e.argmax(axis=0).astype(index)
+    inv_ok = note("left_inverse", ~has_inv)
+
+    a_bc = t[:, t]
+    undefined = ~has_inv[t]
+    gyr = t[inv[t][:, :, None], a_bc]
+
+    gassoc_fail = t[t[:, :, None], gyr] != a_bc
+    gassoc = note(
+        "gyroassociativity",
+        undefined | gassoc_fail.any(axis=2),
+        lambda a, b: (
+            (a, b) if undefined[a, b] else (a, b, int(gassoc_fail[a, b].argmax()))
+        ),
+    )
+    loop = note(
+        "left_loop",
+        undefined | undefined[t, elements] | (gyr[t, elements] != gyr).any(axis=2),
+    )
+
+    def automorphism_failure(p):
+        if np.unique(p).size != p.size:
+            return ()
+        bad = p[t] != t[np.ix_(p, p)]
+        return tuple(np.argwhere(bad)[0].tolist()) if bad.any() else None
+
+    distinct = {}
+    gyr_id = np.array(
+        [distinct.setdefault(row.tobytes(), len(distinct)) for row in gyr.reshape(n * n, n)]
+    ).reshape(n, n)
+    failures = [automorphism_failure(np.frombuffer(key, dtype=index)) for key in distinct]
+    failing = np.array([f is not None for f in failures])
+    auto = note(
+        "gyr_is_automorphism",
+        undefined | failing[gyr_id],
+        lambda a, b: (a, b) if undefined[a, b] else (a, b, *failures[gyr_id[a, b]]),
+    )
+    gcomm = note(
+        "gyrocommutative",
+        undefined | (t != gyr[elements[:, None], elements, t.T]),
+        limit=1,
+    )
+    return AxiomReport(
+        left_identity_ok=li,
+        left_inverse_ok=inv_ok,
+        gyroassociativity_ok=gassoc,
+        left_loop_ok=loop,
+        gyr_is_automorphism_ok=auto,
+        gyrocommutative=gcomm,
+        is_group=bool(np.array_equal(t[t], a_bc)),
+        counterexamples=tuple(counterexamples),
+    )
+
+
+def corrupt_off_identity(g, rng):
+    """g with one entry off the identity row and column changed, neither
+    from nor to the identity: every element keeps a left inverse."""
+    e = g.identity
+    rows = [list(r) for r in g.table]
+    while True:
+        a, b = rng.randrange(g.order), rng.randrange(g.order)
+        if e not in (a, b) and rows[a][b] != e:
+            break
+    rows[a][b] = rng.choice([v for v in g.elements() if v not in (e, rows[a][b])])
+    return load_table(rows, identity_hint=e)
+
+
+def _assert_matches_tensor_reference(g):
+    report = verify_axioms(g)
+    assert report == tensor_verify_axioms(g)
+    for axiom in {ax for ax, _ in report.counterexamples}:
+        witnesses = [w for ax, w in report.counterexamples if ax == axiom]
+        assert witnesses == sorted(witnesses)
+        assert len(witnesses) <= MAX_COUNTEREXAMPLES
+
+
+def test_verify_axioms_matches_tensor_reference_on_relabelled_and_corrupted_g7():
+    rng = random.Random("build:7")
+    perm = list(range(128))
+    rng.shuffle(perm)
+    g = relabel(build_gn(7), Permutation(tuple(perm)))
+    _assert_matches_tensor_reference(g)
+    for _ in range(4):
+        h = corrupt_off_identity(g, rng)
+        assert not verify_axioms(h).is_gyrogroup
+        _assert_matches_tensor_reference(h)
+
+
+def test_verify_axioms_matches_tensor_reference_on_g8():
+    g = build_gn(8)
+    _assert_matches_tensor_reference(g)
+    _assert_matches_tensor_reference(corrupt_off_identity(g, random.Random(8)))
+
+
+def _small_tables():
+    # Every table of order 1 or 2 with a left identity row.
+    yield load_table([[0]])
+    for e in (0, 1):
+        for other in ([0, 0], [0, 1], [1, 0], [1, 1]):
+            rows = [other, other]
+            rows[e] = [0, 1]
+            yield load_table(rows, identity_hint=e)
+
+
+@pytest.mark.parametrize("g", list(_small_tables()), ids=lambda g: str(g.table))
+def test_verify_axioms_matches_both_references_at_orders_1_and_2(g):
+    _assert_matches_tensor_reference(g)
+    _assert_matches_reference(g)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import random
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from gyrograph import (
@@ -190,6 +191,39 @@ def test_power_associativity_matches_the_loop(n):
     assert verdicts[0] and not all(verdicts)
 
 
+def tensor_power_associative(table, powers):
+    """The former numpy check: one gather of table rows per exponent i."""
+    table, powers = np.array(table), np.array(powers)
+    big = powers.shape[1]
+    return all(
+        (table[powers[:, i - 1, None], powers[:, : big - i]] == powers[:, i:]).all()
+        for i in range(1, big)
+    )
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_power_associativity_matches_the_tensor_check(n):
+    rng = random.Random(f"powers:{n}")
+    g = build_gn(n)
+    tables = [g]
+    for trial in range(6):
+        rows = [list(r) for r in g.table]
+        a, b = rng.randrange(1, g.order), rng.randrange(g.order)
+        if trial % 2:
+            # Change a^2 + a, which a^3 = a + a^2 reads back.
+            while g.op(a, a) in (g.identity, a):
+                a = rng.randrange(1, g.order)
+            a, b = g.op(a, a), a
+        rows[a][b] = (rows[a][b] + rng.randrange(1, g.order)) % g.order
+        tables.append(load_table(rows, identity_hint=g.identity))
+    verdicts = []
+    for h in tables:
+        powers = [power_sequence(h, a, h.order) for a in h.elements()]
+        verdicts.append(_power_associative(h.table, powers))
+        assert verdicts[-1] == tensor_power_associative(h.table, powers)
+    assert verdicts[0] and not all(verdicts)
+
+
 def test_example_entries_isolated():
     entries = verify_example_tables()
     ids = [e.claim_id for e in entries]
@@ -231,6 +265,17 @@ def test_verify_gn_computes_detour_and_charpoly_once(monkeypatch, n, detour_runs
     assert all(e.verdict != "mismatch" for e in entries)
     assert len(detours) == detour_runs
     assert [m.n for m in charpolys] == [2**n, 2**n]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_verify_gn_builds_one_twin_quotient_per_matrix(monkeypatch, n):
+    # The charpoly and the spectral radius of P(G(n)) share one quotient;
+    # the pendant-part matrix gets its own.
+    spectral._quotient_charpoly.cache_clear()
+    quotients = count_calls(monkeypatch, spectral, "twin_quotient")
+    entries = verify_gn(n)
+    assert all(e.verdict != "mismatch" for e in entries)
+    assert len(quotients) == 2
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
