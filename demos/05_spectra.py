@@ -41,6 +41,6 @@ print("pendant-part radius:", spectral_radius(e), "= sqrt(4)")
 print("pendant-part charpoly:", char_poly_exact(e), " (rank 2)")
 
 for n in (3, 4, 5):
-    s = verify_spectral_bounds(power_graph(build_gn(n)))
+    s = verify_spectral_bounds(adjacency_matrix(power_graph(build_gn(n))))
     print(f"n={n}: {s.bound_lower} < {s.spectral_radius:.9f} "
           f"<= {s.bound_upper:.6f}  satisfied={s.satisfied}")

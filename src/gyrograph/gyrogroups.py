@@ -74,12 +74,9 @@ class GyroGroup:
         n = self.order
         if n <= 0 or len(self.table) != n:
             raise ValueError("table size does not match order")
-        for row in self.table:
-            if len(row) != n:
-                raise ValueError("table is not square")
-            for v in row:
-                if not 0 <= v < n:
-                    raise ValueError(f"table entry {v} out of range 0..{n - 1}")
+        if any(len(row) != n for row in self.table):
+            raise ValueError("table is not square")
+        _check_entries(self.table)
         e = self.identity
         if not 0 <= e < n or any(self.table[e][a] != a for a in range(n)):
             raise ValueError(f"row {e} is not a left identity row")
@@ -193,21 +190,23 @@ def load_table(
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("grid is not square")
-    table = tuple(tuple(int(v) for v in r) for r in rows)
-    for row in table:
-        for v in row:
-            if not 0 <= v < n:
-                raise ValueError(f"table entry {v} out of range 0..{n - 1}")
-    ident = tuple(range(n))
-    if identity_hint is None:
-        e = next((i for i in range(n) if table[i] == ident), -1)
-        if e < 0:
+    table = tuple(map(tuple, rows))
+    e = identity_hint
+    if e is None:
+        ident = tuple(range(n))
+        e = next((i for i in range(n) if table[i] == ident), None)
+        if e is None:
+            _check_entries(table)  # an entry out of range is reported first
             raise ValueError("no left identity row found")
-    else:
-        e = identity_hint
-        if not 0 <= e < n or table[e] != ident:
-            raise ValueError(f"row {e} is not a left identity row")
     return GyroGroup(order=n, table=table, identity=e, labels=labels)
+
+
+def _check_entries(table: tuple[tuple[int, ...], ...]) -> None:
+    """Raise on the first entry, row-major, outside 0..N-1."""
+    n = len(table)
+    bad = next((v for row in table for v in row if not 0 <= v < n), None)
+    if bad is not None:
+        raise ValueError(f"table entry {bad} out of range 0..{n - 1}")
 
 
 def cyclic_group(n: int) -> GyroGroup:
@@ -287,12 +286,23 @@ def gyration_symbol_grid(g: GyroGroup) -> tuple[list[str], dict[str, Permutation
     return rows, legend
 
 
-def gatherer(index: Sequence[int]) -> Callable[[Sequence], tuple]:
+def table_rows(rows: Sequence[Sequence[int]]) -> list:
+    """The N rows of a square table with entries in 0..N-1, in the form
+    :func:`gatherer` composes fastest: bytes up to order 256, where every
+    entry fits in a byte, and tuples above."""
+    return list(map(bytes if len(rows) <= 256 else tuple, rows))
+
+
+def gatherer(index: Sequence[int]) -> Callable[[Sequence], Sequence]:
     """The map seq -> (seq[index[0]], ..., seq[index[-1]]), gathered in C.
 
     For a table row index = row x, gatherer(row x)(row a) is the row of
-    L_a o L_x, where L_a is the left translation c -> a + c.
+    L_a o L_x, where L_a is the left translation c -> a + c.  A bytes
+    index gathers with one bytes.translate, seq padded to 256 bytes
+    being the translation table; any other index uses itemgetter.
     """
+    if isinstance(index, bytes):
+        return lambda seq: index.translate(seq.ljust(256))
     get = itemgetter(*index)
     # itemgetter with a single index returns the item, not a 1-tuple.
     return get if len(index) > 1 else lambda seq: (get(seq),)
@@ -308,7 +318,8 @@ def verify_axioms(g: GyroGroup) -> AxiomReport:
     collected with witnesses, never raised.
 
     One row-major pass over the pairs (a, b) composes table rows with
-    :func:`gatherer`.  gyr[a,b] = L_-s o L_a o L_b, with s = a + b, is
+    :func:`gatherer`, as bytes up to order 256 and as tuples above (see
+    :func:`table_rows`).  gyr[a,b] = L_-s o L_a o L_b, with s = a + b, is
     interned to an id, and each distinct gyration is checked for the
     automorphism property once.  a + (b + c) = s + gyr[a,b]c holds for
     every c when L_s o L_-s is the identity, so only the pairs whose s
@@ -318,7 +329,7 @@ def verify_axioms(g: GyroGroup) -> AxiomReport:
     witnesses are its first MAX_COUNTEREXAMPLES failures in row-major
     order (gyro-commutativity keeps only the first).
     """
-    n, t, e = g.order, g.table, g.identity
+    n, t, e = g.order, table_rows(g.table), g.identity
     gather = [gatherer(row) for row in t]
     # Left inverses: the first y with y + a = e.
     inv = [column.index(e) if e in column else None for column in zip(*t)]
@@ -338,9 +349,8 @@ def verify_axioms(g: GyroGroup) -> AxiomReport:
         if len(found[axiom]) < limit:
             found[axiom].append(witness)
 
-    identity = tuple(range(n))
-    cancels = [y is not None and gather[y](t[s]) == identity for s, y in enumerate(inv)]
-    distinct: dict[tuple[int, ...], int] = {}
+    cancels = [y is not None and gather[y](t[s]) == t[e] for s, y in enumerate(inv)]
+    distinct: dict[Sequence[int], int] = {}
     automorphism_failures: list[tuple[int, ...] | None] = []
     gyr_ids = []  # -1 where a + b has no left inverse and gyr[a,b] is undefined
     is_group = True
@@ -393,7 +403,7 @@ def verify_axioms(g: GyroGroup) -> AxiomReport:
     )
 
 
-def _automorphism_failure(t, gather, p: tuple[int, ...]) -> tuple[int, ...] | None:
+def _automorphism_failure(t, gather, p: Sequence[int]) -> tuple[int, ...] | None:
     """None when p is an automorphism of the table t, with gather[x] =
     gatherer(t[x]); () when p is not a bijection; otherwise the first
     (x, y), row-major, with p(x+y) != p(x) + p(y)."""

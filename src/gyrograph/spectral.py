@@ -324,16 +324,16 @@ class SpectralSummary:
         }
 
 
-def verify_spectral_bounds(graph: Graph) -> SpectralSummary:
-    """Sandwich check for the power graph of G(n), of order 2m with
-    m = 2^(n-1):
+def verify_spectral_bounds(matrix: IntMatrix) -> SpectralSummary:
+    """Sandwich check for the adjacency matrix of the power graph of
+    G(n), of order 2m with m = 2^(n-1):
 
         m - 1 < lambda_1 <= (m - 1) + sqrt(m)
 
     (the complete block pins the strict lower bound; the pendant part has
     top eigenvalue sqrt(m), giving the upper bound)."""
-    lam = spectral_radius(adjacency_matrix(graph))
-    m = graph.n // 2
+    lam = spectral_radius(matrix)
+    m = matrix.n // 2
     lower = float(m - 1)
     upper = lower + math.sqrt(m)
     return SpectralSummary(

@@ -671,13 +671,21 @@ def gyro_isomorphic(
     used = [False] * n
     used[g2.identity] = True
     order = [a for a in range(n) if a != g1.identity]
+    t1, t2 = g1.table, g2.table
+    preimages: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for x, row in enumerate(t1):
+        for y, z in enumerate(row):
+            preimages[z].append((x, y))
 
     def consistent(a: int) -> bool:
-        for x in images:
-            for y in images:
-                z = g1.table[x][y]
-                if z in images and images[z] != g2.table[images[x]][images[y]]:
-                    return False
+        # Only the triples x + y = z that involve a, the element just
+        # mapped: the others held when their last element was mapped.
+        pairs = [(a, y) for y in images] + [(x, a) for x in images]
+        pairs += [(x, y) for x, y in preimages[a] if x in images and y in images]
+        for x, y in pairs:
+            z = t1[x][y]
+            if z in images and images[z] != t2[images[x]][images[y]]:
+                return False
         return True
 
     def backtrack(idx: int) -> bool:

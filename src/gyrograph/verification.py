@@ -35,6 +35,7 @@ from .gyrogroups import (
     gatherer,
     gyration_symbol_grid,
     power_sequence,
+    table_rows,
     verify_axioms,
 )
 from .polynomials import IntPolynomial
@@ -231,7 +232,8 @@ def _power_associative(table, powers) -> bool:
     a^i of the table gathered over the powers must start with
     (a^(i+1), ..., a^N); once a power repeats, the sequence cycles and
     each later check repeats an earlier one on a shorter slice."""
-    for seq in map(tuple, powers):
+    table = table_rows(table)
+    for seq in table_rows(powers):
         over_powers = gatherer(seq)
         seen = set()
         for i, x in enumerate(seq[:-1], 1):
@@ -431,8 +433,9 @@ def verify_gn(n: int) -> list[ReportEntry]:
 
     # Characteristic polynomial (corrected closed form) and spectral radius,
     # both before the pendant-part charpoly evicts their shared twin quotient.
-    charpoly = char_poly_exact(adjacency_matrix(graph))
-    spectral = verify_spectral_bounds(graph)
+    adjacency = adjacency_matrix(graph)
+    charpoly = char_poly_exact(adjacency)
+    spectral = verify_spectral_bounds(adjacency)
     closed = closed_form_charpoly_gn(n)
     entries.append(
         _entry(

@@ -439,7 +439,7 @@ def test_spectral_radius_on_relabelled_gn(n):
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_spectral_sandwich_bounds(n):
-    s = verify_spectral_bounds(power_graph(build_gn(n)))
+    s = verify_spectral_bounds(adjacency_matrix(power_graph(build_gn(n))))
     m = 2 ** (n - 1)
     assert s.satisfied
     assert s.bound_lower == m - 1

@@ -1,5 +1,6 @@
 """Planarity certificates, Hamiltonicity, and isomorphism searches."""
 
+import random
 import time
 from itertools import permutations
 
@@ -16,8 +17,10 @@ from gyrograph import (
     check_embedding,
     find_isomorphism,
     gyro_isomorphic,
+    load_table,
     is_hamiltonian,
     is_planar,
+    power_closure,
     power_graph,
     relabel,
     trace_faces,
@@ -496,6 +499,83 @@ def test_g8_m1_are_isomorphic_as_printed():
     for a in range(8):
         for b in range(8):
             assert w(g8.table[a][b]) == m1.table[w(a)][w(b)]
+
+
+def all_pairs_gyro_isomorphic(g1, g2):
+    """The former search: the same backtracking as gyro_isomorphic, but
+    each step re-checks every pair of mapped elements."""
+    n = g1.order
+    size1 = [len(power_closure(g1, a)) for a in range(n)]
+    size2 = [len(power_closure(g2, a)) for a in range(n)]
+    if sorted(size1) != sorted(size2):
+        return None
+    images = {g1.identity: g2.identity}
+    order = [a for a in range(n) if a != g1.identity]
+
+    def consistent():
+        return all(
+            g1.table[x][y] not in images
+            or images[g1.table[x][y]] == g2.table[images[x]][images[y]]
+            for x in images
+            for y in images
+        )
+
+    def backtrack(idx):
+        if idx == len(order):
+            return True
+        a = order[idx]
+        for b in range(n):
+            if b in images.values() or size1[a] != size2[b]:
+                continue
+            images[a] = b
+            if consistent() and backtrack(idx + 1):
+                return True
+            del images[a]
+        return False
+
+    return Permutation(tuple(images[a] for a in range(n))) if backtrack(0) else None
+
+
+def test_gyro_isomorphic_matches_the_all_pairs_search_on_relabelled_tables():
+    rng = random.Random("gyro-iso")
+    names = ["k1", "n1", "g8", "m1", "gn3"]
+    for first in names:
+        for second in names:
+            perm = list(range(8))
+            rng.shuffle(perm)
+            g1 = bundled_gyrogroup(first)
+            g2 = relabel(bundled_gyrogroup(second), Permutation(tuple(perm)))
+            w = gyro_isomorphic(g1, g2)
+            assert w == all_pairs_gyro_isomorphic(g1, g2)
+            if first == second:
+                assert w is not None
+
+
+def test_gyro_isomorphic_matches_the_all_pairs_search_on_random_magmas():
+    # Random tables with a left identity row, against a relabelled copy
+    # with one entry changed: near-isomorphic pairs, where a check that
+    # missed some triples would return a map that is not an isomorphism.
+    rng = random.Random("gyro-iso-magmas")
+    found = 0
+    for _ in range(150):
+        n = rng.choice([4, 5, 6])
+        rows = [list(range(n))] + [[rng.randrange(n) for _ in range(n)] for _ in range(n - 1)]
+        g1 = load_table(rows, identity_hint=0)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        rows = [list(r) for r in relabel(g1, Permutation(tuple(perm))).table]
+        if rng.random() < 0.5:
+            a = rng.choice([x for x in range(n) if x != perm[0]])
+            rows[a][rng.randrange(n)] = rng.randrange(n)
+        g2 = load_table(rows, identity_hint=perm[0])
+        w = gyro_isomorphic(g1, g2)
+        assert w == all_pairs_gyro_isomorphic(g1, g2)
+        if w is not None:
+            found += 1
+            assert all(
+                w(g1.table[x][y]) == g2.table[w(x)][w(y)] for x in range(n) for y in range(n)
+            )
+    assert 0 < found < 150
 
 
 def test_gyro_isomorphic_identity_witness():

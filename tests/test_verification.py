@@ -11,6 +11,7 @@ import pytest
 
 from gyrograph import (
     build_gn,
+    cyclic_group,
     distances,
     load_table,
     power_sequence,
@@ -222,6 +223,18 @@ def test_power_associativity_matches_the_tensor_check(n):
         verdicts.append(_power_associative(h.table, powers))
         assert verdicts[-1] == tensor_power_associative(h.table, powers)
     assert verdicts[0] and not all(verdicts)
+
+
+@pytest.mark.parametrize("k", [255, 256, 257])
+def test_power_associativity_matches_the_tensor_check_at_the_byte_boundary(k):
+    z = cyclic_group(k)
+    rows = [list(r) for r in z.table]
+    rows[2][1] = k - 1  # 1^2 + 1^1 is now k - 1, not 1^3 = 1 + 1^2 = 3
+    for h in (z, load_table(rows, identity_hint=0)):
+        powers = [power_sequence(h, a, k) for a in h.elements()]
+        verdict = _power_associative(h.table, powers)
+        assert verdict == tensor_power_associative(h.table, powers)
+        assert verdict == (h is z)
 
 
 def test_example_entries_isolated():
