@@ -41,7 +41,7 @@ from .polynomials import IntPolynomial
 from .resolving import metric_dimension, resolving_polynomial, twin_partition
 from .spectral import adjacency_matrix, char_poly_exact, spectral_radius
 from .structure import is_hamiltonian, is_planar
-from .verification import run_verification
+from .verification import VerificationReport, run_verification, verify_example_tables
 
 INVARIANT_FLAGS = (
     "distances",
@@ -362,8 +362,6 @@ def _parse_range(spec: str) -> list[int]:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.examples:
-        from .verification import VerificationReport, verify_example_tables
-
         report = VerificationReport(entries=tuple(verify_example_tables()))
     else:
         report = run_verification(_parse_range(args.n), include_examples=True)

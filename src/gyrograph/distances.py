@@ -15,12 +15,13 @@ before any search starts, guards that DFS.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import BoundExceededError, DisconnectedGraphError
 from .graphs import Graph, biconnected_components, reachable
+from .gyrogroups import _Value
 from .polynomials import IntPolynomial
 
 INF = float("inf")
@@ -31,12 +32,13 @@ INF = float("inf")
 DETOUR_BLOCK_BOUND = 16
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
+class DistanceMatrix(_Value):
     """All-pairs distances; entries are ints with INF for unreachable pairs."""
 
-    kind: str  # "shortest" | "detour"
-    entries: tuple[tuple[float, ...], ...]
+    _fields = ("kind", "entries")  # kind: "shortest" | "detour"
+
+    def __init__(self, kind: str, entries: tuple[tuple[float, ...], ...]) -> None:
+        self.__dict__.update(kind=kind, entries=entries)
 
     @property
     def n(self) -> int:
@@ -52,16 +54,14 @@ class DistanceMatrix:
         return all(x != INF for row in self.entries for x in row)
 
 
-@dataclass(frozen=True)
-class EccentricityProfile:
+class EccentricityProfile(NamedTuple):
     kind: str
     eccentricities: tuple[int, ...]
     radius: int
     diameter: int
 
 
-@dataclass(frozen=True)
-class DistanceDegreeSequences:
+class DistanceDegreeSequences(NamedTuple):
     """Per-vertex counts of vertices at each distance, plus the grouped
     multiset summary."""
 

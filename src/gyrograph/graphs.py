@@ -7,14 +7,12 @@ distinct u, v adjacent exactly when one is a positive power of the other.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .gyrogroups import GyroGroup, power_closure
+from .gyrogroups import GyroGroup, _Value, power_closure
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_Value):
     """Immutable simple graph on vertices 0..n-1.
 
     Adjacency is kept twice: as bitmask rows (one int per vertex) for set
@@ -22,25 +20,24 @@ class Graph:
     builds both from the edge list and checks they agree.
     """
 
-    n: int
-    edges: frozenset[tuple[int, int]]
-    labels: tuple[str, ...] = field(default=())
-    _adj_bits: tuple[int, ...] = field(default=(), repr=False, compare=False)
-    _adj_lists: tuple[tuple[int, ...], ...] = field(default=(), repr=False, compare=False)
+    # The adjacency stores _adj_bits and _adj_lists are derived from the
+    # edges, so equality, hash and repr leave them out.
+    _fields = ("n", "edges", "labels")
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
+    def __init__(
+        self, n: int, edges: frozenset[tuple[int, int]], labels: tuple[str, ...] = ()
+    ) -> None:
+        if n < 0:
             raise ValueError("vertex count must be non-negative")
         norm = set()
-        for u, v in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
+        for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range")
             if u == v:
                 raise ValueError(f"self-loop at {u}")
             norm.add((min(u, v), max(u, v)))
-        object.__setattr__(self, "edges", frozenset(norm))
-        bits = [0] * self.n
-        lists: list[list[int]] = [[] for _ in range(self.n)]
+        bits = [0] * n
+        lists: list[list[int]] = [[] for _ in range(n)]
         for u, v in norm:
             bits[u] |= 1 << v
             bits[v] |= 1 << u
@@ -48,15 +45,17 @@ class Graph:
             lists[v].append(u)
         adj_lists = tuple(tuple(sorted(l)) for l in lists)
         # The two stores must describe the same relation.
-        for v in range(self.n):
+        for v in range(n):
             if bits[v] != sum(1 << w for w in adj_lists[v]):
                 raise AssertionError("adjacency stores disagree")
-        object.__setattr__(self, "_adj_bits", tuple(bits))
-        object.__setattr__(self, "_adj_lists", adj_lists)
-        if not self.labels:
-            object.__setattr__(self, "labels", tuple(str(i) for i in range(self.n)))
-        elif len(self.labels) != self.n:
+        if not labels:
+            labels = tuple(str(i) for i in range(n))
+        elif len(labels) != n:
             raise ValueError("label count does not match vertex count")
+        self.__dict__.update(
+            n=n, edges=frozenset(norm), labels=labels,
+            _adj_bits=tuple(bits), _adj_lists=adj_lists,
+        )
 
     # -- basic queries -------------------------------------------------
 
@@ -216,8 +215,7 @@ def biconnected_components(graph: Graph) -> list[list[tuple[int, int]]]:
     return blocks
 
 
-@dataclass(frozen=True)
-class StructureSummary:
+class StructureSummary(NamedTuple):
     """Decomposition test for 'complete block plus pendants on one hub'."""
 
     matches_gn_shape: bool

@@ -16,10 +16,9 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass, field
 from importlib import resources
 from operator import itemgetter
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 # Names of the Cayley tables shipped with the package.
 BUNDLED_TABLES = ("k1", "n1", "g8", "m1", "gn3")
@@ -30,15 +29,44 @@ _DATA_DIR_ENV = "GYROGRAPH_DATA_DIR"
 MAX_COUNTEREXAMPLES = 3
 
 
-@dataclass(frozen=True)
-class Permutation:
+class _Value:
+    """Base of the validated value types.  Equality, hash and repr read
+    the attributes named in _fields; __init__ fills __dict__ directly,
+    and assigning or deleting an attribute afterwards raises."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Permutation(_Value):
     """A bijection on 0..size-1, stored as an image tuple."""
 
-    map: tuple[int, ...]
+    _fields = ("map",)
 
-    def __post_init__(self) -> None:
-        if sorted(self.map) != list(range(len(self.map))):
+    def __init__(self, map: tuple[int, ...]) -> None:
+        if sorted(map) != list(range(len(map))):
             raise ValueError("permutation image is not a bijection on 0..N-1")
+        self.__dict__["map"] = map
 
     @property
     def size(self) -> int:
@@ -55,8 +83,7 @@ class Permutation:
         return cls(tuple(range(size)))
 
 
-@dataclass(frozen=True)
-class GyroGroup:
+class GyroGroup(_Value):
     """A finite magma (table[i][j] = i + j) with a left identity row.
 
     Construction checks only cheap structural facts: the table is square,
@@ -65,25 +92,28 @@ class GyroGroup:
     failures instead of raising so that defective tables can be diagnosed.
     """
 
-    order: int
-    table: tuple[tuple[int, ...], ...]
-    identity: int
-    labels: tuple[str, ...] = field(default=())
+    _fields = ("order", "table", "identity", "labels")
 
-    def __post_init__(self) -> None:
-        n = self.order
-        if n <= 0 or len(self.table) != n:
+    def __init__(
+        self,
+        order: int,
+        table: tuple[tuple[int, ...], ...],
+        identity: int,
+        labels: tuple[str, ...] = (),
+    ) -> None:
+        n, e = order, identity
+        if n <= 0 or len(table) != n:
             raise ValueError("table size does not match order")
-        if any(len(row) != n for row in self.table):
+        if any(len(row) != n for row in table):
             raise ValueError("table is not square")
-        _check_entries(self.table)
-        e = self.identity
-        if not 0 <= e < n or any(self.table[e][a] != a for a in range(n)):
+        _check_entries(table)
+        if not 0 <= e < n or any(table[e][a] != a for a in range(n)):
             raise ValueError(f"row {e} is not a left identity row")
-        if not self.labels:
-            object.__setattr__(self, "labels", tuple(str(i) for i in range(n)))
-        elif len(self.labels) != n:
+        if not labels:
+            labels = tuple(str(i) for i in range(n))
+        elif len(labels) != n:
             raise ValueError("label count does not match order")
+        self.__dict__.update(order=order, table=table, identity=identity, labels=labels)
 
     def op(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -100,8 +130,7 @@ class GyroGroup:
             raise ValueError(f"element {a} has no left inverse") from None
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     """Outcome of the exhaustive axiom check for one Cayley table."""
 
     left_identity_ok: bool
@@ -349,6 +378,8 @@ def verify_axioms(g: GyroGroup) -> AxiomReport:
         if len(found[axiom]) < limit:
             found[axiom].append(witness)
 
+    # Once an axiom's list is full, its checks below are skipped.
+    assoc, auto = found["gyroassociativity"], found["gyr_is_automorphism"]
     cancels = [y is not None and gather[y](t[s]) == t[e] for s, y in enumerate(inv)]
     distinct: dict[Sequence[int], int] = {}
     automorphism_failures: list[tuple[int, ...] | None] = []
@@ -371,13 +402,13 @@ def verify_axioms(g: GyroGroup) -> AxiomReport:
             if k == len(automorphism_failures):  # a new gyration
                 automorphism_failures.append(_automorphism_failure(t, gather, gyr))
             ids.append(k)
-            if not cancels[s]:
+            if not cancels[s] and len(assoc) < MAX_COUNTEREXAMPLES:
                 a_bc = gather[b](row_a)
                 c = next((c for c in range(n) if t[s][gyr[c]] != a_bc[c]), None)
                 if c is not None:
-                    note("gyroassociativity", (a, b, c))
-            if automorphism_failures[k] is not None:
-                note("gyr_is_automorphism", (a, b, *automorphism_failures[k]))
+                    assoc.append((a, b, c))
+            if automorphism_failures[k] is not None and len(auto) < MAX_COUNTEREXAMPLES:
+                auto.append((a, b, *automorphism_failures[k]))
             # Gyro-commutativity: a + b = gyr[a,b](b + a).
             if not found["gyrocommutative"] and s != gyr[t[b][a]]:
                 note("gyrocommutative", (a, b))

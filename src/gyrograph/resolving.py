@@ -15,10 +15,9 @@ holds the distance vectors and, as its entries equal to 1, the edges.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations, dropwhile
 from math import comb, prod
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .distances import DistanceMatrix, _shortest_entries
 from .errors import BoundExceededError
@@ -30,8 +29,7 @@ from .polynomials import IntPolynomial
 LOOKUP_BUDGET = 100_000_000
 
 
-@dataclass(frozen=True)
-class TwinPartition:
+class TwinPartition(NamedTuple):
     """Maximal nontrivial twin classes, tagged 'adjacent' or 'non-adjacent'."""
 
     classes: tuple[tuple[frozenset[int], str], ...]
@@ -41,8 +39,7 @@ class TwinPartition:
         return sum(len(cls) - 1 for cls, _ in self.classes)
 
 
-@dataclass(frozen=True)
-class ResolvingProfile:
+class ResolvingProfile(NamedTuple):
     metric_dimension: int
     resolving_sequence: tuple[int, ...]  # (r_psi, ..., r_n)
     polynomial: IntPolynomial

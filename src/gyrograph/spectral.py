@@ -14,27 +14,27 @@ from __future__ import annotations
 import functools
 import math
 import struct
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import BoundExceededError
 from .graphs import Graph, twin_classes
+from .gyrogroups import _Value
 from .polynomials import IntPolynomial
 
 #: Largest twin-quotient dimension accepted by char_poly_exact.
 CHARPOLY_DIMENSION_BOUND = 64
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(_Value):
     """Immutable square integer matrix."""
 
-    rows: tuple[tuple[int, ...], ...]
+    _fields = ("rows",)
 
-    def __post_init__(self) -> None:
-        n = len(self.rows)
-        if any(len(r) != n for r in self.rows):
+    def __init__(self, rows: tuple[tuple[int, ...], ...]) -> None:
+        if any(len(r) != len(rows) for r in rows):
             raise ValueError("matrix is not square")
+        self.__dict__["rows"] = rows
 
     @property
     def n(self) -> int:
@@ -308,8 +308,7 @@ def _bits_float(bits: int) -> float:
     return struct.unpack("<d", struct.pack("<q", bits))[0]
 
 
-@dataclass(frozen=True)
-class SpectralSummary:
+class SpectralSummary(NamedTuple):
     spectral_radius: float
     bound_lower: float
     bound_upper: float

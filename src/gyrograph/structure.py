@@ -13,7 +13,7 @@ terminates in a bare subdivision).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BoundExceededError
 from .distances import distance_matrix
@@ -35,8 +35,7 @@ GYRO_ISO_ORDER_BOUND = 10
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlanarityResult:
+class PlanarityResult(NamedTuple):
     is_planar: bool
     rotation: tuple[tuple[int, ...], ...] | None = None
     kuratowski_edges: frozenset[tuple[int, int]] | None = None
@@ -497,8 +496,7 @@ def verify_kuratowski(graph: Graph, edges: frozenset[tuple[int, int]]) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HamiltonicityResult:
+class HamiltonicityResult(NamedTuple):
     is_hamiltonian: bool
     cycle: tuple[int, ...] | None = None
     reason: str = ""
@@ -567,8 +565,7 @@ def is_hamiltonian(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IsomorphismWitness:
+class IsomorphismWitness(NamedTuple):
     map: Permutation
     valid: bool
 

@@ -14,7 +14,7 @@ refusal and is never counted as a failure).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import closed_forms as cf
 from .distances import (
@@ -123,8 +123,7 @@ K1_TO_N1_MAP = (0, 1, 7, 6, 2, 3, 5, 4)
 M1_TO_G8_MAP = (0, 3, 7, 5, 4, 6, 1, 2)
 
 
-@dataclass(frozen=True)
-class ReportEntry:
+class ReportEntry(NamedTuple):
     claim_id: str
     statement: str
     expected: str
@@ -143,9 +142,8 @@ class ReportEntry:
         }
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    entries: tuple[ReportEntry, ...] = field(default=())
+class VerificationReport(NamedTuple):
+    entries: tuple[ReportEntry, ...] = ()
 
     @property
     def summary(self) -> dict[str, int]:

@@ -272,7 +272,9 @@ def run_python(code):
 
 def test_no_subcommand_imports_numpy(tmp_path):
     # The axiom check, power associativity and the spectral layer are plain
-    # Python; numpy is a test dependency only.
+    # Python; numpy is a test dependency only.  The records are NamedTuples
+    # and the value types plain classes, so neither dataclasses nor the
+    # inspect module it pulls in is paid for by any process.
     g = build_gn(4)
     rows = [list(r) for r in g.table]
     valid, bad = tmp_path / "g4.csv", tmp_path / "g4bad.csv"
@@ -289,9 +291,34 @@ def test_no_subcommand_imports_numpy(tmp_path):
         "import sys, gyrograph.cli\n"
         f"for argv, rc in {commands!r}:\n"
         "    assert gyrograph.cli.main(argv) == rc, argv\n"
-        "    assert 'numpy' not in sys.modules, argv\n"
+        "    for name in ('numpy', 'dataclasses', 'inspect'):\n"
+        "        assert name not in sys.modules, (argv, name)\n"
     )
     assert r.returncode == 0, r.stderr
+
+
+def test_invariants_payload_holds_only_json_types(monkeypatch, capsys):
+    # A NamedTuple record passed to json.dumps would be written as a list
+    # (default=str never sees it), so each invariant converts its record.
+    values = []
+
+    def recording(flag, *args):
+        values.append(compute(flag, *args))
+        return values[-1]
+
+    def plain(value):
+        if type(value) is dict:
+            return all(type(k) is str and plain(v) for k, v in value.items())
+        if type(value) is list:
+            return all(map(plain, value))
+        return type(value) in (str, int, float, bool, type(None))
+
+    compute = cli._compute_invariant
+    monkeypatch.setattr(cli, "_compute_invariant", recording)
+    assert cli.main(["invariants", "--gn", "4", "--all", "--format", "json"]) == 0
+    capsys.readouterr()
+    assert len(values) == len(cli.INVARIANT_FLAGS) - 1  # psi read off resolving
+    assert all(map(plain, values)), values
 
 
 def test_build_gn8_peak_memory():
