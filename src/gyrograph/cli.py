@@ -123,8 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="only the bundled-table demonstrations")
     vp.add_argument("--format", choices=("text", "json"), default="text")
     vp.add_argument("--out", metavar="PATH")
-    vp.add_argument("--tol", type=_tolerance, default=1e-10)
-    vp.add_argument("--detour-bound", type=_count, default=DETOUR_BLOCK_BOUND)
     return parser
 
 
@@ -143,8 +141,7 @@ def _tolerance(text: str) -> float:
 
 
 def _count(text: str) -> int:
-    """A --detour-bound value: an integer >= 0.  verify-paper checks it, as
-    it does --tol, but never reads it: no block of P(G(n)) is searched."""
+    """A --detour-bound value: an integer >= 0."""
     if not text.strip().isdecimal():
         raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
     return int(text)

@@ -5,11 +5,11 @@ Invariants of a metric take its DistanceMatrix, not the graph, so one
 matrix per graph serves them all; those of the shortest-path metric read
 the edges as the entries equal to 1.
 
-Shortest distances come from BFS.  Detour distances (longest simple
-paths) are summed along the block-cut tree: complete blocks need no
-search, and only the other blocks run an exhaustive DFS, exponential in
-the block's size.  A bound on the largest non-complete block, checked
-before any search starts, guards that DFS.
+Shortest distances come from one BFS per twin part.  Detour distances
+(longest simple paths) are summed along the block-cut tree: complete
+blocks need no search, and only the other blocks run an exhaustive DFS,
+exponential in the block's size.  A bound on the largest non-complete
+block, checked before any search starts, guards that DFS.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import BoundExceededError, DisconnectedGraphError
-from .graphs import Graph, biconnected_components, reachable
+from .graphs import Graph, biconnected_components, reachable, twin_parts
 from .gyrogroups import _Value
 from .polynomials import IntPolynomial
 
@@ -79,19 +79,27 @@ class DistanceDegreeSequences(NamedTuple):
 
 
 def distance_matrix(graph: Graph) -> DistanceMatrix:
-    """BFS from every vertex; INF marks disconnected pairs."""
-    rows = []
-    for s in graph.vertices():
+    """BFS from the least vertex r of each twin part (:func:`twin_parts`);
+    INF marks disconnected pairs.  A twin u of r has r's neighbors outside
+    {r, u}, so u's row is r's with the entries at r and u swapped: three
+    BFS runs for every P(G(n))."""
+    rows: list[tuple[float, ...]] = [()] * graph.n
+    for part, _ in twin_parts([graph.neighbor_bits(v) for v in graph.vertices()]):
+        r = part[0]
         dist: list[float] = [INF] * graph.n
-        dist[s] = 0
-        queue = deque([s])
+        dist[r] = 0
+        queue = deque([r])
         while queue:
             v = queue.popleft()
             for w in graph.neighbors(v):
                 if dist[w] == INF:
                     dist[w] = dist[v] + 1
                     queue.append(w)
-        rows.append(tuple(dist))
+        rows[r] = tuple(dist)
+        for u in part[1:]:
+            row = dist[:]
+            row[r], row[u] = row[u], row[r]
+            rows[u] = tuple(row)
     return DistanceMatrix(kind="shortest", entries=tuple(rows))
 
 

@@ -149,23 +149,26 @@ def reachable(adj_bits: Sequence[int], v: int, allowed: int) -> int:
     return seen
 
 
-def twin_classes(adj_bits: Sequence[int]) -> list[tuple[list[int], bool]]:
-    """Nontrivial twin classes of the bitmask adjacency rows, as (ascending
-    vertices, adjacent) pairs ordered by least vertex: equal closed
-    neighborhoods give adjacent twins, equal open ones non-adjacent twins.
-
-    A pair cannot be in nontrivial classes of both kinds, so the classes
-    are disjoint.
-    """
+def twin_parts(adj_bits: Sequence[int]) -> list[tuple[list[int], str]]:
+    """The twin partition of the bitmask adjacency rows, as (ascending
+    vertices, kind) pairs ordered by least vertex: equal closed
+    neighborhoods make an "adjacent" part, equal open ones a "non-adjacent"
+    part, and every other vertex an "untwinned" part of its own.  No vertex
+    has twins of both kinds: its open twin would neighbor its closed twin,
+    hence itself."""
     closed: dict[int, list[int]] = {}
     open_: dict[int, list[int]] = {}
     for v, nb in enumerate(adj_bits):
         closed.setdefault(nb | 1 << v, []).append(v)
         open_.setdefault(nb, []).append(v)
-    classes = [(group, True) for group in closed.values() if len(group) >= 2]
-    classes += [(group, False) for group in open_.values() if len(group) >= 2]
-    classes.sort(key=lambda item: item[0][0])
-    return classes
+    parts = []
+    for v, nb in enumerate(adj_bits):
+        part = closed[nb | 1 << v], "adjacent"
+        if len(part[0]) == 1:
+            part = open_[nb], "non-adjacent" if len(open_[nb]) > 1 else "untwinned"
+        if part[0][0] == v:
+            parts.append(part)
+    return parts
 
 
 def biconnected_components(graph: Graph) -> list[list[tuple[int, int]]]:

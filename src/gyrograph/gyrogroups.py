@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import os
-from importlib import resources
 from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
@@ -567,6 +566,7 @@ def bundled_table_text(name: str, fmt: str = "csv") -> str:
     if override:
         with open(os.path.join(override, f"{name}.{fmt}"), encoding="utf-8") as fh:
             return fh.read()
+    from importlib import resources  # loads zipfile, tempfile, pathlib: import late
     return (resources.files("gyrograph.data") / f"{name}.{fmt}").read_text("utf-8")
 
 

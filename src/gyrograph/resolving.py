@@ -3,10 +3,11 @@ polynomial.
 
 Twin vertices (equal open or closed neighborhoods) are interchangeable in
 distance vectors, so a resolving set can omit at most one vertex of each
-twin class.  Swapping two twins is an automorphism that fixes every other
-vertex, so whether a subset resolves depends only on which classes its
-complement touches: the search tests one subset per such omission
-pattern, and a budget of distance lookups, not the order, fences it.
+twin part (:func:`graphs.twin_parts`).  Swapping two twins is an
+automorphism that fixes every other vertex, so whether a subset resolves
+depends only on which parts its complement touches: the search tests one
+subset per such omission pattern, and a budget of distance lookups, not
+the order, fences it.
 
 Everything but `twin_partition` takes the shortest-distance matrix: it
 holds the distance vectors and, as its entries equal to 1, the edges.
@@ -21,7 +22,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .distances import DistanceMatrix, _shortest_entries
 from .errors import BoundExceededError
-from .graphs import Graph, twin_classes
+from .graphs import Graph, twin_parts
 from .polynomials import IntPolynomial
 
 #: Default cap on the distance lookups of one search (omission patterns x
@@ -58,15 +59,12 @@ class ResolvingProfile(NamedTuple):
 
 
 def twin_partition(graph: Graph) -> TwinPartition:
-    """Group vertices by equal closed neighborhoods (adjacent twins) and by
-    equal open neighborhoods (non-adjacent twins); keep classes of size >= 2
-    (see :func:`graphs.twin_classes`)."""
-    classes = twin_classes([graph.neighbor_bits(v) for v in graph.vertices()])
+    """The twinned parts of the graph's twin partition (see
+    :func:`graphs.twin_parts`): equal closed neighborhoods make adjacent
+    twins, equal open ones non-adjacent twins."""
+    parts = twin_parts([graph.neighbor_bits(v) for v in graph.vertices()])
     return TwinPartition(
-        classes=tuple(
-            (frozenset(group), "adjacent" if adjacent else "non-adjacent")
-            for group, adjacent in classes
-        )
+        classes=tuple((frozenset(p), kind) for p, kind in parts if kind != "untwinned")
     )
 
 
@@ -85,16 +83,6 @@ def _resolves(rows: Sequence[Sequence[float]], subset: Sequence[int]) -> bool:
     """Distance vectors are read down the columns rows[s]: the distance
     matrix of an undirected graph is symmetric."""
     return len(rows) <= 1 or len(set(zip(*map(rows.__getitem__, subset)))) == len(rows)
-
-
-def _omission_units(rows: Sequence[Sequence[float]]) -> list[tuple[int, ...]]:
-    """Units from which set complements are drawn: one unit per nontrivial
-    twin class of the graph whose edges are the entries equal to 1 (pick
-    at most one of its vertices) plus one per remaining vertex."""
-    adj_bits = [sum(1 << w for w, d in enumerate(row) if d == 1) for row in rows]
-    units = [tuple(group) for group, _ in twin_classes(adj_bits)]
-    in_class = {v for unit in units for v in unit}
-    return units + [(v,) for v in range(len(rows)) if v not in in_class]
 
 
 def _omission_patterns(
@@ -120,13 +108,15 @@ def _resolving_layers(
     """Yield (k, number of resolving k-subsets, least resolving k-subset or
     None) for k from the twin lower bound up to n.
 
-    One pass: the omission units are built once and every omission pattern
+    One pass: the omission units (the twin parts of the graph whose edges
+    are the entries equal to 1) are built once and every omission pattern
     is tested once.  A layer whose lookups (patterns x n x k) would take
     the total past lookup_budget is refused.
     """
     n = dm.n
     rows = _shortest_entries(dm, "metric dimension needs a connected graph")
-    units = _omission_units(rows)
+    adj_bits = [sum(1 << w for w, d in enumerate(row) if d == 1) for row in rows]
+    units = [tuple(part) for part, _ in twin_parts(adj_bits)]
     spent = 0
     for k in range(n - len(units), n + 1):
         patterns = comb(len(units), n - k)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import BoundExceededError
-from .graphs import Graph, twin_classes
+from .graphs import Graph, twin_parts
 from .gyrogroups import _Value
 from .polynomials import IntPolynomial
 
@@ -99,11 +99,11 @@ def twin_quotient(matrix: IntMatrix) -> tuple[IntMatrix, IntPolynomial]:
     """(B, f) with det(xI - M) = det(xI - B) * f.
 
     When M is a graph's adjacency matrix (symmetric, 0/1, zero diagonal)
-    with twins, the twin classes and the remaining single vertices form an
+    with twins, its twin parts (:func:`graphs.twin_parts`) form an
     equitable partition (Godsil & Royle, Algebraic Graph Theory, ch. 9):
     B[i][j] counts the neighbors in part j of any vertex of part i, and f
-    is (x+1)^(|C|-1) per class C of adjacent twins times x^(|C|-1) per
-    class of non-adjacent twins.  Every other matrix gives (M, 1).
+    is (x+1)^(|P|-1) per adjacent part P times x^(|P|-1) per other part.
+    Every other matrix gives (M, 1).
     """
     rows = matrix.rows
     n = matrix.n
@@ -115,20 +115,16 @@ def twin_quotient(matrix: IntMatrix) -> tuple[IntMatrix, IntPolynomial]:
     ):
         return matrix, one
     bits = [sum(v << j for j, v in enumerate(row)) for row in rows]
-    classes = twin_classes(bits)
-    if not classes:
+    parts = twin_parts(bits)
+    if len(parts) == n:
         return matrix, one
-    in_class = {v for group, _ in classes for v in group}
-    parts = [group for group, _ in classes]
-    parts += [[v] for v in range(n) if v not in in_class]
-    masks = [sum(1 << v for v in part) for part in parts]
+    masks = [sum(1 << v for v in part) for part, _ in parts]
     quotient = IntMatrix.from_rows(
-        [(bits[part[0]] & mask).bit_count() for mask in masks] for part in parts
+        [(bits[part[0]] & mask).bit_count() for mask in masks] for part, _ in parts
     )
-    factor = one
-    for group, adjacent in classes:
-        root = IntPolynomial({0: 1, 1: 1}) if adjacent else IntPolynomial.x_power(1)
-        factor = factor * root ** (len(group) - 1)
+    factor, x, x_plus_1 = one, IntPolynomial.x_power(1), IntPolynomial({0: 1, 1: 1})
+    for part, kind in parts:
+        factor = factor * (x_plus_1 if kind == "adjacent" else x) ** (len(part) - 1)
     return quotient, factor
 
 

@@ -328,11 +328,11 @@ def check_embedding(graph: Graph, rotation: tuple[tuple[int, ...], ...]) -> bool
         if sorted(rotation[v]) != list(graph.neighbors(v)):
             return False
     faces = trace_faces(graph, rotation)
+    comps = graph.connected_components()
     comp_of = {}
-    for ci, comp in enumerate(graph.connected_components()):
+    for ci, comp in enumerate(comps):
         for v in comp:
             comp_of[v] = ci
-    comps = graph.connected_components()
     face_count = [0] * len(comps)
     for orbit in faces:
         face_count[comp_of[orbit[0][0]]] += 1

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, output determinism."""
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import sys
 import pytest
 from test_verification import count_calls
 
+import gyrograph
 from gyrograph import (
     BoundExceededError,
     Permutation,
@@ -297,6 +299,26 @@ def test_no_subcommand_imports_numpy(tmp_path):
     assert r.returncode == 0, r.stderr
 
 
+def test_cli_path_leaves_importlib_resources_unloaded(tmp_path):
+    # importlib.resources loads zipfile, tempfile and pathlib; only the
+    # bundled-table reader needs it.  -S keeps a site .pth hook from
+    # importing it before gyrograph does.
+    env = {k: v for k, v in os.environ.items() if k != "GYROGRAPH_DATA_DIR"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(gyrograph.__file__))
+    out = str(tmp_path / "g3.json")
+    code = (
+        "import sys, gyrograph.cli\n"
+        f"assert gyrograph.cli.main(['build', '--gn', '3', '--out', {out!r}]) == 0\n"
+        "assert 'importlib.resources' not in sys.modules\n"
+        "assert gyrograph.bundled_gyrogroup('k1').order == 8\n"
+        "assert 'importlib.resources' in sys.modules\n"
+    )
+    r = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert r.returncode == 0, r.stderr
+
+
 def test_invariants_payload_holds_only_json_types(monkeypatch, capsys):
     # A NamedTuple record passed to json.dumps would be written as a list
     # (default=str never sees it), so each invariant converts its record.
@@ -435,7 +457,9 @@ def test_rs_hosoya_on_fractional_sums_computes_statuses_once(monkeypatch, capsys
 
 
 @pytest.mark.parametrize("tol", ["0", "-1e-3", "inf", "nan", "abc"])
-@pytest.mark.parametrize("command", [["invariants", "--gn", "3"], ["verify-paper"]])
+@pytest.mark.parametrize(
+    "command", [["invariants", "--gn", "3"], ["invariants", "--gn", "3", "--spectral"]]
+)
 def test_tol_must_be_finite_and_positive(capsys, command, tol):
     with pytest.raises(SystemExit) as exc:
         cli.main([*command, "--tol", tol])
@@ -444,12 +468,23 @@ def test_tol_must_be_finite_and_positive(capsys, command, tol):
 
 
 @pytest.mark.parametrize("bound", ["-1", "1.5", "abc", ""])
-@pytest.mark.parametrize("command", [["invariants", "--gn", "3", "--detour"], ["verify-paper"]])
+@pytest.mark.parametrize(
+    "command", [["invariants", "--gn", "3", "--detour"], ["invariants", "--gn", "3"]]
+)
 def test_detour_bound_must_be_a_nonnegative_integer(capsys, command, bound):
     with pytest.raises(SystemExit) as exc:
         cli.main([*command, "--detour-bound", bound])
     assert exc.value.code == 2
     assert "argument --detour-bound" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--tol", "1e-10"], ["--detour-bound", "16"]])
+def test_verify_paper_rejects_tol_and_detour_bound(capsys, flag):
+    # Nothing in the report reads either value, so verify-paper has neither.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify-paper", "--n", "3", *flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
 def test_invariants_output_is_deterministic():
@@ -500,14 +535,13 @@ def test_verify_paper_without_examples_all_match():
 
 
 def test_verify_paper_skips_detour_beyond_bound(monkeypatch, capsys):
-    # No block of P(G(n)) reaches the detour search, so --detour-bound
-    # changes nothing; a refusal by the library, stood in for here, is
-    # reported as skipped with its text.
+    # No block of P(G(n)) reaches the detour search; a refusal by the
+    # library, stood in for here, is reported as skipped with its text.
     def refuse(graph):
         raise BoundExceededError("detour search refused: stand-in")
 
     monkeypatch.setattr(verification, "detour_matrix", refuse)
-    args = ["verify-paper", "--n", "5..5", "--format", "json", "--detour-bound", "0"]
+    args = ["verify-paper", "--n", "5..5", "--format", "json"]
     assert cli.main(args) == 1
     entries = {e["claim_id"]: e for e in json.loads(capsys.readouterr().out)["entries"]}
     for claim_id in ("detour-eccentricity[n=5]", "dds-detour[n=5]"):

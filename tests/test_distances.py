@@ -1,9 +1,12 @@
 """Distances, detour distances, Hosoya-type polynomials, and the
 boundary/interior/center/closure machinery."""
 
+import functools
 import random
 import time
+from collections import deque
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +38,7 @@ from gyrograph import (
     relabel,
     resolving_polynomial,
 )
-from gyrograph.graphs import reachable
+from gyrograph.graphs import reachable, twin_parts
 
 INF = float("inf")
 
@@ -330,6 +333,107 @@ def test_detour_order_64_gate():
     assert all(prof.eccentricities[v] == ecc_h for v in range(m, 2 * m))
     assert (prof.radius, prof.diameter) == closed_forms.detour_radius_diameter_closed_form(n)
     assert elapsed < 10.0, f"order-64 detour took {elapsed:.1f} s"
+
+
+# ---------------------------------------------------------------------------
+# The twin partition, and the shortest distances read from it
+# ---------------------------------------------------------------------------
+
+
+def bfs_distance_matrix(graph):
+    """Oracle: one BFS from every vertex."""
+    rows = []
+    for s in graph.vertices():
+        dist = [INF] * graph.n
+        dist[s] = 0
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            for w in graph.neighbors(v):
+                if dist[w] == INF:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+        rows.append(tuple(dist))
+    return tuple(rows)
+
+
+@functools.cache
+def named_power_graph(name):
+    return power_graph(cyclic_group(28) if name == "Z28" else build_gn(int(name)))
+
+
+@st.composite
+def twin_heavy_graphs(draw):
+    """A randomly relabelled graph from one of: the random and block-chain
+    graphs above; edgeless graphs; blow-ups that replace each vertex of a
+    random graph by an adjacent or a non-adjacent twin class (isolated
+    twin pairs and disconnected pieces included); P(G(3..7)) and P(Z28)."""
+    family = draw(st.sampled_from(["graphs", "edgeless", "blow-up", "power"]))
+    if family == "graphs":
+        graph = draw(graphs())
+    elif family == "edgeless":
+        graph = Graph(draw(st.integers(0, 6)), frozenset())
+    elif family == "blow-up":
+        base = draw(graphs(max_n=6))
+        members, n = [], 0
+        for _ in base.vertices():
+            size = draw(st.integers(1, 3))
+            members.append(range(n, n + size))
+            n += size
+        edges = {(a, b) for u, v in base.edges for a in members[u] for b in members[v]}
+        for part in members:
+            if draw(st.booleans()):
+                edges.update(combinations(part, 2))
+        graph = Graph.from_edges(n, edges)
+    else:
+        name = draw(st.sampled_from(["3", "4", "5", "6", "7", "Z28"]))
+        graph = named_power_graph(name)
+    perm = draw(st.permutations(range(graph.n)))
+    return Graph.from_edges(graph.n, ((perm[u], perm[v]) for u, v in graph.edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(twin_heavy_graphs())
+def test_twin_parts_partition_the_vertices_into_twins(graph):
+    bits = [graph.neighbor_bits(v) for v in graph.vertices()]
+    parts = twin_parts(bits)
+    assert sorted(v for part, _ in parts for v in part) == list(graph.vertices())
+    assert [part[0] for part, _ in parts] == sorted(part[0] for part, _ in parts)
+    for part, kind in parts:
+        assert part == sorted(part)
+        if kind == "adjacent":
+            assert len({bits[v] | 1 << v for v in part}) == 1 < len(part)
+        elif kind == "non-adjacent":
+            assert len({bits[v] for v in part}) == 1 < len(part)
+        else:
+            assert kind == "untwinned" and len(part) == 1
+            (v,) = part
+            for w in graph.vertices():
+                if w != v:
+                    assert bits[w] != bits[v] and bits[w] | 1 << w != bits[v] | 1 << v
+
+
+@settings(max_examples=300, deadline=None)
+@given(twin_heavy_graphs())
+def test_distance_matrix_matches_bfs_from_every_vertex(graph):
+    assert distance_matrix(graph).entries == bfs_distance_matrix(graph)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_distance_matrix_runs_one_bfs_per_twin_part(monkeypatch, n):
+    # P(G(n)) has three twin parts (identity, the rest of the clique, the
+    # pendants); each BFS on the connected graph lists every vertex's
+    # neighbors once.
+    graph = power_graph(build_gn(n))
+    calls = []
+    neighbors = Graph.neighbors
+    monkeypatch.setattr(
+        Graph, "neighbors", lambda self, v: calls.append(v) or neighbors(self, v)
+    )
+    dm = distance_matrix(graph)
+    assert len(calls) == 3 * graph.n
+    monkeypatch.undo()
+    assert dm.entries == bfs_distance_matrix(graph)
 
 
 # ---------------------------------------------------------------------------
