@@ -2,14 +2,14 @@
 boundary / interior / center / closure machinery.
 
 Invariants of a metric take its DistanceMatrix, not the graph, so one
-matrix per graph serves them all; those of the shortest-path metric read
-the edges as the entries equal to 1.
+matrix per graph serves them all.  They read its row `counts` and unit
+entries `ones` (for shortest distances, the edges), each built once.
 
-Shortest distances come from one BFS per twin part.  Detour distances
-(longest simple paths) are summed along the block-cut tree: complete
-blocks need no search, and only the other blocks run an exhaustive DFS,
-exponential in the block's size.  A bound on the largest non-complete
-block, checked before any search starts, guards that DFS.
+Shortest distances come from BFS and detour distances (longest simple
+paths) are summed along the block-cut tree, both from one vertex per twin
+part.  Complete blocks need no search; only the other blocks run an
+exhaustive DFS, exponential in the block's size.  A bound on the largest
+non-complete block, checked before any search starts, guards that DFS.
 """
 
 from __future__ import annotations
@@ -49,9 +49,19 @@ class DistanceMatrix(_Value):
         return self.entries[u][v]
 
     @cached_property
+    def counts(self) -> tuple[Counter, ...]:
+        """counts[u][d] = |{v : d(u, v) = d}|, one Counter per row."""
+        return tuple(map(Counter, self.entries))
+
+    @cached_property
+    def ones(self) -> tuple[tuple[int, ...], ...]:
+        """ones[u]: the ascending v with d(u, v) = 1, u's neighbors when kind is "shortest"."""
+        return tuple(tuple(v for v, d in enumerate(row) if d == 1) for row in self.entries)
+
+    @cached_property
     def is_finite(self) -> bool:
-        """No INF entry; scanned once per matrix."""
-        return all(x != INF for row in self.entries for x in row)
+        """No INF entry."""
+        return not any(INF in c for c in self.counts)
 
 
 class EccentricityProfile(NamedTuple):
@@ -79,13 +89,10 @@ class DistanceDegreeSequences(NamedTuple):
 
 
 def distance_matrix(graph: Graph) -> DistanceMatrix:
-    """BFS from the least vertex r of each twin part (:func:`twin_parts`);
-    INF marks disconnected pairs.  A twin u of r has r's neighbors outside
-    {r, u}, so u's row is r's with the entries at r and u swapped: three
-    BFS runs for every P(G(n))."""
-    rows: list[tuple[float, ...]] = [()] * graph.n
-    for part, _ in twin_parts([graph.neighbor_bits(v) for v in graph.vertices()]):
-        r = part[0]
+    """One BFS per twin part (:func:`_by_twin_parts`), three for every
+    P(G(n)); INF marks disconnected pairs."""
+
+    def bfs(r: int) -> list[float]:
         dist: list[float] = [INF] * graph.n
         dist[r] = 0
         queue = deque([r])
@@ -95,12 +102,25 @@ def distance_matrix(graph: Graph) -> DistanceMatrix:
                 if dist[w] == INF:
                     dist[w] = dist[v] + 1
                     queue.append(w)
+        return dist
+
+    return _by_twin_parts(graph, "shortest", bfs)
+
+
+def _by_twin_parts(graph: Graph, kind: str, row_from) -> DistanceMatrix:
+    """A distance matrix from row_from(r) for the least vertex r of each twin
+    part (:func:`twin_parts`) alone: swapping r and a twin u is an
+    automorphism, so u's row is r's with the entries at r and u swapped."""
+    rows: list[tuple[float, ...]] = [()] * graph.n
+    for part, _ in twin_parts([graph.neighbor_bits(v) for v in graph.vertices()]):
+        r = part[0]
+        dist = row_from(r)
         rows[r] = tuple(dist)
         for u in part[1:]:
             row = dist[:]
             row[r], row[u] = row[u], row[r]
             rows[u] = tuple(row)
-    return DistanceMatrix(kind="shortest", entries=tuple(rows))
+    return DistanceMatrix(kind=kind, entries=tuple(rows))
 
 
 def detour_matrix(graph: Graph, block_bound: int = DETOUR_BLOCK_BOUND) -> DistanceMatrix:
@@ -125,12 +145,11 @@ def detour_matrix(graph: Graph, block_bound: int = DETOUR_BLOCK_BOUND) -> Distan
             f"detour search refused: a non-complete block of {largest} vertices "
             f"exceeds block bound {block_bound}"
         )
-    n = graph.n
-    adj_bits = [graph.neighbor_bits(v) for v in range(n)]
+    adj_bits = [graph.neighbor_bits(v) for v in graph.vertices()]
     # blocks[b] = (vertices, in-block detour by vertex pair or None when
     # the block is complete); vertex_blocks[v] = the blocks holding v.
     blocks: list[tuple[list[int], dict[int, dict[int, int]] | None]] = []
-    vertex_blocks: list[list[int]] = [[] for _ in range(n)]
+    vertex_blocks: list[list[int]] = [[] for _ in graph.vertices()]
     for verts, complete in components:
         inner = None
         if not complete:
@@ -143,12 +162,10 @@ def detour_matrix(graph: Graph, block_bound: int = DETOUR_BLOCK_BOUND) -> Distan
             vertex_blocks[v].append(len(blocks))
         blocks.append((verts, inner))
 
-    rows = []
-    for s in range(n):
-        row: list[float] = [INF] * n
+    def walk(s: int) -> list[float]:
+        # Walk the block-cut tree: (vertex reached, block it came through).
+        row: list[float] = [INF] * graph.n
         row[s] = 0
-        # Walk the block-cut tree from s: (vertex reached, block it was
-        # reached through).
         stack = [(s, -1)]
         while stack:
             w, came = stack.pop()
@@ -160,8 +177,9 @@ def detour_matrix(graph: Graph, block_bound: int = DETOUR_BLOCK_BOUND) -> Distan
                     if x != w:
                         row[x] = row[w] + (len(verts) - 1 if inner is None else inner[w][x])
                         stack.append((x, b))
-        rows.append(tuple(row))
-    return DistanceMatrix(kind="detour", entries=tuple(rows))
+        return row
+
+    return _by_twin_parts(graph, "detour", walk)
 
 
 def _longest_path(adj_bits: list[int], allowed: int, s: int, t: int) -> int:
@@ -195,12 +213,10 @@ def eccentricity_profile(dm: DistanceMatrix) -> EccentricityProfile:
     """Per-vertex eccentricities plus radius and diameter."""
     if not dm.is_finite:
         raise DisconnectedGraphError("eccentricities need a connected graph")
-    ecc = tuple(int(max(row)) if row else 0 for row in dm.entries)
+    ecc = tuple(int(max(c)) for c in dm.counts)
     if not ecc:
         raise ValueError("empty matrix")
-    return EccentricityProfile(
-        kind=dm.kind, eccentricities=ecc, radius=min(ecc), diameter=max(ecc)
-    )
+    return EccentricityProfile(dm.kind, ecc, radius=min(ecc), diameter=max(ecc))
 
 
 def distance_degree_sequence(dm: DistanceMatrix) -> DistanceDegreeSequences:
@@ -208,20 +224,9 @@ def distance_degree_sequence(dm: DistanceMatrix) -> DistanceDegreeSequences:
     the summary groups equal tuples with multiplicities."""
     if not dm.is_finite:
         raise DisconnectedGraphError("distance degree sequences need a connected graph")
-    per_vertex = []
-    for row in dm.entries:
-        ecc = int(max(row))
-        counts = [0] * (ecc + 1)
-        for d in row:
-            counts[int(d)] += 1
-        per_vertex.append(tuple(counts))
-    groups: dict[tuple[int, ...], int] = {}
-    for t in per_vertex:
-        groups[t] = groups.get(t, 0) + 1
-    summary = tuple(sorted(groups.items(), key=lambda kv: (len(kv[0]), kv[0])))
-    return DistanceDegreeSequences(
-        kind=dm.kind, per_vertex=tuple(per_vertex), summary=summary
-    )
+    per_vertex = tuple(tuple(c[k] for k in range(int(max(c)) + 1)) for c in dm.counts)
+    summary = sorted(Counter(per_vertex).items(), key=lambda kv: (len(kv[0]), kv[0]))
+    return DistanceDegreeSequences(dm.kind, per_vertex, summary=tuple(summary))
 
 
 # ---------------------------------------------------------------------------
@@ -247,30 +252,29 @@ def hosoya_polynomial(dm: DistanceMatrix) -> IntPolynomial:
     Convention: the x^0 coefficient counts the N diagonal pairs (u,u); for
     i >= 1 the x^i coefficient counts unordered pairs at distance i.
     """
-    rows = _shortest_entries(dm, "Hosoya polynomial needs a connected graph")
-    pairs = Counter(int(d) for u, row in enumerate(rows) for d in row[u + 1:])
-    return IntPolynomial({0: dm.n, **pairs})
+    _shortest_entries(dm, "Hosoya polynomial needs a connected graph")
+    ordered_pairs = sum(dm.counts, Counter())
+    return IntPolynomial({0: dm.n, **{int(d): k // 2 for d, k in ordered_pairs.items() if d}})
 
 
 def reciprocal_status(dm: DistanceMatrix, v: int) -> Fraction:
     """rs(v) = sum over u != v of 1/d(u,v), exactly."""
-    rows = _shortest_entries(dm, "reciprocal status needs a connected graph")
+    _shortest_entries(dm, "reciprocal status needs a connected graph")
     if not 0 <= v < dm.n:
         raise ValueError(f"vertex {v} out of range")
-    return _rs_from_row(rows[v])
+    return _rs_from_row(dm.counts[v])
 
 
-def _rs_from_row(row: tuple[float, ...]) -> Fraction:
-    """Sum of count/d over the distinct distances d > 0 of the row."""
-    return sum((Fraction(c, int(d)) for d, c in Counter(row).items() if d), Fraction(0))
+def _rs_from_row(counts: Counter) -> Fraction:
+    """Sum of count/d over the distances d > 0 of one row's counts."""
+    return sum((Fraction(c, int(d)) for d, c in counts.items() if d), Fraction(0))
 
 
 def reciprocal_status_edge_sums(dm: DistanceMatrix) -> dict[Fraction, int]:
     """Multiset {rs(u)+rs(v) : uv an edge} with exact rational keys."""
-    rows = _shortest_entries(dm, "reciprocal status needs a connected graph")
-    rs = [_rs_from_row(row) for row in rows]
-    ends = [(u, v) for u, row in enumerate(rows) for v in range(u + 1, dm.n) if row[v] == 1]
-    return dict(Counter(rs[u] + rs[v] for u, v in ends))
+    _shortest_entries(dm, "reciprocal status needs a connected graph")
+    rs = [_rs_from_row(c) for c in dm.counts]
+    return dict(Counter(rs[u] + rs[v] for u, ones in enumerate(dm.ones) for v in ones if u < v))
 
 
 def reciprocal_status_hosoya(dm: DistanceMatrix) -> IntPolynomial:
@@ -308,24 +312,21 @@ def boundary_interior_center(
     rows = _shortest_entries(dm, "boundary/interior need a connected graph")
     n = dm.n
     boundary = set()
-    for u in range(n):
-        neighbors = [w for w, d in enumerate(rows[u]) if d == 1]
+    for u, neighbors in enumerate(dm.ones):
         for v in range(n):
             if v != u and all(rows[w][v] <= rows[u][v] for w in neighbors):
                 boundary.add(u)
                 break
     interior = frozenset(range(n)) - boundary
     profile = eccentricity_profile(dm)
-    center = frozenset(
-        v for v in range(n) if profile.eccentricities[v] == profile.radius
-    )
+    center = frozenset(v for v, e in enumerate(profile.eccentricities) if e == profile.radius)
     return frozenset(boundary), interior, center
 
 
 def bondy_chvatal_closure(graph: Graph) -> Graph:
     """Add edges between non-adjacent pairs with degree sum >= n until no
     such pair remains.  The fixed point does not depend on the order in
-    which qualifying edges are added."""
+    which qualifying edges are added; if none is, it is the input graph."""
     n = graph.n
     edges = set(graph.edges)
     deg = [graph.degree(v) for v in range(n)]
@@ -339,4 +340,6 @@ def bondy_chvatal_closure(graph: Graph) -> Graph:
                     deg[u] += 1
                     deg[v] += 1
                     changed = True
+    if len(edges) == graph.edge_count:
+        return graph
     return Graph.from_edges(n, edges, labels=graph.labels)

@@ -10,7 +10,7 @@ subset per such omission pattern, and a budget of distance lookups, not
 the order, fences it.
 
 Everything but `twin_partition` takes the shortest-distance matrix: it
-holds the distance vectors and, as its entries equal to 1, the edges.
+holds the distance vectors and, as its unit entries `ones`, the edges.
 """
 
 from __future__ import annotations
@@ -109,13 +109,13 @@ def _resolving_layers(
     None) for k from the twin lower bound up to n.
 
     One pass: the omission units (the twin parts of the graph whose edges
-    are the entries equal to 1) are built once and every omission pattern
+    are the matrix's unit entries) are built once and every omission pattern
     is tested once.  A layer whose lookups (patterns x n x k) would take
     the total past lookup_budget is refused.
     """
     n = dm.n
     rows = _shortest_entries(dm, "metric dimension needs a connected graph")
-    adj_bits = [sum(1 << w for w, d in enumerate(row) if d == 1) for row in rows]
+    adj_bits = [sum(1 << w for w in ones) for ones in dm.ones]
     units = [tuple(part) for part, _ in twin_parts(adj_bits)]
     spent = 0
     for k in range(n - len(units), n + 1):

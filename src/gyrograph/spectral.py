@@ -11,10 +11,10 @@ correctly rounded float.
 
 from __future__ import annotations
 
-import functools
 import math
 import struct
 from fractions import Fraction
+from functools import cached_property
 from typing import NamedTuple
 
 from .errors import BoundExceededError
@@ -46,6 +46,17 @@ class IntMatrix(_Value):
     def is_symmetric(self) -> bool:
         return self.rows == tuple(zip(*self.rows))
 
+    @cached_property
+    def _quotient_charpoly(self) -> tuple[IntPolynomial, IntPolynomial]:
+        """(det(xI - B), f) for the twin quotient (B, f) of this matrix."""
+        quotient, factor = twin_quotient(self)
+        if quotient.n > CHARPOLY_DIMENSION_BOUND:
+            raise BoundExceededError(
+                f"characteristic polynomial refused: twin-quotient dimension "
+                f"{quotient.n} exceeds {CHARPOLY_DIMENSION_BOUND}"
+            )
+        return _faddeev_leverrier(quotient.rows), factor
+
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
         return cls(tuple(tuple(int(v) for v in row) for row in rows))
@@ -75,24 +86,11 @@ def char_poly_exact(matrix: IntMatrix) -> IntPolynomial:
     over the integers; this is asserted, not assumed.  The recurrence runs
     on the twin quotient of M (see :func:`twin_quotient`), which for the
     power graph of G(n) is 3 x 3 whatever n is; a quotient larger than
-    CHARPOLY_DIMENSION_BOUND is refused.
+    CHARPOLY_DIMENSION_BOUND is refused.  The same matrix object never
+    runs the recurrence twice, here or in spectral_radius.
     """
-    quotient_poly, factor = _quotient_charpoly(matrix)
+    quotient_poly, factor = matrix._quotient_charpoly
     return quotient_poly * factor
-
-
-@functools.lru_cache(maxsize=1)
-def _quotient_charpoly(matrix: IntMatrix) -> tuple[IntPolynomial, IntPolynomial]:
-    """(det(xI - B), f) for the twin quotient (B, f) of M.  The last
-    matrix is remembered, so char_poly_exact and spectral_radius on the
-    same matrix share one recurrence."""
-    quotient, factor = twin_quotient(matrix)
-    if quotient.n > CHARPOLY_DIMENSION_BOUND:
-        raise BoundExceededError(
-            f"characteristic polynomial refused: twin-quotient dimension "
-            f"{quotient.n} exceeds {CHARPOLY_DIMENSION_BOUND}"
-        )
-    return _faddeev_leverrier(quotient.rows), factor
 
 
 def twin_quotient(matrix: IntMatrix) -> tuple[IntMatrix, IntPolynomial]:
@@ -249,7 +247,7 @@ def spectral_radius(matrix: IntMatrix) -> float:
     one more test at their midpoint rounds it.
 
     Cost on a direct call: one Faddeev-LeVerrier run on the twin quotient,
-    shared with char_poly_exact on the same matrix, and about 60 root
+    shared with char_poly_exact on the same matrix object, and about 60 root
     tests on it.  That is 1 ms or less for every power graph in the tests,
     demos and benchmark (3 x 3 quotients for P(G(n)), 5 x 5 for P(Z28);
     the passes over the whole matrix that build the quotient take longer,
@@ -263,7 +261,7 @@ def spectral_radius(matrix: IntMatrix) -> float:
         raise ValueError("spectral radius requires a non-negative matrix")
     if not any(map(any, matrix.rows)):
         return 0.0
-    p, _ = _quotient_charpoly(matrix)
+    p, _ = matrix._quotient_charpoly
     coeffs = [p.coefficient(k) for k in range(p.degree + 1)]
     # The largest entry (a 2 x 2 principal submatrix) and the largest row
     # sum bracket the top eigenvalue; the bisection runs over the bit

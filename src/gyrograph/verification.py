@@ -429,8 +429,7 @@ def verify_gn(n: int) -> list[ReportEntry]:
             )
         )
 
-    # Characteristic polynomial (corrected closed form) and spectral radius,
-    # both before the pendant-part charpoly evicts their shared twin quotient.
+    # Characteristic polynomial (corrected closed form) and spectral radius.
     adjacency = adjacency_matrix(graph)
     charpoly = char_poly_exact(adjacency)
     spectral = verify_spectral_bounds(adjacency)

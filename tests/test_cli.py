@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 import pytest
-from test_verification import count_calls
+from test_verification import count_calls, record_builds
 
 import gyrograph
 from gyrograph import (
@@ -258,10 +258,17 @@ def test_invariants_run_at_most_one_bfs(monkeypatch, capsys, flags, runs):
     assert len(bfs) == runs
 
 
+def test_invariants_build_each_view_of_a_matrix_once(monkeypatch, capsys):
+    counts = record_builds(monkeypatch, "counts")
+    ones = record_builds(monkeypatch, "ones")
+    invariants_json(capsys, "--gn", "4", "--all")
+    assert sorted(counts) == ["detour", "shortest"]
+    assert ones == ["shortest"]
+
+
 @pytest.mark.parametrize("flags", [["--spectral"], ["--all"]])
 def test_invariants_run_one_charpoly_recurrence(monkeypatch, capsys, flags):
     # The charpoly and the spectral radius share one run on the quotient.
-    spectral._quotient_charpoly.cache_clear()
     runs = count_calls(monkeypatch, spectral, "_faddeev_leverrier")
     data = invariants_json(capsys, "--gn", "4", *flags)
     assert len(runs) == 1

@@ -4,9 +4,10 @@ boundary/interior/center/closure machinery."""
 import functools
 import random
 import time
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -37,7 +38,9 @@ from gyrograph import (
     reciprocal_status_hosoya,
     relabel,
     resolving_polynomial,
+    twin_partition,
 )
+from gyrograph import distances, resolving
 from gyrograph.graphs import reachable, twin_parts
 
 INF = float("inf")
@@ -315,6 +318,23 @@ def test_detour_on_relabelled_gn(n):
         assert rd.entries == reference_detour_matrix(relabelled)
     prof = eccentricity_profile(rd)
     assert (prof.radius, prof.diameter) == closed_forms.detour_radius_diameter_closed_form(n)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_detour_matrix_walks_from_one_vertex_per_twin_part(monkeypatch, n):
+    # P(G(n)) has three twin parts; every other row is a swapped copy.
+    graph = power_graph(build_gn(n))
+    sources = []
+    build = distances._by_twin_parts
+
+    def recording(g, kind, row_from):
+        return build(g, kind, lambda s: sources.append(s) or row_from(s))
+
+    monkeypatch.setattr(distances, "_by_twin_parts", recording)
+    dd = detour_matrix(graph)
+    assert sources == [0, 1, 2**(n - 1)]
+    if n <= 4:
+        assert dd.entries == reference_detour_matrix(graph)
 
 
 def test_detour_order_64_gate():
@@ -618,6 +638,12 @@ def test_closure_of_gn_power_graph_is_fixed_point(n):
     assert bondy_chvatal_closure(graph).edges == graph.edges
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_closure_that_adds_no_edge_is_its_input(n):
+    graph = power_graph(build_gn(n))
+    assert bondy_chvatal_closure(graph) is graph
+
+
 def test_closure_of_c5_is_fixed_point():
     g = Graph.cycle(5)
     assert bondy_chvatal_closure(g).edges == g.edges
@@ -641,3 +667,136 @@ def test_closure_is_order_independent():
         for u, v in bondy_chvatal_closure(g).edges
     }
     assert closed_then_relabel == set(bondy_chvatal_closure(relabeled).edges)
+
+
+# ---------------------------------------------------------------------------
+# The matrix's counts and unit entries, against scans of the entries
+# ---------------------------------------------------------------------------
+
+
+def oracle_is_finite(dm):
+    return all(x != INF for row in dm.entries for x in row)
+
+
+def oracle_ones(dm):
+    return tuple(tuple(v for v, d in enumerate(row) if d == 1) for row in dm.entries)
+
+
+def oracle_eccentricities(dm):
+    return tuple(int(max(row)) for row in dm.entries)
+
+
+def oracle_dds(dm):
+    per_vertex = []
+    for row in dm.entries:
+        counts = [0] * (int(max(row)) + 1)
+        for d in row:
+            counts[int(d)] += 1
+        per_vertex.append(tuple(counts))
+    groups = {}
+    for t in per_vertex:
+        groups[t] = groups.get(t, 0) + 1
+    summary = tuple(sorted(groups.items(), key=lambda kv: (len(kv[0]), kv[0])))
+    return tuple(per_vertex), summary
+
+
+def oracle_hosoya(dm):
+    pairs = Counter(int(d) for u, row in enumerate(dm.entries) for d in row[u + 1:])
+    return IntPolynomial({0: dm.n, **pairs})
+
+
+def oracle_rs(row):
+    return sum((Fraction(c, int(d)) for d, c in Counter(row).items() if d), Fraction(0))
+
+
+def oracle_edge_sums(dm):
+    rows = dm.entries
+    rs = [oracle_rs(row) for row in rows]
+    ends = [(u, v) for u, row in enumerate(rows) for v in range(u + 1, dm.n) if row[v] == 1]
+    return dict(Counter(rs[u] + rs[v] for u, v in ends))
+
+
+def oracle_boundary_interior_center(dm):
+    rows, n = dm.entries, dm.n
+    boundary = set()
+    for u in range(n):
+        neighbors = [w for w, d in enumerate(rows[u]) if d == 1]
+        for v in range(n):
+            if v != u and all(rows[w][v] <= rows[u][v] for w in neighbors):
+                boundary.add(u)
+                break
+    ecc = oracle_eccentricities(dm)
+    center = frozenset(v for v in range(n) if ecc[v] == min(ecc))
+    return frozenset(boundary), frozenset(range(n)) - boundary, center
+
+
+def oracle_adj_bits(dm):
+    return [sum(1 << w for w, d in enumerate(row) if d == 1) for row in dm.entries]
+
+
+def bounded_matrices(graph):
+    """The shortest-distance matrix, and the detour matrix unless a
+    non-complete block has more than 10 vertices."""
+    try:
+        return [distance_matrix(graph), detour_matrix(graph, block_bound=10)]
+    except BoundExceededError:
+        return [distance_matrix(graph)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(twin_heavy_graphs())
+def test_readers_match_scans_of_the_entries(graph):
+    for dm in bounded_matrices(graph):
+        if dm.kind == "detour" and graph.n <= 10:
+            assert dm.entries == reference_detour_matrix(graph)
+        assert dm.is_finite == oracle_is_finite(dm)
+        assert dm.ones == oracle_ones(dm)
+        if not dm.is_finite or not dm.n:
+            continue
+        ecc = oracle_eccentricities(dm)
+        assert eccentricity_profile(dm)[1:] == (ecc, min(ecc), max(ecc))
+        assert distance_degree_sequence(dm)[1:] == oracle_dds(dm)
+        if dm.kind == "detour":
+            continue
+        assert hosoya_polynomial(dm) == oracle_hosoya(dm)
+        assert [reciprocal_status(dm, v) for v in graph.vertices()] == [
+            oracle_rs(row) for row in dm.entries
+        ]
+        assert list(reciprocal_status_edge_sums(dm).items()) == list(
+            oracle_edge_sums(dm).items()
+        )
+        assert boundary_interior_center(dm) == oracle_boundary_interior_center(dm)
+        # The resolving search's omission units come from the same edges.
+        with mock.patch.object(resolving, "twin_parts", wraps=twin_parts) as parts:
+            try:
+                metric_dimension(dm, lookup_budget=0)
+            except BoundExceededError:
+                pass
+        assert parts.call_args.args[0] == oracle_adj_bits(dm)
+
+
+@settings(max_examples=100, deadline=None)
+@given(twin_heavy_graphs(), st.data())
+def test_labelled_fields_follow_a_relabelling(graph, data):
+    p = data.draw(st.permutations(range(graph.n)))
+    image = Graph.from_edges(graph.n, ((p[u], p[v]) for u, v in graph.edges))
+
+    def mapped(vertices):
+        return frozenset(p[v] for v in vertices)
+
+    assert set(twin_partition(image).classes) == {
+        (mapped(cls), kind) for cls, kind in twin_partition(graph).classes
+    }
+    for dm, im in zip(bounded_matrices(graph), bounded_matrices(image)):
+        assert dm.kind == im.kind
+        if not dm.is_finite or not dm.n:
+            continue
+        ecc, ecc_image = (eccentricity_profile(m).eccentricities for m in (dm, im))
+        dds, dds_image = (distance_degree_sequence(m).per_vertex for m in (dm, im))
+        for v in graph.vertices():
+            assert ecc_image[p[v]] == ecc[v]
+            assert dds_image[p[v]] == dds[v]
+        if dm.kind == "shortest":
+            _, interior, center = boundary_interior_center(dm)
+            _, interior_image, center_image = boundary_interior_center(im)
+            assert (interior_image, center_image) == (mapped(interior), mapped(center))

@@ -2,6 +2,7 @@
 
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -391,10 +392,30 @@ def test_spectral_radius_refuses_a_large_quotient_before_the_recurrence(monkeypa
     monkeypatch.setattr(
         spectral, "_faddeev_leverrier", lambda rows: runs.append(rows)
     )
-    spectral._quotient_charpoly.cache_clear()
     with pytest.raises(BoundExceededError, match="dimension 65 exceeds 64"):
         spectral_radius(adjacency_matrix(Graph.path(65)))
     assert runs == []
+
+
+def test_each_matrix_runs_its_recurrence_once(monkeypatch):
+    runs = []
+    recurrence = spectral._faddeev_leverrier
+    monkeypatch.setattr(
+        spectral, "_faddeev_leverrier", lambda rows: runs.append(rows) or recurrence(rows)
+    )
+    a, b = adjacency_matrix(Graph.cycle(7)), adjacency_matrix(Graph.path(5))
+    char_poly_exact(a)
+    char_poly_exact(b)
+    assert spectral_radius(a) == 2.0
+    assert len(runs) == 2
+
+
+def test_charpoly_keeps_no_matrix_alive():
+    a = adjacency_matrix(Graph.path(5))
+    char_poly_exact(a)
+    ref = weakref.ref(a)
+    del a
+    assert ref() is None
 
 
 def test_spectral_radius_on_z28_matches_numpy():

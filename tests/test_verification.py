@@ -284,7 +284,6 @@ def test_verify_gn_computes_detour_and_charpoly_once(monkeypatch, n, detour_runs
 def test_verify_gn_builds_one_twin_quotient_per_matrix(monkeypatch, n):
     # The charpoly and the spectral radius of P(G(n)) share one quotient;
     # the pendant-part matrix gets its own.
-    spectral._quotient_charpoly.cache_clear()
     quotients = count_calls(monkeypatch, spectral, "twin_quotient")
     entries = verify_gn(n)
     assert all(e.verdict != "mismatch" for e in entries)
@@ -301,19 +300,37 @@ def test_verify_gn_runs_one_bfs(monkeypatch, n):
     assert [graph.n for graph in bfs] == [2**n]
 
 
+def record_builds(monkeypatch, name):
+    """Replace the cached view DistanceMatrix.<name> with one that records
+    the kind of every matrix it is built for; return the record."""
+    builds = []
+    build = getattr(distances.DistanceMatrix, name).func
+
+    def counting(dm):
+        builds.append(dm.kind)
+        return build(dm)
+
+    prop = functools.cached_property(counting)
+    prop.__set_name__(distances.DistanceMatrix, name)
+    monkeypatch.setattr(distances.DistanceMatrix, name, prop)
+    return builds
+
+
 def test_verify_gn_scans_each_matrix_for_infinity_once(monkeypatch):
     # Every metric invariant asks whether its matrix is finite; the answer
     # is computed once per matrix (one BFS matrix, one detour matrix).
-    scans = []
-    scan = distances.DistanceMatrix.is_finite.func
-
-    def counting(dm):
-        scans.append(dm.kind)
-        return scan(dm)
-
-    prop = functools.cached_property(counting)
-    prop.__set_name__(distances.DistanceMatrix, "is_finite")
-    monkeypatch.setattr(distances.DistanceMatrix, "is_finite", prop)
+    scans = record_builds(monkeypatch, "is_finite")
     entries = verify_gn(5)
     assert all(e.verdict != "mismatch" for e in entries)
     assert sorted(scans) == ["detour", "shortest"]
+
+
+def test_verify_gn_builds_each_view_of_a_matrix_once(monkeypatch):
+    # Both matrices' distance counts are built once; the unit entries are
+    # read from the shortest-distance matrix alone, also once.
+    counts = record_builds(monkeypatch, "counts")
+    ones = record_builds(monkeypatch, "ones")
+    entries = verify_gn(5)
+    assert all(e.verdict != "mismatch" for e in entries)
+    assert sorted(counts) == ["detour", "shortest"]
+    assert ones == ["shortest"]
