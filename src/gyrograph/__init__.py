@@ -84,7 +84,6 @@ from .spectral import (
     adjacency_matrix,
     char_poly_exact,
     closed_form_charpoly_gn,
-    integer_determinant,
     pendant_split_matrices,
     spectral_radius,
     verify_spectral_bounds,

@@ -2,8 +2,8 @@
 boundary / interior / center / closure machinery.
 
 Invariants of a metric take its DistanceMatrix, not the graph, so one
-matrix per graph serves them all.  They read its row `counts` and unit
-entries `ones` (for shortest distances, the edges), each built once.
+matrix per graph serves them all.  The matrix keeps the graph's twin parts
+and one distance per pair of parts, and its readers work on parts.
 
 Shortest distances come from BFS and detour distances (longest simple
 paths) are summed along the block-cut tree, both from one vertex per twin
@@ -33,35 +33,52 @@ DETOUR_BLOCK_BOUND = 16
 
 
 class DistanceMatrix(_Value):
-    """All-pairs distances; entries are ints with INF for unreachable pairs."""
+    """All-pairs distances (ints, INF when unreachable) by twin part, as twin swaps
+    are automorphisms: parts are the graph's :func:`twin_parts`, and table[i][j] the
+    distance from a vertex of part i to another of part j (0 if there is none)."""
 
-    _fields = ("kind", "entries")  # kind: "shortest" | "detour"
+    _fields = ("kind", "parts", "table")  # kind: "shortest" | "detour"
 
-    def __init__(self, kind: str, entries: tuple[tuple[float, ...], ...]) -> None:
-        self.__dict__.update(kind=kind, entries=entries)
+    def __init__(self, kind: str, parts: tuple, table: tuple[tuple[float, ...], ...]) -> None:
+        self.__dict__.update(kind=kind, parts=parts, table=table)
+
+    @cached_property
+    def _part_of(self) -> tuple[int, ...]:
+        """_part_of[v]: the index of v's part."""
+        of = {v: i for i, (part, _) in enumerate(self.parts) for v in part}
+        return tuple(of[v] for v in range(len(of)))
 
     @property
     def n(self) -> int:
-        return len(self.entries)
+        return len(self._part_of)
 
     def __getitem__(self, pair: tuple[int, int]) -> float:
         u, v = pair
-        return self.entries[u][v]
+        return 0 if u == v else self.table[self._part_of[u]][self._part_of[v]]
+
+    @cached_property
+    def entries(self) -> tuple[tuple[float, ...], ...]:
+        """The n rows, expanded from the table on first use."""
+        spread = [tuple(row[j] for j in self._part_of) for row in self.table]
+        return tuple(
+            spread[i][:u] + (0,) + spread[i][u + 1:] for u, i in enumerate(self._part_of)
+        )
 
     @cached_property
     def counts(self) -> tuple[Counter, ...]:
-        """counts[u][d] = |{v : d(u, v) = d}|, one Counter per row."""
-        return tuple(map(Counter, self.entries))
-
-    @cached_property
-    def ones(self) -> tuple[tuple[int, ...], ...]:
-        """ones[u]: the ascending v with d(u, v) = 1, u's neighbors when kind is "shortest"."""
-        return tuple(tuple(v for v, d in enumerate(row) if d == 1) for row in self.entries)
+        """counts[u][d] = |{v : d(u, v) = d}|, one Counter per part shared by its members."""
+        per_part = []
+        for i, row in enumerate(self.table):
+            count = Counter({0: 1})
+            for j, ((part, _), d) in enumerate(zip(self.parts, row)):
+                count[d] += len(part) - (i == j)
+            per_part.append(count)
+        return tuple(per_part[i] for i in self._part_of)
 
     @cached_property
     def is_finite(self) -> bool:
         """No INF entry."""
-        return not any(INF in c for c in self.counts)
+        return not any(INF in row for row in self.table)
 
 
 class EccentricityProfile(NamedTuple):
@@ -109,18 +126,13 @@ def distance_matrix(graph: Graph) -> DistanceMatrix:
 
 def _by_twin_parts(graph: Graph, kind: str, row_from) -> DistanceMatrix:
     """A distance matrix from row_from(r) for the least vertex r of each twin
-    part (:func:`twin_parts`) alone: swapping r and a twin u is an
-    automorphism, so u's row is r's with the entries at r and u swapped."""
-    rows: list[tuple[float, ...]] = [()] * graph.n
-    for part, _ in twin_parts([graph.neighbor_bits(v) for v in graph.vertices()]):
-        r = part[0]
-        dist = row_from(r)
-        rows[r] = tuple(dist)
-        for u in part[1:]:
-            row = dist[:]
-            row[r], row[u] = row[u], row[r]
-            rows[u] = tuple(row)
-    return DistanceMatrix(kind=kind, entries=tuple(rows))
+    part (:func:`twin_parts`) alone: table[i][j] is read at the greatest
+    vertex of part j, which for j = i is r's twin, or r itself."""
+    bits = [graph.neighbor_bits(v) for v in graph.vertices()]
+    parts = tuple((tuple(part), twin) for part, twin in twin_parts(bits))
+    rows = map(row_from, (part[0] for part, _ in parts))
+    table = tuple(tuple(row[other[-1]] for other, _ in parts) for row in rows)
+    return DistanceMatrix(kind, parts, table)
 
 
 def detour_matrix(graph: Graph, block_bound: int = DETOUR_BLOCK_BOUND) -> DistanceMatrix:
@@ -234,16 +246,12 @@ def distance_degree_sequence(dm: DistanceMatrix) -> DistanceDegreeSequences:
 # ---------------------------------------------------------------------------
 
 
-def _shortest_entries(
-    dm: DistanceMatrix, disconnected: str
-) -> tuple[tuple[float, ...], ...]:
-    """The entries of dm, which must be the shortest-distance matrix of a
-    connected graph; `disconnected` is the DisconnectedGraphError message."""
+def _require_shortest(dm: DistanceMatrix, disconnected: str) -> None:
+    """Raise unless dm is a connected graph's shortest-distance matrix."""
     if dm.kind != "shortest":
         raise ValueError(f"expected a shortest-distance matrix, got kind {dm.kind!r}")
     if not dm.is_finite:
         raise DisconnectedGraphError(disconnected)
-    return dm.entries
 
 
 def hosoya_polynomial(dm: DistanceMatrix) -> IntPolynomial:
@@ -252,14 +260,17 @@ def hosoya_polynomial(dm: DistanceMatrix) -> IntPolynomial:
     Convention: the x^0 coefficient counts the N diagonal pairs (u,u); for
     i >= 1 the x^i coefficient counts unordered pairs at distance i.
     """
-    _shortest_entries(dm, "Hosoya polynomial needs a connected graph")
-    ordered_pairs = sum(dm.counts, Counter())
+    _require_shortest(dm, "Hosoya polynomial needs a connected graph")
+    ordered_pairs: Counter = Counter()
+    for part, _ in dm.parts:
+        for d, k in dm.counts[part[0]].items():
+            ordered_pairs[d] += len(part) * k
     return IntPolynomial({0: dm.n, **{int(d): k // 2 for d, k in ordered_pairs.items() if d}})
 
 
 def reciprocal_status(dm: DistanceMatrix, v: int) -> Fraction:
     """rs(v) = sum over u != v of 1/d(u,v), exactly."""
-    _shortest_entries(dm, "reciprocal status needs a connected graph")
+    _require_shortest(dm, "reciprocal status needs a connected graph")
     if not 0 <= v < dm.n:
         raise ValueError(f"vertex {v} out of range")
     return _rs_from_row(dm.counts[v])
@@ -272,9 +283,14 @@ def _rs_from_row(counts: Counter) -> Fraction:
 
 def reciprocal_status_edge_sums(dm: DistanceMatrix) -> dict[Fraction, int]:
     """Multiset {rs(u)+rs(v) : uv an edge} with exact rational keys."""
-    _shortest_entries(dm, "reciprocal status needs a connected graph")
-    rs = [_rs_from_row(c) for c in dm.counts]
-    return dict(Counter(rs[u] + rs[v] for u, ones in enumerate(dm.ones) for v in ones if u < v))
+    _require_shortest(dm, "reciprocal status needs a connected graph")
+    rs = [_rs_from_row(dm.counts[part[0]]) for part, _ in dm.parts]
+    ordered_sums: Counter = Counter()
+    for i, (part, _) in enumerate(dm.parts):
+        for j, (other, _) in enumerate(dm.parts):
+            if dm.table[i][j] == 1:
+                ordered_sums[rs[i] + rs[j]] += len(part) * (len(other) - (i == j))
+    return {key: k // 2 for key, k in ordered_sums.items()}
 
 
 def reciprocal_status_hosoya(dm: DistanceMatrix) -> IntPolynomial:
@@ -309,15 +325,17 @@ def boundary_interior_center(
     boundary vertex of some v.  Interior is the complement of the
     boundary; center collects the vertices of minimum eccentricity.
     """
-    rows = _shortest_entries(dm, "boundary/interior need a connected graph")
-    n = dm.n
+    _require_shortest(dm, "boundary/interior need a connected graph")
+    table = dm.table
     boundary = set()
-    for u, neighbors in enumerate(dm.ones):
-        for v in range(n):
-            if v != u and all(rows[w][v] <= rows[u][v] for w in neighbors):
-                boundary.add(u)
-                break
-    interior = frozenset(range(n)) - boundary
+    # Twins are boundary vertices together.  u in part i has its neighbors
+    # in the parts l at distance 1, each at table[l][j] from v != u in part
+    # j (d > 0); a part whose only such neighbor is v has table[l][j] <= d.
+    for i, row in enumerate(table):
+        near = [l for l, d in enumerate(row) if d == 1]
+        if any(d and all(table[l][j] <= d for l in near) for j, d in enumerate(row)):
+            boundary.update(dm.parts[i][0])
+    interior = frozenset(range(dm.n)) - boundary
     profile = eccentricity_profile(dm)
     center = frozenset(v for v, e in enumerate(profile.eccentricities) if e == profile.radius)
     return frozenset(boundary), interior, center

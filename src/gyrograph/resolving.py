@@ -10,7 +10,7 @@ subset per such omission pattern, and a budget of distance lookups, not
 the order, fences it.
 
 Everything but `twin_partition` takes the shortest-distance matrix: it
-holds the distance vectors and, as its unit entries `ones`, the edges.
+holds the distance vectors and the graph's twin parts.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from itertools import combinations, dropwhile
 from math import comb, prod
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .distances import DistanceMatrix, _shortest_entries
+from .distances import DistanceMatrix, _require_shortest
 from .errors import BoundExceededError
 from .graphs import Graph, twin_parts
 from .polynomials import IntPolynomial
@@ -76,7 +76,8 @@ def is_resolving(dm: DistanceMatrix, subset: Iterable[int]) -> bool:
     for v in s:
         if not 0 <= v < dm.n:
             raise ValueError(f"vertex {v} out of range")
-    return _resolves(_shortest_entries(dm, "resolving sets need a connected graph"), s)
+    _require_shortest(dm, "resolving sets need a connected graph")
+    return _resolves(dm.entries, s)
 
 
 def _resolves(rows: Sequence[Sequence[float]], subset: Sequence[int]) -> bool:
@@ -108,15 +109,13 @@ def _resolving_layers(
     """Yield (k, number of resolving k-subsets, least resolving k-subset or
     None) for k from the twin lower bound up to n.
 
-    One pass: the omission units (the twin parts of the graph whose edges
-    are the matrix's unit entries) are built once and every omission pattern
-    is tested once.  A layer whose lookups (patterns x n x k) would take
-    the total past lookup_budget is refused.
+    One pass: the omission units are the matrix's twin parts, and every
+    omission pattern is tested once.  A layer whose lookups (patterns x n
+    x k) would take the total past lookup_budget is refused.
     """
     n = dm.n
-    rows = _shortest_entries(dm, "metric dimension needs a connected graph")
-    adj_bits = [sum(1 << w for w in ones) for ones in dm.ones]
-    units = [tuple(part) for part, _ in twin_parts(adj_bits)]
+    _require_shortest(dm, "metric dimension needs a connected graph")
+    units = [part for part, _ in dm.parts]
     spent = 0
     for k in range(n - len(units), n + 1):
         patterns = comb(len(units), n - k)
@@ -131,7 +130,7 @@ def _resolving_layers(
         count = 0
         least: tuple[int, ...] | None = None
         for subset, weight in _omission_patterns(n, units, k):
-            if _resolves(rows, subset):
+            if _resolves(dm.entries, subset):
                 count += weight
                 if least is None or subset < least:
                     least = subset

@@ -159,32 +159,6 @@ def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     ]
 
 
-def integer_determinant(matrix: IntMatrix) -> int:
-    """Exact determinant by Bareiss fraction-free elimination."""
-    n = matrix.n
-    if n == 0:
-        return 1
-    m = [list(row) for row in matrix.rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), -1)
-            if pivot < 0:
-                return 0
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                q, r = divmod(num, prev)
-                if r:
-                    raise AssertionError("Bareiss division was inexact")
-                m[i][j] = q
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def closed_form_charpoly_gn(n: int) -> IntPolynomial:
     """Closed form of the characteristic polynomial of the order-2^n
     power graph (complete block of size m = 2^(n-1) plus m pendants):

@@ -639,7 +639,7 @@ def _vertex_signatures(graph: Graph) -> list[tuple]:
     sigs = []
     for v in graph.vertices():
         nd = tuple(sorted(graph.degree(w) for w in graph.neighbors(v)))
-        dp = tuple(sorted(dm.entries[v]))
+        dp = tuple(sorted(dm.counts[v].items()))
         sigs.append((graph.degree(v), nd, dp))
     return sigs
 

@@ -260,10 +260,10 @@ def test_invariants_run_at_most_one_bfs(monkeypatch, capsys, flags, runs):
 
 def test_invariants_build_each_view_of_a_matrix_once(monkeypatch, capsys):
     counts = record_builds(monkeypatch, "counts")
-    ones = record_builds(monkeypatch, "ones")
+    entries = record_builds(monkeypatch, "entries")
     invariants_json(capsys, "--gn", "4", "--all")
     assert sorted(counts) == ["detour", "shortest"]
-    assert ones == ["shortest"]
+    assert entries in ([], ["shortest"])
 
 
 @pytest.mark.parametrize("flags", [["--spectral"], ["--all"]])
@@ -352,12 +352,14 @@ def test_invariants_payload_holds_only_json_types(monkeypatch, capsys):
 
 def test_build_gn8_peak_memory():
     # The axiom check holds n^2 gyration ids, not n^3 tensors: 18-22 MiB
-    # on CPython 3.11, against 112 MiB with whole-tensor masks.
+    # on CPython 3.11, against 112 MiB with whole-tensor masks.  The child
+    # reads its own VmHWM (kB): ru_maxrss would start at this process's
+    # peak, which Linux carries across fork and exec.
     r = run_python(
-        "import contextlib, io, resource, gyrograph.cli\n"
+        "import contextlib, io, gyrograph.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert gyrograph.cli.main(['build', '--gn', '8']) == 0\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])\n"
     )
     assert r.returncode == 0, r.stderr
     peak_mib = int(r.stdout.split()[-1]) / 1024
@@ -453,14 +455,14 @@ def test_implied_detour_skip_carries_the_library_refusal(capsys, tmp_path):
 
 
 def test_rs_hosoya_on_fractional_sums_computes_statuses_once(monkeypatch, capsys, tmp_path):
-    # Z12's edge sums are not all integers: the statuses of its 12
-    # vertices are computed once, not again after a failed polynomial.
+    # Z12's edge sums are not all integers: the statuses of its 5 twin
+    # parts are computed once, not again after a failed polynomial.
     rows = count_calls(monkeypatch, distances, "_rs_from_row")
     path = tmp_path / "z12.csv"
     path.write_text(to_cayley_csv(cyclic_group(12)))
     assert cli.main(["invariants", "--table", str(path), "--rs-hosoya"]) == 0
     assert "edge_sums" in capsys.readouterr().out
-    assert len(rows) == 12
+    assert len(rows) == 5
 
 
 @pytest.mark.parametrize("tol", ["0", "-1e-3", "inf", "nan", "abc"])

@@ -20,7 +20,6 @@ from gyrograph import (
     char_poly_exact,
     closed_form_charpoly_gn,
     cyclic_group,
-    integer_determinant,
     pendant_split_matrices,
     power_graph,
     relabel,
@@ -78,6 +77,32 @@ def test_charpoly_gn3_factored_form(gn3_adj):
     cubic = IntPolynomial({3: 1, 2: -2, 1: -7, 0: 8})
     expected = IntPolynomial.x_power(3) * IntPolynomial({0: 1, 1: 1}) ** 2 * cubic
     assert char_poly_exact(gn3_adj) == expected == GN3_CHARPOLY
+
+
+def integer_determinant(matrix: IntMatrix) -> int:
+    """Exact determinant by Bareiss fraction-free elimination."""
+    n = matrix.n
+    if n == 0:
+        return 1
+    m = [list(row) for row in matrix.rows]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), -1)
+            if pivot < 0:
+                return 0
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
+                q, r = divmod(num, prev)
+                if r:
+                    raise AssertionError("Bareiss division was inexact")
+                m[i][j] = q
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
 def test_charpoly_against_bareiss_determinant(gn3_adj):

@@ -35,7 +35,7 @@ def make_values():
         lambda: GyroGroup(order=2, table=((0, 1), (1, 0)), identity=0),
         lambda: Graph.cycle(4),
         lambda: IntMatrix(((0, 1), (1, 0))),
-        lambda: DistanceMatrix("shortest", ((0, 1), (1, 0))),
+        lambda: DistanceMatrix("shortest", (((0, 1), "adjacent"),), ((1,),)),
     ]
 
 
@@ -78,14 +78,14 @@ def test_repr_names_each_field():
         "Graph(n=2, edges=frozenset({(0, 1)}), labels=('0', '1'))"
     )
     assert repr(IntMatrix(((0, 1), (1, 0)))) == "IntMatrix(rows=((0, 1), (1, 0)))"
-    assert repr(DistanceMatrix("shortest", ((0, 1), (1, 0)))) == (
-        "DistanceMatrix(kind='shortest', entries=((0, 1), (1, 0)))"
+    assert repr(DistanceMatrix("shortest", (((0, 1), "adjacent"),), ((1,),))) == (
+        "DistanceMatrix(kind='shortest', parts=(((0, 1), 'adjacent'),), table=((1,),))"
     )
 
 
 def test_values_of_different_types_are_unequal():
     assert Permutation((0, 1)) != (0, 1)
-    assert IntMatrix(((0,),)) != DistanceMatrix("shortest", ((0,),))
+    assert IntMatrix(((0,),)) != DistanceMatrix("shortest", (((0,), "untwinned"),), ((0,),))
     assert Permutation((0, 1)) != Graph(2, frozenset())
 
 

@@ -326,11 +326,11 @@ def test_verify_gn_scans_each_matrix_for_infinity_once(monkeypatch):
 
 
 def test_verify_gn_builds_each_view_of_a_matrix_once(monkeypatch):
-    # Both matrices' distance counts are built once; the unit entries are
-    # read from the shortest-distance matrix alone, also once.
+    # Both matrices' distance counts are built once; the rows are expanded
+    # at most once, for the shortest-distance matrix alone.
     counts = record_builds(monkeypatch, "counts")
-    ones = record_builds(monkeypatch, "ones")
+    rows = record_builds(monkeypatch, "entries")
     entries = verify_gn(5)
     assert all(e.verdict != "mismatch" for e in entries)
     assert sorted(counts) == ["detour", "shortest"]
-    assert ones == ["shortest"]
+    assert rows in ([], ["shortest"])
