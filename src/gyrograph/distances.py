@@ -6,10 +6,11 @@ matrix per graph serves them all.  The matrix keeps the graph's twin parts
 and one distance per pair of parts, and its readers work on parts.
 
 Shortest distances come from BFS and detour distances (longest simple
-paths) are summed along the block-cut tree, both from one vertex per twin
-part.  Complete blocks need no search; only the other blocks run an
-exhaustive DFS, exponential in the block's size.  A bound on the largest
-non-complete block, checked before any search starts, guards that DFS.
+paths) are summed along the block-cut tree of the graph's ``blocks``, both
+from one vertex per twin part.  Complete blocks need no search; only the
+other blocks run an exhaustive DFS, exponential in the block's size.  A
+bound on the largest non-complete block, checked before any search
+starts, guards that DFS.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from __future__ import annotations
 from collections import Counter, deque
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import BoundExceededError, DisconnectedGraphError
-from .graphs import Graph, biconnected_components, reachable, twin_parts
+from .graphs import Graph, reachable
 from .gyrogroups import _Value
 from .polynomials import IntPolynomial
 
@@ -34,7 +35,7 @@ DETOUR_BLOCK_BOUND = 16
 
 class DistanceMatrix(_Value):
     """All-pairs distances (ints, INF when unreachable) by twin part, as twin swaps
-    are automorphisms: parts are the graph's :func:`twin_parts`, and table[i][j] the
+    are automorphisms: parts are the graph's ``twin_parts``, and table[i][j] the
     distance from a vertex of part i to another of part j (0 if there is none)."""
 
     _fields = ("kind", "parts", "table")  # kind: "shortest" | "detour"
@@ -125,11 +126,10 @@ def distance_matrix(graph: Graph) -> DistanceMatrix:
 
 
 def _by_twin_parts(graph: Graph, kind: str, row_from) -> DistanceMatrix:
-    """A distance matrix from row_from(r) for the least vertex r of each twin
-    part (:func:`twin_parts`) alone: table[i][j] is read at the greatest
-    vertex of part j, which for j = i is r's twin, or r itself."""
-    bits = [graph.neighbor_bits(v) for v in graph.vertices()]
-    parts = tuple((tuple(part), twin) for part, twin in twin_parts(bits))
+    """A distance matrix from row_from(r) for the least vertex r of each of
+    the graph's twin parts alone: table[i][j] is read at the greatest vertex
+    of part j, which for j = i is r's twin, or r itself."""
+    parts = graph.twin_parts
     rows = map(row_from, (part[0] for part, _ in parts))
     table = tuple(tuple(row[other[-1]] for other, _ in parts) for row in rows)
     return DistanceMatrix(kind, parts, table)
@@ -146,30 +146,29 @@ def detour_matrix(graph: Graph, block_bound: int = DETOUR_BLOCK_BOUND) -> Distan
     block's size only.  Refuses, before any search, a graph whose largest
     non-complete block has more than block_bound vertices.
     """
-    # (vertices, whether complete) for each block.
+    adj_bits = graph.adj_bits
+    # (vertices, their mask, whether complete) for each block.
     components = []
-    for edges in biconnected_components(graph):
-        verts = sorted({v for edge in edges for v in edge})
-        components.append((verts, len(edges) == len(verts) * (len(verts) - 1) // 2))
-    largest = max((len(verts) for verts, complete in components if not complete), default=0)
+    for verts in graph.blocks:
+        mask = sum(1 << v for v in verts)
+        components.append((verts, mask, all((adj_bits[v] | 1 << v) & mask == mask for v in verts)))
+    largest = max((len(verts) for verts, _, complete in components if not complete), default=0)
     if largest > block_bound:
         raise BoundExceededError(
             f"detour search refused: a non-complete block of {largest} vertices "
             f"exceeds block bound {block_bound}"
         )
-    adj_bits = [graph.neighbor_bits(v) for v in graph.vertices()]
     # blocks[b] = (vertices, in-block detour by vertex pair or None when
     # the block is complete); vertex_blocks[v] = the blocks holding v.
-    blocks: list[tuple[list[int], dict[int, dict[int, int]] | None]] = []
+    blocks: list[tuple[tuple[int, ...], dict[int, dict[int, int]] | None]] = []
     vertex_blocks: list[list[int]] = [[] for _ in graph.vertices()]
-    for verts, complete in components:
+    for verts, mask, complete in components:
         inner = None
         if not complete:
-            allowed = sum(1 << v for v in verts)
             inner = {u: {} for u in verts}
             for i, u in enumerate(verts):
                 for v in verts[i + 1:]:
-                    inner[u][v] = inner[v][u] = _longest_path(adj_bits, allowed, u, v)
+                    inner[u][v] = inner[v][u] = _longest_path(adj_bits, mask, u, v)
         for v in verts:
             vertex_blocks[v].append(len(blocks))
         blocks.append((verts, inner))
@@ -194,7 +193,7 @@ def detour_matrix(graph: Graph, block_bound: int = DETOUR_BLOCK_BOUND) -> Distan
     return _by_twin_parts(graph, "detour", walk)
 
 
-def _longest_path(adj_bits: list[int], allowed: int, s: int, t: int) -> int:
+def _longest_path(adj_bits: Sequence[int], allowed: int, s: int, t: int) -> int:
     """Length of a longest simple s-t path inside the vertex mask allowed
     (which holds s and t), or -1 when there is none: iterative DFS over
     simple paths, pruned by counting and by reachability."""

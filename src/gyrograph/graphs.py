@@ -7,6 +7,7 @@ distinct u, v adjacent exactly when one is a positive power of the other.
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .gyrogroups import GyroGroup, _Value, power_closure
@@ -15,13 +16,11 @@ from .gyrogroups import GyroGroup, _Value, power_closure
 class Graph(_Value):
     """Immutable simple graph on vertices 0..n-1.
 
-    Adjacency is kept twice: as bitmask rows (one int per vertex) for set
-    algebra and as sorted neighbor tuples for traversals.  Construction
-    builds both from the edge list and checks they agree.
+    Adjacency is stored once, as bitmask rows (adj_bits, one int per
+    vertex).  The edge set, the ascending neighbor tuples, the twin parts
+    and the biconnected blocks are views derived from the rows on first use.
     """
 
-    # The adjacency stores _adj_bits and _adj_lists are derived from the
-    # edges, so equality, hash and repr leave them out.
     _fields = ("n", "edges", "labels")
 
     def __init__(
@@ -29,51 +28,63 @@ class Graph(_Value):
     ) -> None:
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        norm = set()
+        bits = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range")
             if u == v:
                 raise ValueError(f"self-loop at {u}")
-            norm.add((min(u, v), max(u, v)))
-        bits = [0] * n
-        lists: list[list[int]] = [[] for _ in range(n)]
-        for u, v in norm:
             bits[u] |= 1 << v
             bits[v] |= 1 << u
-            lists[u].append(v)
-            lists[v].append(u)
-        adj_lists = tuple(tuple(sorted(l)) for l in lists)
-        # The two stores must describe the same relation.
-        for v in range(n):
-            if bits[v] != sum(1 << w for w in adj_lists[v]):
-                raise AssertionError("adjacency stores disagree")
         if not labels:
             labels = tuple(str(i) for i in range(n))
         elif len(labels) != n:
             raise ValueError("label count does not match vertex count")
-        self.__dict__.update(
-            n=n, edges=frozenset(norm), labels=labels,
-            _adj_bits=tuple(bits), _adj_lists=adj_lists,
+        self.__dict__.update(n=n, labels=labels, adj_bits=tuple(bits))
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edges as (u, v) pairs with u < v."""
+        return frozenset((u, v) for u, nbrs in enumerate(self._adj_lists) for v in nbrs if u < v)
+
+    @cached_property
+    def _adj_lists(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's ascending neighbors: the set bits of its row."""
+        return tuple(
+            tuple(v for v, bit in enumerate(bin(row)[:1:-1]) if bit == "1")
+            for row in self.adj_bits
+        )
+
+    @cached_property
+    def twin_parts(self) -> tuple[tuple[tuple[int, ...], str], ...]:
+        """The rows' :func:`twin_parts`, as tuples."""
+        return tuple((tuple(part), kind) for part, kind in twin_parts(self.adj_bits))
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The ascending vertices of each of the :func:`biconnected_components`."""
+        return tuple(
+            tuple(sorted({v for edge in block for v in edge}))
+            for block in biconnected_components(self)
         )
 
     # -- basic queries -------------------------------------------------
 
     def has_edge(self, u: int, v: int) -> bool:
-        return u != v and bool(self._adj_bits[u] >> v & 1)
+        return u != v and bool(self.adj_bits[u] >> v & 1)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj_lists[v]
 
     def neighbor_bits(self, v: int) -> int:
-        return self._adj_bits[v]
+        return self.adj_bits[v]
 
     def degree(self, v: int) -> int:
-        return len(self._adj_lists[v])
+        return self.adj_bits[v].bit_count()
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(row.bit_count() for row in self.adj_bits) // 2
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
@@ -85,22 +96,14 @@ class Graph(_Value):
         return len(self.connected_components()) <= 1
 
     def connected_components(self) -> list[list[int]]:
-        comps = []
-        seen = [False] * self.n
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            comp = [s]
-            seen[s] = True
-            stack = [s]
-            while stack:
-                v = stack.pop()
-                for w in self._adj_lists[v]:
-                    if not seen[w]:
-                        seen[w] = True
-                        comp.append(w)
-                        stack.append(w)
-            comps.append(sorted(comp))
+        comps, left = [], (1 << self.n) - 1
+        while left:
+            comp = reachable(self.adj_bits, (left & -left).bit_length() - 1, left)
+            left &= ~comp
+            comps.append([])
+            while comp:
+                comps[-1].append((comp & -comp).bit_length() - 1)
+                comp &= comp - 1
         return comps
 
     def is_complete(self) -> bool:
@@ -229,12 +232,7 @@ class StructureSummary(NamedTuple):
 
 def power_graph(g: GyroGroup) -> Graph:
     """Power graph: u ~ v iff v is in the power closure of u or vice versa."""
-    closures = [power_closure(g, a) for a in g.elements()]
-    edges = set()
-    for u in g.elements():
-        for v in closures[u]:
-            if v != u:
-                edges.add((min(u, v), max(u, v)))
+    edges = ((min(u, v), max(u, v)) for u in g.elements() for v in power_closure(g, u) if v != u)
     return Graph.from_edges(g.order, edges, labels=g.labels)
 
 
@@ -255,11 +253,8 @@ def classify_gn_shape(graph: Graph) -> StructureSummary:
     clique = frozenset(graph.vertices()) - pendants
     if hub not in clique:
         return no_match
-    k = len(clique)
-    clique_edges = sum(
-        1 for u, v in graph.edges if u in clique and v in clique
-    )
-    if clique_edges != k * (k - 1) // 2:
+    mask = sum(1 << v for v in clique)
+    if any((graph.neighbor_bits(v) | 1 << v) & mask != mask for v in clique):
         return no_match
     return StructureSummary(True, clique, pendants, hub)
 

@@ -3,26 +3,29 @@ polynomial.
 
 Twin vertices (equal open or closed neighborhoods) are interchangeable in
 distance vectors, so a resolving set can omit at most one vertex of each
-twin part (:func:`graphs.twin_parts`).  Swapping two twins is an
+twin part (the graph's ``twin_parts``).  Swapping two twins is an
 automorphism that fixes every other vertex, so whether a subset resolves
-depends only on which parts its complement touches: the search tests one
-subset per such omission pattern, and a budget of distance lookups, not
-the order, fences it.
+depends only on which parts its complement touches, and it is read off
+the distance matrix's part table: the omitted vertices, one per part, are
+told apart by the table rows of their parts.  The search tests one subset
+per omission pattern, and a budget of distance lookups, not the order,
+fences it.
 
 Everything but `twin_partition` takes the shortest-distance matrix: it
-holds the distance vectors and the graph's twin parts.
+holds the graph's twin parts and the distances between them.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from itertools import combinations, dropwhile
 from math import comb, prod
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .distances import DistanceMatrix, _require_shortest
 from .errors import BoundExceededError
-from .graphs import Graph, twin_parts
+from .graphs import Graph
 from .polynomials import IntPolynomial
 
 #: Default cap on the distance lookups of one search (omission patterns x
@@ -62,7 +65,7 @@ def twin_partition(graph: Graph) -> TwinPartition:
     """The twinned parts of the graph's twin partition (see
     :func:`graphs.twin_parts`): equal closed neighborhoods make adjacent
     twins, equal open ones non-adjacent twins."""
-    parts = twin_parts([graph.neighbor_bits(v) for v in graph.vertices()])
+    parts = graph.twin_parts
     return TwinPartition(
         classes=tuple((frozenset(p), kind) for p, kind in parts if kind != "untwinned")
     )
@@ -77,13 +80,24 @@ def is_resolving(dm: DistanceMatrix, subset: Iterable[int]) -> bool:
         if not 0 <= v < dm.n:
             raise ValueError(f"vertex {v} out of range")
     _require_shortest(dm, "resolving sets need a connected graph")
-    return _resolves(dm.entries, s)
+    return _resolves(dm, s)
 
 
-def _resolves(rows: Sequence[Sequence[float]], subset: Sequence[int]) -> bool:
-    """Distance vectors are read down the columns rows[s]: the distance
-    matrix of an undirected graph is symmetric."""
-    return len(rows) <= 1 or len(set(zip(*map(rows.__getitem__, subset)))) == len(rows)
+def _resolves(dm: DistanceMatrix, subset: Sequence[int]) -> bool:
+    """Whether the distinct vertices of subset resolve, read off the part table.
+    Members are told apart by their 0.  Two omitted twins are swapped by an
+    automorphism fixing the subset; omitted vertices of parts i and j collide
+    when the symmetric table's rows i and j agree on the members' parts."""
+    members = Counter(map(dm._part_of.__getitem__, subset))
+    if not members:
+        return dm.n <= 1
+    covered = [i for i, count in members.items() if count == len(dm.parts[i][0])]
+    if dm.n - len(subset) != len(dm.parts) - len(covered):
+        return False  # some part has two omitted vertices
+    vectors = list(zip(*map(dm.table.__getitem__, members)))
+    for i in covered:
+        vectors[i] = i  # no omitted vertex: unequal to every other vector
+    return len(set(vectors)) == len(vectors)
 
 
 def _omission_patterns(
@@ -130,7 +144,7 @@ def _resolving_layers(
         count = 0
         least: tuple[int, ...] | None = None
         for subset, weight in _omission_patterns(n, units, k):
-            if _resolves(dm.entries, subset):
+            if _resolves(dm, subset):
                 count += weight
                 if least is None or subset < least:
                     least = subset

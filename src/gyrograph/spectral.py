@@ -67,10 +67,9 @@ class IntMatrix(_Value):
 
 
 def adjacency_matrix(graph: Graph) -> IntMatrix:
-    rows = [[0] * graph.n for _ in range(graph.n)]
-    for u, v in graph.edges:
-        rows[u][v] = rows[v][u] = 1
-    return IntMatrix.from_rows(rows)
+    """The 0/1 matrix of the graph's bitmask rows, read lowest bit first."""
+    rows = (bin(row)[:1:-1].ljust(graph.n, "0") for row in graph.adj_bits)
+    return IntMatrix(tuple(tuple(map(int, row)) for row in rows))
 
 
 # ---------------------------------------------------------------------------

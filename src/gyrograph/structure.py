@@ -13,11 +13,12 @@ terminates in a bare subdivision).
 from __future__ import annotations
 
 import json
+from collections import Counter
 from typing import NamedTuple
 
 from .errors import BoundExceededError
 from .distances import distance_matrix
-from .graphs import Graph, biconnected_components, reachable
+from .graphs import Graph, reachable
 from .gyrogroups import GyroGroup, Permutation, power_closure
 
 #: Default cap on edges x vertices for the Kuratowski edge deletion (one
@@ -79,13 +80,13 @@ def _planar_rotation(graph: Graph) -> tuple[tuple[int, ...], ...] | None:
     contiguous arc and so preserves planarity.
     """
     rotations: list[list[int]] = [[] for _ in range(graph.n)]
-    for block in biconnected_components(graph):
-        if len(block) == 1:
-            u, v = block[0]
+    for block in graph.blocks:
+        if len(block) == 2:
+            u, v = block
             rotations[u].append(v)
             rotations[v].append(u)
             continue
-        faces = _embed_block(block)
+        faces = _embed_block(graph, block)
         if faces is None:
             return None
         for v, cyc in _rotation_from_faces(faces).items():
@@ -93,22 +94,21 @@ def _planar_rotation(graph: Graph) -> tuple[tuple[int, ...], ...] | None:
     return tuple(tuple(r) for r in rotations)
 
 
-def _embed_block(block_edges: list[tuple[int, int]]) -> list[list[int]] | None:
-    """Face-insertion embedding of one 2-connected block.
+def _embed_block(graph: Graph, block: tuple[int, ...]) -> list[list[int]] | None:
+    """Face-insertion embedding of one 2-connected block, given by its
+    ascending vertices: its edges are the graph's edges between them.
 
     Returns the face boundaries (vertex cycles) of a planar embedding, or
     None when some fragment has no admissible face.
     """
-    edges = {(min(u, v), max(u, v)) for u, v in block_edges}
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    for v in adj:
-        adj[v].sort()
-    nv, ne = len(adj), len(edges)
+    mask = sum(1 << v for v in block)
+    nv = len(block)
+    ne = sum((graph.neighbor_bits(v) & mask).bit_count() for v in block) // 2
     if ne > 3 * nv - 6:
         return None
+    inside = set(block)
+    adj = {v: [w for w in graph.neighbors(v) if w in inside] for v in block}
+    edges = {(u, v) for u in block for v in adj[u] if u < v}
 
     cycle = _find_cycle(adj)
     faces: list[list[int]] = [cycle, list(reversed(cycle))]
@@ -299,9 +299,7 @@ def trace_faces(
         {u: rot[(k + 1) % len(rot)] for k, u in enumerate(rot)} if rot else {}
         for rot in rotation
     ]
-    remaining = {(u, v) for u, v in graph.edges} | {
-        (v, u) for u, v in graph.edges
-    }
+    remaining = {(u, v) for u in graph.vertices() for v in graph.neighbors(u)}
     faces = []
     while remaining:
         dart = min(remaining)
@@ -337,8 +335,7 @@ def check_embedding(graph: Graph, rotation: tuple[tuple[int, ...], ...]) -> bool
     for orbit in faces:
         face_count[comp_of[orbit[0][0]]] += 1
     for ci, comp in enumerate(comps):
-        vs = set(comp)
-        ec = sum(1 for u, v in graph.edges if u in vs)
+        ec = sum(map(graph.degree, comp)) // 2
         fc = face_count[ci] if ec else 1
         if len(comp) - ec + fc != 2:
             return False
@@ -386,7 +383,7 @@ def _find_k5_clique(graph: Graph, step_budget: int | None = None) -> tuple[int, 
     the vertices chosen so far.  A vertex tried whose search finds no
     5-clique is a fruitless step; the first fruitless step past
     step_budget stops the search, which then returns the step count."""
-    bits = [graph.neighbor_bits(v) for v in range(graph.n)]
+    bits = graph.adj_bits
     cands = sum(1 << v for v in range(graph.n) if graph.degree(v) >= 4)
     fruitless = 0
 
@@ -525,19 +522,15 @@ def is_hamiltonian(
             return HamiltonicityResult(
                 False, reason=f"vertex {pendant} has degree <= 1"
             )
-        seen: set[int] = set()
-        cut = set()
-        for block in biconnected_components(graph):
-            verts = {v for edge in block for v in edge}
-            cut |= seen & verts
-            seen |= verts
+        blocks_per_vertex = Counter(v for block in graph.blocks for v in block)
+        cut = [v for v, count in blocks_per_vertex.items() if count > 1]
         if cut:
             return HamiltonicityResult(False, reason=f"vertex {min(cut)} is a cut vertex")
     if n > order_bound:
         raise BoundExceededError(
             f"Hamiltonian search refused: order {n} exceeds bound {order_bound}"
         )
-    adj_bits = [graph.neighbor_bits(v) for v in range(n)]
+    adj_bits = graph.adj_bits
     full = (1 << n) - 1
     path = [0]
 

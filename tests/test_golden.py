@@ -1,0 +1,85 @@
+"""Golden CLI output: sha256 of stdout and stderr, and the exit code, of a
+fixed command set, so a change that must keep the CLI bytes is checked
+against recorded hashes instead of by hand.
+
+To re-record after an intended output change, run this file as a script
+(`PYTHONPATH=src python tests/test_golden.py`) and paste its output over
+GOLDEN.
+"""
+
+import hashlib
+import subprocess
+import sys
+
+import pytest
+
+from gyrograph import cyclic_group, to_cayley_csv
+from gyrograph.gyrogroups import bundled_table_text
+
+#: name -> argv, with {z12} and {k1} standing for table files: Z12 is
+#: non-planar and not a G(n), k1 is a planar order-8 table.
+COMMANDS = {
+    "verify-3..6-text": ("verify-paper", "--n", "3..6"),
+    "verify-3..6-json": ("verify-paper", "--n", "3..6", "--format", "json"),
+    "verify-examples": ("verify-paper", "--examples"),
+    **{
+        f"invariants-gn{n}-{fmt}": ("invariants", "--gn", str(n), "--all", "--format", fmt)
+        for n in (3, 4, 5, 6)
+        for fmt in ("json", "both")
+    },
+    "invariants-z12-both": ("invariants", "--table", "{z12}", "--all"),
+    "invariants-k1-both": ("invariants", "--table", "{k1}", "--all"),
+}
+
+#: name -> (exit code, sha256 of stdout, sha256 of stderr)
+GOLDEN = {
+    'verify-3..6-text': (1, 'e98a648b27c2bc030ef9641ea29e882a95080715467aa9d45801e6ddca955dc4', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'verify-3..6-json': (1, '2fdefd28b70d0ce298fd3e3fa57b78c358f4773503a51f6cf7ef2d5a8e631593', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'verify-examples': (1, '84d38728be6b29e55822c96926eddc1508f8ba41a8fb564881c5840e0784b0bf', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'invariants-gn3-json': (0, '1c73f1b75a5ae70978cd30c77e2d00ae499622ea254c8da5dc70553be9f120ff', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'invariants-gn3-both': (0, 'b9c466ed9b77111fd8da87f504a6a2a40fc572b7be3eed20dcd515a12a7aba1a', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'invariants-gn4-json': (0, 'a6c9853681c477d20a068f633cf107143b3758c8f50ffc31cfbc95b83911c535', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'invariants-gn4-both': (0, 'ef1a2926c4a084878724b44b67a97483063ee7e54c00cb0b89d768a9a42a16e8', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'invariants-gn5-json': (0, 'aabeed7ffe73a052cc0b457f13b92e96bbd59f044fe89ffd802f51c9fddbf1a3', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'invariants-gn5-both': (0, 'b8c56be16a747aef79df931a705edb27ddf0cafc8fb8b6c4e14377030b75679c', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'invariants-gn6-json': (0, '110c5468675994ecf1f42762e3d3e24f84e99444b332e3e9bbdf4a3856f51092', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'invariants-gn6-both': (0, 'c310c3dd98f4091a7dde7f975c25a1390b2294a632b990da71bc3888a87304f7', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'invariants-z12-both': (0, 'eea186d642ee76faa30f1de3c8a69f4c38c67b02ccf933828a1417f6dc8d134e', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'invariants-k1-both': (0, '4dfe3c680e3da057f59bf2d530909d76f522a1a57b7e3818da9d76564aa474b6', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+}
+
+
+def run_golden(name: str, tables: dict[str, str]) -> tuple[int, str, str]:
+    argv = [arg.format(**tables) for arg in COMMANDS[name]]
+    r = subprocess.run([sys.executable, "-m", "gyrograph.cli", *argv], capture_output=True)
+    return r.returncode, hashlib.sha256(r.stdout).hexdigest(), hashlib.sha256(r.stderr).hexdigest()
+
+
+def write_tables(directory) -> dict[str, str]:
+    tables = {"z12": to_cayley_csv(cyclic_group(12)), "k1": bundled_table_text("k1")}
+    paths = {}
+    for key, text in tables.items():
+        path = directory / f"{key}.csv"
+        path.write_text(text, encoding="utf-8")
+        paths[key] = str(path)
+    return paths
+
+
+@pytest.fixture(scope="module")
+def tables(tmp_path_factory):
+    return write_tables(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_cli_output_matches_the_recorded_hashes(name, tables):
+    assert run_golden(name, tables) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    import tempfile
+    from pathlib import Path
+
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = write_tables(Path(tmp))
+        for name in COMMANDS:
+            print(f"    {name!r}: {run_golden(name, paths)!r},")

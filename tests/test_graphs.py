@@ -1,22 +1,32 @@
 """Power-graph construction and the simple-graph substrate."""
 
+import contextlib
+import io
 import json
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_verification import count_calls
 
 from gyrograph import (
     Graph,
     build_gn,
     bundled_gyrogroup,
     classify_gn_shape,
+    cli,
     cyclic_group,
     export,
     from_json,
+    graphs,
     induced_subgraph,
     load_table,
     power_graph,
     power_sequence,
+    spectral,
 )
+from gyrograph.verification import verify_gn
 
 GN3_EDGES = {
     (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
@@ -179,3 +189,132 @@ def test_graph_rejects_self_loop_and_bad_edges():
         Graph.from_edges(3, [(1, 1)])
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(0, 4)])
+    # Every edge is checked, wherever it lies in the list.
+    for edges in ([(-1, 0)], [(0, 1), (2, 2)], [(1, 0), (2, 1), (0, 3)]):
+        with pytest.raises(ValueError, match="out of range|self-loop"):
+            Graph.from_edges(3, edges)
+
+
+# ---------------------------------------------------------------------------
+# The views of the adjacency rows
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, edges) with reversed and repeated pairs mixed in."""
+    n = draw(st.integers(0, 9))
+    if n < 2:
+        return n, []
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda e: e[0] != e[1]
+    )
+    edges = draw(st.lists(pair, max_size=3 * n))
+    repeats = draw(st.lists(st.sampled_from(edges), max_size=4)) if edges else []
+    return n, edges + [(v, u) for u, v in repeats] + repeats
+
+
+def oracle_twin_parts(n, neighbor_sets):
+    """Twin parts by definition, ordered by least vertex: equal closed
+    neighborhoods first, then equal open ones, else a part of its own."""
+    parts, placed = [], set()
+    for v in range(n):
+        if v in placed:
+            continue
+        closed = [w for w in range(n) if neighbor_sets[w] | {w} == neighbor_sets[v] | {v}]
+        open_ = [w for w in range(n) if neighbor_sets[w] == neighbor_sets[v]]
+        if len(closed) > 1:
+            part, kind = closed, "adjacent"
+        elif len(open_) > 1:
+            part, kind = open_, "non-adjacent"
+        else:
+            part, kind = [v], "untwinned"
+        placed.update(part)
+        parts.append((tuple(part), kind))
+    return tuple(parts)
+
+
+def networkx_blocks(n, edges):
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(edges)
+    return sorted(tuple(sorted(block)) for block in nx.biconnected_components(g))
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_lists())
+def test_views_match_a_computation_from_scratch(case):
+    n, edges = case
+    graph = Graph.from_edges(n, edges)
+    neighbor_sets = [set() for _ in range(n)]
+    for u, v in edges:
+        neighbor_sets[u].add(v)
+        neighbor_sets[v].add(u)
+    normalised = frozenset((min(u, v), max(u, v)) for u, v in edges)
+    assert graph.edges == normalised
+    assert graph == Graph(n, normalised)
+    assert graph.edge_count == len(normalised)
+    for v in range(n):
+        assert graph.neighbors(v) == tuple(sorted(neighbor_sets[v]))
+        assert isinstance(graph.neighbors(v), tuple)
+        assert graph.degree(v) == len(neighbor_sets[v])
+        for w in range(n):
+            assert graph.has_edge(v, w) == (w in neighbor_sets[v])
+    assert graph.twin_parts == oracle_twin_parts(n, neighbor_sets)
+    assert sorted(graph.blocks) == networkx_blocks(n, edges)
+    for view in (graph.twin_parts, graph.blocks):
+        assert isinstance(view, tuple) and all(isinstance(item, tuple) for item in view)
+    assert all(isinstance(part, tuple) for part, _ in graph.twin_parts)
+    assert all(list(block) == sorted(block) for block in graph.blocks)
+
+
+@settings(max_examples=60, deadline=None)
+@given(edge_lists(), st.randoms(use_true_random=False))
+def test_blocks_follow_a_relabelling(case, rng):
+    n, edges = case
+    perm = list(range(n))
+    rng.shuffle(perm)
+    graph = Graph.from_edges(n, edges)
+    image = Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+    assert sorted(image.blocks) == sorted(
+        tuple(sorted(perm[v] for v in block)) for block in graph.blocks
+    )
+
+
+def test_views_are_built_once_per_graph():
+    graph = power_graph(build_gn(4))
+    for name in ("edges", "twin_parts", "blocks"):
+        assert getattr(graph, name) is getattr(graph, name)
+    assert graph.neighbors(3) is graph.neighbors(3)
+    assert graph.twin_parts == (
+        ((0,), "untwinned"),
+        (tuple(range(1, 8)), "adjacent"),
+        (tuple(range(8, 16)), "non-adjacent"),
+    )
+
+
+def _invariants_gn5():
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["invariants", "--gn", "5", "--all", "--format", "json"]) == 0
+
+
+@pytest.mark.parametrize("run", [_invariants_gn5, lambda: verify_gn(5)], ids=["cli", "verify_gn"])
+def test_each_graph_builds_its_twin_parts_and_blocks_once(monkeypatch, run):
+    # The detour, planarity and Hamiltonicity layers read one block DFS per
+    # graph; distances and resolving read one twin partition per graph,
+    # and the spectral quotient one per matrix it reads.
+    twin_builds = count_calls(monkeypatch, graphs, "twin_parts")
+    block_builds = count_calls(monkeypatch, graphs, "biconnected_components")
+    quotients = count_calls(monkeypatch, spectral, "twin_quotient")
+    built = []
+    init = Graph.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(Graph, "__init__", recording)
+    run()
+    assert block_builds and len({id(g) for g in block_builds}) == len(block_builds)
+    assert len(block_builds) <= len(built)
+    assert twin_builds and len(twin_builds) <= len(built) + len(quotients)

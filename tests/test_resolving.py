@@ -4,6 +4,7 @@ import random
 import time
 from itertools import combinations
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from gyrograph import (
     resolving_polynomial,
     twin_partition,
 )
+from gyrograph.errors import DisconnectedGraphError
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +102,67 @@ def test_is_resolving_examples(gn3):
     assert not is_resolving(dm, {1, 2, 3})
     for v in range(8):
         assert is_resolving(dm, set(range(8)) - {v})
+
+
+def small_connected_graphs():
+    """Connected graphs of 1..8 vertices: twin-rich families, power graphs
+    and seeded random graphs."""
+    graphs = [
+        Graph.complete(1), Graph.complete(2), Graph.complete(6), Graph.star(3),
+        Graph.star(7), Graph.cycle(5), Graph.path(8), power_graph(build_gn(3)),
+        power_graph(cyclic_group(6)), power_graph(cyclic_group(8)),
+    ]
+    rng = random.Random(29)
+    while len(graphs) < 40:
+        n, density = rng.randint(2, 8), rng.choice((0.3, 0.5, 0.8))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density]
+        graph = Graph.from_edges(n, pairs)
+        if graph.is_connected():
+            graphs.append(graph)
+    return graphs
+
+
+@pytest.mark.parametrize("graph", small_connected_graphs())
+def test_is_resolving_matches_a_scan_of_bfs_rows_on_every_subset(graph):
+    # Every subset, the empty one and those omitting two twins included,
+    # against distance vectors read off networkx BFS rows.
+    g = nx.Graph()
+    g.add_nodes_from(range(graph.n))
+    g.add_edges_from(graph.edges)
+    dist = dict(nx.all_pairs_shortest_path_length(g))
+    dm = distance_matrix(graph)
+    for k in range(graph.n + 1):
+        for subset in combinations(range(graph.n), k):
+            vectors = {tuple(dist[v][s] for s in subset) for v in range(graph.n)}
+            assert is_resolving(dm, subset) == (len(vectors) == graph.n), subset
+
+
+@pytest.mark.parametrize(
+    "group", [build_gn(4), build_gn(5), cyclic_group(12), cyclic_group(28), cyclic_group(30)],
+    ids=["G4", "G5", "Z12", "Z28", "Z30"],
+)
+def test_is_resolving_matches_the_expanded_rows_on_random_subsets(group):
+    graph = power_graph(group)
+    dm = distance_matrix(graph)
+    rng = random.Random(graph.n)
+    for _ in range(300):
+        subset = rng.sample(range(graph.n), rng.randint(0, graph.n))
+        vectors = {tuple(dm.entries[v][s] for s in subset) for v in range(graph.n)}
+        assert is_resolving(dm, subset) == (len(vectors) == graph.n), sorted(subset)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [Graph(2, frozenset()), Graph(4, frozenset({(0, 1)})), Graph.from_edges(4, [(0, 1), (2, 3)])],
+)
+def test_is_resolving_refuses_disconnected_graphs(graph):
+    # Two isolated vertices are non-adjacent twins at distance INF.
+    dm = distance_matrix(graph)
+    for subset in ((), (0,), tuple(range(graph.n))):
+        with pytest.raises(DisconnectedGraphError):
+            is_resolving(dm, subset)
+    with pytest.raises(ValueError, match="out of range"):
+        is_resolving(dm, (graph.n,))
 
 
 def test_resolving_superset_property(gn3):
