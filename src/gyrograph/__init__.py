@@ -38,6 +38,7 @@ from .distances import (
 from .errors import BoundExceededError, DisconnectedGraphError
 from .graphs import (
     Graph,
+    IntMatrix,
     StructureSummary,
     biconnected_components,
     classify_gn_shape,
@@ -79,12 +80,11 @@ from .resolving import (
     twin_partition,
 )
 from .spectral import (
-    IntMatrix,
     SpectralSummary,
     adjacency_matrix,
     char_poly_exact,
     closed_form_charpoly_gn,
-    pendant_split_matrices,
+    pendant_split_graphs,
     spectral_radius,
     verify_spectral_bounds,
 )

@@ -39,7 +39,7 @@ from .gyrogroups import (
 )
 from .polynomials import IntPolynomial
 from .resolving import metric_dimension, resolving_polynomial, twin_partition
-from .spectral import adjacency_matrix, char_poly_exact, spectral_radius
+from .spectral import char_poly_exact, spectral_radius
 from .structure import is_hamiltonian, is_planar
 from .verification import VerificationReport, run_verification, verify_example_tables
 
@@ -289,10 +289,9 @@ def _compute_invariant(flag: str, graph, shortest, args) -> object:
         profile = resolving_polynomial(shortest)
         return json.loads(profile.to_json())
     if flag == "spectral":
-        adj = adjacency_matrix(graph)
         return {
-            "charpoly": str(char_poly_exact(adj)),
-            "spectral_radius": spectral_radius(adj),
+            "charpoly": str(char_poly_exact(graph)),
+            "spectral_radius": spectral_radius(graph),
         }
     if flag == "planarity":
         result = is_planar(graph)

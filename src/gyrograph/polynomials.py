@@ -2,7 +2,8 @@
 
 All counting polynomials produced by this package (Hosoya, resolving,
 characteristic) are held exactly; no floating point enters coefficient
-arithmetic.
+arithmetic, and the characteristic polynomial of an integer matrix
+(:func:`char_poly`) checks every division it makes.
 """
 
 from __future__ import annotations
@@ -167,3 +168,23 @@ def _as_poly(value: "IntPolynomial | int") -> IntPolynomial:
     if isinstance(value, int):
         return IntPolynomial.constant(value)
     raise TypeError(f"cannot coerce {type(value).__name__} to IntPolynomial")
+
+
+def char_poly(rows) -> IntPolynomial:
+    """det(xI - A) for a square integer matrix given by its rows, via the
+    Faddeev-LeVerrier trace recurrence.  Every division in it is by the
+    step index and is exact over the integers; this is asserted, not
+    assumed."""
+    n = len(rows)
+    coeffs, m, c = {n: 1}, [[0] * n for _ in range(n)], 1
+    for k in range(1, n + 1):
+        # M_k = A (M_{k-1} + c_{n-k+1} I), and c_{n-k} = -tr(M_k) / k
+        for i in range(n):
+            m[i][i] += c
+        cols = list(zip(*m))
+        m = [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in rows]
+        c, r = divmod(-sum(m[i][i] for i in range(n)), k)
+        if r:
+            raise AssertionError("trace recurrence divided inexactly")
+        coeffs[n - k] = c
+    return IntPolynomial(coeffs)

@@ -41,10 +41,9 @@ from .gyrogroups import (
 from .polynomials import IntPolynomial
 from .resolving import resolving_polynomial
 from .spectral import (
-    adjacency_matrix,
     char_poly_exact,
     closed_form_charpoly_gn,
-    pendant_split_matrices,
+    pendant_split_graphs,
     verify_spectral_bounds,
 )
 from .structure import (
@@ -430,9 +429,8 @@ def verify_gn(n: int) -> list[ReportEntry]:
         )
 
     # Characteristic polynomial (corrected closed form) and spectral radius.
-    adjacency = adjacency_matrix(graph)
-    charpoly = char_poly_exact(adjacency)
-    spectral = verify_spectral_bounds(adjacency)
+    charpoly = char_poly_exact(graph)
+    spectral = verify_spectral_bounds(graph)
     closed = closed_form_charpoly_gn(n)
     entries.append(
         _entry(
@@ -448,7 +446,7 @@ def verify_gn(n: int) -> list[ReportEntry]:
             ),
         )
     )
-    _, e_part = pendant_split_matrices(n)
+    _, e_part = pendant_split_graphs(n)
     e_charpoly = char_poly_exact(e_part)
     e_expected = IntPolynomial({2 * m: 1, 2 * m - 2: -m})
     entries.append(

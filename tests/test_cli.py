@@ -22,11 +22,11 @@ from gyrograph import (
     detour_matrix,
     distance_matrix,
     distances,
+    polynomials,
     power_graph,
     reciprocal_status_edge_sums,
     relabel,
     resolving,
-    spectral,
     to_cayley_csv,
     verification,
 )
@@ -269,7 +269,7 @@ def test_invariants_build_each_view_of_a_matrix_once(monkeypatch, capsys):
 @pytest.mark.parametrize("flags", [["--spectral"], ["--all"]])
 def test_invariants_run_one_charpoly_recurrence(monkeypatch, capsys, flags):
     # The charpoly and the spectral radius share one run on the quotient.
-    runs = count_calls(monkeypatch, spectral, "_faddeev_leverrier")
+    runs = count_calls(monkeypatch, polynomials, "char_poly")
     data = invariants_json(capsys, "--gn", "4", *flags)
     assert len(runs) == 1
     assert data["spectral"]["charpoly"] == str(closed_form_charpoly_gn(4))

@@ -12,6 +12,7 @@ from test_verification import count_calls
 
 from gyrograph import (
     Graph,
+    IntMatrix,
     build_gn,
     bundled_gyrogroup,
     classify_gn_shape,
@@ -298,14 +299,18 @@ def _invariants_gn5():
         assert cli.main(["invariants", "--gn", "5", "--all", "--format", "json"]) == 0
 
 
-@pytest.mark.parametrize("run", [_invariants_gn5, lambda: verify_gn(5)], ids=["cli", "verify_gn"])
+RUNS = pytest.mark.parametrize(
+    "run", [_invariants_gn5, lambda: verify_gn(5)], ids=["cli", "verify_gn"]
+)
+
+
+@RUNS
 def test_each_graph_builds_its_twin_parts_and_blocks_once(monkeypatch, run):
     # The detour, planarity and Hamiltonicity layers read one block DFS per
-    # graph; distances and resolving read one twin partition per graph,
-    # and the spectral quotient one per matrix it reads.
+    # graph; distances, resolving and the spectral quotient read one twin
+    # partition per graph.
     twin_builds = count_calls(monkeypatch, graphs, "twin_parts")
     block_builds = count_calls(monkeypatch, graphs, "biconnected_components")
-    quotients = count_calls(monkeypatch, spectral, "twin_quotient")
     built = []
     init = Graph.__init__
 
@@ -317,4 +322,22 @@ def test_each_graph_builds_its_twin_parts_and_blocks_once(monkeypatch, run):
     run()
     assert block_builds and len({id(g) for g in block_builds}) == len(block_builds)
     assert len(block_builds) <= len(built)
-    assert twin_builds and len(twin_builds) <= len(built) + len(quotients)
+    assert twin_builds and len(twin_builds) <= len(built)
+
+
+@RUNS
+def test_spectral_layer_builds_no_dense_adjacency_matrix(monkeypatch, run):
+    # The charpoly and the spectral radius read the graph's 3 x 3 twin
+    # quotient; no 32 x 32 matrix of P(G(5)) or of its pendant part is built.
+    dense = count_calls(monkeypatch, spectral, "adjacency_matrix")
+    orders = []
+    init = IntMatrix.__init__
+
+    def recording(self, rows):
+        init(self, rows)
+        orders.append(self.n)
+
+    monkeypatch.setattr(IntMatrix, "__init__", recording)
+    run()
+    assert dense == []
+    assert orders and set(orders) == {3}

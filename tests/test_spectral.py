@@ -20,15 +20,16 @@ from gyrograph import (
     char_poly_exact,
     closed_form_charpoly_gn,
     cyclic_group,
-    pendant_split_matrices,
+    graphs,
+    pendant_split_graphs,
+    polynomials,
     power_graph,
     relabel,
-    spectral,
     spectral_radius,
     verify_spectral_bounds,
 )
 from gyrograph.errors import BoundExceededError
-from gyrograph.spectral import twin_quotient
+from test_verification import count_calls
 
 GN3_CHARPOLY = IntPolynomial({8: 1, 6: -10, 5: -8, 4: 9, 3: 8})
 
@@ -219,11 +220,26 @@ def twinned_graphs(draw):
     return Graph.from_edges(sum(sizes), {(perm[u], perm[v]) for u, v in edges})
 
 
+def assert_equitable_quotient(graph):
+    """The graph's twin quotient checked from scratch: every vertex of
+    part i has B[i][j] neighbors in part j, and deg f + dim B = n."""
+    quotient, factor = graph.twin_quotient
+    parts = [part for part, _ in graph.twin_parts]
+    assert quotient.n == len(parts)
+    for i, part in enumerate(parts):
+        for v in part:
+            for j, other in enumerate(parts):
+                assert quotient[i, j] == sum(graph.has_edge(v, w) for w in other)
+    assert factor.degree + quotient.n == graph.n
+
+
 @settings(max_examples=300, deadline=None)
 @given(twinned_graphs())
 def test_charpoly_matches_reference_on_random_graphs(graph):
     a = adjacency_matrix(graph)
     assert char_poly_exact(a) == reference_char_poly(a)
+    assert char_poly_exact(graph) == reference_char_poly(a)
+    assert_equitable_quotient(graph)
 
 
 @st.composite
@@ -251,7 +267,8 @@ def test_charpoly_matches_reference_on_general_matrices(matrix):
         and not any(matrix[i, i] for i in range(matrix.n))
     )
     if not is_adjacency:
-        assert twin_quotient(matrix) == (matrix, IntPolynomial.constant(1))
+        assert matrix.twin_quotient == (matrix, IntPolynomial.constant(1))
+        assert matrix.twin_quotient[0] is matrix
     assert char_poly_exact(matrix) == reference_char_poly(matrix)
 
 
@@ -270,11 +287,14 @@ def test_charpoly_on_relabelled_gn(n):
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_twin_quotient_of_gn_is_the_cubic(n):
     m = 2 ** (n - 1)
-    quotient, factor = twin_quotient(adjacency_matrix(power_graph(build_gn(n))))
+    graph = power_graph(build_gn(n))
     cubic = IntPolynomial({3: 1, 2: 2 - m, 1: -(2**n - 1), 0: m * m - 2**n})
-    assert quotient.n == 3
-    assert reference_char_poly(quotient) == cubic
-    assert factor == IntPolynomial.x_power(m - 1) * IntPolynomial({0: 1, 1: 1}) ** (m - 2)
+    for a in (graph, adjacency_matrix(graph)):
+        quotient, factor = a.twin_quotient
+        assert quotient.rows == ((0, m - 1, m), (1, m - 2, 0), (1, 0, 0))
+        assert reference_char_poly(quotient) == cubic
+        assert factor == IntPolynomial.x_power(m - 1) * IntPolynomial({0: 1, 1: 1}) ** (m - 2)
+    assert_equitable_quotient(graph)
 
 
 def test_bareiss_determinant_basics():
@@ -379,6 +399,7 @@ def test_spectral_radius_brackets_the_exact_top_root(graph, rnd):
     rnd.shuffle(perm)
     shuffled = Graph.from_edges(graph.n, {(perm[u], perm[v]) for u, v in graph.edges})
     assert spectral_radius(adjacency_matrix(shuffled)) == lam
+    assert spectral_radius(graph) == spectral_radius(shuffled) == lam
 
 
 @settings(max_examples=300, deadline=None)
@@ -389,6 +410,7 @@ def test_spectral_radius_is_correctly_rounded_with_twins_and_components(graph):
     a = adjacency_matrix(graph)
     if graph.n:
         assert_correctly_rounded(char_poly_exact(a), spectral_radius(a))
+        assert spectral_radius(graph) == spectral_radius(a)
 
 
 @st.composite
@@ -414,25 +436,31 @@ def test_spectral_radius_is_correctly_rounded_on_weighted_matrices(matrix):
 
 def test_spectral_radius_refuses_a_large_quotient_before_the_recurrence(monkeypatch):
     runs = []
-    monkeypatch.setattr(
-        spectral, "_faddeev_leverrier", lambda rows: runs.append(rows)
-    )
-    with pytest.raises(BoundExceededError, match="dimension 65 exceeds 64"):
-        spectral_radius(adjacency_matrix(Graph.path(65)))
+    monkeypatch.setattr(graphs, "char_poly", lambda rows: runs.append(rows))
+    for a in (Graph.path(65), adjacency_matrix(Graph.path(65))):
+        with pytest.raises(BoundExceededError, match="dimension 65 exceeds 64"):
+            spectral_radius(a)
     assert runs == []
 
 
 def test_each_matrix_runs_its_recurrence_once(monkeypatch):
-    runs = []
-    recurrence = spectral._faddeev_leverrier
-    monkeypatch.setattr(
-        spectral, "_faddeev_leverrier", lambda rows: runs.append(rows) or recurrence(rows)
-    )
+    runs = count_calls(monkeypatch, polynomials, "char_poly")
     a, b = adjacency_matrix(Graph.cycle(7)), adjacency_matrix(Graph.path(5))
     char_poly_exact(a)
     char_poly_exact(b)
     assert spectral_radius(a) == 2.0
     assert len(runs) == 2
+
+
+def test_each_graph_runs_its_recurrence_once(monkeypatch):
+    runs = count_calls(monkeypatch, polynomials, "char_poly")
+    g, h = Graph.cycle(7), power_graph(build_gn(4))
+    char_poly_exact(g)
+    char_poly_exact(h)
+    assert spectral_radius(g) == 2.0
+    assert verify_spectral_bounds(h).satisfied
+    assert char_poly_exact(g) == char_poly_exact(adjacency_matrix(g))
+    assert len(runs) == 3
 
 
 def test_charpoly_keeps_no_matrix_alive():
@@ -444,10 +472,13 @@ def test_charpoly_keeps_no_matrix_alive():
 
 
 def test_spectral_radius_on_z28_matches_numpy():
-    a = adjacency_matrix(power_graph(cyclic_group(28)))
+    graph = power_graph(cyclic_group(28))
+    a = adjacency_matrix(graph)
     eig = float(np.linalg.eigvalsh(np.array(a.rows, dtype=float))[-1])
     assert abs(spectral_radius(a) - eig) <= 1e-10
-    assert twin_quotient(a)[0].n == 5
+    assert spectral_radius(graph) == spectral_radius(a)
+    assert a.twin_quotient == graph.twin_quotient
+    assert graph.twin_quotient[0].n == 5
 
 
 def largest_cubic_root(n):
@@ -493,20 +524,21 @@ def test_spectral_sandwich_bounds(n):
     assert s.bound_lower < s.spectral_radius <= s.bound_upper
 
 
-def test_pendant_split_reassembles_adjacency(gn3_adj):
-    d, e = pendant_split_matrices(3)
-    total = [
-        [d[i, j] + e[i, j] for j in range(8)] for i in range(8)
-    ]
-    assert IntMatrix.from_rows(total).rows == gn3_adj.rows
+def test_pendant_split_reassembles_adjacency():
+    for n in (3, 4, 5):
+        d, e = pendant_split_graphs(n)
+        ad, ae = adjacency_matrix(d), adjacency_matrix(e)
+        size = 2**n
+        total = [[ad[i, j] + ae[i, j] for j in range(size)] for i in range(size)]
+        assert IntMatrix.from_rows(total) == adjacency_matrix(power_graph(build_gn(n)))
 
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_pendant_part_charpoly_is_rank_two(n):
     m = 2 ** (n - 1)
-    _, e = pendant_split_matrices(n)
+    _, e = pendant_split_graphs(n)
     assert char_poly_exact(e) == IntPolynomial({2 * m: 1, 2 * m - 2: -m})
-    eigs = np.linalg.eigvalsh(np.array(e.rows, dtype=float))
+    eigs = np.linalg.eigvalsh(np.array(adjacency_matrix(e).rows, dtype=float))
     assert eigs[-1] == pytest.approx(math.sqrt(m), abs=1e-9)
     assert eigs[0] == pytest.approx(-math.sqrt(m), abs=1e-9)
     assert np.allclose(np.sort(np.abs(eigs))[:-2], 0, atol=1e-9)
@@ -516,7 +548,7 @@ def test_pendant_part_charpoly_is_rank_two(n):
 def test_weyl_split_bound(n):
     # lambda_1(A) <= lambda_1(D) + lambda_1(E), with both parts known.
     m = 2 ** (n - 1)
-    d, e = pendant_split_matrices(n)
+    d, e = pendant_split_graphs(n)
     lam_d = spectral_radius(d)
     lam_e = spectral_radius(e)
     lam_a = spectral_radius(adjacency_matrix(power_graph(build_gn(n))))

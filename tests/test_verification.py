@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 from gyrograph import (
+    Graph,
     build_gn,
     cyclic_group,
     distances,
     load_table,
+    polynomials,
     power_sequence,
     run_verification,
     spectral,
@@ -282,12 +284,14 @@ def test_verify_gn_computes_detour_and_charpoly_once(monkeypatch, n, detour_runs
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_verify_gn_builds_one_twin_quotient_per_matrix(monkeypatch, n):
-    # The charpoly and the spectral radius of P(G(n)) share one quotient;
-    # the pendant-part matrix gets its own.
-    quotients = count_calls(monkeypatch, spectral, "twin_quotient")
+    # The charpoly and the spectral radius of P(G(n)) share one quotient
+    # and one recurrence; the pendant-part graph gets its own.
+    quotients = record_builds(monkeypatch, "twin_quotient", Graph, key=lambda graph: graph.n)
+    runs = count_calls(monkeypatch, polynomials, "char_poly")
     entries = verify_gn(n)
     assert all(e.verdict != "mismatch" for e in entries)
-    assert len(quotients) == 2
+    assert quotients == [2**n, 2**n]
+    assert len(runs) == 2
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -300,19 +304,20 @@ def test_verify_gn_runs_one_bfs(monkeypatch, n):
     assert [graph.n for graph in bfs] == [2**n]
 
 
-def record_builds(monkeypatch, name):
-    """Replace the cached view DistanceMatrix.<name> with one that records
-    the kind of every matrix it is built for; return the record."""
+def record_builds(monkeypatch, name, cls=distances.DistanceMatrix, key=lambda dm: dm.kind):
+    """Replace the cached view cls.<name> with one that records key(obj)
+    for every obj it is built for (by default the kind of every distance
+    matrix); return the record."""
     builds = []
-    build = getattr(distances.DistanceMatrix, name).func
+    build = getattr(cls, name).func
 
-    def counting(dm):
-        builds.append(dm.kind)
-        return build(dm)
+    def counting(obj):
+        builds.append(key(obj))
+        return build(obj)
 
     prop = functools.cached_property(counting)
-    prop.__set_name__(distances.DistanceMatrix, name)
-    monkeypatch.setattr(distances.DistanceMatrix, name, prop)
+    prop.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, prop)
     return builds
 
 
