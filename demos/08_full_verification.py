@@ -12,7 +12,7 @@ Equivalent CLI: gyrograph verify-paper --n 3..4
 
 from gyrograph import run_verification
 
-report = run_verification([3, 4], include_examples=True)
+report = run_verification([3, 4])
 print(report.render_text())
 
 print("mismatches:", [e.claim_id for e in report.entries if e.verdict == "mismatch"])

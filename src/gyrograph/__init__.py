@@ -43,7 +43,6 @@ from .graphs import (
     biconnected_components,
     classify_gn_shape,
     export,
-    from_json,
     induced_subgraph,
     power_graph,
     to_dot,
@@ -61,7 +60,6 @@ from .gyrogroups import (
     load_table,
     parse_cayley_csv,
     parse_cayley_json,
-    power,
     power_closure,
     power_sequence,
     read_cayley_file,

@@ -345,18 +345,20 @@ def bondy_chvatal_closure(graph: Graph) -> Graph:
     such pair remains.  The fixed point does not depend on the order in
     which qualifying edges are added; if none is, it is the input graph."""
     n = graph.n
-    edges = set(graph.edges)
-    deg = [graph.degree(v) for v in range(n)]
+    rows = list(graph.adj_bits)
+    deg = [row.bit_count() for row in rows]
     changed = True
     while changed:
         changed = False
         for u in range(n):
             for v in range(u + 1, n):
-                if (u, v) not in edges and deg[u] + deg[v] >= n:
-                    edges.add((u, v))
+                if deg[u] + deg[v] >= n and not rows[u] >> v & 1:
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
                     deg[u] += 1
                     deg[v] += 1
                     changed = True
-    if len(edges) == graph.edge_count:
+    if tuple(rows) == graph.adj_bits:
         return graph
+    edges = ((u, v) for u, row in enumerate(rows) for v in range(u + 1, n) if row >> v & 1)
     return Graph.from_edges(n, edges, labels=graph.labels)

@@ -35,7 +35,7 @@ class Graph(_Value):
     _fields = ("n", "edges", "labels")
 
     def __init__(
-        self, n: int, edges: frozenset[tuple[int, int]], labels: tuple[str, ...] = ()
+        self, n: int, edges: Iterable[tuple[int, int]], labels: tuple[str, ...] = ()
     ) -> None:
         if n < 0:
             raise ValueError("vertex count must be non-negative")
@@ -56,7 +56,7 @@ class Graph(_Value):
     @cached_property
     def edges(self) -> frozenset[tuple[int, int]]:
         """The edges as (u, v) pairs with u < v."""
-        return frozenset((u, v) for u, nbrs in enumerate(self._adj_lists) for v in nbrs if u < v)
+        return frozenset(self.sorted_edges())
 
     @cached_property
     def _adj_lists(self) -> tuple[tuple[int, ...], ...]:
@@ -108,9 +108,6 @@ class Graph(_Value):
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self._adj_lists[v]
 
-    def neighbor_bits(self, v: int) -> int:
-        return self.adj_bits[v]
-
     def degree(self, v: int) -> int:
         return self.adj_bits[v].bit_count()
 
@@ -119,7 +116,9 @@ class Graph(_Value):
         return sum(row.bit_count() for row in self.adj_bits) // 2
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
+        """The edges (u, v), u < v, in ascending order, read off the
+        ascending neighbor tuples."""
+        return [(u, v) for u, nbrs in enumerate(self._adj_lists) for v in nbrs if u < v]
 
     def vertices(self) -> range:
         return range(self.n)
@@ -147,7 +146,7 @@ class Graph(_Value):
     def from_edges(
         cls, n: int, edges: Iterable[tuple[int, int]], labels: tuple[str, ...] = ()
     ) -> "Graph":
-        return cls(n=n, edges=frozenset((u, v) for u, v in edges), labels=labels)
+        return cls(n=n, edges=edges, labels=labels)
 
     @classmethod
     def complete(cls, n: int) -> "Graph":
@@ -220,17 +219,13 @@ class IntMatrix(_Value):
         return Graph.from_edges(self.n, edges).twin_quotient
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]]) -> IntMatrix:
-        return cls(rows)
-
-    @classmethod
     def zeros(cls, n: int) -> IntMatrix:
         return cls((0,) * n for _ in range(n))
 
 
 def reachable(adj_bits: Sequence[int], v: int, allowed: int) -> int:
     """Bitmask of the vertices reachable from v inside allowed | {v}, given
-    the bitmask adjacency rows (one int per vertex, as neighbor_bits)."""
+    the bitmask adjacency rows (one int per vertex, as Graph.adj_bits)."""
     seen = 1 << v
     stack = [v]
     while stack:
@@ -324,7 +319,7 @@ class StructureSummary(NamedTuple):
 
 def power_graph(g: GyroGroup) -> Graph:
     """Power graph: u ~ v iff v is in the power closure of u or vice versa."""
-    edges = ((min(u, v), max(u, v)) for u in g.elements() for v in power_closure(g, u) if v != u)
+    edges = ((u, v) for u in g.elements() for v in power_closure(g, u) if v != u)
     return Graph.from_edges(g.order, edges, labels=g.labels)
 
 
@@ -346,7 +341,7 @@ def classify_gn_shape(graph: Graph) -> StructureSummary:
     if hub not in clique:
         return no_match
     mask = sum(1 << v for v in clique)
-    if any((graph.neighbor_bits(v) | 1 << v) & mask != mask for v in clique):
+    if any((graph.adj_bits[v] | 1 << v) & mask != mask for v in clique):
         return no_match
     return StructureSummary(True, clique, pendants, hub)
 
@@ -371,8 +366,8 @@ def induced_subgraph(graph: Graph, vertices: Iterable[int]) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def to_dot(graph: Graph, name: str = "G") -> str:
-    lines = [f"graph {name} {{"]
+def to_dot(graph: Graph) -> str:
+    lines = ["graph G {"]
     for v in graph.vertices():
         lines.append(f'  {v} [label="{graph.labels[v]}"];')
     for u, v in graph.sorted_edges():
@@ -388,15 +383,6 @@ def to_json(graph: Graph) -> str:
         "edges": [[u, v] for u, v in graph.sorted_edges()],
     }
     return json.dumps(payload, sort_keys=True)
-
-
-def from_json(text: str) -> Graph:
-    data = json.loads(text)
-    return Graph.from_edges(
-        int(data["n"]),
-        ((int(u), int(v)) for u, v in data["edges"]),
-        labels=tuple(data.get("labels", ())),
-    )
 
 
 def export(graph: Graph, fmt: str) -> str:

@@ -15,8 +15,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 import os
-from operator import itemgetter
 from typing import Callable, NamedTuple, Sequence
 
 # Names of the Cayley tables shipped with the package.
@@ -76,10 +76,6 @@ class Permutation(_Value):
 
     def is_identity(self) -> bool:
         return all(v == i for i, v in enumerate(self.map))
-
-    @classmethod
-    def identity(cls, size: int) -> "Permutation":
-        return cls(tuple(range(size)))
 
 
 class GyroGroup(_Value):
@@ -331,7 +327,7 @@ def gatherer(index: Sequence[int]) -> Callable[[Sequence], Sequence]:
     """
     if isinstance(index, bytes):
         return lambda seq: index.translate(seq.ljust(256))
-    get = itemgetter(*index)
+    get = operator.itemgetter(*index)
     # itemgetter with a single index returns the item, not a 1-tuple.
     return get if len(index) > 1 else lambda seq: (get(seq),)
 
@@ -452,28 +448,14 @@ def _automorphism_failure(t, gather, p: Sequence[int]) -> tuple[int, ...] | None
 # ---------------------------------------------------------------------------
 
 
-def power(g: GyroGroup, a: int, m: int, right: bool = False) -> int:
-    """The m-th power of a, m >= 1.
-
-    Left iteration a^(m+1) = a + a^m by default; right=True uses
-    a^(m+1) = a^m + a instead.
-    """
-    _check_element(g, a)
-    if m < 1:
-        raise ValueError("power exponent must be >= 1")
-    acc = a
-    for _ in range(m - 1):
-        acc = g.table[acc][a] if right else g.table[a][acc]
-    return acc
-
-
-def power_closure(g: GyroGroup, a: int, right: bool = False) -> frozenset[int]:
-    """{a^m : m >= 1}, computed by iterating until the sequence cycles."""
+def power_closure(g: GyroGroup, a: int) -> frozenset[int]:
+    """{a^m : m >= 1}, computed by iterating a^(m+1) = a + a^m until the
+    sequence cycles."""
     _check_element(g, a)
     seen = {a}
     acc = a
     for _ in range(g.order):
-        acc = g.table[acc][a] if right else g.table[a][acc]
+        acc = g.table[a][acc]
         if acc in seen:
             break
         seen.add(acc)
@@ -481,12 +463,16 @@ def power_closure(g: GyroGroup, a: int, right: bool = False) -> frozenset[int]:
 
 
 def power_sequence(g: GyroGroup, a: int, length: int, right: bool = False) -> list[int]:
-    """[a^1, a^2, ..., a^length]."""
-    out = [a]
+    """[a^1, a^2, ..., a^length], left-iterated (a^(m+1) = a + a^m) by
+    default; right=True uses a^(m+1) = a^m + a instead."""
+    _check_element(g, a)
+    if length < 0:
+        raise ValueError("power sequence length must be >= 0")
+    out = []
     acc = a
-    for _ in range(length - 1):
-        acc = g.table[acc][a] if right else g.table[a][acc]
+    for _ in range(length):
         out.append(acc)
+        acc = g.table[acc][a] if right else g.table[a][acc]
     return out
 
 
@@ -513,8 +499,17 @@ def parse_cayley_csv(text: str) -> GyroGroup:
 def parse_cayley_json(text: str) -> GyroGroup:
     """Parse {"order": N, "table": [[...], ...]}."""
     data = json.loads(text)
-    rows = [[int(v) for v in row] for row in data["table"]]
-    if "order" in data and int(data["order"]) != len(rows):
+    if not isinstance(data, dict):
+        raise ValueError("a JSON table must be an object")
+    table = data.get("table")
+    if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
+        raise ValueError('"table" must be a list of rows, each a list')
+    try:
+        rows = [list(map(operator.index, row)) for row in table]
+        order = operator.index(data.get("order", len(rows)))
+    except TypeError:
+        raise ValueError('the table entries and "order" must be integers') from None
+    if order != len(rows):
         raise ValueError("declared order does not match table size")
     return _from_grid(rows)
 

@@ -8,8 +8,7 @@ arithmetic, and the characteristic polynomial of an integer matrix
 
 from __future__ import annotations
 
-import json
-from typing import Iterator, Mapping
+from typing import Mapping
 
 
 class IntPolynomial:
@@ -36,16 +35,12 @@ class IntPolynomial:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "IntPolynomial":
-        return cls()
-
-    @classmethod
     def constant(cls, c: int) -> "IntPolynomial":
         return cls({0: c})
 
     @classmethod
-    def x_power(cls, exp: int, coeff: int = 1) -> "IntPolynomial":
-        return cls({exp: coeff})
+    def x_power(cls, exp: int) -> "IntPolynomial":
+        return cls({exp: 1})
 
     # -- queries -----------------------------------------------------------
 
@@ -59,13 +54,6 @@ class IntPolynomial:
 
     def __getitem__(self, exp: int) -> int:
         return self._coeffs.get(exp, 0)
-
-    def items(self) -> Iterator[tuple[int, int]]:
-        """(exponent, coefficient) pairs in descending exponent order."""
-        return iter(sorted(self._coeffs.items(), reverse=True))
-
-    def coefficient_sum(self) -> int:
-        return sum(self._coeffs.values())
 
     def __call__(self, x: int) -> int:
         """Exact evaluation at an integer point."""
@@ -122,8 +110,9 @@ class IntPolynomial:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     # -- serialization -----------------------------------------------------
@@ -131,13 +120,6 @@ class IntPolynomial:
     def to_dict(self) -> dict[str, int]:
         """JSON-friendly exponent -> coefficient map (string keys)."""
         return {str(e): c for e, c in sorted(self._coeffs.items(), reverse=True)}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, d: Mapping[str | int, int]) -> "IntPolynomial":
-        return cls({int(e): int(c) for e, c in d.items()})
 
     def __str__(self) -> str:
         """Human-readable form with descending exponents, e.g. 'x^3 - 2x^2 - 7x + 8'."""

@@ -65,11 +65,9 @@ def closed_form_charpoly_gn(n: int) -> IntPolynomial:
     cubic = IntPolynomial(
         {3: 1, 2: 2 - m, 1: -(2**n - 1), 0: m * m - 2**n}
     )
-    return (
-        IntPolynomial.x_power(m - 1)
-        * IntPolynomial({0: 1, 1: 1}) ** (m - 2)
-        * cubic
-    )
+    # (1 + x)^(m - 2), by the binomial theorem.
+    binomial = IntPolynomial({k: math.comb(m - 2, k) for k in range(m - 1)})
+    return IntPolynomial.x_power(m - 1) * binomial * cubic
 
 
 def pendant_split_graphs(n: int) -> tuple[Graph, Graph]:

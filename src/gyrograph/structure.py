@@ -103,7 +103,7 @@ def _embed_block(graph: Graph, block: tuple[int, ...]) -> list[list[int]] | None
     """
     mask = sum(1 << v for v in block)
     nv = len(block)
-    ne = sum((graph.neighbor_bits(v) & mask).bit_count() for v in block) // 2
+    ne = sum((graph.adj_bits[v] & mask).bit_count() for v in block) // 2
     if ne > 3 * nv - 6:
         return None
     inside = set(block)
@@ -411,7 +411,7 @@ def verify_kuratowski(graph: Graph, edges: frozenset[tuple[int, int]]) -> str:
     the graph, by contracting its degree-2 paths.  Returns "K5" or "K33";
     raises ValueError otherwise."""
     norm = {(min(u, v), max(u, v)) for u, v in edges}
-    if not norm <= graph.edges:
+    if not all(0 <= u and v < graph.n and graph.has_edge(u, v) for u, v in norm):
         raise ValueError("witness uses edges absent from the graph")
     adj: dict[int, set[int]] = {}
     for u, v in norm:

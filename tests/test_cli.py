@@ -98,6 +98,27 @@ def test_build_requires_an_input():
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize(
+    ("document", "message"),
+    [
+        ('{"order": 2}', '"table" must be a list of rows, each a list'),
+        ("[[0, 1], [1, 0]]", "a JSON table must be an object"),
+        ('{"table": 5}', '"table" must be a list of rows, each a list'),
+        ('{"table": [[0, 1], 5]}', '"table" must be a list of rows, each a list'),
+        ('{"table": [[0, null], [1, 0]]}', 'the table entries and "order" must be integers'),
+        ('{"table": [[0, 1.5], [1, 0]]}', 'the table entries and "order" must be integers'),
+        ('{"order": null, "table": [[0]]}', 'the table entries and "order" must be integers'),
+        ('{"order": 2.7, "table": [[0, 1], [1, 0]]}', 'the table entries and "order" must be integers'),
+    ],
+)
+@pytest.mark.parametrize("command", ["build", "invariants"])
+def test_malformed_json_table_is_a_usage_error(capsys, tmp_path, command, document, message):
+    path = tmp_path / "table.json"
+    path.write_text(document, encoding="utf-8")
+    assert cli.main([command, "--table", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # invariants
 # ---------------------------------------------------------------------------

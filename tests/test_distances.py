@@ -233,7 +233,7 @@ def reference_detour_matrix(graph):
     whole graph, pruned by counting and by reachability."""
     n = graph.n
     best = [[0 if u == v else -1 for v in range(n)] for u in range(n)]
-    adj_bits = [graph.neighbor_bits(v) for v in range(n)]
+    adj_bits = list(graph.adj_bits)
     full = (1 << n) - 1
 
     def search(s, t):
@@ -414,7 +414,7 @@ def twin_heavy_graphs(draw):
 @settings(max_examples=300, deadline=None)
 @given(twin_heavy_graphs())
 def test_twin_parts_partition_the_vertices_into_twins(graph):
-    bits = [graph.neighbor_bits(v) for v in graph.vertices()]
+    bits = list(graph.adj_bits)
     parts = twin_parts(bits)
     assert sorted(v for part, _ in parts for v in part) == list(graph.vertices())
     assert [part[0] for part, _ in parts] == sorted(part[0] for part, _ in parts)
@@ -531,7 +531,7 @@ def test_hosoya_coefficient_sum_counts_all_pairs(n):
     graph = power_graph(build_gn(n))
     p = hosoya_polynomial(distance_matrix(graph))
     big = graph.n
-    assert p.coefficient_sum() == big + big * (big - 1) // 2
+    assert p(1) == big + big * (big - 1) // 2
     assert p.coefficient(1) == graph.edge_count
 
 
@@ -662,6 +662,48 @@ def test_closure_of_c5_is_fixed_point():
 def test_closure_completes_k4_minus_edge():
     g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)])
     assert bondy_chvatal_closure(g).is_complete()
+
+
+def set_based_closure(graph):
+    """The closure's edge set, by repeated scans of the pairs against a set
+    of edges and a list of degrees."""
+    n = graph.n
+    edges = set(graph.edges)
+    deg = [graph.degree(v) for v in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for u in range(n):
+            for v in range(u + 1, n):
+                if (u, v) not in edges and deg[u] + deg[v] >= n:
+                    edges.add((u, v))
+                    deg[u] += 1
+                    deg[v] += 1
+                    changed = True
+    return frozenset(edges)
+
+
+@st.composite
+def small_graphs(draw):
+    """(n, edges) on 1-10 vertices, each pair an edge with probability 1/2."""
+    n = draw(st.integers(1, 10))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return n, [pair for pair, kept in zip(pairs, keep) if kept]
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs())
+@example((4, [(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)]))  # adds (1, 2)
+@example((6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (2, 3), (4, 5)]))
+def test_closure_matches_the_set_based_scan(case):
+    n, edges = case
+    graph = Graph.from_edges(n, edges, labels=tuple(f"v{v}" for v in range(n)))
+    expected = set_based_closure(graph)
+    closure = bondy_chvatal_closure(graph)
+    assert closure.edges == expected
+    assert closure.labels == graph.labels
+    assert (closure is graph) == (expected == graph.edges)
 
 
 def test_closure_is_order_independent():

@@ -23,6 +23,7 @@ COMMANDS = {
     "verify-3..6-text": ("verify-paper", "--n", "3..6"),
     "verify-3..6-json": ("verify-paper", "--n", "3..6", "--format", "json"),
     "verify-7-json": ("verify-paper", "--n", "7", "--format", "json"),
+    "verify-8-json": ("verify-paper", "--n", "8", "--format", "json"),
     "verify-examples": ("verify-paper", "--examples"),
     **{
         f"invariants-gn{n}-{fmt}": ("invariants", "--gn", str(n), "--all", "--format", fmt)
@@ -32,6 +33,8 @@ COMMANDS = {
     "invariants-z12-both": ("invariants", "--table", "{z12}", "--all"),
     "invariants-k1-both": ("invariants", "--table", "{k1}", "--all"),
     "spectral-gn8-json": ("invariants", "--gn", "8", "--spectral", "--format", "json"),
+    "power-graph-gn7-json": ("invariants", "--gn", "7", "--power-graph", "--format", "json"),
+    "dot-gn4": ("invariants", "--gn", "4", "--format", "dot"),
     "spectral-z60-both": ("invariants", "--table", "{z60}", "--spectral"),
     "invariants-z28-json": (
         "invariants", "--table", "{z28}", "--distances", "--hosoya", "--dds", "--twins",
@@ -45,6 +48,7 @@ GOLDEN = {
     'verify-3..6-text': (1, 'e98a648b27c2bc030ef9641ea29e882a95080715467aa9d45801e6ddca955dc4', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'verify-3..6-json': (1, '2fdefd28b70d0ce298fd3e3fa57b78c358f4773503a51f6cf7ef2d5a8e631593', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'verify-7-json': (1, 'b94416c3ef8e4fdab198e237bb1af34d078d9e22b9d964b1618e064727dfe3c9', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'verify-8-json': (1, 'fec41b6544a5d2d41100e48208c11d5549121aec0a01d87281aa1ee2a63f709c', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'verify-examples': (1, '84d38728be6b29e55822c96926eddc1508f8ba41a8fb564881c5840e0784b0bf', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'invariants-gn3-json': (0, '1c73f1b75a5ae70978cd30c77e2d00ae499622ea254c8da5dc70553be9f120ff', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'invariants-gn3-both': (0, 'b9c466ed9b77111fd8da87f504a6a2a40fc572b7be3eed20dcd515a12a7aba1a', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
@@ -57,6 +61,8 @@ GOLDEN = {
     'invariants-z12-both': (0, 'eea186d642ee76faa30f1de3c8a69f4c38c67b02ccf933828a1417f6dc8d134e', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'invariants-k1-both': (0, '4dfe3c680e3da057f59bf2d530909d76f522a1a57b7e3818da9d76564aa474b6', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'spectral-gn8-json': (0, '16c79a1ca78cfbce356a5b6f9e677cea82f650ecb200b34f98c4722a516afe4d', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'power-graph-gn7-json': (0, 'd49bc6962f5b93c1db7f3dca51a7e5188017821ba5b7943fe37bd7acac329249', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'dot-gn4': (0, '297308fdc535b19d2b3ef7b96411793a3b454119d5eaf8ed446c99a2bd844092', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'spectral-z60-both': (0, '49065085ef301baa45fa0404dc113b5959cb6958a2ed338e5fae8f321533e872', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'invariants-z28-json': (0, '7c3b074c1b799e46a5600303271c117b1b2c36a6c222eceba1921df8af55bfb8', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
 }

@@ -8,7 +8,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_verification import count_calls
+from test_verification import count_calls, record_builds
 
 from gyrograph import (
     Graph,
@@ -19,7 +19,6 @@ from gyrograph import (
     cli,
     cyclic_group,
     export,
-    from_json,
     graphs,
     induced_subgraph,
     load_table,
@@ -171,7 +170,8 @@ def test_export_gn3_dot_has_ten_edge_lines():
 
 def test_json_round_trip_is_identity():
     graph = power_graph(build_gn(3))
-    assert from_json(export(graph, "json")) == graph
+    data = json.loads(export(graph, "json"))
+    assert Graph.from_edges(data["n"], map(tuple, data["edges"]), tuple(data["labels"])) == graph
 
 
 def test_export_rejects_unknown_format():
@@ -282,6 +282,13 @@ def test_blocks_follow_a_relabelling(case, rng):
     )
 
 
+@settings(max_examples=100, deadline=None)
+@given(edge_lists())
+def test_sorted_edges_is_the_sorted_edge_set(case):
+    graph = Graph.from_edges(*case)
+    assert graph.sorted_edges() == sorted(graph.edges)
+
+
 def test_views_are_built_once_per_graph():
     graph = power_graph(build_gn(4))
     for name in ("edges", "twin_parts", "blocks"):
@@ -323,6 +330,28 @@ def test_each_graph_builds_its_twin_parts_and_blocks_once(monkeypatch, run):
     assert block_builds and len({id(g) for g in block_builds}) == len(block_builds)
     assert len(block_builds) <= len(built)
     assert twin_builds and len(twin_builds) <= len(built)
+
+
+@RUNS
+def test_no_graph_builds_its_edge_set(monkeypatch, run):
+    # Every reader takes the rows or the neighbor tuples, and the closure's
+    # fixed-point test is `closure is graph`.
+    builds = record_builds(monkeypatch, "edges", cls=Graph, key=lambda graph: graph.n)
+    run()
+    assert builds == []
+
+
+def test_verify_gn_builds_the_power_graph_and_its_pendant_part_only(monkeypatch):
+    built = []
+    init = Graph.__init__
+
+    def recording(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append((self.n, self.edge_count))
+
+    monkeypatch.setattr(Graph, "__init__", recording)
+    verify_gn(5)
+    assert built == [(32, 16 * 15 // 2 + 16), (32, 16)]
 
 
 @RUNS

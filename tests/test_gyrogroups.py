@@ -19,7 +19,6 @@ from gyrograph import (
     load_table,
     parse_cayley_csv,
     parse_cayley_json,
-    power,
     power_closure,
     power_sequence,
     relabel,
@@ -663,14 +662,21 @@ def test_verify_axioms_matches_both_references_at_orders_1_and_2(g):
 
 def test_power_examples():
     g = build_gn(3)
-    assert power(g, 4, 2) == 0
-    assert power(g, 1, 3) == 3  # 1, 2, 3 under addition mod 4
-    assert all(power(g, 0, m) == 0 for m in range(1, 10))
+    assert power_sequence(g, 4, 2) == [4, 0]
+    assert power_sequence(g, 1, 3) == [1, 2, 3]  # under addition mod 4
+    assert power_sequence(g, 0, 9) == [0] * 9
 
 
-def test_power_rejects_zero_exponent():
-    with pytest.raises(ValueError):
-        power(build_gn(3), 1, 0)
+def test_power_sequence_of_length_zero_is_empty_and_bad_arguments_raise():
+    g = build_gn(3)
+    assert power_sequence(g, 1, 0) == power_sequence(g, 1, 0, right=True) == []
+    assert power_sequence(g, 1, 1) == [1]
+    for a, length in ((1, -1), (8, 2), (-1, 2), (8, 0)):
+        with pytest.raises(ValueError):
+            power_sequence(g, a, length)
+    for a in (8, -1):
+        with pytest.raises(ValueError, match=f"element {a} out of range 0..7"):
+            power_closure(g, a)
 
 
 def test_power_closures():
@@ -695,10 +701,10 @@ def test_power_left_iteration_is_default():
     # a^(m+1) = a + a^m by definition.
     g = bundled_gyrogroup("g8")
     for a in g.elements():
-        acc = a
-        for m in range(2, 9):
-            acc = g.op(a, acc)
-            assert power(g, a, m) == acc
+        powers = [a]
+        while len(powers) < 8:
+            powers.append(g.op(a, powers[-1]))
+        assert power_sequence(g, a, 8) == powers
 
 
 def test_relabel_transports_structure():

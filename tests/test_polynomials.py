@@ -13,7 +13,7 @@ def test_construction_drops_zeros():
 
 
 def test_zero_polynomial():
-    z = IntPolynomial.zero()
+    z = IntPolynomial()
     assert z.degree == -1
     assert str(z) == "0"
     assert not z
@@ -23,7 +23,7 @@ def test_addition_and_subtraction():
     p = IntPolynomial({2: 1, 0: 3})
     q = IntPolynomial({2: -1, 1: 4})
     assert p + q == IntPolynomial({1: 4, 0: 3})
-    assert p - p == IntPolynomial.zero()
+    assert p - p == IntPolynomial()
     assert p + 2 == IntPolynomial({2: 1, 0: 5})
 
 
@@ -42,6 +42,32 @@ def test_power():
     assert IntPolynomial({1: 2}) ** 0 == IntPolynomial.constant(1)
 
 
+@pytest.mark.parametrize(
+    "base",
+    [IntPolynomial({1: 1, 0: 1}), IntPolynomial({3: 2, 1: -1, 0: 5}), IntPolynomial({0: -1}), IntPolynomial()],
+)
+def test_power_matches_repeated_multiplication(base):
+    expected = IntPolynomial.constant(1)
+    for k in range(41):
+        assert base**k == expected
+        expected = expected * base
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 13, 40])
+def test_power_squares_only_up_to_its_top_bit(monkeypatch, k):
+    # popcount(k) products into the result and bit_length(k) - 1 squarings.
+    products = []
+    multiply = IntPolynomial.__mul__
+
+    def counting(self, other):
+        products.append(other)
+        return multiply(self, other)
+
+    monkeypatch.setattr(IntPolynomial, "__mul__", counting)
+    IntPolynomial({1: 1, 0: 1}) ** k
+    assert len(products) == k.bit_count() + k.bit_length() - 1
+
+
 def test_evaluation_is_exact():
     p = IntPolynomial({10: 1, 0: -1})
     assert p(3) == 3**10 - 1
@@ -57,7 +83,7 @@ def test_string_rendering():
 
 def test_json_round_trip():
     p = IntPolynomial({8: 1, 7: 8, 6: 19, 5: 12})
-    assert IntPolynomial.from_dict(p.to_dict()) == p
+    assert IntPolynomial({int(e): c for e, c in p.to_dict().items()}) == p
 
 
 def test_rejects_negative_exponent():
@@ -67,7 +93,7 @@ def test_rejects_negative_exponent():
 
 def test_equality_with_ints():
     assert IntPolynomial({0: 7}) == 7
-    assert IntPolynomial.zero() == 0
+    assert IntPolynomial() == 0
     assert IntPolynomial({1: 1}) != 1
 
 

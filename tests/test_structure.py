@@ -162,7 +162,7 @@ def test_planarity_extraction_bound():
 
 def reference_k5_clique(graph):
     """The former clique search: every level rescans all candidates."""
-    bits = [graph.neighbor_bits(v) for v in range(graph.n)]
+    bits = list(graph.adj_bits)
     cands = [v for v in range(graph.n) if graph.degree(v) >= 4]
     for a in cands:
         ba = bits[a]
@@ -223,8 +223,9 @@ def test_clique_search_counts_its_steps_against_the_bound():
 def test_verify_kuratowski_rejects_bogus_witness():
     with pytest.raises(ValueError):
         verify_kuratowski(Graph.complete(5), frozenset({(0, 1), (1, 2)}))
-    with pytest.raises(ValueError):
-        verify_kuratowski(Graph.complete(4), frozenset({(0, 5)}))
+    for edges in ({(0, 5)}, {(4, 5)}, {(-1, 2)}):
+        with pytest.raises(ValueError, match="absent from the graph"):
+            verify_kuratowski(Graph.complete(4), frozenset(edges))
 
 
 def test_embedding_check_rejects_wrong_rotation():

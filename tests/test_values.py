@@ -123,7 +123,7 @@ def test_distance_matrix_caches_is_finite_without_changing_equality():
         (lambda: Graph(2, frozenset({(1, 1)})), "self-loop at 1"),
         (lambda: Graph(2, frozenset(), ("a",)), "label count does not match vertex count"),
         (lambda: IntMatrix(((0, 1),)), "matrix is not square"),
-        (lambda: IntMatrix.from_rows([[0, 1.7], [1.7, 0]]), "matrix entries must be integers"),
+        (lambda: IntMatrix([[0, 1.7], [1.7, 0]]), "matrix entries must be integers"),
         (lambda: IntMatrix(((0, 1.5), (1.5, 0))), "matrix entries must be integers"),
     ],
 )

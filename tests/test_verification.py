@@ -31,7 +31,7 @@ from gyrograph.verification import (
 
 @pytest.fixture(scope="module")
 def report():
-    return run_verification([3], include_examples=True)
+    return run_verification([3])
 
 
 def test_summary_counts_add_up(report):
@@ -93,8 +93,8 @@ def test_json_and_text_renderings_are_consistent(report):
 
 
 def test_report_is_deterministic():
-    a = run_verification([3], include_examples=False).to_json()
-    b = run_verification([3], include_examples=False).to_json()
+    a = run_verification([3]).to_json()
+    b = run_verification([3]).to_json()
     assert a == b
 
 
