@@ -29,10 +29,13 @@ class Graph(_Value):
     Adjacency is stored once, as bitmask rows (adj_bits, one int per
     vertex).  The edge set, the ascending neighbor tuples, the twin parts,
     the twin quotient and the biconnected blocks are views derived from the
-    rows on first use.
+    rows on first use.  Equality and hash read the rows, not the edge set.
     """
 
     _fields = ("n", "edges", "labels")
+
+    def _values(self) -> tuple:
+        return self.n, self.adj_bits, self.labels
 
     def __init__(
         self, n: int, edges: Iterable[tuple[int, int]], labels: tuple[str, ...] = ()
@@ -61,10 +64,7 @@ class Graph(_Value):
     @cached_property
     def _adj_lists(self) -> tuple[tuple[int, ...], ...]:
         """Each vertex's ascending neighbors: the set bits of its row."""
-        return tuple(
-            tuple(v for v, bit in enumerate(bin(row)[:1:-1]) if bit == "1")
-            for row in self.adj_bits
-        )
+        return tuple(tuple(set_bits(row)) for row in self.adj_bits)
 
     @cached_property
     def twin_parts(self) -> tuple[tuple[tuple[int, ...], str], ...]:
@@ -116,9 +116,8 @@ class Graph(_Value):
         return sum(row.bit_count() for row in self.adj_bits) // 2
 
     def sorted_edges(self) -> list[tuple[int, int]]:
-        """The edges (u, v), u < v, in ascending order, read off the
-        ascending neighbor tuples."""
-        return [(u, v) for u, nbrs in enumerate(self._adj_lists) for v in nbrs if u < v]
+        """The edges (u, v), u < v, in ascending order: each row's bits above u."""
+        return [(u, v) for u, row in enumerate(self.adj_bits) for v in set_bits(row, u)]
 
     def vertices(self) -> range:
         return range(self.n)
@@ -131,10 +130,7 @@ class Graph(_Value):
         while left:
             comp = reachable(self.adj_bits, (left & -left).bit_length() - 1, left)
             left &= ~comp
-            comps.append([])
-            while comp:
-                comps[-1].append((comp & -comp).bit_length() - 1)
-                comp &= comp - 1
+            comps.append(set_bits(comp))
         return comps
 
     def is_complete(self) -> bool:
@@ -221,6 +217,11 @@ class IntMatrix(_Value):
     @classmethod
     def zeros(cls, n: int) -> IntMatrix:
         return cls((0,) * n for _ in range(n))
+
+
+def set_bits(row: int, start: int = 0) -> list[int]:
+    """The positions of the set bits of row, from start up, ascending."""
+    return [v for v, bit in enumerate(bin(row >> start)[:1:-1], start) if bit == "1"]
 
 
 def reachable(adj_bits: Sequence[int], v: int, allowed: int) -> int:
@@ -353,12 +354,9 @@ def induced_subgraph(graph: Graph, vertices: Iterable[int]) -> Graph:
         if not 0 <= v < graph.n:
             raise ValueError(f"vertex {v} out of range")
     index = {v: i for i, v in enumerate(vs)}
-    edges = [
-        (index[u], index[v]) for u, v in graph.edges if u in index and v in index
-    ]
-    return Graph.from_edges(
-        len(vs), edges, labels=tuple(graph.labels[v] for v in vs)
-    )
+    mask = sum(1 << v for v in vs)
+    edges = ((i, index[v]) for i, u in enumerate(vs) for v in set_bits(graph.adj_bits[u] & mask))
+    return Graph.from_edges(len(vs), edges, labels=tuple(graph.labels[v] for v in vs))
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,8 @@ class GyroGroup(_Value):
     """A finite magma (table[i][j] = i + j) with a left identity row.
 
     Construction checks only cheap structural facts: the table is square,
-    entries are in range, and a left identity exists.  The gyrogroup
+    entries are integers in range, and a left identity exists.  The rows are
+    tuples sharing one int per value (bools become ints).  The gyrogroup
     axioms proper are checked by :func:`verify_axioms`, which reports
     failures instead of raising so that defective tables can be diagnosed.
     """
@@ -92,17 +93,15 @@ class GyroGroup(_Value):
     def __init__(
         self,
         order: int,
-        table: tuple[tuple[int, ...], ...],
+        table: Sequence[Sequence[int]],
         identity: int,
         labels: tuple[str, ...] = (),
     ) -> None:
         n, e = order, identity
         if n <= 0 or len(table) != n:
             raise ValueError("table size does not match order")
-        if any(len(row) != n for row in table):
-            raise ValueError("table is not square")
-        _check_entries(table)
-        if not 0 <= e < n or any(table[e][a] != a for a in range(n)):
+        table = _interned_rows(table)
+        if not 0 <= e < n or table[e] != tuple(range(n)):
             raise ValueError(f"row {e} is not a left identity row")
         if not labels:
             labels = tuple(str(i) for i in range(n))
@@ -179,30 +178,33 @@ def build_gn(n: int) -> GyroGroup:
         i + j = k       for (i, j) in H x H
 
     Defined only for n >= 3 (m/2 must be a positive even split).
+
+    Each row is two rotations rot(L, r) = L[r:] + L[:r] of lists built
+    once.  As w = m/2-1 is odd, hence a unit mod m, j -> (c + w*j) mod m
+    is Q[j] = w*j mod m rotated by r = c*w^-1.  So with P = (0..m-1), L+m
+    for L with m added to each entry and c = i mod m, row i is
+    rot(P, i) + rot(P+m, i) for i in P and rot(Q+m, r) + rot(Q, (m/2+1)*r)
+    for i in H.
     """
     if n < 3:
         raise ValueError(f"the G(n) family is defined for n >= 3, got n={n}")
     m = 2 ** (n - 1)
-    half = m // 2
-    order = 2**n
-    rows = []
-    for i in range(order):
-        row = []
-        for j in range(order):
-            if i < m and j < m:
-                row.append((i + j) % m)
-            elif i < m:
-                row.append((i + j) % m + m)
-            elif j < m:
-                row.append((i + (half - 1) * j) % m + m)
-            else:
-                row.append(((half + 1) * i + (half - 1) * j) % m)
-        rows.append(tuple(row))
-    return GyroGroup(order=order, table=tuple(rows), identity=0)
+    w = m // 2 - 1
+    w_inv = pow(w, -1, m)
+    p = list(range(m))
+    q = [w * j % m for j in range(m)]
+    # Each list twice over, so that rot(L, r) is the slice [r:r + m].
+    p2, pm2 = p * 2, [v + m for v in p] * 2
+    q2, qm2 = q * 2, [v + m for v in q] * 2
+    rows = [p2[i:i + m] + pm2[i:i + m] for i in range(m)]
+    for r in (c * w_inv % m for c in range(m)):
+        k = (m // 2 + 1) * r % m
+        rows.append(qm2[r:r + m] + q2[k:k + m])
+    return GyroGroup(order=2 * m, table=rows, identity=0)
 
 
 def load_table(
-    rows: list[list[int]],
+    rows: Sequence[Sequence[int]],
     identity_hint: int | None = None,
     labels: tuple[str, ...] = (),
 ) -> GyroGroup:
@@ -214,50 +216,58 @@ def load_table(
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("grid is not square")
-    table = tuple(map(tuple, rows))
     e = identity_hint
     if e is None:
-        ident = tuple(range(n))
-        e = next((i for i in range(n) if table[i] == ident), None)
+        ident = list(range(n))
+        e = next((i for i, row in enumerate(rows) if list(row) == ident), None)
         if e is None:
-            _check_entries(table)  # an entry out of range is reported first
+            _interned_rows(rows)  # a bad entry is reported first
             raise ValueError("no left identity row found")
-    return GyroGroup(order=n, table=table, identity=e, labels=labels)
+    return GyroGroup(order=n, table=rows, identity=e, labels=labels)
 
 
-def _check_entries(table: tuple[tuple[int, ...], ...]) -> None:
-    """Raise on the first entry, row-major, outside 0..N-1."""
+def _interned_rows(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """The rows as tuples gathered in C from one list (0, ..., N-1), so they
+    share one int object per value.  Raises on the first row with an entry
+    that is not an integer (operator.index semantics) or, naming the row's
+    first such entry, one outside 0..N-1."""
     n = len(table)
-    bad = next((v for row in table for v in row if not 0 <= v < n), None)
-    if bad is not None:
-        raise ValueError(f"table entry {bad} out of range 0..{n - 1}")
+    if any(len(row) != n for row in table):
+        raise ValueError("table is not square")
+    values = list(range(n))
+    rows = []
+    for row in table:
+        try:
+            if min(row) < 0:
+                raise IndexError
+            rows.append(gatherer(row)(values))
+        except IndexError:
+            bad = next(v for v in row if not 0 <= v < n)
+            raise ValueError(f"table entry {bad} out of range 0..{n - 1}") from None
+        except TypeError:
+            raise ValueError("table entries must be integers") from None
+    return tuple(rows)
 
 
 def cyclic_group(n: int) -> GyroGroup:
     """Cayley table of the cyclic group Z_n (addition mod n)."""
     if n < 1:
         raise ValueError("order must be positive")
-    rows = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-    return GyroGroup(order=n, table=rows, identity=0)
+    values = list(range(n))
+    return GyroGroup(order=n, table=[values[i:] + values[:i] for i in range(n)], identity=0)
 
 
 def relabel(g: GyroGroup, perm: Permutation) -> GyroGroup:
     """Transport the table along a bijection: new[p(a)][p(b)] = p(a+b)."""
     if perm.size != g.order:
         raise ValueError("permutation size must equal the group order")
-    p = perm.map
-    rows = [[0] * g.order for _ in range(g.order)]
-    for a in range(g.order):
-        for b in range(g.order):
-            rows[p[a]][p[b]] = p[g.table[a][b]]
-    labels = [""] * g.order
-    for a in range(g.order):
-        labels[p[a]] = g.labels[a]
+    t, p = g.table, perm.map
+    inv = sorted(range(g.order), key=p.__getitem__)  # inv[p(a)] = a
     return GyroGroup(
         order=g.order,
-        table=tuple(tuple(r) for r in rows),
+        table=[[p[t[a][b]] for b in inv] for a in inv],
         identity=p[g.identity],
-        labels=tuple(labels),
+        labels=tuple(g.labels[a] for a in inv),
     )
 
 
@@ -488,11 +498,7 @@ def _check_element(g: GyroGroup, a: int) -> None:
 
 def parse_cayley_csv(text: str) -> GyroGroup:
     """Parse N rows of N comma-separated integers."""
-    rows = [
-        [int(cell) for cell in record]
-        for record in csv.reader(io.StringIO(text))
-        if record
-    ]
+    rows = [list(map(int, record)) for record in csv.reader(io.StringIO(text)) if record]
     return _from_grid(rows)
 
 
@@ -519,7 +525,7 @@ def _from_grid(rows: list[list[int]]) -> GyroGroup:
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("grid is not square")
-    values = sorted({v for row in rows for v in row})
+    values = sorted(set().union(*rows))
     if values == list(range(n)):
         return load_table(rows)
     if len(values) != n:
@@ -527,7 +533,7 @@ def _from_grid(rows: list[list[int]]) -> GyroGroup:
             f"table uses {len(values)} distinct values but has order {n}"
         )
     index = {v: i for i, v in enumerate(values)}
-    relabeled = [[index[v] for v in row] for row in rows]
+    relabeled = [list(map(index.__getitem__, row)) for row in rows]
     return load_table(relabeled, labels=tuple(str(v) for v in values))
 
 
@@ -542,13 +548,13 @@ def read_cayley_file(path: str | os.PathLike) -> GyroGroup:
 
 
 def to_cayley_csv(g: GyroGroup) -> str:
-    return "\n".join(",".join(str(v) for v in row) for row in g.table) + "\n"
+    return "\n".join(",".join(map(str, row)) for row in g.table) + "\n"
 
 
 def to_cayley_json(g: GyroGroup) -> str:
-    return json.dumps(
-        {"order": g.order, "table": [list(r) for r in g.table]}, sort_keys=True
-    )
+    """json.dumps({"order": ..., "table": ...}, sort_keys=True), written one
+    row at a time into the fixed frame: no list-of-lists copy of the table."""
+    return '{"order": %d, "table": [%s]}' % (g.order, ", ".join(map(json.dumps, g.table)))
 
 
 def bundled_table_text(name: str, fmt: str = "csv") -> str:

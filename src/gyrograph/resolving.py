@@ -87,10 +87,13 @@ def _resolves(dm: DistanceMatrix, subset: Sequence[int]) -> bool:
     """Whether the distinct vertices of subset resolve, read off the part table.
     Members are told apart by their 0.  Two omitted twins are swapped by an
     automorphism fixing the subset; omitted vertices of parts i and j collide
-    when the symmetric table's rows i and j agree on the members' parts."""
-    members = Counter(map(dm._part_of.__getitem__, subset))
-    if not members:
+    when the symmetric table's rows i and j agree on the members' parts.  On a
+    twinless graph the table is the distance matrix, and its rows are zipped."""
+    if not subset:
         return dm.n <= 1
+    if len(dm.parts) == dm.n:
+        return len(set(zip(*map(dm.table.__getitem__, subset)))) == dm.n
+    members = Counter(map(dm._part_of.__getitem__, subset))
     covered = [i for i, count in members.items() if count == len(dm.parts[i][0])]
     if dm.n - len(subset) != len(dm.parts) - len(covered):
         return False  # some part has two omitted vertices

@@ -77,6 +77,18 @@ def test_build_writes_out_file(tmp_path):
     assert "is_gyrogroup: True" in r.stdout
 
 
+@pytest.mark.parametrize("n", [3, 8])
+def test_build_out_file_holds_the_stdout_bytes(tmp_path, n):
+    # Bytes, not text, so that no newline translation hides a difference.
+    out = tmp_path / "table.json"
+    argv = [sys.executable, "-m", "gyrograph.cli", "build", "--gn", str(n)]
+    to_stdout = subprocess.run(argv, capture_output=True)
+    to_file = subprocess.run([*argv, "--out", str(out)], capture_output=True)
+    assert to_stdout.returncode == to_file.returncode == 0
+    assert out.read_bytes() == to_stdout.stdout
+    assert to_file.stdout == to_stdout.stderr
+
+
 def test_build_corrupted_table_fails_with_counterexample(tmp_path):
     rows = [list(r) for r in bundled_gyrogroup("k1").table]
     rows[6][6] = 0

@@ -13,13 +13,22 @@ import sys
 
 import pytest
 
-from gyrograph import cyclic_group, to_cayley_csv
+from gyrograph import build_gn, cyclic_group, to_cayley_csv
+from gyrograph.cli import _build_parser
 from gyrograph.gyrogroups import bundled_table_text
 
-#: name -> argv, with {z12}, {z28}, {z60} and {k1} standing for table files:
-#: the cyclic tables are not G(n) (Z12 is non-planar, the spectral quotients
-#: of Z28 and Z60 have 5 and 11 parts), k1 is a planar order-8 table.
+#: name -> argv, with {z12}, {z28}, {z60}, {z257}, {k1} and {gn4bad} standing
+#: for table files: the cyclic tables are not G(n) (Z12 is non-planar, the
+#: spectral quotients of Z28 and Z60 have 5 and 11 parts, and Z257's entries
+#: are above 256, past CPython's small-int cache), k1 is a planar order-8
+#: table, and gn4bad is G(4) with one entry changed, so `build` exits 1.
 COMMANDS = {
+    "build-gn3": ("build", "--gn", "3"),
+    "build-gn7": ("build", "--gn", "7"),
+    "build-z12": ("build", "--table", "{z12}"),
+    "build-k1": ("build", "--table", "{k1}"),
+    "build-gn4-corrupt": ("build", "--table", "{gn4bad}"),
+    "build-z257": ("build", "--table", "{z257}"),
     "verify-3..6-text": ("verify-paper", "--n", "3..6"),
     "verify-3..6-json": ("verify-paper", "--n", "3..6", "--format", "json"),
     "verify-7-json": ("verify-paper", "--n", "7", "--format", "json"),
@@ -45,6 +54,12 @@ COMMANDS = {
 
 #: name -> (exit code, sha256 of stdout, sha256 of stderr)
 GOLDEN = {
+    'build-gn3': (0, '61eeb745db6add75930f89e7c399029d369088e2c143f2699688bcaa3725f282', '4ff87d7c2be5200ccad4144468c7b49e0deadc7f218f83fca1a3f2c5342f5b5c'),
+    'build-gn7': (0, '8e06a45dcb4718700a4975bbbe61499dc09e7caa1cc8322a79c0958a70c21a02', '3372a572fcdb9fce09f2bbfb8626d1f027a9d1a3dc53c614aa7d6c44c7a96966'),
+    'build-z12': (0, '9927d1b5ef12e6342f079208e9d44784a70bf4d51bac296236af2a33733a9de2', 'e32be05fa7acb61c4f6050d27ff7f91e2fdf1ec005e7d7fc21da5238ca7eca37'),
+    'build-k1': (0, 'd84f6bd379f489e1808540f2ded53ebab6429b1280584c47f72e188c033c2708', '4ff87d7c2be5200ccad4144468c7b49e0deadc7f218f83fca1a3f2c5342f5b5c'),
+    'build-gn4-corrupt': (1, '8b86b024f2ec112bd734e235dae4c6cbf8c930667a06ca86bb98dfdd0b18f75f', 'a82a10328bc0d8ddcea5013d9207c28ca29402b3b0cd263b1a1e3ecd859a1118'),
+    'build-z257': (0, 'fe5c49a15a9e1c746b0f9be781f5732b345547b0af4a71e0e42b4fc40b739d1d', '2f221f509bb3c83c0c86bd675be5cc2fc02469158432dcc91750171a0829f40c'),
     'verify-3..6-text': (1, 'e98a648b27c2bc030ef9641ea29e882a95080715467aa9d45801e6ddca955dc4', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'verify-3..6-json': (1, '2fdefd28b70d0ce298fd3e3fa57b78c358f4773503a51f6cf7ef2d5a8e631593', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'verify-7-json': (1, 'b94416c3ef8e4fdab198e237bb1af34d078d9e22b9d964b1618e064727dfe3c9', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
@@ -75,8 +90,11 @@ def run_golden(name: str, tables: dict[str, str]) -> tuple[int, str, str]:
 
 
 def write_tables(directory) -> dict[str, str]:
-    tables = {f"z{n}": to_cayley_csv(cyclic_group(n)) for n in (12, 28, 60)}
+    tables = {f"z{n}": to_cayley_csv(cyclic_group(n)) for n in (12, 28, 60, 257)}
     tables["k1"] = bundled_table_text("k1")
+    rows = [list(row) for row in build_gn(4).table]
+    rows[9][10] = rows[9][11]  # 3 -> 6: neither is the identity 0
+    tables["gn4bad"] = "\n".join(",".join(map(str, row)) for row in rows) + "\n"
     paths = {}
     for key, text in tables.items():
         path = directory / f"{key}.csv"
@@ -88,6 +106,11 @@ def write_tables(directory) -> dict[str, str]:
 @pytest.fixture(scope="module")
 def tables(tmp_path_factory):
     return write_tables(tmp_path_factory.mktemp("golden"))
+
+
+def test_every_subcommand_is_pinned():
+    subparsers = next(a for a in _build_parser()._actions if a.dest == "command")
+    assert {argv[0] for argv in COMMANDS.values()} == set(subparsers.choices)
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))

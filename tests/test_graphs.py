@@ -150,6 +150,13 @@ def test_induced_subgraph_rejects_bad_vertex():
         induced_subgraph(Graph.complete(3), {0, 5})
 
 
+def test_induced_subgraph_of_a_large_power_graph_reads_only_the_rows():
+    graph = power_graph(build_gn(8))
+    sub = induced_subgraph(graph, [0, 5, 130, 200])
+    assert "edges" not in vars(graph)
+    assert sub == Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)], sub.labels)
+
+
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
@@ -280,6 +287,52 @@ def test_blocks_follow_a_relabelling(case, rng):
     assert sorted(image.blocks) == sorted(
         tuple(sorted(perm[v] for v in block)) for block in graph.blocks
     )
+
+
+def nx_graph(n, edges):
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from(edges)
+    return g
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_lists(), st.data())
+def test_equality_and_hash_read_the_rows(case, data):
+    # The same edges listed reversed, repeated or shuffled give an equal
+    # graph; dropping some pairs gives an equal graph exactly when networkx
+    # finds the same graph (a reversed copy of a dropped pair may remain).
+    n, edges = case
+    shuffled = data.draw(st.permutations([(v, u) for u, v in edges] + edges))
+    graph, twin = Graph.from_edges(n, edges), Graph.from_edges(n, shuffled)
+    assert graph == twin and hash(graph) == hash(twin)
+    dropped = data.draw(st.sets(st.sampled_from(edges))) if edges else set()
+    kept = [e for e in edges if e not in dropped]
+    same = nx.utils.graphs_equal(nx_graph(n, edges), nx_graph(n, kept))
+    assert (graph == Graph.from_edges(n, kept)) == same
+    assert all("edges" not in vars(g) for g in (graph, twin))
+
+
+@settings(max_examples=100, deadline=None)
+@given(edge_lists(), st.data())
+def test_induced_subgraph_matches_networkx_and_reads_only_the_rows(case, data):
+    n, edges = case
+    vertices = data.draw(st.lists(st.integers(0, n - 1), max_size=n + 2)) if n else []
+    graph = Graph.from_edges(n, edges)
+    sub = induced_subgraph(graph, vertices)
+    assert "edges" not in vars(graph)
+    kept = sorted(set(vertices))
+    index = {v: i for i, v in enumerate(kept)}
+    expected = nx.relabel_nodes(nx_graph(n, edges).subgraph(kept), index)
+    assert nx.utils.graphs_equal(nx_graph(len(kept), sub.sorted_edges()), expected)
+    assert sub.labels == tuple(graph.labels[v] for v in kept)
+
+
+def test_equality_of_large_power_graphs_reads_only_the_rows():
+    a, b = power_graph(build_gn(8)), power_graph(build_gn(8))
+    assert a == b and hash(a) == hash(b)
+    assert a != power_graph(cyclic_group(256))
+    assert "edges" not in vars(a) and "edges" not in vars(b)
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,5 +1,6 @@
 """Gyrogroup construction, gyrations, axiom verification, and powers."""
 
+import json
 import random
 import time
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from gyrograph import (
     AxiomReport,
+    GyroGroup,
     Permutation,
     build_gn,
     bundled_gyrogroup,
@@ -129,6 +131,56 @@ def test_bundled_formats_agree(name):
 
 def test_bundled_gn3_matches_generator():
     assert bundled_gyrogroup("gn3").table == build_gn(3).table
+
+
+def four_case_gn(n):
+    """The table of G(n) entry by entry from the four-case formula of the
+    build_gn docstring, with numpy."""
+    m, half = 2 ** (n - 1), 2 ** (n - 2)
+    i, j = np.indices((2 * m, 2 * m))
+    t = (i + j) % m
+    upper = np.where(j < m, (i + (half - 1) * j) % m + m, ((half + 1) * i + (half - 1) * j) % m)
+    return np.where(i < m, np.where(j < m, t, t + m), upper)
+
+
+@pytest.mark.parametrize("n", range(3, 12))
+def test_build_gn_matches_the_four_case_formula(n):
+    g = build_gn(n)
+    assert (g.order, g.identity) == (2**n, 0)
+    assert np.array_equal(np.array(g.table), four_case_gn(n))
+
+
+def _distinct_entry_objects(g):
+    return len({id(v) for row in g.table for v in row})
+
+
+def _fresh_int_rows(n):
+    # (i + j) % n makes a new int object for every entry above 256.
+    return [[(i + j) % n for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_gn(9),
+        lambda: cyclic_group(300),
+        lambda: load_table(_fresh_int_rows(300)),
+        lambda: relabel(cyclic_group(300), Permutation(tuple(range(299, -1, -1)))),
+        lambda: parse_cayley_csv(to_cayley_csv(cyclic_group(300))),
+        lambda: parse_cayley_json(to_cayley_json(cyclic_group(300))),
+        lambda: GyroGroup(300, tuple(map(tuple, _fresh_int_rows(300))), 0),
+    ],
+    ids=["build_gn", "cyclic_group", "load_table", "relabel", "csv", "json", "GyroGroup"],
+)
+def test_every_constructor_shares_one_int_object_per_value(make):
+    g = make()
+    assert g.order > 256
+    assert _distinct_entry_objects(g) <= g.order
+    assert all(type(row) is tuple for row in g.table)
+
+
+def reference_cayley_json(g):
+    return json.dumps({"order": g.order, "table": [list(r) for r in g.table]}, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +534,20 @@ def magmas(draw):
 @given(magmas())
 def test_verify_axioms_matches_reference_on_random_magmas(g):
     _assert_matches_reference(g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(magmas())
+def test_to_cayley_json_matches_the_reference_on_random_magmas(g):
+    assert to_cayley_json(g) == reference_cayley_json(g)
+
+
+@pytest.mark.parametrize("n", [3, 5, 9])
+def test_to_cayley_json_matches_the_reference_on_relabelled_gn(n):
+    perm = list(range(2**n))
+    random.Random(n).shuffle(perm)
+    g = relabel(build_gn(n), Permutation(tuple(perm)))
+    assert to_cayley_json(g) == reference_cayley_json(g)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

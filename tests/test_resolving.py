@@ -153,6 +153,27 @@ def test_is_resolving_matches_the_expanded_rows_on_random_subsets(group):
 
 @pytest.mark.parametrize(
     "graph",
+    [Graph.complete(1), Graph.path(40), Graph.cycle(31),
+     Graph.from_edges(10, nx.petersen_graph().edges)],
+    ids=["K1", "P40", "C31", "Petersen"],
+)
+def test_is_resolving_on_twinless_graphs_matches_bfs_rows(graph):
+    # Every part is a singleton, so the whole-row test decides.
+    assert all(kind == "untwinned" for _, kind in graph.twin_parts)
+    g = nx.Graph()
+    g.add_nodes_from(range(graph.n))
+    g.add_edges_from(graph.sorted_edges())
+    dist = dict(nx.all_pairs_shortest_path_length(g))
+    dm = distance_matrix(graph)
+    rng = random.Random(graph.n)
+    sizes = [rng.randint(1, min(3, graph.n)) for _ in range(300)]
+    for subset in [(), *(rng.sample(range(graph.n), k) for k in sizes)]:
+        vectors = {tuple(dist[v][s] for s in subset) for v in range(graph.n)}
+        assert is_resolving(dm, subset) == (len(vectors) == graph.n), sorted(subset)
+
+
+@pytest.mark.parametrize(
+    "graph",
     [Graph(2, frozenset()), Graph(4, frozenset({(0, 1)})), Graph.from_edges(4, [(0, 1), (2, 3)])],
 )
 def test_is_resolving_refuses_disconnected_graphs(graph):

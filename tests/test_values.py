@@ -20,6 +20,7 @@ from gyrograph import (
     load_table,
     power_graph,
     resolving_polynomial,
+    to_cayley_json,
     verify_axioms,
     verify_isomorphism,
     verify_spectral_bounds,
@@ -117,6 +118,10 @@ def test_distance_matrix_caches_is_finite_without_changing_equality():
         (lambda: GyroGroup(2, ((0, 1), (1, 2)), 0), "table entry 2 out of range 0..1"),
         (lambda: GyroGroup(2, ((0, 1), (1, 0)), 1), "row 1 is not a left identity row"),
         (lambda: GyroGroup(2, ((0, 1), (1, 0)), 2), "row 2 is not a left identity row"),
+        (lambda: GyroGroup(2, ((0, 1), (1, 0.5)), 0), "table entries must be integers"),
+        (lambda: GyroGroup(2, ((0, 1), (1, "0")), 0), "table entries must be integers"),
+        (lambda: load_table([[0, 1.0], [1.0, 0]]), "table entries must be integers"),
+        (lambda: load_table([[1.0, 0], [0, 1.5]]), "table entries must be integers"),
         (lambda: GyroGroup(2, ((0, 1), (1, 0)), 0, ("a",)), "label count does not match order"),
         (lambda: Graph(-1, frozenset()), "vertex count must be non-negative"),
         (lambda: Graph(2, frozenset({(0, 2)})), r"edge \(0,2\) out of range"),
@@ -130,6 +135,13 @@ def test_distance_matrix_caches_is_finite_without_changing_equality():
 def test_constructors_raise_the_documented_messages(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
+
+
+def test_gyrogroup_stores_bool_entries_as_ints():
+    g = load_table([[False, True], [True, False]])
+    assert g.table == ((0, 1), (1, 0))
+    assert all(type(v) is int for row in g.table for v in row)
+    assert to_cayley_json(g) == '{"order": 2, "table": [[0, 1], [1, 0]]}'
 
 
 def test_gyrogroup_fills_default_labels():
