@@ -16,6 +16,9 @@ import argparse
 import json
 import math
 import sys
+from contextlib import nullcontext
+from itertools import chain
+from typing import Iterable
 
 from .distances import (
     DETOUR_BLOCK_BOUND,
@@ -33,8 +36,8 @@ from .graphs import classify_gn_shape, export, power_graph
 from .gyrogroups import (
     GyroGroup,
     build_gn,
+    cayley_json_chunks,
     read_cayley_file,
-    to_cayley_json,
     verify_axioms,
 )
 from .polynomials import IntPolynomial
@@ -153,12 +156,9 @@ def _load_input(args: argparse.Namespace) -> GyroGroup:
     return read_cayley_file(args.table)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as fh:
+        fh.writelines(chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -169,19 +169,18 @@ def _emit(text: str, out: str | None) -> None:
 def _cmd_build(args: argparse.Namespace) -> int:
     g = _load_input(args)
     report = verify_axioms(g)
-    # The JSON text is built after the check, so the two never hold memory at
-    # once.  The table goes to stdout or --out, the report to the other stream.
-    _emit(to_cayley_json(g) + "\n", args.out)
+    # The table is written one row at a time after the check, to stdout or
+    # --out; the report goes to the other stream.
+    _emit(chain(cayley_json_chunks(g), ["\n"]), args.out)
     stream = sys.stdout if args.out else sys.stderr
-    lines = [
-        f"order: {g.order}",
-        f"identity: {g.identity}",
-    ]
+    axiom_flags = ("left_identity", "left_inverse", "gyroassociativity", "left_loop",
+                   "gyr_is_automorphism")
+    lines = [f"order: {g.order}", f"identity: {g.identity}"]
     for key, value in report.to_dict().items():
         if key != "counterexamples":
             lines.append(f"{key}: {value}")
     for axiom, witness in report.counterexamples:
-        if axiom != "gyrocommutative":  # a property the report states, not an axiom
+        if axiom in axiom_flags:
             lines.append(f"counterexample[{axiom}]: {witness}")
     print("\n".join(lines), file=stream)
     return 0 if report.is_gyrogroup else 1
@@ -199,7 +198,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     selected = list(INVARIANT_FLAGS) if args.all or not named else named
 
     if args.format == "dot":
-        _emit(export(graph, "dot"), args.out)
+        _emit([export(graph, "dot")], args.out)
         return 0
 
     result: dict = {
@@ -223,11 +222,11 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
 
     payload = json.dumps(result, sort_keys=True, indent=2, default=str) + "\n"
     if args.format == "json":
-        _emit(payload, args.out)
+        _emit([payload], args.out)
     elif args.format == "text":
-        _emit(_render_invariants(json.loads(payload)), args.out)
+        _emit([_render_invariants(json.loads(payload))], args.out)
     else:  # both: the JSON contract plus the table derived from it
-        _emit(payload + "\n" + _render_invariants(json.loads(payload)), args.out)
+        _emit([payload, "\n", _render_invariants(json.loads(payload))], args.out)
     return 0
 
 
@@ -352,7 +351,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         report = run_verification(_parse_range(args.n))
     text = report.to_json() + "\n" if args.format == "json" else report.render_text()
-    _emit(text, args.out)
+    _emit([text], args.out)
     return 1 if report.has_mismatch else 0
 
 

@@ -17,7 +17,7 @@ import io
 import json
 import operator
 import os
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 # Names of the Cayley tables shipped with the package.
 BUNDLED_TABLES = ("k1", "n1", "g8", "m1", "gn3")
@@ -179,12 +179,11 @@ def build_gn(n: int) -> GyroGroup:
 
     Defined only for n >= 3 (m/2 must be a positive even split).
 
-    Each row is two rotations rot(L, r) = L[r:] + L[:r] of lists built
-    once.  As w = m/2-1 is odd, hence a unit mod m, j -> (c + w*j) mod m
-    is Q[j] = w*j mod m rotated by r = c*w^-1.  So with P = (0..m-1), L+m
-    for L with m added to each entry and c = i mod m, row i is
-    rot(P, i) + rot(P+m, i) for i in P and rot(Q+m, r) + rot(Q, (m/2+1)*r)
-    for i in H.
+    Each row is two rotations rot(L, r) = L[r:] + L[:r] of lists built once.
+    As w = m/2-1 is odd, a unit mod m, j -> (c + w*j) mod m is Q[j] = w*j mod m
+    rotated by r = c*w^-1.  With P = (0..m-1), L+m = L with m added to each
+    entry and c = i mod m, row i is rot(P, i) + rot(P+m, i) for i in P and
+    rot(Q+m, r) + rot(Q, (m/2+1)*r) for i in H.
     """
     if n < 3:
         raise ValueError(f"the G(n) family is defined for n >= 3, got n={n}")
@@ -227,10 +226,9 @@ def load_table(
 
 
 def _interned_rows(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """The rows as tuples gathered in C from one list (0, ..., N-1), so they
+    """The rows as tuples of the ints of one list (0, ..., N-1), so that they
     share one int object per value.  Raises on the first row with an entry
-    that is not an integer (operator.index semantics) or, naming the row's
-    first such entry, one outside 0..N-1."""
+    that is not an integer (operator.index semantics) or outside 0..N-1."""
     n = len(table)
     if any(len(row) != n for row in table):
         raise ValueError("table is not square")
@@ -240,7 +238,7 @@ def _interned_rows(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...
         try:
             if min(row) < 0:
                 raise IndexError
-            rows.append(gatherer(row)(values))
+            rows.append(tuple(map(values.__getitem__, row)))
         except IndexError:
             bad = next(v for v in row if not 0 <= v < n)
             raise ValueError(f"table entry {bad} out of range 0..{n - 1}") from None
@@ -551,10 +549,19 @@ def to_cayley_csv(g: GyroGroup) -> str:
     return "\n".join(",".join(map(str, row)) for row in g.table) + "\n"
 
 
+def cayley_json_chunks(g: GyroGroup) -> Iterator[str]:
+    """The text of :func:`to_cayley_json` in pieces of one row each."""
+    rows = map(json.dumps, g.table)
+    yield '{"order": %d, "table": [%s' % (g.order, next(rows))
+    for row in rows:
+        yield ", " + row
+    yield "]}"
+
+
 def to_cayley_json(g: GyroGroup) -> str:
-    """json.dumps({"order": ..., "table": ...}, sort_keys=True), written one
-    row at a time into the fixed frame: no list-of-lists copy of the table."""
-    return '{"order": %d, "table": [%s]}' % (g.order, ", ".join(map(json.dumps, g.table)))
+    """json.dumps({"order": ..., "table": ...}, sort_keys=True), with no
+    list-of-lists copy of the table."""
+    return "".join(cayley_json_chunks(g))
 
 
 def bundled_table_text(name: str, fmt: str = "csv") -> str:

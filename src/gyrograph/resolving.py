@@ -87,13 +87,10 @@ def _resolves(dm: DistanceMatrix, subset: Sequence[int]) -> bool:
     """Whether the distinct vertices of subset resolve, read off the part table.
     Members are told apart by their 0.  Two omitted twins are swapped by an
     automorphism fixing the subset; omitted vertices of parts i and j collide
-    when the symmetric table's rows i and j agree on the members' parts.  On a
-    twinless graph the table is the distance matrix, and its rows are zipped."""
-    if not subset:
-        return dm.n <= 1
-    if len(dm.parts) == dm.n:
-        return len(set(zip(*map(dm.table.__getitem__, subset)))) == dm.n
+    when the symmetric table's rows i and j agree on the members' parts."""
     members = Counter(map(dm._part_of.__getitem__, subset))
+    if not members:
+        return dm.n <= 1
     covered = [i for i, count in members.items() if count == len(dm.parts[i][0])]
     if dm.n - len(subset) != len(dm.parts) - len(covered):
         return False  # some part has two omitted vertices
@@ -120,22 +117,14 @@ def _omission_patterns(
         )
 
 
-def _resolving_layers(
-    dm: DistanceMatrix, lookup_budget: int
-) -> Iterator[tuple[int, int, tuple[int, ...] | None]]:
-    """Yield (k, number of resolving k-subsets, least resolving k-subset or
-    None) for k from the twin lower bound up to n.
-
-    One pass: the omission units are the matrix's twin parts, and every
-    omission pattern is tested once.  A layer whose lookups (patterns x n
-    x k) would take the total past lookup_budget is refused.
-    """
-    n = dm.n
+def _layer_sizes(dm: DistanceMatrix, lookup_budget: int) -> Iterator[int]:
+    """Each k from the twin lower bound up to n.  A layer whose lookups
+    (patterns x n x k) would take the total past lookup_budget is refused."""
+    n, parts = dm.n, len(dm.parts)
     _require_shortest(dm, "metric dimension needs a connected graph")
-    units = [part for part, _ in dm.parts]
     spent = 0
-    for k in range(n - len(units), n + 1):
-        patterns = comb(len(units), n - k)
+    for k in range(n - parts, n + 1):
+        patterns = comb(parts, n - k)
         lookups = patterns * n * k
         if spent + lookups > lookup_budget:
             raise BoundExceededError(
@@ -144,6 +133,18 @@ def _resolving_layers(
                 f"({spent} spent, budget {lookup_budget})"
             )
         spent += lookups
+        yield k
+
+
+def _resolving_layers(
+    dm: DistanceMatrix, sizes: Iterable[int]
+) -> Iterator[tuple[int, int, tuple[int, ...] | None]]:
+    """Yield (k, number of resolving k-subsets, least resolving k-subset or
+    None) for each k of sizes (see :func:`_layer_sizes`), testing every
+    omission pattern once; the omission units are the matrix's twin parts."""
+    n = dm.n
+    units = [part for part, _ in dm.parts]
+    for k in sizes:
         count = 0
         least: tuple[int, ...] | None = None
         for subset, weight in _omission_patterns(n, units, k):
@@ -157,7 +158,7 @@ def _resolving_layers(
 def metric_dimension(dm: DistanceMatrix, lookup_budget: int = LOOKUP_BUDGET) -> int:
     """Minimum size of a resolving set: the first non-empty layer of the
     ascending-size search over omission patterns."""
-    for k, count, _ in _resolving_layers(dm, lookup_budget):
+    for k, count, _ in _resolving_layers(dm, _layer_sizes(dm, lookup_budget)):
         if count:
             return k
     raise AssertionError("the full vertex set always resolves")
@@ -171,16 +172,12 @@ def resolving_polynomial(
 
     Subsets omitting two vertices of one twin class never resolve and are
     never generated; the others are tested one omission pattern at a time
-    (its least member stands for all, which differ by twin swaps).  Raises
-    BoundExceededError when the next layer would take the lookups past
-    lookup_budget.
+    (its least member stands for all, which differ by twin swaps).  Every
+    layer is searched, so BoundExceededError is raised before the first one
+    when some layer would take the lookups past lookup_budget.
     """
-    layers = list(
-        dropwhile(
-            lambda layer: not layer[1],
-            _resolving_layers(dm, lookup_budget),
-        )
-    )
+    sizes = list(_layer_sizes(dm, lookup_budget))
+    layers = list(dropwhile(lambda layer: not layer[1], _resolving_layers(dm, sizes)))
     psi, _, witness = layers[0]
     counts = {k: count for k, count, _ in layers}
     return ResolvingProfile(

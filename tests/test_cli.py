@@ -28,6 +28,7 @@ from gyrograph import (
     relabel,
     resolving,
     to_cayley_csv,
+    to_cayley_json,
     verification,
 )
 
@@ -87,6 +88,17 @@ def test_build_out_file_holds_the_stdout_bytes(tmp_path, n):
     assert to_stdout.returncode == to_file.returncode == 0
     assert out.read_bytes() == to_stdout.stdout
     assert to_file.stdout == to_stdout.stderr
+
+
+def test_build_writes_the_table_one_row_at_a_time(monkeypatch, capsys):
+    writes = []
+    write = sys.stdout.write
+    monkeypatch.setattr(sys.stdout, "write", lambda s: writes.append(s) or write(s))
+    assert cli.main(["build", "--gn", "6"]) == 0
+    g = build_gn(6)
+    assert "".join(writes) == capsys.readouterr().out == to_cayley_json(g) + "\n"
+    assert len(writes) == g.order + 2
+    assert max(map(len, writes)) < 2 * len(json.dumps(g.table[-1]))
 
 
 def test_build_corrupted_table_fails_with_counterexample(tmp_path):
@@ -218,8 +230,6 @@ def test_invariants_spectral():
 
 
 def test_invariants_from_bundled_json_table(tmp_path):
-    from gyrograph import to_cayley_json
-
     path = tmp_path / "g8.json"
     path.write_text(to_cayley_json(bundled_gyrogroup("g8")))
     r = run_cli("invariants", "--table", str(path), "--planarity", "--format", "json")

@@ -158,7 +158,7 @@ def test_is_resolving_matches_the_expanded_rows_on_random_subsets(group):
     ids=["K1", "P40", "C31", "Petersen"],
 )
 def test_is_resolving_on_twinless_graphs_matches_bfs_rows(graph):
-    # Every part is a singleton, so the whole-row test decides.
+    # Every part is a singleton, so the part table is the distance matrix.
     assert all(kind == "untwinned" for _, kind in graph.twin_parts)
     g = nx.Graph()
     g.add_nodes_from(range(graph.n))
@@ -401,7 +401,8 @@ def test_patterns_match_all_subsets_on_twin_blow_ups(graph):
 
 def test_budget_refuses_before_a_layer_it_cannot_afford(monkeypatch):
     # Path(6) is twinless: layer k costs C(6, 6 - k) * 6 * k lookups, so
-    # layers 0..2 spend 0 + 36 + 180 = 216 and layer 3 would add 360.
+    # layers 0..2 spend 0 + 36 + 180 = 216 and layer 3 would add 360.  The
+    # polynomial needs every layer, so it refuses before searching any.
     layers = record_layers(monkeypatch)
     message = (
         "resolving-set search refused at layer k=3: 20 omission patterns, "
@@ -410,9 +411,10 @@ def test_budget_refuses_before_a_layer_it_cannot_afford(monkeypatch):
     with pytest.raises(BoundExceededError) as info:
         resolving_polynomial(distance_matrix(Graph.path(6)), lookup_budget=216)
     assert str(info.value) == message
-    assert layers == [0, 1, 2]
+    assert layers == []
     # metric_dimension stops at layer 1 and never asks for layer 3.
     assert metric_dimension(distance_matrix(Graph.path(6)), lookup_budget=216) == 1
+    assert layers == [0, 1]
 
 
 def test_large_twinless_graph_is_refused_quickly():

@@ -116,6 +116,7 @@ def test_distance_matrix_caches_is_finite_without_changing_equality():
         (lambda: GyroGroup(0, (), 0), "table size does not match order"),
         (lambda: GyroGroup(2, ((0, 1), (1,)), 0), "table is not square"),
         (lambda: GyroGroup(2, ((0, 1), (1, 2)), 0), "table entry 2 out of range 0..1"),
+        (lambda: GyroGroup(2, (b"\0\1", b"\1\2"), 0), "table entry 2 out of range 0..1"),
         (lambda: GyroGroup(2, ((0, 1), (1, 0)), 1), "row 1 is not a left identity row"),
         (lambda: GyroGroup(2, ((0, 1), (1, 0)), 2), "row 2 is not a left identity row"),
         (lambda: GyroGroup(2, ((0, 1), (1, 0.5)), 0), "table entries must be integers"),
@@ -142,6 +143,13 @@ def test_gyrogroup_stores_bool_entries_as_ints():
     assert g.table == ((0, 1), (1, 0))
     assert all(type(v) is int for row in g.table for v in row)
     assert to_cayley_json(g) == '{"order": 2, "table": [[0, 1], [1, 0]]}'
+
+
+def test_gyrogroup_accepts_rows_given_as_bytes():
+    g = GyroGroup(3, (b"\0\1\2", b"\1\2\0", b"\2\0\1"), 0)
+    assert g == cyclic_group(3)
+    assert load_table([b"\1\0", b"\0\1"]).table == ((1, 0), (0, 1))
+    assert GyroGroup(1, (b"\0",), 0).table == ((0,),)
 
 
 def test_gyrogroup_fills_default_labels():
