@@ -7,12 +7,14 @@ m = 2^(n-1), is confirmed coefficient-for-coefficient.
 """
 
 import math
+from itertools import combinations
 
 from gyrograph import (
+    Graph,
     build_gn,
     char_poly_exact,
+    classify_gn_shape,
     closed_form_charpoly_gn,
-    pendant_split_graphs,
     power_graph,
     spectral_radius,
     verify_spectral_bounds,
@@ -28,7 +30,7 @@ graph = power_graph(build_gn(3))
 quotient, factor = graph.twin_quotient
 print("\ncharpoly of P(G(3)):", char_poly_exact(graph))
 print("  = x^3 (x+1)^2 (x^3 - 2x^2 - 7x + 8)")
-print("twin quotient:", quotient.rows, " factor:", factor)
+print("twin quotient rows:", quotient, " factor:", factor)
 
 # The top eigenvalue for n=3 is the largest root of x^2 - x - 8.
 lam = spectral_radius(graph)
@@ -37,8 +39,10 @@ print("(1+sqrt(33))/2 =", (1 + math.sqrt(33)) / 2)
 
 # Splitting the adjacency matrix into a clique part and a pendant part,
 # each the adjacency matrix of a graph, gives the sandwich
-# m-1 < lambda_1 <= m-1 + sqrt(m).
-d, e = pendant_split_graphs(3)
+# m-1 < lambda_1 <= m-1 + sqrt(m).  Both parts are read off the shape.
+shape = classify_gn_shape(graph)
+d = Graph.from_edges(graph.n, combinations(sorted(shape.clique_part), 2))
+e = Graph.from_edges(graph.n, ((shape.hub, v) for v in shape.pendant_part))
 print("\nclique-part radius:", spectral_radius(d))
 print("pendant-part radius:", spectral_radius(e), "= sqrt(4)")
 print("pendant-part charpoly:", char_poly_exact(e), " (rank 2)")

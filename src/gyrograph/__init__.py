@@ -38,7 +38,6 @@ from .distances import (
 from .errors import BoundExceededError, DisconnectedGraphError
 from .graphs import (
     Graph,
-    IntMatrix,
     StructureSummary,
     biconnected_components,
     classify_gn_shape,
@@ -79,10 +78,8 @@ from .resolving import (
 )
 from .spectral import (
     SpectralSummary,
-    adjacency_matrix,
     char_poly_exact,
     closed_form_charpoly_gn,
-    pendant_split_graphs,
     spectral_radius,
     verify_spectral_bounds,
 )

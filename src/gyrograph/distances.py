@@ -58,14 +58,6 @@ class DistanceMatrix(_Value):
         return 0 if u == v else self.table[self._part_of[u]][self._part_of[v]]
 
     @cached_property
-    def entries(self) -> tuple[tuple[float, ...], ...]:
-        """The n rows, expanded from the table on first use."""
-        spread = [tuple(row[j] for j in self._part_of) for row in self.table]
-        return tuple(
-            spread[i][:u] + (0,) + spread[i][u + 1:] for u, i in enumerate(self._part_of)
-        )
-
-    @cached_property
     def counts(self) -> tuple[Counter, ...]:
         """counts[u][d] = |{v : d(u, v) = d}|, one Counter per part shared by its members."""
         per_part = []
@@ -90,11 +82,10 @@ class EccentricityProfile(NamedTuple):
 
 
 class DistanceDegreeSequences(NamedTuple):
-    """Per-vertex counts of vertices at each distance, plus the grouped
-    multiset summary."""
+    """The multiset of the vertices' distance degree sequences: each
+    sequence with the number of vertices that have it."""
 
     kind: str
-    per_vertex: tuple[tuple[int, ...], ...]
     summary: tuple[tuple[tuple[int, ...], int], ...]
 
     def summary_dict(self) -> dict[tuple[int, ...], int]:
@@ -231,13 +222,17 @@ def eccentricity_profile(dm: DistanceMatrix) -> EccentricityProfile:
 
 
 def distance_degree_sequence(dm: DistanceMatrix) -> DistanceDegreeSequences:
-    """For each vertex u, the counts (|{v : d(u,v) = k}|) for k = 0..ecc(u);
-    the summary groups equal tuples with multiplicities."""
+    """The counts (|{v : d(u,v) = k}|) for k = 0..ecc(u) of each vertex u,
+    grouped into equal tuples with multiplicities and ordered by length,
+    then value.  Twins share a tuple, so it is built once per twin part."""
     if not dm.is_finite:
         raise DisconnectedGraphError("distance degree sequences need a connected graph")
-    per_vertex = tuple(tuple(c[k] for k in range(int(max(c)) + 1)) for c in dm.counts)
-    summary = sorted(Counter(per_vertex).items(), key=lambda kv: (len(kv[0]), kv[0]))
-    return DistanceDegreeSequences(dm.kind, per_vertex, summary=tuple(summary))
+    grouped: Counter = Counter()
+    for part, _ in dm.parts:
+        c = dm.counts[part[0]]
+        grouped[tuple(c[k] for k in range(int(max(c)) + 1))] += len(part)
+    summary = sorted(grouped.items(), key=lambda kv: (len(kv[0]), kv[0]))
+    return DistanceDegreeSequences(dm.kind, summary=tuple(summary))
 
 
 # ---------------------------------------------------------------------------

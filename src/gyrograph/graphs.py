@@ -1,17 +1,16 @@
-"""Simple undirected graphs, integer matrices and the power-graph
-construction.
+"""Simple undirected graphs and the power-graph construction.
 
 The power graph of a finite gyrogroup has the elements as vertices, with
 distinct u, v adjacent exactly when one is a positive power of the other.
 A graph's characteristic polynomial is read off its twin quotient, one
-row per twin part (:attr:`Graph.twin_quotient`; 3 x 3 for P(G(n))).
+row per twin part (:attr:`Graph.twin_quotient`; 3 x 3 for P(G(n))), by
+one trace recurrence per graph (:attr:`Graph.quotient_charpoly`).
 """
 
 from __future__ import annotations
 
 import json
 import math
-import operator
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
@@ -28,8 +27,9 @@ class Graph(_Value):
 
     Adjacency is stored once, as bitmask rows (adj_bits, one int per
     vertex).  The edge set, the ascending neighbor tuples, the twin parts,
-    the twin quotient and the biconnected blocks are views derived from the
-    rows on first use.  Equality and hash read the rows, not the edge set.
+    the twin quotient and its characteristic polynomial, and the
+    biconnected blocks are views derived from the rows on first use.
+    Equality and hash read the rows, not the edge set.
     """
 
     _fields = ("n", "edges", "labels")
@@ -72,18 +72,19 @@ class Graph(_Value):
         return tuple((tuple(part), kind) for part, kind in twin_parts(self.adj_bits))
 
     @cached_property
-    def twin_quotient(self) -> tuple[IntMatrix, IntPolynomial]:
+    def twin_quotient(self) -> tuple[tuple[tuple[int, ...], ...], IntPolynomial]:
         """(B, f) with det(xI - A) = det(xI - B) * f for the adjacency matrix A.
 
         The twin parts form an equitable partition (Godsil & Royle, Algebraic
         Graph Theory, ch. 9): B[i][j] counts the neighbors in part j of any
         vertex of part i, and f is (x+1)^(|P|-1) per adjacent part P times
-        x^(|P|-1) per other part.  A twinless graph's B is A itself.
+        x^(|P|-1) per other part.  B is a tuple of int rows; a twinless
+        graph's B is A itself.
         """
         parts = self.twin_parts
         masks = [sum(1 << v for v in part) for part, _ in parts]
-        quotient = IntMatrix(
-            [(self.adj_bits[part[0]] & mask).bit_count() for mask in masks]
+        quotient = tuple(
+            tuple((self.adj_bits[part[0]] & mask).bit_count() for mask in masks)
             for part, _ in parts
         )
         adjacent = sum(len(part) - 1 for part, kind in parts if kind == "adjacent")
@@ -91,6 +92,18 @@ class Graph(_Value):
         return quotient, IntPolynomial(
             {rest + k: math.comb(adjacent, k) for k in range(adjacent + 1)}
         )
+
+    @cached_property
+    def quotient_charpoly(self) -> IntPolynomial:
+        """det(xI - B) for the twin quotient B, by the trace recurrence;
+        refused above CHARPOLY_DIMENSION_BOUND."""
+        quotient, _ = self.twin_quotient
+        if len(quotient) > CHARPOLY_DIMENSION_BOUND:
+            raise BoundExceededError(
+                f"characteristic polynomial refused: twin-quotient dimension "
+                f"{len(quotient)} exceeds {CHARPOLY_DIMENSION_BOUND}"
+            )
+        return char_poly(quotient)
 
     @cached_property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
@@ -161,62 +174,6 @@ class Graph(_Value):
     @classmethod
     def star(cls, leaves: int) -> "Graph":
         return cls.from_edges(leaves + 1, ((0, i) for i in range(1, leaves + 1)))
-
-
-class IntMatrix(_Value):
-    """Immutable square integer matrix.  Its characteristic polynomial and
-    its twin quotient are views built on first use."""
-
-    _fields = ("rows",)
-
-    def __init__(self, rows: Iterable[Iterable[int]]) -> None:
-        try:
-            rows = tuple(tuple(map(operator.index, row)) for row in rows)
-        except TypeError:
-            raise ValueError("matrix entries must be integers") from None
-        if any(len(r) != len(rows) for r in rows):
-            raise ValueError("matrix is not square")
-        self.__dict__["rows"] = rows
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, pair: tuple[int, int]) -> int:
-        return self.rows[pair[0]][pair[1]]
-
-    def is_symmetric(self) -> bool:
-        return self.rows == tuple(zip(*self.rows))
-
-    @cached_property
-    def charpoly(self) -> IntPolynomial:
-        """det(xI - M) by the trace recurrence on the rows; refused above
-        CHARPOLY_DIMENSION_BOUND."""
-        if self.n > CHARPOLY_DIMENSION_BOUND:
-            raise BoundExceededError(
-                f"characteristic polynomial refused: twin-quotient dimension "
-                f"{self.n} exceeds {CHARPOLY_DIMENSION_BOUND}"
-            )
-        return char_poly(self.rows)
-
-    @cached_property
-    def twin_quotient(self) -> tuple[IntMatrix, IntPolynomial]:
-        """The :attr:`Graph.twin_quotient` of the graph whose adjacency matrix
-        this is (symmetric, 0/1, zero diagonal); (self, 1) for any other
-        matrix."""
-        rows = self.rows
-        if not (
-            self.is_symmetric()
-            and all(v in (0, 1) for row in rows for v in row)
-            and not any(rows[i][i] for i in range(self.n))
-        ):
-            return self, IntPolynomial.constant(1)
-        edges = ((i, j) for i, row in enumerate(rows) for j, v in enumerate(row) if v and i < j)
-        return Graph.from_edges(self.n, edges).twin_quotient
-
-    @classmethod
-    def zeros(cls, n: int) -> IntMatrix:
-        return cls((0,) * n for _ in range(n))
 
 
 def set_bits(row: int, start: int = 0) -> list[int]:

@@ -17,7 +17,7 @@ import io
 import json
 import operator
 import os
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 # Names of the Cayley tables shipped with the package.
 BUNDLED_TABLES = ("k1", "n1", "g8", "m1", "gn3")
@@ -93,14 +93,14 @@ class GyroGroup(_Value):
     def __init__(
         self,
         order: int,
-        table: Sequence[Sequence[int]],
+        table: Iterable[Sequence[int]],
         identity: int,
         labels: tuple[str, ...] = (),
     ) -> None:
         n, e = order, identity
-        if n <= 0 or len(table) != n:
+        if n <= 0:
             raise ValueError("table size does not match order")
-        table = _interned_rows(table)
+        table = _interned_rows(table, n)
         if not 0 <= e < n or table[e] != tuple(range(n)):
             raise ValueError(f"row {e} is not a left identity row")
         if not labels:
@@ -195,11 +195,15 @@ def build_gn(n: int) -> GyroGroup:
     # Each list twice over, so that rot(L, r) is the slice [r:r + m].
     p2, pm2 = p * 2, [v + m for v in p] * 2
     q2, qm2 = q * 2, [v + m for v in q] * 2
-    rows = [p2[i:i + m] + pm2[i:i + m] for i in range(m)]
-    for r in (c * w_inv % m for c in range(m)):
-        k = (m // 2 + 1) * r % m
-        rows.append(qm2[r:r + m] + q2[k:k + m])
-    return GyroGroup(order=2 * m, table=rows, identity=0)
+
+    def rows() -> Iterator[list[int]]:  # one row alive at a time, as it is interned
+        for i in range(m):
+            yield p2[i:i + m] + pm2[i:i + m]
+        for r in (c * w_inv % m for c in range(m)):
+            k = (m // 2 + 1) * r % m
+            yield qm2[r:r + m] + q2[k:k + m]
+
+    return GyroGroup(order=2 * m, table=rows(), identity=0)
 
 
 def load_table(
@@ -220,21 +224,23 @@ def load_table(
         ident = list(range(n))
         e = next((i for i, row in enumerate(rows) if list(row) == ident), None)
         if e is None:
-            _interned_rows(rows)  # a bad entry is reported first
+            _interned_rows(rows, n)  # a bad entry is reported first
             raise ValueError("no left identity row found")
     return GyroGroup(order=n, table=rows, identity=e, labels=labels)
 
 
-def _interned_rows(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """The rows as tuples of the ints of one list (0, ..., N-1), so that they
-    share one int object per value.  Raises on the first row with an entry
-    that is not an integer (operator.index semantics) or outside 0..N-1."""
-    n = len(table)
-    if any(len(row) != n for row in table):
-        raise ValueError("table is not square")
+def _interned_rows(table: Iterable[Sequence[int]], n: int) -> tuple[tuple[int, ...], ...]:
+    """The n rows of length n as tuples of the ints of one list (0, ..., n-1),
+    so that they share one int object per value.  Each row is checked and
+    interned as it is read, so a generator of rows is never held whole.
+    Raises on the first row of another length or with an entry that is not
+    an integer (operator.index semantics) or outside 0..n-1, then on a row
+    count other than n."""
     values = list(range(n))
     rows = []
     for row in table:
+        if len(row) != n:
+            raise ValueError("table is not square")
         try:
             if min(row) < 0:
                 raise IndexError
@@ -244,6 +250,8 @@ def _interned_rows(table: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...
             raise ValueError(f"table entry {bad} out of range 0..{n - 1}") from None
         except TypeError:
             raise ValueError("table entries must be integers") from None
+    if len(rows) != n:
+        raise ValueError("table size does not match order")
     return tuple(rows)
 
 

@@ -8,6 +8,7 @@ arithmetic, and the characteristic polynomial of an integer matrix
 
 from __future__ import annotations
 
+import operator
 from typing import Mapping
 
 
@@ -15,7 +16,9 @@ class IntPolynomial:
     """Immutable sparse polynomial over the integers.
 
     Coefficients are stored as an exponent -> coefficient map with no
-    explicit zeros.
+    explicit zeros.  Exponents and coefficients must be integers in the
+    sense of operator.index, so a float or a string is refused, not
+    truncated.
     """
 
     __slots__ = ("_coeffs",)
@@ -24,8 +27,12 @@ class IntPolynomial:
         clean: dict[int, int] = {}
         if coeffs:
             for exp, c in coeffs.items():
-                e = int(exp)
-                c = int(c)
+                try:
+                    e, c = operator.index(exp), operator.index(c)
+                except TypeError:
+                    raise ValueError(
+                        "polynomial exponents and coefficients must be integers"
+                    ) from None
                 if e < 0:
                     raise ValueError(f"negative exponent {e}")
                 if c != 0:

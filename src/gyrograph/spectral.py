@@ -1,13 +1,12 @@
-"""Exact characteristic polynomials and spectral radii of graphs and
-integer matrices.
+"""Exact characteristic polynomials and spectral radii of graphs.
 
-Each function takes a :class:`Graph` or an :class:`IntMatrix` and reads
-its twin quotient (B, f) (see :attr:`Graph.twin_quotient`): the
-characteristic polynomial is det(xI - B) * f, computed over exact
-integers by a trace recurrence with checked divisions, so coefficients
-can never overflow or round.  The spectral radius is the largest root of
-det(xI - B), located by exact integer root tests and returned as the
-correctly rounded float.
+Each function takes a :class:`Graph` and reads its twin quotient (B, f)
+(see :attr:`Graph.twin_quotient`): the characteristic polynomial is
+det(xI - B) * f.  det(xI - B) is the graph's cached
+:attr:`Graph.quotient_charpoly`, computed over exact integers by a trace
+recurrence with checked divisions, so coefficients can never overflow or
+round.  The spectral radius is the largest root of det(xI - B), located
+by exact integer root tests and returned as the correctly rounded float.
 """
 
 from __future__ import annotations
@@ -15,17 +14,10 @@ from __future__ import annotations
 import math
 import struct
 from fractions import Fraction
-from itertools import combinations
 from typing import NamedTuple
 
-from .graphs import Graph, IntMatrix
+from .graphs import Graph
 from .polynomials import IntPolynomial
-
-
-def adjacency_matrix(graph: Graph) -> IntMatrix:
-    """The 0/1 matrix of the graph's bitmask rows, read lowest bit first."""
-    rows = (bin(row)[:1:-1].ljust(graph.n, "0") for row in graph.adj_bits)
-    return IntMatrix(map(int, row) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -33,18 +25,18 @@ def adjacency_matrix(graph: Graph) -> IntMatrix:
 # ---------------------------------------------------------------------------
 
 
-def char_poly_exact(a: Graph | IntMatrix) -> IntPolynomial:
-    """Monic characteristic polynomial det(xI - A) with exact integer
-    coefficients, for a graph's adjacency matrix or an integer matrix.
+def char_poly_exact(graph: Graph) -> IntPolynomial:
+    """Monic characteristic polynomial det(xI - A) of the graph's adjacency
+    matrix A, with exact integer coefficients.
 
-    It is det(xI - B) * f for the twin quotient (B, f) of a; the trace
-    recurrence runs on B, which for the power graph of G(n) is 3 x 3
+    It is det(xI - B) * f for the twin quotient (B, f) of the graph; the
+    trace recurrence runs on B, which for the power graph of G(n) is 3 x 3
     whatever n is, and a B larger than CHARPOLY_DIMENSION_BOUND is refused.
-    The same graph or matrix object never runs the recurrence twice, here
-    or in spectral_radius.
+    The same graph object never runs the recurrence twice, here or in
+    spectral_radius.
     """
-    quotient, factor = a.twin_quotient
-    return quotient.charpoly * factor
+    _, factor = graph.twin_quotient
+    return graph.quotient_charpoly * factor
 
 
 def closed_form_charpoly_gn(n: int) -> IntPolynomial:
@@ -70,27 +62,14 @@ def closed_form_charpoly_gn(n: int) -> IntPolynomial:
     return IntPolynomial.x_power(m - 1) * binomial * cubic
 
 
-def pendant_split_graphs(n: int) -> tuple[Graph, Graph]:
-    """The adjacency split A = D + E for the order-2^n power graph, as two
-    graphs on its vertices: D is the complete block on the first
-    m = 2^(n-1) vertices, E the pendant edges (first block vertex to every
-    pendant)."""
-    if n < 3:
-        raise ValueError(f"defined for n >= 3, got n={n}")
-    m = 2 ** (n - 1)
-    d = Graph.from_edges(2 * m, combinations(range(m), 2))
-    e = Graph.from_edges(2 * m, ((0, v) for v in range(m, 2 * m)))
-    return d, e
-
-
 # ---------------------------------------------------------------------------
 # Spectral radius
 # ---------------------------------------------------------------------------
 
 
-def spectral_radius(a: Graph | IntMatrix) -> float:
-    """Largest eigenvalue of a graph's adjacency matrix or of a symmetric
-    non-negative integer matrix, correctly rounded to a float.
+def spectral_radius(graph: Graph) -> float:
+    """Largest eigenvalue of a graph's adjacency matrix, correctly rounded
+    to a float.
 
     It is the largest root of det(xI - B) for the twin quotient B (the
     factor f only adds the roots 0 and -1, and a non-negative matrix has
@@ -101,25 +80,17 @@ def spectral_radius(a: Graph | IntMatrix) -> float:
     one more test at their midpoint rounds it.
 
     Cost on a direct call: the twin quotient, one Faddeev-LeVerrier run on
-    it, shared with char_poly_exact on the same graph or matrix object, and
-    about 60 root tests on it: 1 ms or less for every power graph in the
-    tests, demos and benchmark (3 x 3 quotients for P(G(n)), 5 x 5 for
-    P(Z28)), plus about 4 ms at order 1024 to build the quotient from the
-    twin parts.  An IntMatrix first builds the graph of its rows (0.35 s at
-    order 1024), and a twinless 64-vertex graph takes 1.4 s (1 ms with
-    numpy's eigvalsh), both on 2 CPUs.  A quotient larger than
-    CHARPOLY_DIMENSION_BOUND is refused.
+    it, shared with char_poly_exact on the same graph object, and about 60
+    root tests on it: 1 ms or less for every power graph in the tests, demos
+    and benchmark (3 x 3 quotients for P(G(n)), 5 x 5 for P(Z28)), plus
+    about 4 ms at order 1024 to build the quotient from the twin parts.  A
+    twinless 64-vertex graph takes 1.4 s (1 ms with numpy's eigvalsh), on
+    2 CPUs.  A quotient larger than CHARPOLY_DIMENSION_BOUND is refused.
     """
-    if isinstance(a, IntMatrix):
-        if not a.is_symmetric():
-            raise ValueError("spectral radius requires a symmetric matrix")
-        if any(v < 0 for row in a.rows for v in row):
-            raise ValueError("spectral radius requires a non-negative matrix")
-    quotient, _ = a.twin_quotient
-    rows = quotient.rows
+    rows, _ = graph.twin_quotient
     if not any(map(any, rows)):
         return 0.0
-    p = quotient.charpoly
+    p = graph.quotient_charpoly
     coeffs = [p.coefficient(k) for k in range(p.degree + 1)]
     # The top eigenvalue is at least each entry of the symmetrised quotient
     # (a 2 x 2 principal submatrix), so at least max min(B[i][j], B[j][i]),
@@ -176,16 +147,16 @@ class SpectralSummary(NamedTuple):
         }
 
 
-def verify_spectral_bounds(a: Graph | IntMatrix) -> SpectralSummary:
-    """Sandwich check for the power graph of G(n) or its adjacency matrix,
-    of order 2m with m = 2^(n-1):
+def verify_spectral_bounds(graph: Graph) -> SpectralSummary:
+    """Sandwich check for the power graph of G(n), of order 2m with
+    m = 2^(n-1):
 
         m - 1 < lambda_1 <= (m - 1) + sqrt(m)
 
     (the complete block pins the strict lower bound; the pendant part has
     top eigenvalue sqrt(m), giving the upper bound)."""
-    lam = spectral_radius(a)
-    m = a.n // 2
+    lam = spectral_radius(graph)
+    m = graph.n // 2
     lower = float(m - 1)
     upper = lower + math.sqrt(m)
     return SpectralSummary(

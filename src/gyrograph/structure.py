@@ -522,8 +522,8 @@ def is_hamiltonian(
             return HamiltonicityResult(
                 False, reason=f"vertex {pendant} has degree <= 1"
             )
-        blocks_per_vertex = Counter(v for block in graph.blocks for v in block)
-        cut = [v for v, count in blocks_per_vertex.items() if count > 1]
+        block_count = Counter(v for block in graph.blocks for v in block)
+        cut = [v for v, count in block_count.items() if count > 1]
         if cut:
             return HamiltonicityResult(False, reason=f"vertex {min(cut)} is a cut vertex")
     if n > order_bound:

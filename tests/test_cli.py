@@ -303,10 +303,9 @@ def test_invariants_run_at_most_one_bfs(monkeypatch, capsys, flags, runs):
 
 def test_invariants_build_each_view_of_a_matrix_once(monkeypatch, capsys):
     counts = record_builds(monkeypatch, "counts")
-    entries = record_builds(monkeypatch, "entries")
+    part_maps = record_builds(monkeypatch, "_part_of")
     invariants_json(capsys, "--gn", "4", "--all")
-    assert sorted(counts) == ["detour", "shortest"]
-    assert entries in ([], ["shortest"])
+    assert sorted(counts) == sorted(part_maps) == ["detour", "shortest"]
 
 
 @pytest.mark.parametrize("flags", [["--spectral"], ["--all"]])

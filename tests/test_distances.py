@@ -138,7 +138,7 @@ def test_detour_dominates_distance_and_equals_on_trees(gn3):
         dd[u, v] >= dm[u, v] for u in range(8) for v in range(8)
     )
     for tree in (Graph.path(6), Graph.star(5)):
-        assert detour_matrix(tree).entries == distance_matrix(tree).entries
+        assert expand(detour_matrix(tree)) == expand(distance_matrix(tree))
 
 
 def test_detour_block_bound():
@@ -296,7 +296,7 @@ def graphs(draw, max_n=10):
 @settings(max_examples=300, deadline=None)
 @given(graphs())
 def test_detour_matches_reference_on_random_graphs(graph):
-    assert detour_matrix(graph).entries == reference_detour_matrix(graph)
+    assert expand(detour_matrix(graph)) == reference_detour_matrix(graph)
 
 
 def _relabelled_power_graph(n):
@@ -314,7 +314,9 @@ def test_detour_on_relabelled_gn(n):
         rd[perm[u], perm[v]] == dd[u, v] for u in graph.vertices() for v in graph.vertices()
     )
     if n <= 4:
-        assert rd.entries == reference_detour_matrix(relabelled)
+        assert expand(rd) == reference_detour_matrix(relabelled)
+    for dm in (rd, distance_matrix(relabelled)):
+        assert distance_degree_sequence(dm).summary == oracle_dds(dm)
     prof = eccentricity_profile(rd)
     assert (prof.radius, prof.diameter) == closed_forms.detour_radius_diameter_closed_form(n)
 
@@ -333,7 +335,7 @@ def test_detour_matrix_walks_from_one_vertex_per_twin_part(monkeypatch, n):
     dd = detour_matrix(graph)
     assert sources == [0, 1, 2**(n - 1)]
     if n <= 4:
-        assert dd.entries == reference_detour_matrix(graph)
+        assert expand(dd) == reference_detour_matrix(graph)
 
 
 def test_detour_order_64_gate():
@@ -436,7 +438,7 @@ def test_twin_parts_partition_the_vertices_into_twins(graph):
 @given(twin_heavy_graphs())
 @example(Graph.from_edges(7, [(0, 1), (0, 2), (3, 4)]))  # isolated twins 5, 6
 def test_distance_matrix_matches_bfs_from_every_vertex(graph):
-    # Indexed pairs and expanded rows, on twins at INF and disconnected pieces;
+    # Every indexed pair, on twins at INF and disconnected pieces;
     # the detour matrix against its reference where the DFS is small.
     for dm in bounded_matrices(graph):
         if dm.kind == "shortest":
@@ -445,8 +447,7 @@ def test_distance_matrix_matches_bfs_from_every_vertex(graph):
             rows = reference_detour_matrix(graph)
         else:
             continue
-        assert dm.entries == rows
-        assert all(dm[u, v] == d for u, row in enumerate(rows) for v, d in enumerate(row))
+        assert expand(dm) == rows
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -463,7 +464,7 @@ def test_distance_matrix_runs_one_bfs_per_twin_part(monkeypatch, n):
     dm = distance_matrix(graph)
     assert len(calls) == 3 * graph.n
     monkeypatch.undo()
-    assert dm.entries == bfs_distance_matrix(graph)
+    assert expand(dm) == bfs_distance_matrix(graph)
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +483,9 @@ def test_dds_k1():
 
 
 def test_dds_detour_gn3(gn3):
-    ddsd = distance_degree_sequence(detour_matrix(gn3))
-    assert ddsd.per_vertex[0] == (1, 4, 0, 3)
+    dd = detour_matrix(gn3)
+    ddsd = distance_degree_sequence(dd)
+    assert eccentricity_profile(dd).eccentricities[0] == 3  # the identity's is (1, 4, 0, 3)
     assert ddsd.summary_dict() == {
         (1, 4, 0, 3): 1,
         (1, 0, 0, 3, 4): 3,
@@ -505,7 +507,7 @@ def test_dds_counts_tie_out_with_pair_counts(gn3):
     dds = distance_degree_sequence(distance_matrix(gn3))
     hosoya = hosoya_polynomial(distance_matrix(gn3))
     for k in (1, 2):
-        total = sum(t[k] if len(t) > k else 0 for t in dds.per_vertex)
+        total = sum(t[k] * count for t, count in dds.summary if len(t) > k)
         assert total == 2 * hosoya.coefficient(k)
 
 
@@ -726,30 +728,32 @@ def test_closure_is_order_independent():
 # ---------------------------------------------------------------------------
 
 
+def expand(dm):
+    """The n rows of dm, read pair by pair."""
+    return tuple(tuple(dm[u, v] for v in range(dm.n)) for u in range(dm.n))
+
+
 def oracle_is_finite(dm):
-    return all(x != INF for row in dm.entries for x in row)
+    return all(x != INF for row in expand(dm) for x in row)
 
 
 def oracle_eccentricities(dm):
-    return tuple(int(max(row)) for row in dm.entries)
+    return tuple(int(max(row)) for row in expand(dm))
 
 
 def oracle_dds(dm):
-    per_vertex = []
-    for row in dm.entries:
+    """The dds summary from one count tuple per vertex."""
+    groups = Counter()
+    for row in expand(dm):
         counts = [0] * (int(max(row)) + 1)
         for d in row:
             counts[int(d)] += 1
-        per_vertex.append(tuple(counts))
-    groups = {}
-    for t in per_vertex:
-        groups[t] = groups.get(t, 0) + 1
-    summary = tuple(sorted(groups.items(), key=lambda kv: (len(kv[0]), kv[0])))
-    return tuple(per_vertex), summary
+        groups[tuple(counts)] += 1
+    return tuple(sorted(groups.items(), key=lambda kv: (len(kv[0]), kv[0])))
 
 
 def oracle_hosoya(dm):
-    pairs = Counter(int(d) for u, row in enumerate(dm.entries) for d in row[u + 1:])
+    pairs = Counter(int(d) for u, row in enumerate(expand(dm)) for d in row[u + 1:])
     return IntPolynomial({0: dm.n, **pairs})
 
 
@@ -758,14 +762,14 @@ def oracle_rs(row):
 
 
 def oracle_edge_sums(dm):
-    rows = dm.entries
+    rows = expand(dm)
     rs = [oracle_rs(row) for row in rows]
     ends = [(u, v) for u, row in enumerate(rows) for v in range(u + 1, dm.n) if row[v] == 1]
     return dict(Counter(rs[u] + rs[v] for u, v in ends))
 
 
 def oracle_boundary_interior_center(dm):
-    rows, n = dm.entries, dm.n
+    rows, n = expand(dm), dm.n
     boundary = set()
     for u in range(n):
         neighbors = [w for w, d in enumerate(rows[u]) if d == 1]
@@ -779,7 +783,7 @@ def oracle_boundary_interior_center(dm):
 
 
 def oracle_adj_bits(dm):
-    return [sum(1 << w for w, d in enumerate(row) if d == 1) for row in dm.entries]
+    return [sum(1 << w for w, d in enumerate(row) if d == 1) for row in expand(dm)]
 
 
 def bounded_matrices(graph):
@@ -796,7 +800,7 @@ def bounded_matrices(graph):
 def test_readers_match_scans_of_the_entries(graph, data):
     for dm in bounded_matrices(graph):
         if dm.kind == "detour" and graph.n <= 10:
-            assert dm.entries == reference_detour_matrix(graph)
+            assert expand(dm) == reference_detour_matrix(graph)
         assert dm.is_finite == oracle_is_finite(dm)
         if dm.kind == "shortest":
             # The parts are those of the graph whose edges are the unit entries.
@@ -806,12 +810,12 @@ def test_readers_match_scans_of_the_entries(graph, data):
             continue
         ecc = oracle_eccentricities(dm)
         assert eccentricity_profile(dm)[1:] == (ecc, min(ecc), max(ecc))
-        assert distance_degree_sequence(dm)[1:] == oracle_dds(dm)
+        assert distance_degree_sequence(dm) == (dm.kind, oracle_dds(dm))
         if dm.kind == "detour":
             continue
         assert hosoya_polynomial(dm) == oracle_hosoya(dm)
         assert [reciprocal_status(dm, v) for v in graph.vertices()] == [
-            oracle_rs(row) for row in dm.entries
+            oracle_rs(row) for row in expand(dm)
         ]
         assert reciprocal_status_edge_sums(dm) == oracle_edge_sums(dm)
         assert boundary_interior_center(dm) == oracle_boundary_interior_center(dm)
@@ -846,10 +850,9 @@ def test_labelled_fields_follow_a_relabelling(graph, data):
         if not dm.is_finite or not dm.n:
             continue
         ecc, ecc_image = (eccentricity_profile(m).eccentricities for m in (dm, im))
-        dds, dds_image = (distance_degree_sequence(m).per_vertex for m in (dm, im))
         for v in graph.vertices():
             assert ecc_image[p[v]] == ecc[v]
-            assert dds_image[p[v]] == dds[v]
+        assert distance_degree_sequence(im) == distance_degree_sequence(dm)
         if dm.kind == "shortest":
             _, interior, center = boundary_interior_center(dm)
             _, interior_image, center_image = boundary_interior_center(im)

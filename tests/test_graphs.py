@@ -12,7 +12,6 @@ from test_verification import count_calls, record_builds
 
 from gyrograph import (
     Graph,
-    IntMatrix,
     build_gn,
     bundled_gyrogroup,
     classify_gn_shape,
@@ -22,9 +21,9 @@ from gyrograph import (
     graphs,
     induced_subgraph,
     load_table,
+    polynomials,
     power_graph,
     power_sequence,
-    spectral,
 )
 from gyrograph.verification import verify_gn
 
@@ -410,16 +409,8 @@ def test_verify_gn_builds_the_power_graph_and_its_pendant_part_only(monkeypatch)
 @RUNS
 def test_spectral_layer_builds_no_dense_adjacency_matrix(monkeypatch, run):
     # The charpoly and the spectral radius read the graph's 3 x 3 twin
-    # quotient; no 32 x 32 matrix of P(G(5)) or of its pendant part is built.
-    dense = count_calls(monkeypatch, spectral, "adjacency_matrix")
-    orders = []
-    init = IntMatrix.__init__
-
-    def recording(self, rows):
-        init(self, rows)
-        orders.append(self.n)
-
-    monkeypatch.setattr(IntMatrix, "__init__", recording)
+    # quotient; no 32 x 32 matrix of P(G(5)) or of its pendant part reaches
+    # the recurrence.
+    rows = count_calls(monkeypatch, polynomials, "char_poly")
     run()
-    assert dense == []
-    assert orders and set(orders) == {3}
+    assert rows and {len(r) for r in rows} == {3}

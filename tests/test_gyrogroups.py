@@ -3,6 +3,7 @@
 import json
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,6 +149,19 @@ def test_build_gn_matches_the_four_case_formula(n):
     g = build_gn(n)
     assert (g.order, g.identity) == (2**n, 0)
     assert np.array_equal(np.array(g.table), four_case_gn(n))
+
+
+def test_build_gn_holds_one_copy_of_the_rows():
+    # GyroGroup interns the rows as build_gn makes them, so the peak is the
+    # kept table and one row list, not a second table of lists.
+    tracemalloc.start()
+    try:
+        g = build_gn(11)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.order == 2048
+    assert peak <= 1.1 * kept, f"peak {peak / 2**20:.1f} MiB, table {kept / 2**20:.1f} MiB"
 
 
 def _distinct_entry_objects(g):

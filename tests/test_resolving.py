@@ -46,7 +46,7 @@ def unpruned_resolving_counts(graph):
         c = 0
         for subset in combinations(range(graph.n), k):
             vectors = {
-                tuple(dm.entries[v][s] for s in subset) for v in range(graph.n)
+                tuple(dm[v, s] for s in subset) for v in range(graph.n)
             }
             if len(vectors) == graph.n:
                 c += 1
@@ -147,7 +147,7 @@ def test_is_resolving_matches_the_expanded_rows_on_random_subsets(group):
     rng = random.Random(graph.n)
     for _ in range(300):
         subset = rng.sample(range(graph.n), rng.randint(0, graph.n))
-        vectors = {tuple(dm.entries[v][s] for s in subset) for v in range(graph.n)}
+        vectors = {tuple(dm[v, s] for s in subset) for v in range(graph.n)}
         assert is_resolving(dm, subset) == (len(vectors) == graph.n), sorted(subset)
 
 

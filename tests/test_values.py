@@ -1,5 +1,5 @@
 """Value semantics of the validated types (Permutation, GyroGroup, Graph,
-IntMatrix, DistanceMatrix) and the serialised form of the result records."""
+DistanceMatrix) and the serialised form of the result records."""
 
 import copy
 import json
@@ -10,9 +10,8 @@ import pytest
 from gyrograph import (
     Graph,
     GyroGroup,
-    IntMatrix,
+    IntPolynomial,
     Permutation,
-    adjacency_matrix,
     build_gn,
     cyclic_group,
     distance_matrix,
@@ -35,7 +34,6 @@ def make_values():
         lambda: Permutation((1, 2, 0)),
         lambda: GyroGroup(order=2, table=((0, 1), (1, 0)), identity=0),
         lambda: Graph.cycle(4),
-        lambda: IntMatrix(((0, 1), (1, 0))),
         lambda: DistanceMatrix("shortest", (((0, 1), "adjacent"),), ((1,),)),
     ]
 
@@ -78,7 +76,6 @@ def test_repr_names_each_field():
     assert repr(Graph(2, frozenset({(1, 0)}))) == (
         "Graph(n=2, edges=frozenset({(0, 1)}), labels=('0', '1'))"
     )
-    assert repr(IntMatrix(((0, 1), (1, 0)))) == "IntMatrix(rows=((0, 1), (1, 0)))"
     assert repr(DistanceMatrix("shortest", (((0, 1), "adjacent"),), ((1,),))) == (
         "DistanceMatrix(kind='shortest', parts=(((0, 1), 'adjacent'),), table=((1,),))"
     )
@@ -86,7 +83,7 @@ def test_repr_names_each_field():
 
 def test_values_of_different_types_are_unequal():
     assert Permutation((0, 1)) != (0, 1)
-    assert IntMatrix(((0,),)) != DistanceMatrix("shortest", (((0,), "untwinned"),), ((0,),))
+    assert Graph(1, ()) != DistanceMatrix("shortest", (((0,), "untwinned"),), ((0,),))
     assert Permutation((0, 1)) != Graph(2, frozenset())
 
 
@@ -114,6 +111,7 @@ def test_distance_matrix_caches_is_finite_without_changing_equality():
         (lambda: Permutation((0, 0)), "permutation image is not a bijection on 0..N-1"),
         (lambda: GyroGroup(2, ((0, 1),), 0), "table size does not match order"),
         (lambda: GyroGroup(0, (), 0), "table size does not match order"),
+        (lambda: GyroGroup(2, iter(((0, 1),)), 0), "table size does not match order"),
         (lambda: GyroGroup(2, ((0, 1), (1,)), 0), "table is not square"),
         (lambda: GyroGroup(2, ((0, 1), (1, 2)), 0), "table entry 2 out of range 0..1"),
         (lambda: GyroGroup(2, (b"\0\1", b"\1\2"), 0), "table entry 2 out of range 0..1"),
@@ -128,9 +126,9 @@ def test_distance_matrix_caches_is_finite_without_changing_equality():
         (lambda: Graph(2, frozenset({(0, 2)})), r"edge \(0,2\) out of range"),
         (lambda: Graph(2, frozenset({(1, 1)})), "self-loop at 1"),
         (lambda: Graph(2, frozenset(), ("a",)), "label count does not match vertex count"),
-        (lambda: IntMatrix(((0, 1),)), "matrix is not square"),
-        (lambda: IntMatrix([[0, 1.7], [1.7, 0]]), "matrix entries must be integers"),
-        (lambda: IntMatrix(((0, 1.5), (1.5, 0))), "matrix entries must be integers"),
+        (lambda: IntPolynomial({1.5: 2}), "polynomial exponents and coefficients must be integers"),
+        (lambda: IntPolynomial({0: 1.7}), "polynomial exponents and coefficients must be integers"),
+        (lambda: IntPolynomial({"2": 3}), "polynomial exponents and coefficients must be integers"),
     ],
 )
 def test_constructors_raise_the_documented_messages(build, message):
@@ -192,7 +190,7 @@ def test_axiom_report_to_dict():
 
 def test_record_json_forms():
     graph = power_graph(build_gn(3))
-    assert verify_spectral_bounds(adjacency_matrix(graph)).to_dict() == {
+    assert verify_spectral_bounds(graph).to_dict() == {
         "spectral_radius": 3.3722813232690143,
         "bound_lower": 3.0,
         "bound_upper": 5.0,

@@ -331,11 +331,9 @@ def test_verify_gn_scans_each_matrix_for_infinity_once(monkeypatch):
 
 
 def test_verify_gn_builds_each_view_of_a_matrix_once(monkeypatch):
-    # Both matrices' distance counts are built once; the rows are expanded
-    # at most once, for the shortest-distance matrix alone.
+    # Both matrices' distance counts and vertex-to-part maps are built once.
     counts = record_builds(monkeypatch, "counts")
-    rows = record_builds(monkeypatch, "entries")
+    part_maps = record_builds(monkeypatch, "_part_of")
     entries = verify_gn(5)
     assert all(e.verdict != "mismatch" for e in entries)
-    assert sorted(counts) == ["detour", "shortest"]
-    assert rows in ([], ["shortest"])
+    assert sorted(counts) == sorted(part_maps) == ["detour", "shortest"]
