@@ -24,7 +24,7 @@ from gyrograph import (
     verify_isomorphism,
     verify_spectral_bounds,
 )
-from gyrograph.distances import DistanceMatrix
+from gyrograph.distances import INF, DistanceMatrix
 from gyrograph.verification import ReportEntry, VerificationReport
 
 
@@ -34,6 +34,9 @@ def make_values():
         lambda: Permutation((1, 2, 0)),
         lambda: GyroGroup(order=2, table=((0, 1), (1, 0)), identity=0),
         lambda: Graph.cycle(4),
+        lambda: DistanceMatrix(
+            "detour", (((0,), "untwinned"), ((1,), "untwinned")), ((0, INF), (INF, 0))
+        ),
         lambda: DistanceMatrix("shortest", (((0, 1), "adjacent"),), ((1,),)),
     ]
 
