@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import tracemalloc
 
 import networkx as nx
 import pytest
@@ -17,9 +18,12 @@ from gyrograph import (
     classify_gn_shape,
     cli,
     cyclic_group,
+    detour_matrix,
+    distance_matrix,
     export,
     graphs,
     induced_subgraph,
+    is_planar,
     load_table,
     polynomials,
     power_graph,
@@ -351,6 +355,21 @@ def test_views_are_built_once_per_graph():
         (tuple(range(1, 8)), "adjacent"),
         (tuple(range(8, 16)), "non-adjacent"),
     )
+
+
+@pytest.mark.parametrize("layer", [is_planar, detour_matrix, distance_matrix])
+def test_layers_walk_the_rows_without_copying_them(layer):
+    # On a fresh P(G(10)) (a 512-clique, 131 328 edges) the block search,
+    # the BFS and the face insertion read the bitmask rows; a neighbor tuple
+    # per vertex or an edge per stack entry would take well over 5 MiB.
+    graph = power_graph(build_gn(10))
+    tracemalloc.start()
+    try:
+        layer(graph)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 def _invariants_gn5():

@@ -1,5 +1,7 @@
 """Planarity certificates, Hamiltonicity, and isomorphism searches."""
 
+import hashlib
+import json
 import random
 import time
 from itertools import permutations
@@ -260,6 +262,102 @@ def test_planarity_against_networkx_on_random_graphs():
             verify_kuratowski(g, mine.kuratowski_edges)
 
 
+def relabelled(n, edges, perm):
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def k4_edges(vertices):
+    return [(u, v) for i, u in enumerate(vertices) for v in vertices[i + 1:]]
+
+
+def block_tree(seed, count):
+    """count planar blocks (bridges, cycles, K4s, wheels with the hub or a
+    rim vertex shared, fans) each glued at a random earlier vertex, then
+    relabelled at random: a tree of blocks with many cut vertices."""
+    rng = random.Random(seed)
+    edges, n = [], 1
+    for _ in range(count):
+        at = rng.randrange(n)
+        kind = rng.choice(["bridge", "cycle", "k4", "wheel", "fan"])
+        size = {"bridge": 1, "cycle": rng.randint(2, 5), "k4": 3,
+                "wheel": rng.randint(3, 6), "fan": rng.randint(3, 5)}[kind]
+        new = list(range(n, n + size))
+        n += size
+        ring = [at] + new
+        if kind == "k4":
+            edges += k4_edges(ring)
+        elif kind == "wheel":
+            edges += [(at, v) for v in new] + list(zip(new, new[1:] + new[:1]))
+        else:
+            edges += list(zip(ring, ring[1:] + ring[:1] if kind != "bridge" else ring[1:]))
+            if kind == "fan":
+                edges += [(new[0], v) for v in new[2:]]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return relabelled(n, edges, perm)
+
+
+def tree_of_k4s():
+    edges = k4_edges([0, 1, 2, 3])
+    for i in range(4):
+        edges += k4_edges([i, 4 + 3 * i, 5 + 3 * i, 6 + 3 * i])
+    perm = list(range(17))
+    random.Random(2024).shuffle(perm)
+    return relabelled(17, edges + [(15, 16)], perm)
+
+
+def forest_of_block_trees():
+    a, b = block_tree(12, 6), block_tree(13, 6)
+    shifted = [(a.n + u, a.n + v) for u, v in b.sorted_edges()]
+    return Graph.from_edges(a.n + b.n + 1, a.sorted_edges() + shifted)
+
+
+def block_and_rotation_pin(graph):
+    payload = json.dumps([graph.blocks, is_planar(graph).rotation])
+    return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def test_blocks_and_rotation_of_a_chain_of_triangles_are_pinned():
+    # Four triangles in a chain, three cut vertices, relabelled: the blocks
+    # come in DFS order and the rotation concatenates them in that order.
+    triangles = [(a + i, a + j) for a in (0, 2, 4, 6) for i, j in ((0, 1), (1, 2), (0, 2))]
+    chain = relabelled(9, triangles, [4, 7, 0, 8, 2, 5, 1, 3, 6])
+    assert chain.blocks == ((1, 3, 6), (1, 2, 5), (0, 2, 8), (0, 4, 7))
+    assert is_planar(chain).rotation == (
+        (2, 8, 4, 7), (3, 6, 2, 5), (1, 5, 0, 8), (1, 6), (0, 7),
+        (1, 2), (1, 3), (0, 4), (0, 2),
+    )
+
+
+# sha256 prefixes of the JSON of (blocks, rotation), recorded before the
+# block search moved from an edge stack to a vertex stack.
+BLOCK_PINS = {
+    "tree_of_k4s": "b8c0e97c561fdaf9",
+    "forest": "9d93188adc98e797",
+    **{f"seed{s}": pin for s, pin in enumerate([
+        "5f36f05484fcda6c", "17d793429b89f9b9", "79da10b30b0c56a9", "6b38c8f12528376c",
+        "4c0f333c8dabfadb", "59742ee6649af435", "e48c8966245387ee", "1fe286b42d276114",
+        "e16ea3a8316883e3", "9053fbdeabd4b61c", "9de26ed876ad4e4d", "1ced5609e046051d",
+    ])},
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_PINS))
+def test_blocks_and_rotations_with_many_cut_vertices_are_pinned(name):
+    if name == "tree_of_k4s":
+        graph = tree_of_k4s()
+    elif name == "forest":
+        graph = forest_of_block_trees()
+    else:
+        seed = int(name[4:])
+        graph = block_tree(seed, 4 + seed)
+    result = is_planar(graph)
+    assert result.is_planar and check_embedding(graph, result.rotation)
+    cut_vertices = [v for v in range(graph.n) if sum(v in b for b in graph.blocks) > 1]
+    assert len(cut_vertices) >= 2
+    assert block_and_rotation_pin(graph) == BLOCK_PINS[name]
+
+
 # ---------------------------------------------------------------------------
 # Hamiltonicity
 # ---------------------------------------------------------------------------
@@ -385,6 +483,45 @@ def test_shortcuts_agree_with_exhaustive_search_on_random_graphs(graph):
     with_shortcut = is_hamiltonian(graph, shortcut=True)
     without = is_hamiltonian(graph, shortcut=False)
     assert with_shortcut.is_hamiltonian == without.is_hamiltonian
+
+
+def graphs_and_relabellings():
+    """(graph, its image under a random permutation) for random graphs,
+    glued pairs and trees of planar blocks."""
+    block_trees = st.builds(block_tree, st.integers(0, 2**32), st.integers(1, 8))
+    return st.tuples(st.one_of(small_graphs(), block_trees), st.randoms(use_true_random=False))
+
+
+def relabel_graph(graph, rng):
+    perm = list(range(graph.n))
+    rng.shuffle(perm)
+    return relabelled(graph.n, graph.sorted_edges(), perm)
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_and_relabellings())
+def test_hamiltonicity_follows_a_relabelling(case):
+    graph, rng = case
+    image = relabel_graph(graph, rng)
+    results = [is_hamiltonian(g) for g in (graph, image)]
+    assert results[0].is_hamiltonian == results[1].is_hamiltonian
+    for g, result in zip((graph, image), results):
+        if result.is_hamiltonian:
+            check_cycle(g, list(result.cycle))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_and_relabellings())
+def test_planarity_certificates_follow_a_relabelling(case):
+    graph, rng = case
+    image = relabel_graph(graph, rng)
+    results = [is_planar(g) for g in (graph, image)]
+    assert results[0].is_planar == results[1].is_planar
+    for g, result in zip((graph, image), results):
+        if result.is_planar:
+            assert check_embedding(g, result.rotation)
+        else:
+            assert verify_kuratowski(g, result.kuratowski_edges) == result.kuratowski_kind
 
 
 def test_hamiltonian_order_bound():
