@@ -15,13 +15,13 @@ starts, guards that DFS.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .errors import BoundExceededError, DisconnectedGraphError
-from .graphs import Graph, reachable
+from .graphs import Graph, check_vertex, reachable, set_bits
 from .gyrogroups import _Value
 from .polynomials import IntPolynomial
 
@@ -55,6 +55,7 @@ class DistanceMatrix(_Value):
 
     def __getitem__(self, pair: tuple[int, int]) -> float:
         u, v = pair
+        check_vertex(self.n, u, v)
         return 0 if u == v else self.table[self._part_of[u]][self._part_of[v]]
 
     @cached_property
@@ -99,18 +100,22 @@ class DistanceDegreeSequences(NamedTuple):
 
 def distance_matrix(graph: Graph) -> DistanceMatrix:
     """One BFS per twin part (:func:`_by_twin_parts`), three for every
-    P(G(n)); INF marks disconnected pairs."""
+    P(G(n)); INF marks disconnected pairs.  Each BFS level is the OR of the
+    last level's rows, less the vertices already reached."""
+    adj = graph.adj_bits
 
     def bfs(r: int) -> list[float]:
         dist: list[float] = [INF] * graph.n
-        dist[r] = 0
-        queue = deque([r])
-        while queue:
-            v = queue.popleft()
-            for w in graph.neighbors(v):
-                if dist[w] == INF:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
+        level = seen = 1 << r
+        d = 0
+        while level:
+            reach = 0
+            for v in set_bits(level):
+                dist[v] = d
+                reach |= adj[v]
+            level = reach & ~seen
+            seen |= level
+            d += 1
         return dist
 
     return _by_twin_parts(graph, "shortest", bfs)
@@ -265,8 +270,7 @@ def hosoya_polynomial(dm: DistanceMatrix) -> IntPolynomial:
 def reciprocal_status(dm: DistanceMatrix, v: int) -> Fraction:
     """rs(v) = sum over u != v of 1/d(u,v), exactly."""
     _require_shortest(dm, "reciprocal status needs a connected graph")
-    if not 0 <= v < dm.n:
-        raise ValueError(f"vertex {v} out of range")
+    check_vertex(dm.n, v)
     return _rs_from_row(dm.counts[v])
 
 

@@ -26,10 +26,11 @@ class Graph(_Value):
     """Immutable simple graph on vertices 0..n-1.
 
     Adjacency is stored once, as bitmask rows (adj_bits, one int per
-    vertex).  The edge set, the ascending neighbor tuples, the twin parts,
-    the twin quotient and its characteristic polynomial, and the
-    biconnected blocks are views derived from the rows on first use.
-    Equality and hash read the rows, not the edge set.
+    vertex), and every reader walks the rows.  The twin parts, the twin
+    quotient and its characteristic polynomial, and the biconnected blocks
+    are views derived from the rows on first use; ``edges`` and
+    ``neighbors`` are read off the rows on each call.  Equality and hash
+    read the rows.
     """
 
     _fields = ("n", "edges", "labels")
@@ -56,15 +57,10 @@ class Graph(_Value):
             raise ValueError("label count does not match vertex count")
         self.__dict__.update(n=n, labels=labels, adj_bits=tuple(bits))
 
-    @cached_property
+    @property
     def edges(self) -> frozenset[tuple[int, int]]:
-        """The edges as (u, v) pairs with u < v."""
+        """The edges as (u, v) pairs with u < v, built on each call."""
         return frozenset(self.sorted_edges())
-
-    @cached_property
-    def _adj_lists(self) -> tuple[tuple[int, ...], ...]:
-        """Each vertex's ascending neighbors: the set bits of its row."""
-        return tuple(tuple(set_bits(row)) for row in self.adj_bits)
 
     @cached_property
     def twin_parts(self) -> tuple[tuple[tuple[int, ...], str], ...]:
@@ -107,21 +103,22 @@ class Graph(_Value):
 
     @cached_property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
-        """The ascending vertices of each of the :func:`biconnected_components`."""
-        return tuple(
-            tuple(sorted({v for edge in block for v in edge}))
-            for block in biconnected_components(self)
-        )
+        """The :func:`biconnected_components`, as a tuple."""
+        return tuple(biconnected_components(self))
 
     # -- basic queries -------------------------------------------------
 
     def has_edge(self, u: int, v: int) -> bool:
-        return u != v and bool(self.adj_bits[u] >> v & 1)
+        check_vertex(self.n, u, v)
+        return bool(self.adj_bits[u] >> v & 1)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj_lists[v]
+        """The ascending neighbors of v: the set bits of its row."""
+        check_vertex(self.n, v)
+        return tuple(set_bits(self.adj_bits[v]))
 
     def degree(self, v: int) -> int:
+        check_vertex(self.n, v)
         return self.adj_bits[v].bit_count()
 
     @property
@@ -176,6 +173,13 @@ class Graph(_Value):
         return cls.from_edges(leaves + 1, ((0, i) for i in range(1, leaves + 1)))
 
 
+def check_vertex(n: int, *vertices: int) -> None:
+    """Raise unless every one of the vertices is in 0..n-1."""
+    for v in vertices:
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} out of range")
+
+
 def set_bits(row: int, start: int = 0) -> list[int]:
     """The positions of the set bits of row, from start up, ascending."""
     return [v for v, bit in enumerate(bin(row >> start)[:1:-1], start) if bit == "1"]
@@ -219,50 +223,45 @@ def twin_parts(adj_bits: Sequence[int]) -> list[tuple[list[int], str]]:
     return parts
 
 
-def biconnected_components(graph: Graph) -> list[list[tuple[int, int]]]:
-    """Edge sets of the biconnected blocks (bridges appear as single edges)."""
-    n = graph.n
-    disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
-    ptr = [0] * n
-    estack: list[tuple[int, int]] = []
-    blocks: list[list[tuple[int, int]]] = []
-    timer = 0
-    for root in range(n):
-        if disc[root] != -1:
+def biconnected_components(graph: Graph) -> list[tuple[int, ...]]:
+    """The ascending vertices of each biconnected block (a bridge is one of
+    two), as a DFS to the least unvisited neighbor closes them (Hopcroft &
+    Tarjan, CACM 16(6), 1973).  A finished vertex's low point is the least
+    discovery time of its neighbors (the parent's changes no test) and of
+    its children's low points; a child whose low point is not below its
+    parent's discovery time closes the block of the parent and the
+    vertices pushed since the child."""
+    adj = graph.adj_bits
+    disc = [0] * graph.n
+    low = [0] * graph.n
+    blocks: list[tuple[int, ...]] = []
+    visited = timer = 0
+    for root in range(graph.n):
+        if visited >> root & 1:
             continue
-        disc[root] = low[root] = timer
-        timer += 1
-        stack = [root]
-        while stack:
-            v = stack[-1]
-            nbrs = graph.neighbors(v)
-            if ptr[v] < len(nbrs):
-                w = nbrs[ptr[v]]
-                ptr[v] += 1
-                if disc[w] == -1:
-                    parent[w] = v
-                    estack.append((v, w))
-                    disc[w] = low[w] = timer
-                    timer += 1
-                    stack.append(w)
-                elif w != parent[v] and disc[w] < disc[v]:
-                    estack.append((v, w))
-                    low[v] = min(low[v], disc[w])
-            else:
-                stack.pop()
-                if stack:
-                    u = stack[-1]
-                    low[u] = min(low[u], low[v])
-                    if low[v] >= disc[u]:
-                        block = []
-                        while estack:
-                            e = estack.pop()
-                            block.append(e)
-                            if e == (u, v):
-                                break
-                        blocks.append(block)
+        visited |= 1 << root
+        disc[root] = low[root] = timer = timer + 1
+        path, pushed = [root], []  # the DFS path; vertices not yet in a block
+        while path:
+            v = path[-1]
+            fresh = adj[v] & ~visited
+            if fresh:
+                w = (fresh & -fresh).bit_length() - 1
+                visited |= 1 << w
+                disc[w] = low[w] = timer = timer + 1
+                path.append(w)
+                pushed.append(w)
+                continue
+            path.pop()
+            if path:
+                u = path[-1]
+                low[v] = min(low[v], *map(disc.__getitem__, set_bits(adj[v])))
+                low[u] = min(low[u], low[v])
+                if low[v] >= disc[u]:
+                    block = [u]
+                    while block[-1] != v:
+                        block.append(pushed.pop())
+                    blocks.append(tuple(sorted(block)))
     return blocks
 
 
@@ -291,7 +290,7 @@ def classify_gn_shape(graph: Graph) -> StructureSummary:
     pendants = frozenset(v for v in graph.vertices() if graph.degree(v) == 1)
     if len(pendants) != n // 2:
         return no_match
-    hubs = {graph.neighbors(v)[0] for v in pendants}
+    hubs = {graph.adj_bits[v].bit_length() - 1 for v in pendants}
     if len(hubs) != 1:
         return no_match
     hub = next(iter(hubs))
@@ -307,9 +306,7 @@ def classify_gn_shape(graph: Graph) -> StructureSummary:
 def induced_subgraph(graph: Graph, vertices: Iterable[int]) -> Graph:
     """Subgraph on the given vertices (re-indexed in sorted order)."""
     vs = sorted(set(vertices))
-    for v in vs:
-        if not 0 <= v < graph.n:
-            raise ValueError(f"vertex {v} out of range")
+    check_vertex(graph.n, *vs)
     index = {v: i for i, v in enumerate(vs)}
     mask = sum(1 << v for v in vs)
     edges = ((i, index[v]) for i, u in enumerate(vs) for v in set_bits(graph.adj_bits[u] & mask))

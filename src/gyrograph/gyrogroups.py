@@ -260,7 +260,7 @@ def cyclic_group(n: int) -> GyroGroup:
     if n < 1:
         raise ValueError("order must be positive")
     values = list(range(n))
-    return GyroGroup(order=n, table=[values[i:] + values[:i] for i in range(n)], identity=0)
+    return GyroGroup(order=n, table=(values[i:] + values[:i] for i in range(n)), identity=0)
 
 
 def relabel(g: GyroGroup, perm: Permutation) -> GyroGroup:
@@ -271,7 +271,7 @@ def relabel(g: GyroGroup, perm: Permutation) -> GyroGroup:
     inv = sorted(range(g.order), key=p.__getitem__)  # inv[p(a)] = a
     return GyroGroup(
         order=g.order,
-        table=[[p[t[a][b]] for b in inv] for a in inv],
+        table=([p[t[a][b]] for b in inv] for a in inv),
         identity=p[g.identity],
         labels=tuple(g.labels[a] for a in inv),
     )
@@ -478,9 +478,8 @@ def power_closure(g: GyroGroup, a: int) -> frozenset[int]:
     return frozenset(seen)
 
 
-def power_sequence(g: GyroGroup, a: int, length: int, right: bool = False) -> list[int]:
-    """[a^1, a^2, ..., a^length], left-iterated (a^(m+1) = a + a^m) by
-    default; right=True uses a^(m+1) = a^m + a instead."""
+def power_sequence(g: GyroGroup, a: int, length: int) -> list[int]:
+    """[a^1, a^2, ..., a^length], left-iterated: a^(m+1) = a + a^m."""
     _check_element(g, a)
     if length < 0:
         raise ValueError("power sequence length must be >= 0")
@@ -488,7 +487,7 @@ def power_sequence(g: GyroGroup, a: int, length: int, right: bool = False) -> li
     acc = a
     for _ in range(length):
         out.append(acc)
-        acc = g.table[acc][a] if right else g.table[a][acc]
+        acc = g.table[a][acc]
     return out
 
 

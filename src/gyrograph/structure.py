@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .errors import BoundExceededError
 from .distances import distance_matrix
-from .graphs import Graph, reachable
+from .graphs import Graph, reachable, set_bits
 from .gyrogroups import GyroGroup, Permutation, power_closure
 
 #: Default cap on edges x vertices for the Kuratowski edge deletion (one
@@ -106,9 +106,8 @@ def _embed_block(graph: Graph, block: tuple[int, ...]) -> list[list[int]] | None
     ne = sum((graph.adj_bits[v] & mask).bit_count() for v in block) // 2
     if ne > 3 * nv - 6:
         return None
-    inside = set(block)
-    adj = {v: [w for w in graph.neighbors(v) if w in inside] for v in block}
-    edges = {(u, v) for u in block for v in adj[u] if u < v}
+    adj = {v: set_bits(graph.adj_bits[v] & mask) for v in block}
+    edges = {(u, v) for u in block for v in set_bits(graph.adj_bits[u] & mask, u + 1)}
 
     cycle = _find_cycle(adj)
     faces: list[list[int]] = [cycle, list(reversed(cycle))]
@@ -299,7 +298,7 @@ def trace_faces(
         {u: rot[(k + 1) % len(rot)] for k, u in enumerate(rot)} if rot else {}
         for rot in rotation
     ]
-    remaining = {(u, v) for u in graph.vertices() for v in graph.neighbors(u)}
+    remaining = {(u, v) for u, row in enumerate(graph.adj_bits) for v in set_bits(row)}
     faces = []
     while remaining:
         dart = min(remaining)
@@ -323,14 +322,11 @@ def check_embedding(graph: Graph, rotation: tuple[tuple[int, ...], ...]) -> bool
     if len(rotation) != graph.n:
         return False
     for v in graph.vertices():
-        if sorted(rotation[v]) != list(graph.neighbors(v)):
+        if sorted(rotation[v]) != set_bits(graph.adj_bits[v]):
             return False
     faces = trace_faces(graph, rotation)
     comps = graph.connected_components()
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
+    comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
     face_count = [0] * len(comps)
     for orbit in faces:
         face_count[comp_of[orbit[0][0]]] += 1
@@ -367,8 +363,8 @@ def _extract_kuratowski(graph: Graph, work_bound: int) -> tuple[frozenset[tuple[
             f"Kuratowski extraction refused: non-planar with no 5-clique, and "
             f"{refusal}"
         )
-    current = set(graph.edges)
-    for e in sorted(graph.edges):
+    current = set(graph.sorted_edges())
+    for e in sorted(current):
         trial = current - {e}
         if _planar_rotation(Graph.from_edges(graph.n, trial)) is None:
             current = trial
@@ -540,12 +536,11 @@ def is_hamiltonian(
         free = full & ~visited
         if reachable(adj_bits, v, free) & free != free:
             return False
-        for w in graph.neighbors(v):
-            if not visited >> w & 1:
-                path.append(w)
-                if extend(w, visited | 1 << w):
-                    return True
-                path.pop()
+        for w in set_bits(adj_bits[v] & free):
+            path.append(w)
+            if extend(w, visited | 1 << w):
+                return True
+            path.pop()
         return False
 
     if extend(0, 1):
@@ -631,7 +626,7 @@ def _vertex_signatures(graph: Graph) -> list[tuple]:
     dm = distance_matrix(graph)
     sigs = []
     for v in graph.vertices():
-        nd = tuple(sorted(graph.degree(w) for w in graph.neighbors(v)))
+        nd = tuple(sorted(graph.degree(w) for w in set_bits(graph.adj_bits[v])))
         dp = tuple(sorted(dm.counts[v].items()))
         sigs.append((graph.degree(v), nd, dp))
     return sigs

@@ -222,14 +222,15 @@ def _bounded(entries: list[ReportEntry], claims: list[tuple[str, str]], search, 
 
 
 def _power_associative(table, powers) -> bool:
-    """True iff a^i + a^j = a^(i+j) for every row (a^1, ..., a^N) of
-    powers and all i, j >= 1 with i + j <= N (both nested sequences of
-    element indices, the rows left-iterated: a^(k+1) = a + a^k).  Row
-    a^i of the table gathered over the powers must start with
-    (a^(i+1), ..., a^N); once a power repeats, the sequence cycles and
-    each later check repeats an earlier one on a shorter slice."""
+    """True iff a^i + a^j = a^(i+j) for every sequence (a^1, ..., a^N) of
+    powers and all i, j >= 1 with i + j <= N (the sequences left-iterated,
+    a^(k+1) = a + a^k, and read one at a time).  Row a^i of the table
+    gathered over the powers must start with (a^(i+1), ..., a^N); once a
+    power repeats, the sequence cycles and each later check repeats an
+    earlier one on a shorter slice."""
     table = table_rows(table)
-    for seq in table_rows(powers):
+    as_row = type(table[0])  # bytes or tuple, the form table_rows chose
+    for seq in map(as_row, powers):
         over_powers = gatherer(seq)
         seen = set()
         for i, x in enumerate(seq[:-1], 1):
@@ -271,11 +272,12 @@ def verify_gn(n: int) -> list[ReportEntry]:
         )
     )
 
-    # Power conventions and empirical power associativity.
-    powers = [power_sequence(g, a, big) for a in g.elements()]
+    # Power conventions and empirical power associativity.  Right-iterated
+    # powers (a^(m+1) = a^m + a) agree with the left-iterated ones up to 2^n
+    # iff a + x = x + a for x = a^1..a^(2^n - 1), by induction on m.
+    t = g.table
     left_right_agree = all(
-        seq == power_sequence(g, a, big, right=True)
-        for a, seq in zip(g.elements(), powers)
+        t[a][x] == t[x][a] for a in g.elements() for x in set(power_sequence(g, a, big - 1))
     )
     entries.append(
         _entry(
@@ -286,7 +288,7 @@ def verify_gn(n: int) -> list[ReportEntry]:
             left_right_agree,
         )
     )
-    pa = _power_associative(g.table, powers)
+    pa = _power_associative(t, (power_sequence(g, a, big) for a in g.elements()))
     entries.append(
         _entry(
             f"power-associativity[{tag}]",

@@ -453,16 +453,27 @@ def test_distance_matrix_matches_bfs_from_every_vertex(graph):
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_distance_matrix_runs_one_bfs_per_twin_part(monkeypatch, n):
     # P(G(n)) has three twin parts (identity, the rest of the clique, the
-    # pendants); each BFS on the connected graph lists every vertex's
-    # neighbors once.
+    # pendants): _by_twin_parts runs its row function three times, and each
+    # BFS on the connected graph reads every vertex's row once.
     graph = power_graph(build_gn(n))
-    calls = []
-    neighbors = Graph.neighbors
-    monkeypatch.setattr(
-        Graph, "neighbors", lambda self, v: calls.append(v) or neighbors(self, v)
-    )
+    graph.twin_parts  # built before the rows are watched
+    reads, roots = [], []
+
+    class WatchedRows(tuple):
+        def __getitem__(self, v):
+            reads.append(v)
+            return tuple.__getitem__(self, v)
+
+    by_twin_parts = distances._by_twin_parts
+
+    def watched(graph, kind, row_from):
+        return by_twin_parts(graph, kind, lambda r: roots.append(r) or row_from(r))
+
+    monkeypatch.setattr(distances, "_by_twin_parts", watched)
+    graph.__dict__["adj_bits"] = WatchedRows(graph.adj_bits)
     dm = distance_matrix(graph)
-    assert len(calls) == 3 * graph.n
+    assert roots == [0, 1, 2 ** (n - 1)]
+    assert Counter(reads) == {v: 3 for v in range(graph.n)}
     monkeypatch.undo()
     assert expand(dm) == bfs_distance_matrix(graph)
 

@@ -9,7 +9,7 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_verification import count_calls, record_builds
+from test_verification import count_calls
 
 from gyrograph import (
     Graph,
@@ -153,10 +153,23 @@ def test_induced_subgraph_rejects_bad_vertex():
         induced_subgraph(Graph.complete(3), {0, 5})
 
 
+@contextlib.contextmanager
+def edge_and_neighbor_reads():
+    """Record every read of Graph.edges and call of Graph.neighbors, the two
+    readers that build a copy of the rows, as (name, graph order)."""
+    reads = []
+    edges, neighbors = Graph.edges, Graph.neighbors
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Graph, "edges", property(lambda g: reads.append(("edges", g.n)) or edges.fget(g)))
+        mp.setattr(Graph, "neighbors", lambda g, v: reads.append(("neighbors", g.n)) or neighbors(g, v))
+        yield reads
+
+
 def test_induced_subgraph_of_a_large_power_graph_reads_only_the_rows():
     graph = power_graph(build_gn(8))
-    sub = induced_subgraph(graph, [0, 5, 130, 200])
-    assert "edges" not in vars(graph)
+    with edge_and_neighbor_reads() as reads:
+        sub = induced_subgraph(graph, [0, 5, 130, 200])
+    assert reads == []
     assert sub == Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)], sub.labels)
 
 
@@ -308,12 +321,13 @@ def test_equality_and_hash_read_the_rows(case, data):
     n, edges = case
     shuffled = data.draw(st.permutations([(v, u) for u, v in edges] + edges))
     graph, twin = Graph.from_edges(n, edges), Graph.from_edges(n, shuffled)
-    assert graph == twin and hash(graph) == hash(twin)
     dropped = data.draw(st.sets(st.sampled_from(edges))) if edges else set()
     kept = [e for e in edges if e not in dropped]
     same = nx.utils.graphs_equal(nx_graph(n, edges), nx_graph(n, kept))
-    assert (graph == Graph.from_edges(n, kept)) == same
-    assert all("edges" not in vars(g) for g in (graph, twin))
+    with edge_and_neighbor_reads() as reads:
+        assert graph == twin and hash(graph) == hash(twin)
+        assert (graph == Graph.from_edges(n, kept)) == same
+    assert reads == []
 
 
 @settings(max_examples=100, deadline=None)
@@ -322,8 +336,9 @@ def test_induced_subgraph_matches_networkx_and_reads_only_the_rows(case, data):
     n, edges = case
     vertices = data.draw(st.lists(st.integers(0, n - 1), max_size=n + 2)) if n else []
     graph = Graph.from_edges(n, edges)
-    sub = induced_subgraph(graph, vertices)
-    assert "edges" not in vars(graph)
+    with edge_and_neighbor_reads() as reads:
+        sub = induced_subgraph(graph, vertices)
+    assert reads == []
     kept = sorted(set(vertices))
     index = {v: i for i, v in enumerate(kept)}
     expected = nx.relabel_nodes(nx_graph(n, edges).subgraph(kept), index)
@@ -332,10 +347,11 @@ def test_induced_subgraph_matches_networkx_and_reads_only_the_rows(case, data):
 
 
 def test_equality_of_large_power_graphs_reads_only_the_rows():
-    a, b = power_graph(build_gn(8)), power_graph(build_gn(8))
-    assert a == b and hash(a) == hash(b)
-    assert a != power_graph(cyclic_group(256))
-    assert "edges" not in vars(a) and "edges" not in vars(b)
+    a, b, z = power_graph(build_gn(8)), power_graph(build_gn(8)), power_graph(cyclic_group(256))
+    with edge_and_neighbor_reads() as reads:
+        assert a == b and hash(a) == hash(b)
+        assert a != z
+    assert reads == []
 
 
 @settings(max_examples=100, deadline=None)
@@ -346,10 +362,16 @@ def test_sorted_edges_is_the_sorted_edge_set(case):
 
 
 def test_views_are_built_once_per_graph():
+    # The structural views are cached; the edge set and the neighbor
+    # tuples are read off the rows on each call and never kept.
     graph = power_graph(build_gn(4))
-    for name in ("edges", "twin_parts", "blocks"):
+    for name in ("twin_parts", "blocks", "twin_quotient"):
         assert getattr(graph, name) is getattr(graph, name)
-    assert graph.neighbors(3) is graph.neighbors(3)
+    assert graph.edges == graph.edges and graph.neighbors(3) == graph.neighbors(3)
+    assert graph.neighbors(3) == (0, 1, 2, 4, 5, 6, 7)
+    assert "edges" not in vars(graph) and set(vars(graph)) == {
+        "n", "labels", "adj_bits", "twin_parts", "blocks", "twin_quotient"
+    }
     assert graph.twin_parts == (
         ((0,), "untwinned"),
         (tuple(range(1, 8)), "adjacent"),
@@ -359,10 +381,10 @@ def test_views_are_built_once_per_graph():
 
 @pytest.mark.parametrize("layer", [is_planar, detour_matrix, distance_matrix])
 def test_layers_walk_the_rows_without_copying_them(layer):
-    # On a fresh P(G(10)) (a 512-clique, 131 328 edges) the block search,
+    # On a fresh P(G(11)) (a 1024-clique, 524 800 edges) the block search,
     # the BFS and the face insertion read the bitmask rows; a neighbor tuple
     # per vertex or an edge per stack entry would take well over 5 MiB.
-    graph = power_graph(build_gn(10))
+    graph = power_graph(build_gn(11))
     tracemalloc.start()
     try:
         layer(graph)
@@ -404,12 +426,12 @@ def test_each_graph_builds_its_twin_parts_and_blocks_once(monkeypatch, run):
 
 
 @RUNS
-def test_no_graph_builds_its_edge_set(monkeypatch, run):
-    # Every reader takes the rows or the neighbor tuples, and the closure's
-    # fixed-point test is `closure is graph`.
-    builds = record_builds(monkeypatch, "edges", cls=Graph, key=lambda graph: graph.n)
-    run()
-    assert builds == []
+def test_no_graph_builds_its_edge_set(run):
+    # Every reader takes the rows, neither the edge set nor a neighbor
+    # tuple, and the closure's fixed-point test is `closure is graph`.
+    with edge_and_neighbor_reads() as reads:
+        run()
+    assert reads == []
 
 
 def test_verify_gn_builds_the_power_graph_and_its_pendant_part_only(monkeypatch):

@@ -30,6 +30,7 @@ from gyrograph import (
     verify_axioms,
 )
 from gyrograph.gyrogroups import MAX_COUNTEREXAMPLES, gatherer, table_rows
+from test_verification import right_powers
 
 KLEIN4 = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
 
@@ -161,6 +162,30 @@ def test_build_gn_holds_one_copy_of_the_rows():
     finally:
         tracemalloc.stop()
     assert g.order == 2048
+    assert peak <= 1.1 * kept, f"peak {peak / 2**20:.1f} MiB, table {kept / 2**20:.1f} MiB"
+
+
+def _relabel_g10():
+    g, image = build_gn(10), list(range(1024))
+    random.Random(10).shuffle(image)
+    perm = Permutation(tuple(image))
+    return lambda: relabel(g, perm)
+
+
+@pytest.mark.parametrize(
+    "setup", [lambda: lambda: cyclic_group(1024), _relabel_g10], ids=["cyclic_group", "relabel"]
+)
+def test_table_builders_hold_one_copy_of_the_rows(setup):
+    # cyclic_group and relabel hand GyroGroup a generator of rows, as
+    # build_gn does; a list of row lists would double the peak.
+    make = setup()
+    tracemalloc.start()
+    try:
+        g = make()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.order == 1024
     assert peak <= 1.1 * kept, f"peak {peak / 2**20:.1f} MiB, table {kept / 2**20:.1f} MiB"
 
 
@@ -749,7 +774,7 @@ def test_power_examples():
 
 def test_power_sequence_of_length_zero_is_empty_and_bad_arguments_raise():
     g = build_gn(3)
-    assert power_sequence(g, 1, 0) == power_sequence(g, 1, 0, right=True) == []
+    assert power_sequence(g, 1, 0) == right_powers(g, 1, 0) == []
     assert power_sequence(g, 1, 1) == [1]
     for a, length in ((1, -1), (8, 2), (-1, 2), (8, 0)):
         with pytest.raises(ValueError):
@@ -772,9 +797,7 @@ def test_power_sequence_left_vs_right_agree_on_gn():
     for n in (3, 4):
         g = build_gn(n)
         for a in g.elements():
-            assert power_sequence(g, a, g.order) == power_sequence(
-                g, a, g.order, right=True
-            )
+            assert power_sequence(g, a, g.order) == right_powers(g, a, g.order)
 
 
 def test_power_left_iteration_is_default():

@@ -94,7 +94,7 @@ def test_graph_equality_ignores_the_adjacency_stores():
     a = Graph(3, frozenset({(0, 1), (1, 2)}))
     b = Graph(3, frozenset({(2, 1), (1, 0)}))  # normalised to the same edges
     assert a == b and hash(a) == hash(b)
-    a.__dict__["_adj_lists"] = ()
+    a.__dict__.update(twin_parts=(), blocks=())  # cached views, not values
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     assert Graph(3, frozenset({(0, 1)})) != Graph(3, frozenset({(0, 2)}))
     assert Graph(2, frozenset(), ("a", "b")) != Graph(2, frozenset())
@@ -129,6 +129,14 @@ def test_distance_matrix_caches_is_finite_without_changing_equality():
         (lambda: Graph(2, frozenset({(0, 2)})), r"edge \(0,2\) out of range"),
         (lambda: Graph(2, frozenset({(1, 1)})), "self-loop at 1"),
         (lambda: Graph(2, frozenset(), ("a",)), "label count does not match vertex count"),
+        # A negative vertex used to wrap to the last row.
+        (lambda: Graph.path(4).has_edge(-1, 2), "vertex -1 out of range"),
+        (lambda: Graph.path(4).has_edge(2, -1), "vertex -1 out of range"),
+        (lambda: Graph.path(4).has_edge(0, 4), "vertex 4 out of range"),
+        (lambda: Graph.path(4).degree(-1), "vertex -1 out of range"),
+        (lambda: Graph.path(4).neighbors(-1), "vertex -1 out of range"),
+        (lambda: distance_matrix(Graph.path(4))[-1, 0], "vertex -1 out of range"),
+        (lambda: distance_matrix(Graph.path(4))[0, 4], "vertex 4 out of range"),
         (lambda: IntPolynomial({1.5: 2}), "polynomial exponents and coefficients must be integers"),
         (lambda: IntPolynomial({0: 1.7}), "polynomial exponents and coefficients must be integers"),
         (lambda: IntPolynomial({"2": 3}), "polynomial exponents and coefficients must be integers"),

@@ -163,6 +163,51 @@ def test_report_reaches_n8_with_every_entry_computed():
     assert elapsed < 20.0, f"took {elapsed:.1f} s"
 
 
+def right_powers(g, a, length):
+    """[a^1, ..., a^length], right-iterated: a^(m+1) = a^m + a."""
+    out, acc = [], a
+    for _ in range(length):
+        out.append(acc)
+        acc = g.op(acc, a)
+    return out
+
+
+def conventions_corrupted(g, rng):
+    """A copy of g with one entry off the identity row changed: either
+    x + a for a power x of a, which the right-iterated powers of a read,
+    or a random entry."""
+    rows = [list(r) for r in g.table]
+    a = rng.randrange(1, g.order)
+    if rng.random() < 0.7:
+        powers = [x for x in power_sequence(g, a, g.order - 1) if x != g.identity]
+        x, b = rng.choice(powers), a
+    else:
+        x, b = rng.randrange(1, g.order), rng.randrange(g.order)
+    rows[x][b] = (rows[x][b] + rng.randrange(1, g.order)) % g.order
+    return load_table(rows, identity_hint=g.identity)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_power_conventions_entry_compares_left_and_right_powers(monkeypatch, n):
+    # The entry checks a + x = x + a over the powers x of a; it must agree
+    # with comparing the left- and right-iterated sequences up to 2^n.
+    rng = random.Random(f"conventions:{n}")
+    g = build_gn(n)
+    graph = verification.power_graph(g)  # the graph entries stay on P(G(n))
+    monkeypatch.setattr(verification, "power_graph", lambda _: graph)
+    verdicts = []
+    for h in [g] + [conventions_corrupted(g, rng) for _ in range(12)]:
+        monkeypatch.setattr(verification, "build_gn", lambda _: h)
+        entry = next(e for e in verify_gn(n) if e.claim_id == f"power-conventions[n={n}]")
+        agree = all(
+            power_sequence(h, a, h.order) == right_powers(h, a, h.order) for a in h.elements()
+        )
+        assert entry.verdict == ("match" if agree else "mismatch")
+        assert entry.computed == ("agree" if agree else "disagree")
+        verdicts.append(agree)
+    assert verdicts[0] and not all(verdicts) and sum(verdicts) > 1
+
+
 def reference_power_associative(g):
     """The report's former loop: a^i + a^j = a^(i+j) for i + j <= order."""
     big = g.order
