@@ -335,11 +335,11 @@ def _render_invariants(data: dict) -> str:
 
 
 def _parse_range(spec: str) -> list[int]:
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        values = list(range(int(lo), int(hi) + 1))
-    else:
-        values = [int(spec)]
+    lo, dots, hi = spec.partition("..")
+    try:
+        values = list(range(int(lo), int(hi if dots else lo) + 1))
+    except ValueError:
+        values = []
     if not values or any(v < 3 for v in values):
         raise ValueError(f"range {spec!r} must contain integers >= 3")
     return values

@@ -103,8 +103,8 @@ class Graph(_Value):
 
     @cached_property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
-        """The :func:`biconnected_components`, as a tuple."""
-        return tuple(biconnected_components(self))
+        """The :func:`biconnected_components` of the rows, as a tuple."""
+        return tuple(biconnected_components(self.adj_bits))
 
     # -- basic queries -------------------------------------------------
 
@@ -223,20 +223,19 @@ def twin_parts(adj_bits: Sequence[int]) -> list[tuple[list[int], str]]:
     return parts
 
 
-def biconnected_components(graph: Graph) -> list[tuple[int, ...]]:
+def biconnected_components(adj_bits: Sequence[int]) -> list[tuple[int, ...]]:
     """The ascending vertices of each biconnected block (a bridge is one of
-    two), as a DFS to the least unvisited neighbor closes them (Hopcroft &
-    Tarjan, CACM 16(6), 1973).  A finished vertex's low point is the least
-    discovery time of its neighbors (the parent's changes no test) and of
-    its children's low points; a child whose low point is not below its
-    parent's discovery time closes the block of the parent and the
-    vertices pushed since the child."""
-    adj = graph.adj_bits
-    disc = [0] * graph.n
-    low = [0] * graph.n
+    two) of the bitmask adjacency rows, as a DFS to the least unvisited
+    neighbor closes them (Hopcroft & Tarjan, CACM 16(6), 1973).  A finished
+    vertex's low point is the least discovery time of its neighbors (the
+    parent's changes no test) and of its children's low points; a child
+    whose low point is not below its parent's discovery time closes the
+    block of the parent and the vertices pushed since the child."""
+    n = len(adj_bits)
+    disc, low = [0] * n, [0] * n
     blocks: list[tuple[int, ...]] = []
     visited = timer = 0
-    for root in range(graph.n):
+    for root in range(n):
         if visited >> root & 1:
             continue
         visited |= 1 << root
@@ -244,7 +243,7 @@ def biconnected_components(graph: Graph) -> list[tuple[int, ...]]:
         path, pushed = [root], []  # the DFS path; vertices not yet in a block
         while path:
             v = path[-1]
-            fresh = adj[v] & ~visited
+            fresh = adj_bits[v] & ~visited
             if fresh:
                 w = (fresh & -fresh).bit_length() - 1
                 visited |= 1 << w
@@ -255,7 +254,7 @@ def biconnected_components(graph: Graph) -> list[tuple[int, ...]]:
             path.pop()
             if path:
                 u = path[-1]
-                low[v] = min(low[v], *map(disc.__getitem__, set_bits(adj[v])))
+                low[v] = min(low[v], *map(disc.__getitem__, set_bits(adj_bits[v])))
                 low[u] = min(low[u], low[v])
                 if low[v] >= disc[u]:
                     block = [u]

@@ -188,22 +188,25 @@ def build_gn(n: int) -> GyroGroup:
     if n < 3:
         raise ValueError(f"the G(n) family is defined for n >= 3, got n={n}")
     m = 2 ** (n - 1)
-    w = m // 2 - 1
-    w_inv = pow(w, -1, m)
-    p = list(range(m))
-    q = [w * j % m for j in range(m)]
-    # Each list twice over, so that rot(L, r) is the slice [r:r + m].
-    p2, pm2 = p * 2, [v + m for v in p] * 2
-    q2, qm2 = q * 2, [v + m for v in q] * 2
+    try:  # an order past the memory, or past a list's length, is refused
+        w = m // 2 - 1
+        w_inv = pow(w, -1, m)
+        p = list(range(m))
+        q = [w * j % m for j in range(m)]
+        # Each list twice over, so that rot(L, r) is the slice [r:r + m].
+        p2, pm2 = p * 2, [v + m for v in p] * 2
+        q2, qm2 = q * 2, [v + m for v in q] * 2
 
-    def rows() -> Iterator[list[int]]:  # one row alive at a time, as it is interned
-        for i in range(m):
-            yield p2[i:i + m] + pm2[i:i + m]
-        for r in (c * w_inv % m for c in range(m)):
-            k = (m // 2 + 1) * r % m
-            yield qm2[r:r + m] + q2[k:k + m]
+        def rows() -> Iterator[list[int]]:  # one row alive at a time, as it is interned
+            for i in range(m):
+                yield p2[i:i + m] + pm2[i:i + m]
+            for r in (c * w_inv % m for c in range(m)):
+                k = (m // 2 + 1) * r % m
+                yield qm2[r:r + m] + q2[k:k + m]
 
-    return GyroGroup(order=2 * m, table=rows(), identity=0)
+        return GyroGroup(order=2 * m, table=rows(), identity=0)
+    except (OverflowError, MemoryError):
+        raise ValueError(f"G({n}) has order 2^{n}, too large to build") from None
 
 
 def load_table(

@@ -14,17 +14,17 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BoundExceededError
 from .distances import distance_matrix
-from .graphs import Graph, reachable, set_bits
+from .graphs import Graph, biconnected_components, reachable, set_bits
 from .gyrogroups import GyroGroup, Permutation, power_closure
 
 #: Default cap on edges x vertices for the Kuratowski edge deletion (one
 #: planarity test per edge), and, past it, on the fruitless steps of the
-#: 5-clique search tried first.  On 2 CPUs K48,48 (221 184) takes 8.2 s, a
-#: 20 x 20 grid with two chords (304 800) 10 s and K64,64 (524 288) 35 s.
+#: 5-clique search tried first.  On 2 CPUs K48,48 (221 184) takes 1.3 s, a
+#: 20 x 20 grid with two chords (304 800) 11 s and K64,64 (524 288) 4 s.
 KURATOWSKI_WORK_BOUND = 250_000
 HAMILTONIAN_ORDER_BOUND = 32
 GRAPH_ISO_ORDER_BOUND = 16
@@ -63,7 +63,7 @@ def is_planar(graph: Graph, work_bound: int = KURATOWSKI_WORK_BOUND) -> Planarit
     refused; extracting a witness is, when edges x vertices exceeds
     work_bound and the 5-clique search either finds none or takes more than
     work_bound fruitless steps."""
-    rotation = _planar_rotation(graph)
+    rotation = _planar_rotation(graph.adj_bits, graph.blocks)
     if rotation is not None:
         return PlanarityResult(is_planar=True, rotation=rotation)
     edges, kind = _extract_kuratowski(graph, work_bound)
@@ -72,21 +72,21 @@ def is_planar(graph: Graph, work_bound: int = KURATOWSKI_WORK_BOUND) -> Planarit
     )
 
 
-def _planar_rotation(graph: Graph) -> tuple[tuple[int, ...], ...] | None:
-    """Rotation system for the whole graph, or None if non-planar.
+def _planar_rotation(adj: Sequence[int], blocks: Iterable) -> tuple[tuple[int, ...], ...] | None:
+    """Rotation system of the bitmask rows adj, or None if non-planar.
 
-    Each biconnected block is embedded independently; at shared vertices
-    the block rotations are concatenated, which keeps every block on a
-    contiguous arc and so preserves planarity.
+    Each of the biconnected blocks is embedded independently; at shared
+    vertices the block rotations are concatenated, which keeps every block
+    on a contiguous arc and so preserves planarity.
     """
-    rotations: list[list[int]] = [[] for _ in range(graph.n)]
-    for block in graph.blocks:
+    rotations: list[list[int]] = [[] for _ in adj]
+    for block in blocks:
         if len(block) == 2:
             u, v = block
             rotations[u].append(v)
             rotations[v].append(u)
             continue
-        faces = _embed_block(graph, block)
+        faces = _embed_block(adj, block)
         if faces is None:
             return None
         for v, cyc in _rotation_from_faces(faces).items():
@@ -94,20 +94,20 @@ def _planar_rotation(graph: Graph) -> tuple[tuple[int, ...], ...] | None:
     return tuple(tuple(r) for r in rotations)
 
 
-def _embed_block(graph: Graph, block: tuple[int, ...]) -> list[list[int]] | None:
+def _embed_block(adj_bits: Sequence[int], block: tuple[int, ...]) -> list[list[int]] | None:
     """Face-insertion embedding of one 2-connected block, given by its
-    ascending vertices: its edges are the graph's edges between them.
+    ascending vertices: its edges are the rows' edges between them.
 
     Returns the face boundaries (vertex cycles) of a planar embedding, or
     None when some fragment has no admissible face.
     """
     mask = sum(1 << v for v in block)
     nv = len(block)
-    ne = sum((graph.adj_bits[v] & mask).bit_count() for v in block) // 2
+    ne = sum((adj_bits[v] & mask).bit_count() for v in block) // 2
     if ne > 3 * nv - 6:
         return None
-    adj = {v: set_bits(graph.adj_bits[v] & mask) for v in block}
-    edges = {(u, v) for u in block for v in set_bits(graph.adj_bits[u] & mask, u + 1)}
+    adj = {v: set_bits(adj_bits[v] & mask) for v in block}
+    edges = {(u, v) for u in block for v in set_bits(adj_bits[u] & mask, u + 1)}
 
     cycle = _find_cycle(adj)
     faces: list[list[int]] = [cycle, list(reversed(cycle))]
@@ -363,12 +363,13 @@ def _extract_kuratowski(graph: Graph, work_bound: int) -> tuple[frozenset[tuple[
             f"Kuratowski extraction refused: non-planar with no 5-clique, and "
             f"{refusal}"
         )
-    current = set(graph.sorted_edges())
-    for e in sorted(current):
-        trial = current - {e}
-        if _planar_rotation(Graph.from_edges(graph.n, trial)) is None:
-            current = trial
-    witness = frozenset(current)
+    rows, kept = list(graph.adj_bits), set()
+    for u, v in graph.sorted_edges():  # delete it, unless the rest is planar
+        rows[u], rows[v] = rows[u] ^ 1 << v, rows[v] ^ 1 << u
+        if _planar_rotation(rows, biconnected_components(rows)) is not None:
+            rows[u], rows[v] = rows[u] | 1 << v, rows[v] | 1 << u
+            kept.add((u, v))
+    witness = frozenset(kept)
     kind = verify_kuratowski(graph, witness)
     return witness, kind
 

@@ -612,6 +612,36 @@ def test_verify_paper_rejects_bad_range():
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("spec", ["x", "3..x", "3..", "..4", "3..2", "3.5"])
+def test_verify_paper_names_a_malformed_range_in_one_line(capsys, spec):
+    assert cli.main(["verify-paper", "--n", spec]) == 2
+    assert capsys.readouterr().err == f"error: range {spec!r} must contain integers >= 3\n"
+
+
+TOO_LARGE_COMMANDS = (
+    ["build", "--gn", "{n}"],
+    ["invariants", "--gn", "{n}", "--hosoya"],
+    ["verify-paper", "--n", "{n}"],
+)
+
+
+@pytest.mark.parametrize("argv", TOO_LARGE_COMMANDS)
+def test_an_order_past_a_list_length_is_a_usage_error(capsys, argv):
+    # 2^69 elements overflow a list's length before anything is allocated.
+    assert cli.main([a.format(n=70) for a in argv]) == 2
+    assert capsys.readouterr() == ("", "error: G(70) has order 2^70, too large to build\n")
+
+
+@pytest.mark.parametrize("argv", TOO_LARGE_COMMANDS)
+def test_running_out_of_memory_while_building_is_a_usage_error(monkeypatch, capsys, argv):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(gyrograph.gyrogroups, "GyroGroup", out_of_memory)
+    assert cli.main([a.format(n=5) for a in argv]) == 2
+    assert capsys.readouterr() == ("", "error: G(5) has order 2^5, too large to build\n")
+
+
 # ---------------------------------------------------------------------------
 # bundled data via environment override
 # ---------------------------------------------------------------------------

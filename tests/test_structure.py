@@ -7,7 +7,7 @@ import time
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gyrograph import (
@@ -29,7 +29,7 @@ from gyrograph import (
     verify_isomorphism,
     verify_kuratowski,
 )
-from gyrograph.structure import _find_k5_clique
+from gyrograph.structure import _find_k5_clique, _planar_rotation
 
 K33 = Graph.from_edges(6, [(i, j + 3) for i in range(3) for j in range(3)])
 PETERSEN = Graph.from_edges(
@@ -155,7 +155,7 @@ def test_planarity_extraction_bound():
     with pytest.raises(BoundExceededError, match="9 edges x 6 vertices = 54 exceeds bound 53"):
         is_planar(complete_bipartite(3), work_bound=53)
     assert is_planar(complete_bipartite(3), work_bound=54).kuratowski_kind == "K33"
-    # K64,64 would take about 35 s to extract; it is refused at once.
+    # K64,64 would take about 4 s to extract; it is refused at once.
     start = time.perf_counter()
     with pytest.raises(BoundExceededError, match="4096 edges x 128 vertices = 524288"):
         is_planar(complete_bipartite(64))
@@ -220,6 +220,44 @@ def test_clique_search_counts_its_steps_against_the_bound():
     assert result.kuratowski_edges == frozenset(
         (u, v) for u in range(5) for v in range(u + 1, 5)
     )
+
+
+def reference_kuratowski_edges(graph):
+    """The former edge deletion, with a fresh Graph for every trial."""
+    current = set(graph.sorted_edges())
+    for e in sorted(current):
+        trial = Graph.from_edges(graph.n, current - {e})
+        if _planar_rotation(trial.adj_bits, trial.blocks) is None:
+            current = current - {e}
+    return frozenset(current)
+
+
+@st.composite
+def k5_free_graphs(draw):
+    """Random subgraphs of the Turan graph T(n, parts), n <= 12 and
+    parts <= 4, which has no 5-clique: non-planar ones reach the deletion."""
+    n = draw(st.integers(6, 12))
+    parts = draw(st.integers(2, 4))
+    density = draw(st.sampled_from([0.5, 0.7, 0.9]))
+    rnd = draw(st.randoms(use_true_random=False))
+    return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                if u % parts != v % parts and rnd.random() < density])
+
+
+@settings(max_examples=150, deadline=None)
+@given(k5_free_graphs())
+def test_kuratowski_deletion_matches_a_fresh_graph_per_trial(graph):
+    assume(_planar_rotation(graph.adj_bits, graph.blocks) is None)
+    result = is_planar(graph)
+    assert result.kuratowski_edges == reference_kuratowski_edges(graph)
+    assert verify_kuratowski(graph, result.kuratowski_edges) == result.kuratowski_kind
+
+
+def test_kuratowski_deletion_on_a_turan_graph_matches_a_fresh_graph_per_trial():
+    graph = turan_graph(16, 4)
+    result = is_planar(graph)
+    assert (result.kuratowski_kind, len(result.kuratowski_edges)) == ("K5", 11)
+    assert result.kuratowski_edges == reference_kuratowski_edges(graph)
 
 
 def test_verify_kuratowski_rejects_bogus_witness():

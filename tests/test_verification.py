@@ -11,12 +11,15 @@ import pytest
 
 from gyrograph import (
     Graph,
+    Permutation,
     build_gn,
     cyclic_group,
     distances,
     load_table,
     polynomials,
+    power_closure,
     power_sequence,
+    relabel,
     run_verification,
     spectral,
     verification,
@@ -233,8 +236,7 @@ def test_power_associativity_matches_the_loop(n):
         tables.append(load_table(rows, identity_hint=g.identity))
     verdicts = []
     for h in tables:
-        powers = [power_sequence(h, a, h.order) for a in h.elements()]
-        verdicts.append(_power_associative(h.table, powers))
+        verdicts.append(_power_associative(h))
         assert verdicts[-1] == reference_power_associative(h)
     assert verdicts[0] and not all(verdicts)
 
@@ -267,7 +269,7 @@ def test_power_associativity_matches_the_tensor_check(n):
     verdicts = []
     for h in tables:
         powers = [power_sequence(h, a, h.order) for a in h.elements()]
-        verdicts.append(_power_associative(h.table, powers))
+        verdicts.append(_power_associative(h))
         assert verdicts[-1] == tensor_power_associative(h.table, powers)
     assert verdicts[0] and not all(verdicts)
 
@@ -279,9 +281,197 @@ def test_power_associativity_matches_the_tensor_check_at_the_byte_boundary(k):
     rows[2][1] = k - 1  # 1^2 + 1^1 is now k - 1, not 1^3 = 1 + 1^2 = 3
     for h in (z, load_table(rows, identity_hint=0)):
         powers = [power_sequence(h, a, k) for a in h.elements()]
-        verdict = _power_associative(h.table, powers)
+        verdict = _power_associative(h)
         assert verdict == tensor_power_associative(h.table, powers)
         assert verdict == (h is z)
+
+
+def power_entries(monkeypatch, h):
+    """The power-conventions and power-associativity verdicts that
+    verify_gn(n) gives the table h, for the least n >= 3 with 2^n >= its
+    order N (the graph entries stay on P(G(n))).  Both read powers up to
+    a^N, which is a^(2^n) on G(n)."""
+    n = max(3, (h.order - 1).bit_length())
+    graph = gn_power_graph(n)
+    monkeypatch.setattr(verification, "build_gn", lambda _: h)
+    monkeypatch.setattr(verification, "power_graph", lambda _: graph)
+    verdicts = {e.claim_id: e.verdict for e in verify_gn(n)}
+    return verdicts[f"power-conventions[n={n}]"], verdicts[f"power-associativity[n={n}]"]
+
+
+@functools.lru_cache(maxsize=None)
+def gn_power_graph(n):
+    return verification.power_graph(build_gn(n))
+
+
+def assert_power_entries_match_the_oracles(monkeypatch, tables):
+    """Both power entries agree with the left/right comparison and the
+    pairwise loop on every table; return the (conventions, associativity)
+    verdicts."""
+    verdicts = []
+    for h in tables:
+        conventions, associativity = power_entries(monkeypatch, h)
+        agree = all(
+            power_sequence(h, a, h.order) == right_powers(h, a, h.order) for a in h.elements()
+        )
+        assert conventions == ("match" if agree else "mismatch")
+        assert associativity == ("match" if reference_power_associative(h) else "mismatch")
+        verdicts.append((agree, associativity == "match"))
+    return verdicts
+
+
+def relabelled_gn(n, rng):
+    perm = list(range(2**n))
+    rng.shuffle(perm)
+    return relabel(build_gn(n), Permutation(tuple(perm)))
+
+
+def long_cycle(g):
+    """The powers a^1..a^L of the first element a with the longest cycle."""
+    a = max(g.elements(), key=lambda x: len(power_closure(g, x)))
+    return power_sequence(g, a, len(power_closure(g, a)))
+
+
+def changed(g, x, y, value):
+    """A copy of g with x + y set to value."""
+    rows = [list(r) for r in g.table]
+    rows[x][y] = value
+    return load_table(rows, identity_hint=g.identity)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_power_entries_match_the_oracles_on_relabelled_gn(monkeypatch, n):
+    rng = random.Random(f"relabel:{n}")
+    tables = [relabelled_gn(n, rng) for _ in range(3)]
+    for h in tables[:3]:
+        cycle = long_cycle(h)
+        x, y = rng.choice(cycle[:-1]), rng.choice(cycle)  # cycle[-1] is the identity
+        tables.append(changed(h, x, y, rng.choice([v for v in cycle if v != h.op(x, y)])))
+    verdicts = assert_power_entries_match_the_oracles(monkeypatch, tables)
+    assert verdicts[:3] == [(True, True)] * 3
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_power_entries_match_the_oracles_inside_the_long_cycle(monkeypatch, n):
+    # One product of two powers of a generator of the cyclic half changed.
+    rng = random.Random(f"cycle:{n}")
+    g = build_gn(n)
+    cycle = long_cycle(g)
+    tables = [g]
+    for _ in range(10):
+        x, y = rng.choice(cycle[:-1]), rng.choice(cycle)
+        tables.append(changed(g, x, y, rng.choice([v for v in cycle if v != g.op(x, y)])))
+    verdicts = assert_power_entries_match_the_oracles(monkeypatch, tables)
+    assert verdicts[0] == (True, True)
+    assert not all(pa for _, pa in verdicts)
+
+
+def cyclic_monoid(index, period):
+    """The identity 0 and the powers a^1..a^(index+period-1) of a = 1, with
+    a^(index+period) = a^index: for index > 1 the powers of a are
+    rho-shaped, and row a is not a bijection."""
+    size = index + period
+
+    def power(s):
+        return s if s < size else index + (s - index) % period
+
+    rows = [list(range(size))]
+    rows += [[i] + [power(i + j) for j in range(1, size)] for i in range(1, size)]
+    return load_table(rows, identity_hint=0)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_power_entries_match_the_oracles_on_rho_shaped_powers(monkeypatch, n):
+    # In G(n), a + a^(k+1) = a^(j+1) with 1 <= j <= k < L - 1 for a generator
+    # a of the cyclic half: the powers of a run into a cycle that misses a.
+    rng = random.Random(f"rho:{n}")
+    g = build_gn(n)
+    cycle = long_cycle(g)
+    tables = []
+    for _ in range(6):
+        k = rng.randrange(1, len(cycle) - 1)
+        h = changed(g, cycle[0], cycle[k], cycle[rng.randrange(1, k + 1)])
+        assert len(power_closure(h, cycle[0])) == k + 1
+        assert cycle[0] not in power_sequence(h, cycle[0], 2 * k + 2)[k + 1 :]
+        tables.append(h)
+    # Cyclic monoids pass; one changed product in a non-identity row of each
+    # mostly fails.
+    monoids = [cyclic_monoid(n - 2 + r, p) for r in (0, 1, 2) for p in range(1, 2 * n)]
+    tables += monoids
+    for h in monoids:
+        x, y = rng.randrange(1, h.order), rng.randrange(h.order)
+        tables.append(changed(h, x, y, (h.op(x, y) + rng.randrange(1, h.order)) % h.order))
+    verdicts = assert_power_entries_match_the_oracles(monkeypatch, tables)
+    assert verdicts[6 : 6 + len(monoids)] == [(True, True)] * len(monoids)
+    assert not all(pa for _, pa in verdicts[6 + len(monoids) :])
+
+
+def padded_cyclic(period, order):
+    """Z_period on 0..period-1, padded to the given order with elements x
+    whose rows and columns are the identity's: x + v = v and u + x = x."""
+    return load_table(
+        [[(u + v) % period if max(u, v) < period else v for v in range(order)]
+         for u in range(order)],
+        identity_hint=0,
+    )
+
+
+@pytest.mark.parametrize("period", [3, 4, 5, 8])
+def test_power_entries_match_the_oracles_where_a_cycle_just_fits(monkeypatch, period):
+    # One product a^x + a^y of powers of a = 1 changed, x + y near N, in Z_L
+    # padded to N = 2L - 2 .. 2L + 1: a's own pairs read it only when
+    # x + y <= N, but a^(L-1) reads it through smaller exponents.
+    tables = []
+    for order in range(2 * period - 2, 2 * period + 2):
+        z = padded_cyclic(period, order)
+        for x in range(1, period):
+            for y in range(period):
+                if order - 1 <= x + (y or period) <= order + 2:
+                    tables.append(changed(z, x, y, (x + y + 1) % period))
+    verdicts = assert_power_entries_match_the_oracles(monkeypatch, tables)
+    assert not all(pa for _, pa in verdicts)
+
+
+def test_power_entries_match_the_oracles_on_cyclic_groups(monkeypatch):
+    # Z1..Z40 pass.  A generator's cycle is the whole group (2L > N, so it
+    # does not cover its powers); one changed product in each of Z3..Z40
+    # makes tables that mostly fail.
+    rng = random.Random("cyclic")
+    tables = [cyclic_group(k) for k in range(1, 41)]
+    for z in tables[2:40]:
+        x, y = rng.randrange(1, z.order), rng.randrange(z.order)
+        tables.append(changed(z, x, y, (z.op(x, y) + rng.randrange(1, z.order)) % z.order))
+    verdicts = assert_power_entries_match_the_oracles(monkeypatch, tables)
+    assert verdicts[:40] == [(True, True)] * 40
+    assert not all(pa for _, pa in verdicts[40:])
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_power_entries_stop_at_the_cycle(monkeypatch, n):
+    # Terms asked of power_sequence and power_closure on G(n), N = 2^n.
+    # The conventions entry asks for |<a>| of each per element, which sums
+    # to about N^2/3; power associativity asks for about 3|<a>| per cyclic
+    # subgroup it reads, one of order N/2 and N/2 of order 2.  Walking N
+    # terms per element for each entry asks for 2N^2 - N.
+    requested = []
+
+    def counted_sequence(g, a, length):
+        requested.append(length)
+        return power_sequence(g, a, length)
+
+    def counted_closure(g, a):
+        closure = power_closure(g, a)
+        requested.append(len(closure))
+        return closure
+
+    monkeypatch.setattr(verification, "power_sequence", counted_sequence)
+    monkeypatch.setattr(verification, "power_closure", counted_closure)
+    entries = verify_gn(n)
+    assert all(e.verdict != "mismatch" for e in entries)
+    assert sum(requested) <= 4**n // 2
+    requested.clear()
+    assert _power_associative(build_gn(n))
+    assert sum(requested) <= 5 * 2**n
 
 
 def test_example_entries_isolated():
