@@ -7,95 +7,87 @@ resolving polynomial, exact characteristic polynomials and the spectral
 radius, planarity and Hamiltonicity with certificates, and isomorphism
 witnesses.  Every closed-form invariant ships with a brute-force
 verification path (see `gyrograph.verification`).
+
+Each layer module is registered in `sys.modules`, and bound here, through
+`importlib.util.LazyLoader`: it is compiled and run on its first attribute
+access, so a process pays only for the layers it uses.  The names below
+are served from their home modules by `__getattr__` (PEP 562).
 """
 
-from .closed_forms import (
-    dds_detour_summary_closed_form,
-    dds_summary_closed_form,
-    detour_radius_diameter_closed_form,
-    hosoya_closed_form,
-    metric_dimension_closed_form,
-    pair_distance_counts,
-    resolving_polynomial_closed_form,
-    resolving_sequence_closed_form,
-    rs_hosoya_closed_form,
-    spectral_bounds_closed_form,
-)
-from .distances import (
-    DistanceMatrix,
-    EccentricityProfile,
-    bondy_chvatal_closure,
-    boundary_interior_center,
-    detour_matrix,
-    distance_degree_sequence,
-    distance_matrix,
-    eccentricity_profile,
-    hosoya_polynomial,
-    reciprocal_status,
-    reciprocal_status_edge_sums,
-    reciprocal_status_hosoya,
-)
-from .errors import BoundExceededError, DisconnectedGraphError
-from .graphs import (
-    Graph,
-    StructureSummary,
-    biconnected_components,
-    classify_gn_shape,
-    export,
-    induced_subgraph,
-    power_graph,
-    to_dot,
-    to_json,
-)
-from .gyrogroups import (
-    AxiomReport,
-    GyroGroup,
-    Permutation,
-    build_gn,
-    bundled_gyrogroup,
-    cyclic_group,
-    gyration,
-    gyration_symbol_grid,
-    load_table,
-    parse_cayley_csv,
-    parse_cayley_json,
-    power_closure,
-    power_sequence,
-    read_cayley_file,
-    relabel,
-    to_cayley_csv,
-    to_cayley_json,
-    verify_axioms,
-)
-from .polynomials import IntPolynomial
-from .resolving import (
-    ResolvingProfile,
-    TwinPartition,
-    is_resolving,
-    metric_dimension,
-    resolving_polynomial,
-    twin_partition,
-)
-from .spectral import (
-    SpectralSummary,
-    char_poly_exact,
-    closed_form_charpoly_gn,
-    spectral_radius,
-    verify_spectral_bounds,
-)
-from .structure import (
-    HamiltonicityResult,
-    IsomorphismWitness,
-    PlanarityResult,
-    check_embedding,
-    find_isomorphism,
-    gyro_isomorphic,
-    is_hamiltonian,
-    is_planar,
-    trace_faces,
-    verify_isomorphism,
-    verify_kuratowski,
-)
-from .verification import ReportEntry, VerificationReport, run_verification
+import importlib.util
+import sys
+
+#: home module -> the names re-exported from it
+_EXPORTS = {
+    "closed_forms": (
+        "dds_detour_summary_closed_form", "dds_summary_closed_form",
+        "detour_radius_diameter_closed_form", "hosoya_closed_form",
+        "metric_dimension_closed_form", "pair_distance_counts",
+        "resolving_polynomial_closed_form", "resolving_sequence_closed_form",
+        "rs_hosoya_closed_form", "spectral_bounds_closed_form",
+    ),
+    "distances": (
+        "DistanceMatrix", "EccentricityProfile", "bondy_chvatal_closure",
+        "boundary_interior_center", "detour_matrix", "distance_degree_sequence",
+        "distance_matrix", "eccentricity_profile", "hosoya_polynomial",
+        "reciprocal_status", "reciprocal_status_edge_sums", "reciprocal_status_hosoya",
+    ),
+    "errors": ("BoundExceededError", "DisconnectedGraphError"),
+    "graphs": (
+        "Graph", "StructureSummary", "biconnected_components", "classify_gn_shape",
+        "export", "induced_subgraph", "power_graph", "to_dot", "to_json",
+    ),
+    "gyrogroups": (
+        "AxiomReport", "GyroGroup", "Permutation", "build_gn", "bundled_gyrogroup",
+        "cyclic_group", "gyration", "gyration_symbol_grid", "load_table",
+        "parse_cayley_csv", "parse_cayley_json", "power_closure", "power_sequence",
+        "read_cayley_file", "relabel", "to_cayley_csv", "to_cayley_json",
+        "verify_axioms",
+    ),
+    "polynomials": ("IntPolynomial",),
+    "resolving": (
+        "ResolvingProfile", "TwinPartition", "is_resolving", "metric_dimension",
+        "resolving_polynomial", "twin_partition",
+    ),
+    "spectral": (
+        "SpectralSummary", "char_poly_exact", "closed_form_charpoly_gn",
+        "spectral_radius", "verify_spectral_bounds",
+    ),
+    "structure": (
+        "HamiltonicityResult", "IsomorphismWitness", "PlanarityResult",
+        "check_embedding", "find_isomorphism", "gyro_isomorphic", "is_hamiltonian",
+        "is_planar", "trace_faces", "verify_isomorphism", "verify_kuratowski",
+    ),
+    "verification": ("ReportEntry", "VerificationReport", "run_verification"),
+}
+#: re-exported name -> home module
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_HOME)
+
+
+def _register(module: str):
+    """Put gyrograph.<module> in sys.modules without running it."""
+    spec = importlib.util.find_spec(f"{__name__}.{module}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    lazy = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = lazy
+    spec.loader.exec_module(lazy)
+    return lazy
+
+
+for _module in _EXPORTS:
+    globals()[_module] = _register(_module)
+del _module
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[_HOME[name]], name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME})
+
 
 __version__ = "0.1.0"

@@ -20,31 +20,17 @@ from contextlib import nullcontext
 from itertools import chain
 from typing import Iterable
 
-from .distances import (
-    DETOUR_BLOCK_BOUND,
-    bondy_chvatal_closure,
-    boundary_interior_center,
-    detour_matrix,
-    distance_degree_sequence,
-    distance_matrix,
-    eccentricity_profile,
-    hosoya_polynomial,
-    reciprocal_status_edge_sums,
+from . import (
+    distances,
+    graphs,
+    gyrogroups,
+    polynomials,
+    resolving,
+    spectral,
+    structure,
+    verification,
 )
 from .errors import BoundExceededError
-from .graphs import classify_gn_shape, export, power_graph
-from .gyrogroups import (
-    GyroGroup,
-    build_gn,
-    cayley_json_chunks,
-    read_cayley_file,
-    verify_axioms,
-)
-from .polynomials import IntPolynomial
-from .resolving import metric_dimension, resolving_polynomial, twin_partition
-from .spectral import char_poly_exact, spectral_radius
-from .structure import is_hamiltonian, is_planar
-from .verification import VerificationReport, run_verification, verify_example_tables
 
 INVARIANT_FLAGS = (
     "distances",
@@ -116,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     inv.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
     inv.add_argument("--tol", type=_tolerance, default=1e-10)
-    inv.add_argument("--detour-bound", type=_count, default=DETOUR_BLOCK_BOUND)
+    inv.add_argument("--detour-bound", type=_count)
 
     vp = sub.add_parser("verify-paper", help="verify all closed forms against "
                         "direct computation")
@@ -150,10 +136,10 @@ def _count(text: str) -> int:
     return int(text)
 
 
-def _load_input(args: argparse.Namespace) -> GyroGroup:
+def _load_input(args: argparse.Namespace) -> gyrogroups.GyroGroup:
     if args.gn is not None:
-        return build_gn(args.gn)
-    return read_cayley_file(args.table)
+        return gyrogroups.build_gn(args.gn)
+    return gyrogroups.read_cayley_file(args.table)
 
 
 def _emit(chunks: Iterable[str], out: str | None) -> None:
@@ -168,10 +154,10 @@ def _emit(chunks: Iterable[str], out: str | None) -> None:
 
 def _cmd_build(args: argparse.Namespace) -> int:
     g = _load_input(args)
-    report = verify_axioms(g)
+    report = gyrogroups.verify_axioms(g)
     # The table is written one row at a time after the check, to stdout or
     # --out; the report goes to the other stream.
-    _emit(chain(cayley_json_chunks(g), ["\n"]), args.out)
+    _emit(chain(gyrogroups.cayley_json_chunks(g), ["\n"]), args.out)
     stream = sys.stdout if args.out else sys.stderr
     axiom_flags = ("left_identity", "left_inverse", "gyroassociativity", "left_loop",
                    "gyr_is_automorphism")
@@ -193,12 +179,12 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 def _cmd_invariants(args: argparse.Namespace) -> int:
     g = _load_input(args)
-    graph = power_graph(g)
+    graph = graphs.power_graph(g)
     named = [f for f in INVARIANT_FLAGS if getattr(args, f)]
     selected = list(INVARIANT_FLAGS) if args.all or not named else named
 
     if args.format == "dot":
-        _emit([export(graph, "dot")], args.out)
+        _emit([graphs.export(graph, "dot")], args.out)
         return 0
 
     result: dict = {
@@ -240,7 +226,7 @@ class _ShortestDistances:
 
     def __getattr__(self, name: str):
         if self.matrix is None:
-            self.matrix = distance_matrix(self.graph)
+            self.matrix = distances.distance_matrix(self.graph)
         return getattr(self.matrix, name)
 
 
@@ -248,54 +234,57 @@ def _compute_invariant(flag: str, graph, shortest, args) -> object:
     if flag == "distances":
         return _eccentricities(shortest)
     if flag == "detour":
-        return _eccentricities(detour_matrix(graph, block_bound=args.detour_bound))
+        bound = args.detour_bound
+        if bound is None:  # the library's default, read only when detour runs
+            bound = distances.DETOUR_BLOCK_BOUND
+        return _eccentricities(distances.detour_matrix(graph, block_bound=bound))
     if flag == "hosoya":
-        p = hosoya_polynomial(shortest)
+        p = distances.hosoya_polynomial(shortest)
         return {"polynomial": str(p), "coefficients": p.to_dict()}
     if flag == "rs_hosoya":
-        sums = reciprocal_status_edge_sums(shortest)
+        sums = distances.reciprocal_status_edge_sums(shortest)
         if any(s.denominator != 1 for s in sums):
             # Non-integer edge sums make no polynomial in x; report their
             # exact multiset.
             return {"edge_sums": {str(s): count for s, count in sums.items()}}
-        p = IntPolynomial({int(s): count for s, count in sums.items()})
+        p = polynomials.IntPolynomial({int(s): count for s, count in sums.items()})
         return {"polynomial": str(p), "coefficients": p.to_dict()}
     if flag == "dds":
-        dds = distance_degree_sequence(shortest)
+        dds = distances.distance_degree_sequence(shortest)
         return {
             "summary": [
                 {"tuple": list(t), "count": c} for t, c in dds.summary
             ]
         }
     if flag == "twins":
-        tp = twin_partition(graph)
+        tp = resolving.twin_partition(graph)
         return [
             {"class": sorted(cls), "kind": kind} for cls, kind in tp.classes
         ]
     if flag == "metric_dimension":
-        return metric_dimension(shortest)
+        return resolving.metric_dimension(shortest)
     if flag == "resolving":
-        profile = resolving_polynomial(shortest)
+        profile = resolving.resolving_polynomial(shortest)
         return json.loads(profile.to_json())
     if flag == "spectral":
         return {
-            "charpoly": str(char_poly_exact(graph)),
-            "spectral_radius": spectral_radius(graph),
+            "charpoly": str(spectral.char_poly_exact(graph)),
+            "spectral_radius": spectral.spectral_radius(graph),
         }
     if flag == "planarity":
-        result = is_planar(graph)
+        result = structure.is_planar(graph)
         return json.loads(result.to_json())
     if flag == "hamiltonicity":
-        ham = is_hamiltonian(graph)
+        ham = structure.is_hamiltonian(graph)
         return {
             "hamiltonian": ham.is_hamiltonian,
             "cycle": list(ham.cycle) if ham.cycle else None,
             "reason": ham.reason,
         }
     if flag == "power_graph":
-        shape = classify_gn_shape(graph)
-        closure = bondy_chvatal_closure(graph)
-        _, interior, center = boundary_interior_center(shortest)
+        shape = graphs.classify_gn_shape(graph)
+        closure = distances.bondy_chvatal_closure(graph)
+        _, interior, center = distances.boundary_interior_center(shortest)
         return {
             "edges": [list(e) for e in graph.sorted_edges()],
             "gn_shape": shape.matches_gn_shape,
@@ -307,7 +296,7 @@ def _compute_invariant(flag: str, graph, shortest, args) -> object:
 
 
 def _eccentricities(dm) -> dict:
-    prof = eccentricity_profile(dm)
+    prof = distances.eccentricity_profile(dm)
     return {
         "radius": prof.radius,
         "diameter": prof.diameter,
@@ -347,9 +336,11 @@ def _parse_range(spec: str) -> list[int]:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.examples:
-        report = VerificationReport(entries=tuple(verify_example_tables()))
+        report = verification.VerificationReport(
+            entries=tuple(verification.verify_example_tables())
+        )
     else:
-        report = run_verification(_parse_range(args.n))
+        report = verification.run_verification(_parse_range(args.n))
     text = report.to_json() + "\n" if args.format == "json" else report.render_text()
     _emit([text], args.out)
     return 1 if report.has_mismatch else 0

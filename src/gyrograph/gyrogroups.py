@@ -13,7 +13,6 @@ labels for display.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import operator
 import os
@@ -505,9 +504,19 @@ def _check_element(g: GyroGroup, a: int) -> None:
 
 
 def parse_cayley_csv(text: str) -> GyroGroup:
-    """Parse N rows of N comma-separated integers."""
-    rows = [list(map(int, record)) for record in csv.reader(io.StringIO(text)) if record]
+    """Parse N rows of N comma-separated integers.  Every distinct cell
+    text is converted once, so the rows share one int per cell text."""
+    cell = _CellInts().__getitem__
+    rows = [list(map(cell, record)) for record in csv.reader(text.splitlines()) if record]
     return _from_grid(rows)
+
+
+class _CellInts(dict):
+    """Cell text -> its int, converted on first lookup."""
+
+    def __missing__(self, text: str) -> int:
+        value = self[text] = int(text)
+        return value
 
 
 def parse_cayley_json(text: str) -> GyroGroup:

@@ -27,6 +27,7 @@ from gyrograph import (
     reciprocal_status_edge_sums,
     relabel,
     resolving,
+    structure,
     to_cayley_csv,
     to_cayley_json,
     verification,
@@ -325,25 +326,34 @@ def test_no_subcommand_imports_numpy(tmp_path):
     # The axiom check, power associativity and the spectral layer are plain
     # Python; numpy is a test dependency only.  The records are NamedTuples
     # and the value types plain classes, so neither dataclasses nor the
-    # inspect module it pulls in is paid for by any process.
+    # inspect module it pulls in is paid for by any process.  Each layer
+    # runs on first use (until then its registered module is not a plain
+    # module): `build` runs no graph layer, so fractions is never imported,
+    # and `invariants` runs neither the report nor the closed forms.
     g = build_gn(4)
     rows = [list(r) for r in g.table]
     valid, bad = tmp_path / "g4.csv", tmp_path / "g4bad.csv"
     valid.write_text(to_cayley_csv(g))
     rows[5][9] = (rows[5][9] + 1) % 16
     bad.write_text("\n".join(",".join(map(str, r)) for r in rows) + "\n")
+    report = ["gyrograph.verification", "gyrograph.closed_forms"]
+    graph_layers = [
+        f"gyrograph.{m}"
+        for m in ("graphs", "polynomials", "distances", "resolving", "spectral", "structure")
+    ]
+    not_in_build = ["fractions", *graph_layers, *report]
     commands = [
-        (["build", "--table", str(valid)], 0),
-        (["build", "--table", str(bad)], 1),
-        (["verify-paper", "--n", "3..4"], 1),
-        (["invariants", "--gn", "5", "--all", "--format", "json"], 0),
+        (["build", "--table", str(valid)], 0, not_in_build),
+        (["build", "--table", str(bad)], 1, not_in_build),
+        (["invariants", "--gn", "5", "--all", "--format", "json"], 0, report),
+        (["verify-paper", "--n", "3..4"], 1, []),
     ]
     r = run_python(
-        "import sys, gyrograph.cli\n"
-        f"for argv, rc in {commands!r}:\n"
+        "import sys, types, gyrograph.cli\n"
+        f"for argv, rc, unrun in {commands!r}:\n"
         "    assert gyrograph.cli.main(argv) == rc, argv\n"
-        "    for name in ('numpy', 'dataclasses', 'inspect'):\n"
-        "        assert name not in sys.modules, (argv, name)\n"
+        "    for name in ('numpy', 'dataclasses', 'inspect', *unrun):\n"
+        "        assert type(sys.modules.get(name)) is not types.ModuleType, (argv, name)\n"
     )
     assert r.returncode == 0, r.stderr
 
@@ -460,7 +470,7 @@ def refuse(*args, **kwargs):
 
 
 def test_refusal_of_an_implied_flag_is_skipped(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "is_planar", refuse)
+    monkeypatch.setattr(structure, "is_planar", refuse)
     assert cli.main(["invariants", "--gn", "3", "--all", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["planarity"] == {"skipped": "search refused: order 8 exceeds bound 4"}
@@ -469,7 +479,7 @@ def test_refusal_of_an_implied_flag_is_skipped(monkeypatch, capsys):
 
 @pytest.mark.parametrize("flags", [["--planarity"], ["--all", "--planarity"]])
 def test_refusal_of_a_named_flag_exits_3(monkeypatch, capsys, flags):
-    monkeypatch.setattr(cli, "is_planar", refuse)
+    monkeypatch.setattr(structure, "is_planar", refuse)
     assert cli.main(["invariants", "--gn", "3", *flags]) == 3
     out, err = capsys.readouterr()
     assert out == ""
@@ -477,7 +487,7 @@ def test_refusal_of_a_named_flag_exits_3(monkeypatch, capsys, flags):
 
 
 def test_metric_dimension_searches_when_resolving_was_skipped(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "resolving_polynomial", refuse)
+    monkeypatch.setattr(resolving, "resolving_polynomial", refuse)
     assert cli.main(["invariants", "--gn", "3", "--all", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert "skipped" in data["resolving"]

@@ -118,6 +118,9 @@ def test_relabeled_external_table_round_trips():
     assert g.order == 2
     assert g.labels == ("10", "20")
     assert g.op(1, 1) == 0
+    # CRLF line ends, blank lines and quoted cells read the same.
+    crlf = parse_cayley_csv('\r\n"10",20\r\n\r\n20,"10"\r\n\r\n')
+    assert (crlf.table, crlf.labels) == (g.table, g.labels)
 
 
 def test_csv_json_round_trip():
