@@ -9,9 +9,10 @@ from gyrograph import (
     bundled_gyrogroup,
     classify_gn_shape,
     cyclic_group,
-    export,
     induced_subgraph,
     power_graph,
+    to_dot,
+    to_json,
 )
 
 graph = power_graph(build_gn(3))
@@ -41,6 +42,6 @@ print("identity+pendants degrees:", sorted(star.degree(v) for v in star.vertices
 print("\nk1 power graph:", classify_gn_shape(power_graph(bundled_gyrogroup("k1"))))
 
 print("\nDOT output:\n")
-print(export(graph, "dot"))
+print(to_dot(graph))
 print("JSON output:\n")
-print(export(graph, "json"))
+print(to_json(graph))

@@ -35,7 +35,7 @@ _EXPORTS = {
     "errors": ("BoundExceededError", "DisconnectedGraphError"),
     "graphs": (
         "Graph", "StructureSummary", "biconnected_components", "classify_gn_shape",
-        "export", "induced_subgraph", "power_graph", "to_dot", "to_json",
+        "induced_subgraph", "power_graph", "to_dot", "to_json",
     ),
     "gyrogroups": (
         "AxiomReport", "GyroGroup", "Permutation", "build_gn", "bundled_gyrogroup",

@@ -142,6 +142,11 @@ def _load_input(args: argparse.Namespace) -> gyrogroups.GyroGroup:
     return gyrogroups.read_cayley_file(args.table)
 
 
+def _encode(payload: dict) -> str:
+    """The one JSON encoding of a command's payload."""
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
 def _emit(chunks: Iterable[str], out: str | None) -> None:
     with open(out, "w", encoding="utf-8") if out else nullcontext(sys.stdout) as fh:
         fh.writelines(chunks)
@@ -184,7 +189,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     selected = list(INVARIANT_FLAGS) if args.all or not named else named
 
     if args.format == "dot":
-        _emit([graphs.export(graph, "dot")], args.out)
+        _emit([graphs.to_dot(graph)], args.out)
         return 0
 
     result: dict = {
@@ -206,13 +211,12 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
                 raise
             result[flag] = {"skipped": str(exc)}
 
-    payload = json.dumps(result, sort_keys=True, indent=2, default=str) + "\n"
     if args.format == "json":
-        _emit([payload], args.out)
+        _emit([_encode(result)], args.out)
     elif args.format == "text":
-        _emit([_render_invariants(json.loads(payload))], args.out)
-    else:  # both: the JSON contract plus the table derived from it
-        _emit([payload, "\n", _render_invariants(json.loads(payload))], args.out)
+        _emit([_render_invariants(result)], args.out)
+    else:  # both: the JSON contract plus the table read from the same dict
+        _emit([_encode(result), "\n", _render_invariants(result)], args.out)
     return 0
 
 
@@ -264,16 +268,14 @@ def _compute_invariant(flag: str, graph, shortest, args) -> object:
     if flag == "metric_dimension":
         return resolving.metric_dimension(shortest)
     if flag == "resolving":
-        profile = resolving.resolving_polynomial(shortest)
-        return json.loads(profile.to_json())
+        return resolving.resolving_polynomial(shortest).to_dict()
     if flag == "spectral":
         return {
             "charpoly": str(spectral.char_poly_exact(graph)),
             "spectral_radius": spectral.spectral_radius(graph),
         }
     if flag == "planarity":
-        result = structure.is_planar(graph)
-        return json.loads(result.to_json())
+        return structure.is_planar(graph).to_dict()
     if flag == "hamiltonicity":
         ham = structure.is_hamiltonian(graph)
         return {
@@ -305,11 +307,13 @@ def _eccentricities(dm) -> dict:
 
 
 def _render_invariants(data: dict) -> str:
-    """Human-readable rendering derived from the JSON payload."""
+    """Human-readable rendering of the payload dict: a polynomial string
+    where the value carries one, a scalar as is, anything else as compact
+    JSON."""
     lines = [f"order: {data['order']}", f"edges: {data['edges']}"]
     for key in sorted(k for k in data if k not in ("order", "edges")):
         value = data[key]
-        if isinstance(value, dict) and "polynomial" in value:
+        if isinstance(value, dict) and isinstance(value.get("polynomial"), str):
             lines.append(f"{key}: {value['polynomial']}")
         elif isinstance(value, (int, float, str)):
             lines.append(f"{key}: {value}")
@@ -341,7 +345,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
     else:
         report = verification.run_verification(_parse_range(args.n))
-    text = report.to_json() + "\n" if args.format == "json" else report.render_text()
+    text = _encode(report.to_dict()) if args.format == "json" else report.render_text()
     _emit([text], args.out)
     return 1 if report.has_mismatch else 0
 

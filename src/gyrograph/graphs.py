@@ -334,12 +334,3 @@ def to_json(graph: Graph) -> str:
         "edges": [[u, v] for u, v in graph.sorted_edges()],
     }
     return json.dumps(payload, sort_keys=True)
-
-
-def export(graph: Graph, fmt: str) -> str:
-    """Deterministic serialization; fmt is 'dot' or 'json'."""
-    if fmt == "dot":
-        return to_dot(graph)
-    if fmt == "json":
-        return to_json(graph)
-    raise ValueError(f"unknown export format {fmt!r}")

@@ -17,7 +17,6 @@ holds the graph's twin parts and the distances between them.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from itertools import combinations, dropwhile
 from math import comb, prod
@@ -49,16 +48,13 @@ class ResolvingProfile(NamedTuple):
     polynomial: IntPolynomial
     witness_basis: tuple[int, ...]
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "psi": self.metric_dimension,
-                "sequence": list(self.resolving_sequence),
-                "polynomial": self.polynomial.to_dict(),
-                "witness_basis": list(self.witness_basis),
-            },
-            sort_keys=True,
-        )
+    def to_dict(self) -> dict:
+        return {
+            "psi": self.metric_dimension,
+            "sequence": list(self.resolving_sequence),
+            "polynomial": self.polynomial.to_dict(),
+            "witness_basis": list(self.witness_basis),
+        }
 
 
 def twin_partition(graph: Graph) -> TwinPartition:

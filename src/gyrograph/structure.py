@@ -12,7 +12,6 @@ terminates in a bare subdivision).
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -42,19 +41,17 @@ class PlanarityResult(NamedTuple):
     kuratowski_edges: frozenset[tuple[int, int]] | None = None
     kuratowski_kind: str | None = None  # "K5" | "K33"
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
         if self.is_planar:
-            payload = {
+            return {
                 "planar": True,
                 "rotation": [list(r) for r in self.rotation or ()],
             }
-        else:
-            payload = {
-                "planar": False,
-                "kind": self.kuratowski_kind,
-                "edges": sorted(list(e) for e in self.kuratowski_edges or ()),
-            }
-        return json.dumps(payload, sort_keys=True)
+        return {
+            "planar": False,
+            "kind": self.kuratowski_kind,
+            "edges": sorted(list(e) for e in self.kuratowski_edges or ()),
+        }
 
 
 def is_planar(graph: Graph, work_bound: int = KURATOWSKI_WORK_BOUND) -> PlanarityResult:
@@ -557,9 +554,6 @@ def is_hamiltonian(
 class IsomorphismWitness(NamedTuple):
     map: Permutation
     valid: bool
-
-    def to_json(self) -> str:
-        return json.dumps({"map": list(self.map.map), "valid": self.valid})
 
 
 def verify_isomorphism(

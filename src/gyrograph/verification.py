@@ -13,7 +13,6 @@ refusal and is never counted as a failure).
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
 from . import closed_forms as cf
@@ -154,31 +153,24 @@ class VerificationReport(NamedTuple):
     def has_mismatch(self) -> bool:
         return any(e.verdict == "mismatch" for e in self.entries)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "entries": [e.to_dict() for e in self.entries],
-                "summary": self.summary,
-            },
-            sort_keys=True,
-            indent=2,
-        )
+    def to_dict(self) -> dict:
+        return {
+            "entries": [e.to_dict() for e in self.entries],
+            "summary": self.summary,
+        }
 
     def render_text(self) -> str:
-        """Human-readable table, derived from the JSON payload."""
-        data = json.loads(self.to_json())
-        width = max((len(e["claim_id"]) for e in data["entries"]), default=8)
+        """Human-readable table of the entries and their summary."""
+        width = max((len(e.claim_id) for e in self.entries), default=8)
         lines = []
-        for e in data["entries"]:
-            lines.append(
-                f"[{e['verdict']:<14}] {e['claim_id']:<{width}}  {e['statement']}"
-            )
-            if e["verdict"] in ("mismatch", "typo-corrected", "skipped"):
-                lines.append(f"{'':>18}expected: {e['expected']}")
-                lines.append(f"{'':>18}computed: {e['computed']}")
-            if e["note"]:
-                lines.append(f"{'':>18}note: {e['note']}")
-        s = data["summary"]
+        for e in self.entries:
+            lines.append(f"[{e.verdict:<14}] {e.claim_id:<{width}}  {e.statement}")
+            if e.verdict in ("mismatch", "typo-corrected", "skipped"):
+                lines.append(f"{'':>18}expected: {e.expected}")
+                lines.append(f"{'':>18}computed: {e.computed}")
+            if e.note:
+                lines.append(f"{'':>18}note: {e.note}")
+        s = self.summary
         lines.append(
             f"summary: {s['match']} match, {s['mismatch']} mismatch, "
             f"{s['typo-corrected']} typo-corrected, {s['skipped']} skipped"

@@ -281,9 +281,13 @@ def test_invariants_reads_metric_dimension_from_the_resolving_profile(
     assert data["metric_dimension"] == data["resolving"]["psi"] == 5
 
 
+def invariants_output(capsys, fmt, *argv):
+    assert cli.main(["invariants", *argv, "--format", fmt]) == 0
+    return capsys.readouterr().out
+
+
 def invariants_json(capsys, *argv):
-    assert cli.main(["invariants", *argv, "--format", "json"]) == 0
-    return json.loads(capsys.readouterr().out)
+    return json.loads(invariants_output(capsys, "json", *argv))
 
 
 @pytest.mark.parametrize(
@@ -379,8 +383,8 @@ def test_cli_path_leaves_importlib_resources_unloaded(tmp_path):
 
 
 def test_invariants_payload_holds_only_json_types(monkeypatch, capsys):
-    # A NamedTuple record passed to json.dumps would be written as a list
-    # (default=str never sees it), so each invariant converts its record.
+    # A NamedTuple record passed to json.dumps would be written as a list,
+    # with no error, so each invariant converts its record.
     values = []
 
     def recording(flag, *args):
@@ -400,6 +404,38 @@ def test_invariants_payload_holds_only_json_types(monkeypatch, capsys):
     capsys.readouterr()
     assert len(values) == len(cli.INVARIANT_FLAGS) - 1  # psi read off resolving
     assert all(map(plain, values)), values
+
+
+@pytest.mark.parametrize("source", ["gn3", "z28"])
+def test_both_is_json_then_the_text_read_off_the_payload(tmp_path, capsys, source):
+    # Z28 with --all has a skipped detour (a 28-vertex block) and
+    # half-integer rs edge sums, so rs_hosoya takes its edge_sums form.
+    if source == "gn3":
+        argv = ["--gn", "3", "--all"]
+    else:
+        path = tmp_path / "z28.csv"
+        path.write_text(to_cayley_csv(cyclic_group(28)))
+        argv = ["--table", str(path), "--all"]
+    payload, text, both = (
+        invariants_output(capsys, fmt, *argv) for fmt in ("json", "text", "both")
+    )
+    assert both == payload + "\n" + text
+
+    data = json.loads(payload)
+    if source == "z28":
+        assert "skipped" in data["detour"] and "edge_sums" in data["rs_hosoya"]
+    keys = ["order", "edges", *sorted(k for k in data if k not in ("order", "edges"))]
+    expected = []
+    for key in keys:
+        value = data[key]
+        if key in ("hosoya", "rs_hosoya") and "polynomial" in value:
+            shown = value["polynomial"]
+        elif type(value) in (int, float, str):
+            shown = value
+        else:
+            shown = json.dumps(value, sort_keys=True)
+        expected.append(f"{key}: {shown}")
+    assert text.splitlines() == expected
 
 
 def test_build_gn8_peak_memory():

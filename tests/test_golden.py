@@ -40,6 +40,7 @@ COMMANDS = {
         for fmt in ("json", "both")
     },
     "invariants-z12-both": ("invariants", "--table", "{z12}", "--all"),
+    "invariants-z12-text": ("invariants", "--table", "{z12}", "--all", "--format", "text"),
     "invariants-k1-both": ("invariants", "--table", "{k1}", "--all"),
     "spectral-gn8-json": ("invariants", "--gn", "8", "--spectral", "--format", "json"),
     "power-graph-gn7-json": ("invariants", "--gn", "7", "--power-graph", "--format", "json"),
@@ -66,15 +67,16 @@ GOLDEN = {
     'verify-8-json': (1, 'fec41b6544a5d2d41100e48208c11d5549121aec0a01d87281aa1ee2a63f709c', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'verify-examples': (1, '84d38728be6b29e55822c96926eddc1508f8ba41a8fb564881c5840e0784b0bf', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'invariants-gn3-json': (0, '1c73f1b75a5ae70978cd30c77e2d00ae499622ea254c8da5dc70553be9f120ff', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'invariants-gn3-both': (0, 'b9c466ed9b77111fd8da87f504a6a2a40fc572b7be3eed20dcd515a12a7aba1a', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'invariants-gn3-both': (0, 'fae8605a40ec7ffe7b161333d97c3b43851d40fe379abeb4225ca2fe48e905d3', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'invariants-gn4-json': (0, 'a6c9853681c477d20a068f633cf107143b3758c8f50ffc31cfbc95b83911c535', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'invariants-gn4-both': (0, 'ef1a2926c4a084878724b44b67a97483063ee7e54c00cb0b89d768a9a42a16e8', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'invariants-gn4-both': (0, '8e7434b7869bb2fa896262acd6056411d1ac745c5ef02e427c3ba25191199f32', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'invariants-gn5-json': (0, 'aabeed7ffe73a052cc0b457f13b92e96bbd59f044fe89ffd802f51c9fddbf1a3', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'invariants-gn5-both': (0, 'b8c56be16a747aef79df931a705edb27ddf0cafc8fb8b6c4e14377030b75679c', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'invariants-gn5-both': (0, '3296607d5263ecc06c03e9499f4a00918f29a896efb39fd3f7f738f2ea1e5db9', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'invariants-gn6-json': (0, '110c5468675994ecf1f42762e3d3e24f84e99444b332e3e9bbdf4a3856f51092', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'invariants-gn6-both': (0, 'c310c3dd98f4091a7dde7f975c25a1390b2294a632b990da71bc3888a87304f7', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'invariants-z12-both': (0, 'eea186d642ee76faa30f1de3c8a69f4c38c67b02ccf933828a1417f6dc8d134e', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
-    'invariants-k1-both': (0, '4dfe3c680e3da057f59bf2d530909d76f522a1a57b7e3818da9d76564aa474b6', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'invariants-gn6-both': (0, '14f50a896c18e8eeabc31ca9d27c0d2f4eb2f31a69099bccf976647869d80d2d', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'invariants-z12-both': (0, '1ce092a7925a795fc5872206a37f0a2747ac1b21759c2662cd84eef545656902', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'invariants-z12-text': (0, '9b451aea086048c81596027e4fbb091fe384ee703a37dd3b46219935d819f4f7', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'invariants-k1-both': (0, '90ca40939e1eaa09f533796c78e62656dbf0b9c7cbc36217e1be6ea90fcdc8d2', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'spectral-gn8-json': (0, '16c79a1ca78cfbce356a5b6f9e677cea82f650ecb200b34f98c4722a516afe4d', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'power-graph-gn7-json': (0, 'd49bc6962f5b93c1db7f3dca51a7e5188017821ba5b7943fe37bd7acac329249', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'dot-gn4': (0, '297308fdc535b19d2b3ef7b96411793a3b454119d5eaf8ed446c99a2bd844092', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
@@ -109,8 +111,17 @@ def tables(tmp_path_factory):
 
 
 def test_every_subcommand_is_pinned():
-    subparsers = next(a for a in _build_parser()._actions if a.dest == "command")
+    parser = _build_parser()
+    subparsers = next(a for a in parser._actions if a.dest == "command")
     assert {argv[0] for argv in COMMANDS.values()} == set(subparsers.choices)
+    pinned = set()
+    for argv in COMMANDS.values():
+        args = parser.parse_args(argv)
+        pinned.add((args.command, getattr(args, "format", None)))
+    for command, sub in subparsers.choices.items():
+        for action in sub._actions:
+            if action.dest == "format":
+                assert {(command, fmt) for fmt in action.choices} <= pinned
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))

@@ -20,7 +20,6 @@ from gyrograph import (
     cyclic_group,
     detour_matrix,
     distance_matrix,
-    export,
     graphs,
     induced_subgraph,
     is_planar,
@@ -28,6 +27,8 @@ from gyrograph import (
     polynomials,
     power_graph,
     power_sequence,
+    to_dot,
+    to_json,
 )
 from gyrograph.verification import verify_gn
 
@@ -180,32 +181,27 @@ def test_induced_subgraph_of_a_large_power_graph_reads_only_the_rows():
 
 def test_export_k1_formats():
     g = Graph.complete(1)
-    dot = export(g, "dot")
+    dot = to_dot(g)
     assert "graph G" in dot and "--" not in dot
-    data = json.loads(export(g, "json"))
+    data = json.loads(to_json(g))
     assert data == {"n": 1, "labels": ["0"], "edges": []}
 
 
 def test_export_gn3_dot_has_ten_edge_lines():
-    dot = export(power_graph(build_gn(3)), "dot")
+    dot = to_dot(power_graph(build_gn(3)))
     assert sum(1 for line in dot.splitlines() if "--" in line) == 10
 
 
 def test_json_round_trip_is_identity():
     graph = power_graph(build_gn(3))
-    data = json.loads(export(graph, "json"))
+    data = json.loads(to_json(graph))
     assert Graph.from_edges(data["n"], map(tuple, data["edges"]), tuple(data["labels"])) == graph
-
-
-def test_export_rejects_unknown_format():
-    with pytest.raises(ValueError):
-        export(Graph.complete(2), "xml")
 
 
 def test_export_is_deterministic():
     graph = power_graph(build_gn(4))
-    assert export(graph, "dot") == export(graph, "dot")
-    assert export(graph, "json") == export(graph, "json")
+    assert to_dot(graph) == to_dot(graph)
+    assert to_json(graph) == to_json(graph)
 
 
 def test_graph_rejects_self_loop_and_bad_edges():

@@ -295,9 +295,7 @@ def test_sequence_top_coefficient_is_one(gn3):
 
 def test_profile_serializes():
     prof = resolving_polynomial(distance_matrix(Graph.complete(3)))
-    import json
-
-    data = json.loads(prof.to_json())
+    data = prof.to_dict()
     assert data["psi"] == 2
     assert data["sequence"] == [3, 1]
     assert data["witness_basis"] == [0, 1]

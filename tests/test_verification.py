@@ -1,7 +1,6 @@
 """Structure and invariants of the verification report."""
 
 import functools
-import json
 import random
 import sys
 import time
@@ -88,7 +87,7 @@ def test_every_lemma_area_has_an_entry(report):
 
 
 def test_json_and_text_renderings_are_consistent(report):
-    data = json.loads(report.to_json())
+    data = report.to_dict()
     assert len(data["entries"]) == len(report.entries)
     text = report.render_text()
     assert text.count("[match") == report.summary["match"]
@@ -96,8 +95,8 @@ def test_json_and_text_renderings_are_consistent(report):
 
 
 def test_report_is_deterministic():
-    a = run_verification([3]).to_json()
-    b = run_verification([3]).to_json()
+    a = run_verification([3]).to_dict()
+    b = run_verification([3]).to_dict()
     assert a == b
 
 
