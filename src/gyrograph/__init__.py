@@ -19,6 +19,7 @@ import sys
 
 #: home module -> the names re-exported from it
 _EXPORTS = {
+    "axioms": ("AxiomReport", "gyration", "gyration_symbol_grid", "verify_axioms"),
     "closed_forms": (
         "dds_detour_summary_closed_form", "dds_summary_closed_form",
         "detour_radius_diameter_closed_form", "hosoya_closed_form",
@@ -38,11 +39,13 @@ _EXPORTS = {
         "induced_subgraph", "power_graph", "to_dot", "to_json",
     ),
     "gyrogroups": (
-        "AxiomReport", "GyroGroup", "Permutation", "build_gn", "bundled_gyrogroup",
-        "cyclic_group", "gyration", "gyration_symbol_grid", "load_table",
-        "parse_cayley_csv", "parse_cayley_json", "power_closure", "power_sequence",
-        "read_cayley_file", "relabel", "to_cayley_csv", "to_cayley_json",
-        "verify_axioms",
+        "GyroGroup", "Permutation", "build_gn", "bundled_gyrogroup", "cyclic_group",
+        "load_table", "parse_cayley_csv", "parse_cayley_json", "power_closure",
+        "power_sequence", "read_cayley_file", "relabel", "to_cayley_csv",
+        "to_cayley_json",
+    ),
+    "isomorphism": (
+        "IsomorphismWitness", "find_isomorphism", "gyro_isomorphic", "verify_isomorphism",
     ),
     "polynomials": ("IntPolynomial",),
     "resolving": (
@@ -54,9 +57,8 @@ _EXPORTS = {
         "spectral_radius", "verify_spectral_bounds",
     ),
     "structure": (
-        "HamiltonicityResult", "IsomorphismWitness", "PlanarityResult",
-        "check_embedding", "find_isomorphism", "gyro_isomorphic", "is_hamiltonian",
-        "is_planar", "trace_faces", "verify_isomorphism", "verify_kuratowski",
+        "HamiltonicityResult", "PlanarityResult", "check_embedding", "is_hamiltonian",
+        "is_planar", "trace_faces", "verify_kuratowski",
     ),
     "verification": ("ReportEntry", "VerificationReport", "run_verification"),
 }

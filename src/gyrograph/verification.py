@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import closed_forms as cf
+from .axioms import gyration_symbol_grid, verify_axioms
 from .distances import (
     bondy_chvatal_closure,
     boundary_interior_center,
@@ -32,11 +33,10 @@ from .gyrogroups import (
     GyroGroup,
     build_gn,
     bundled_gyrogroup,
-    gyration_symbol_grid,
     power_closure,
     power_sequence,
-    verify_axioms,
 )
+from .isomorphism import find_isomorphism, gyro_isomorphic, verify_isomorphism
 from .polynomials import IntPolynomial
 from .resolving import resolving_polynomial
 from .spectral import (
@@ -46,11 +46,8 @@ from .spectral import (
 )
 from .structure import (
     check_embedding,
-    find_isomorphism,
-    gyro_isomorphic,
     is_hamiltonian,
     is_planar,
-    verify_isomorphism,
     verify_kuratowski,
 )
 

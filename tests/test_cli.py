@@ -331,9 +331,12 @@ def test_no_subcommand_imports_numpy(tmp_path):
     # Python; numpy is a test dependency only.  The records are NamedTuples
     # and the value types plain classes, so neither dataclasses nor the
     # inspect module it pulls in is paid for by any process.  Each layer
-    # runs on first use (until then its registered module is not a plain
-    # module): `build` runs no graph layer, so fractions is never imported,
-    # and `invariants` runs neither the report nor the closed forms.
+    # runs on first use (it is registered, and until then its module is not
+    # a plain module): `build` runs no graph layer, so fractions is never
+    # imported, and `invariants` runs neither the report nor the closed
+    # forms, nor the axiom check or the isomorphism searches.  `invariants`
+    # runs the graph layers and `build` the axiom check, so each starts a
+    # fresh interpreter.
     g = build_gn(4)
     rows = [list(r) for r in g.table]
     valid, bad = tmp_path / "g4.csv", tmp_path / "g4bad.csv"
@@ -345,21 +348,26 @@ def test_no_subcommand_imports_numpy(tmp_path):
         f"gyrograph.{m}"
         for m in ("graphs", "polynomials", "distances", "resolving", "spectral", "structure")
     ]
-    not_in_build = ["fractions", *graph_layers, *report]
-    commands = [
-        (["build", "--table", str(valid)], 0, not_in_build),
-        (["build", "--table", str(bad)], 1, not_in_build),
-        (["invariants", "--gn", "5", "--all", "--format", "json"], 0, report),
-        (["verify-paper", "--n", "3..4"], 1, []),
+    searches = ["gyrograph.axioms", "gyrograph.isomorphism"]
+    not_in_build = ["fractions", *graph_layers, *report, "gyrograph.isomorphism"]
+    interpreters = [
+        [(["invariants", "--gn", "5", "--all", "--format", "json"], 0, [*report, *searches])],
+        [
+            (["build", "--table", str(valid)], 0, not_in_build),
+            (["build", "--table", str(bad)], 1, not_in_build),
+            (["verify-paper", "--n", "3..4"], 1, []),
+        ],
     ]
-    r = run_python(
-        "import sys, types, gyrograph.cli\n"
-        f"for argv, rc, unrun in {commands!r}:\n"
-        "    assert gyrograph.cli.main(argv) == rc, argv\n"
-        "    for name in ('numpy', 'dataclasses', 'inspect', *unrun):\n"
-        "        assert type(sys.modules.get(name)) is not types.ModuleType, (argv, name)\n"
-    )
-    assert r.returncode == 0, r.stderr
+    for commands in interpreters:
+        r = run_python(
+            "import sys, types, gyrograph.cli\n"
+            f"for argv, rc, unrun in {commands!r}:\n"
+            "    assert gyrograph.cli.main(argv) == rc, argv\n"
+            "    for name in ('numpy', 'dataclasses', 'inspect', *unrun):\n"
+            "        assert type(sys.modules.get(name)) is not types.ModuleType, (argv, name)\n"
+            "        assert name in sys.modules or not name.startswith('gyrograph.'), name\n"
+        )
+        assert r.returncode == 0, r.stderr
 
 
 def test_cli_path_leaves_importlib_resources_unloaded(tmp_path):

@@ -29,7 +29,7 @@ from gyrograph import (
     to_cayley_json,
     verify_axioms,
 )
-from gyrograph.gyrogroups import MAX_COUNTEREXAMPLES, gatherer, table_rows
+from gyrograph.axioms import MAX_COUNTEREXAMPLES, gatherer, table_rows
 from test_verification import right_powers
 
 KLEIN4 = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]

@@ -33,8 +33,18 @@ to_json trace_faces twin_partition verify_axioms verify_isomorphism
 verify_kuratowski verify_spectral_bounds
 """.split()
 
-LAYERS = ("closed_forms", "distances", "errors", "graphs", "gyrogroups",
-          "polynomials", "resolving", "spectral", "structure", "verification")
+LAYERS = ("axioms", "closed_forms", "distances", "errors", "graphs", "gyrogroups",
+          "isomorphism", "polynomials", "resolving", "spectral", "structure",
+          "verification")
+
+#: Names that moved out of a layer, which that layer still serves: old home
+#: -> (new home, names).
+MOVED = {
+    "gyrogroups": ("axioms", ("AxiomReport", "gyration", "gyration_symbol_grid",
+                              "verify_axioms")),
+    "structure": ("isomorphism", ("IsomorphismWitness", "find_isomorphism",
+                                  "gyro_isomorphic", "verify_isomorphism")),
+}
 
 
 def test_all_is_the_exported_set():
@@ -74,3 +84,15 @@ def test_unknown_name_raises_attribute_error():
     assert not hasattr(gyrograph, "cli_main")
     with pytest.raises(ImportError):
         from gyrograph import no_such_name  # noqa: F401
+
+
+@pytest.mark.parametrize("old_home", MOVED)
+def test_moved_names_are_served_from_their_old_home(old_home):
+    new_home, names = MOVED[old_home]
+    old = importlib.import_module(f"gyrograph.{old_home}")
+    new = importlib.import_module(f"gyrograph.{new_home}")
+    for name in names:
+        assert getattr(old, name) is getattr(new, name) is getattr(gyrograph, name), name
+        assert getattr(new, name).__module__ == new.__name__, name
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        old.no_such_name  # noqa: B018
