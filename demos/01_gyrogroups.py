@@ -13,7 +13,7 @@ from gyrograph import (
     cyclic_group,
     gyration,
     gyration_symbol_grid,
-    power_closure,
+    powers,
     verify_axioms,
 )
 
@@ -39,7 +39,7 @@ print("gyr[0,b] is the identity for every b:",
 # collapse immediately.
 print("\npower closures:")
 for a in (1, 4, 7):
-    print(f"  <{a}> = {sorted(power_closure(g, a))}")
+    print(f"  <{a}> = {sorted(powers(g, a))}")
 
 # Four published order-8 tables ship with the package.
 print("\nbundled tables:")

@@ -40,9 +40,8 @@ _EXPORTS = {
     ),
     "gyrogroups": (
         "GyroGroup", "Permutation", "build_gn", "bundled_gyrogroup", "cyclic_group",
-        "load_table", "parse_cayley_csv", "parse_cayley_json", "power_closure",
-        "power_sequence", "read_cayley_file", "relabel", "to_cayley_csv",
-        "to_cayley_json",
+        "load_table", "parse_cayley_csv", "parse_cayley_json", "powers",
+        "read_cayley_file", "relabel", "to_cayley_csv", "to_cayley_json",
     ),
     "isomorphism": (
         "IsomorphismWitness", "find_isomorphism", "gyro_isomorphic", "verify_isomorphism",

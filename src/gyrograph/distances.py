@@ -357,7 +357,4 @@ def bondy_chvatal_closure(graph: Graph) -> Graph:
                     deg[u] += 1
                     deg[v] += 1
                     changed = True
-    if tuple(rows) == graph.adj_bits:
-        return graph
-    edges = ((u, v) for u, row in enumerate(rows) for v in range(u + 1, n) if row >> v & 1)
-    return Graph.from_edges(n, edges, labels=graph.labels)
+    return graph if tuple(rows) == graph.adj_bits else Graph._from_rows(rows, graph.labels)

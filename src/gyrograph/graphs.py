@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BoundExceededError
-from .gyrogroups import GyroGroup, _Value, power_closure
+from .gyrogroups import GyroGroup, _Value, powers
 from .polynomials import IntPolynomial, char_poly
 
 #: Largest twin-quotient dimension whose characteristic polynomial is computed.
@@ -51,11 +51,22 @@ class Graph(_Value):
                 raise ValueError(f"self-loop at {u}")
             bits[u] |= 1 << v
             bits[v] |= 1 << u
+        self._set_rows(bits, labels)
+
+    @classmethod
+    def _from_rows(cls, rows: Sequence[int], labels: tuple[str, ...]) -> "Graph":
+        """The graph on bitmask rows kept symmetric and zero on the diagonal."""
+        graph = cls.__new__(cls)
+        graph._set_rows(rows, labels)
+        return graph
+
+    def _set_rows(self, rows: Sequence[int], labels: tuple[str, ...]) -> None:
+        """Keep the rows and the labels (by default the indices)."""
         if not labels:
-            labels = tuple(str(i) for i in range(n))
-        elif len(labels) != n:
+            labels = tuple(str(i) for i in range(len(rows)))
+        elif len(labels) != len(rows):
             raise ValueError("label count does not match vertex count")
-        self.__dict__.update(n=n, labels=labels, adj_bits=tuple(bits))
+        self.__dict__.update(n=len(rows), labels=labels, adj_bits=tuple(rows))
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -274,9 +285,15 @@ class StructureSummary(NamedTuple):
 
 
 def power_graph(g: GyroGroup) -> Graph:
-    """Power graph: u ~ v iff v is in the power closure of u or vice versa."""
-    edges = ((u, v) for u in g.elements() for v in power_closure(g, u) if v != u)
-    return Graph.from_edges(g.order, edges, labels=g.labels)
+    """Power graph: u ~ v iff v is a power of u or u a power of v.  Each walk
+    u^1..u^L is ORed into row u, and bit u into the row of each power."""
+    rows = [0] * g.order
+    for u in g.elements():
+        walk, bit = powers(g, u), 1 << u
+        rows[u] |= sum(map((1).__lshift__, walk))  # the powers are distinct
+        for v in walk:
+            rows[v] |= bit
+    return Graph._from_rows([row & ~(1 << u) for u, row in enumerate(rows)], g.labels)
 
 
 def classify_gn_shape(graph: Graph) -> StructureSummary:

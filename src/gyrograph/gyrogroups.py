@@ -7,7 +7,8 @@ Groups are exactly the gyrogroups whose gyrations are all trivial.
 
 Everything here works on tables with elements canonically indexed
 0..N-1; loaders re-index externally labeled tables and keep the original
-labels for display.
+labels for display.  The power graph, the report's power entries and the
+isomorphism search all read an element's powers through :func:`powers`.
 """
 
 from __future__ import annotations
@@ -245,31 +246,15 @@ def relabel(g: GyroGroup, perm: Permutation) -> GyroGroup:
 # ---------------------------------------------------------------------------
 
 
-def power_closure(g: GyroGroup, a: int) -> frozenset[int]:
-    """{a^m : m >= 1}, computed by iterating a^(m+1) = a + a^m until the
-    sequence cycles."""
+def powers(g: GyroGroup, a: int) -> list[int]:
+    """[a^1, ..., a^L], left-iterated (a^(m+1) = a + a^m), stopping before
+    the first repeat, so a^(L+1) is already in the list.  The set of the
+    list is the power closure of a; L = |<a>| when the powers return to a."""
     _check_element(g, a)
-    seen = {a}
-    acc = a
-    for _ in range(g.order):
-        acc = g.table[a][acc]
-        if acc in seen:
-            break
-        seen.add(acc)
-    return frozenset(seen)
-
-
-def power_sequence(g: GyroGroup, a: int, length: int) -> list[int]:
-    """[a^1, a^2, ..., a^length], left-iterated: a^(m+1) = a + a^m."""
-    _check_element(g, a)
-    if length < 0:
-        raise ValueError("power sequence length must be >= 0")
-    out = []
-    acc = a
-    for _ in range(length):
-        out.append(acc)
-        acc = g.table[a][acc]
-    return out
+    row, seen, x = g.table[a], {a: None}, a  # a dict keeps the walk's order
+    while (x := row[x]) not in seen:
+        seen[x] = None
+    return list(seen)
 
 
 def _check_element(g: GyroGroup, a: int) -> None:
@@ -300,7 +285,10 @@ class _CellInts(dict):
 
 def parse_cayley_json(text: str) -> GyroGroup:
     """Parse {"order": N, "table": [[...], ...]}."""
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("the JSON table is nested too deeply") from None
     if not isinstance(data, dict):
         raise ValueError("a JSON table must be an object")
     table = data.get("table")

@@ -10,7 +10,7 @@ from typing import NamedTuple
 from .distances import distance_matrix
 from .errors import BoundExceededError
 from .graphs import Graph, set_bits
-from .gyrogroups import GyroGroup, Permutation, power_closure
+from .gyrogroups import GyroGroup, Permutation, powers
 
 GRAPH_ISO_ORDER_BOUND = 16
 GYRO_ISO_ORDER_BOUND = 10
@@ -108,8 +108,8 @@ def gyro_isomorphic(
         raise BoundExceededError(
             f"gyrogroup isomorphism refused: order {n} exceeds bound {order_bound}"
         )
-    size1 = [len(power_closure(g1, a)) for a in range(n)]
-    size2 = [len(power_closure(g2, a)) for a in range(n)]
+    size1 = [len(powers(g1, a)) for a in range(n)]
+    size2 = [len(powers(g2, a)) for a in range(n)]
     if sorted(size1) != sorted(size2):
         return None
     images: dict[int, int] = {g1.identity: g2.identity}

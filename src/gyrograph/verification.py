@@ -29,13 +29,7 @@ from .distances import (
 )
 from .errors import BoundExceededError
 from .graphs import Graph, classify_gn_shape, power_graph
-from .gyrogroups import (
-    GyroGroup,
-    build_gn,
-    bundled_gyrogroup,
-    power_closure,
-    power_sequence,
-)
+from .gyrogroups import GyroGroup, build_gn, bundled_gyrogroup, powers
 from .isomorphism import find_isomorphism, gyro_isomorphic, verify_isomorphism
 from .polynomials import IntPolynomial
 from .resolving import resolving_polynomial
@@ -210,23 +204,26 @@ def _bounded(entries: list[ReportEntry], claims: list[tuple[str, str]], search, 
 # ---------------------------------------------------------------------------
 
 
-def _power_associative(g: GyroGroup) -> bool:
+def _power_associative(g: GyroGroup, walks: list[list[int]]) -> bool:
     """True iff a^i + a^j = a^(i+j) for each a and all i, j >= 1 with
-    i + j <= N (left-iterated powers).  The powers cycle past L = |<a>|, so
-    only i, j <= L are read.  When 2L <= N those are all the pairs, and then
-    each power b = a^k has b^s = a^(ks) and passes too: it is not read again."""
+    i + j <= N, given each walk a^1..a^L = powers(g, a).  Later powers repeat
+    these, so only i, j <= L are read, the walk extended to a^min(2L, N).
+    When 2L <= N those are all the pairs, and then each power b = a^k has
+    b^s = a^(ks) and passes too: it is not read again."""
     t, big = g.table, g.order
     checked: set[int] = set()
-    for a in g.elements():
+    for a, walk in enumerate(walks):
         if a in checked:
             continue
-        cycle = len(power_closure(g, a))
-        seq = power_sequence(g, a, min(2 * cycle, big))
-        for i, x in enumerate(seq[: min(cycle, big - 1)], 1):  # x = a^i
-            if any(t[x][y] != z for y, z in zip(seq[:cycle], seq[i:])):
+        cycle = len(walk)
+        seq = list(walk)
+        while len(seq) < min(2 * cycle, big):
+            seq.append(t[a][seq[-1]])
+        for i, x in enumerate(walk[: big - 1], 1):  # x = a^i
+            if any(t[x][y] != z for y, z in zip(walk, seq[i:])):
                 return False
         if 2 * cycle <= big:
-            checked.update(seq[:cycle])
+            checked.update(walk)
     return True
 
 
@@ -264,9 +261,9 @@ def verify_gn(n: int) -> list[ReportEntry]:
     # powers (a^(m+1) = a^m + a) agree with the left-iterated ones up to 2^n
     # iff a + x = x + a for x = a^1..a^min(|<a>|, 2^n - 1), by induction on m.
     t = g.table
+    walks = [powers(g, a) for a in g.elements()]
     left_right_agree = all(
-        t[a][x] == t[x][a] for a in g.elements()
-        for x in power_sequence(g, a, min(len(power_closure(g, a)), g.order - 1))
+        t[a][x] == t[x][a] for a, walk in enumerate(walks) for x in walk[: g.order - 1]
     )
     entries.append(
         _entry(
@@ -277,7 +274,7 @@ def verify_gn(n: int) -> list[ReportEntry]:
             left_right_agree,
         )
     )
-    pa = _power_associative(g)
+    pa = _power_associative(g, walks)
     entries.append(
         _entry(
             f"power-associativity[{tag}]",

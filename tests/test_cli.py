@@ -144,6 +144,16 @@ def test_malformed_json_table_is_a_usage_error(capsys, tmp_path, command, docume
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("command", ["build", "invariants"])
+def test_deeply_nested_json_table_is_a_usage_error(tmp_path, command):
+    # The JSON parser raises RecursionError on this document.
+    path = tmp_path / "table.json"
+    path.write_text('{"table": ' + "[" * 100_000 + "]" * 100_000 + "}", encoding="utf-8")
+    r = run_cli(command, "--table", str(path))
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == "error: the JSON table is nested too deeply\n"
+
+
 # ---------------------------------------------------------------------------
 # invariants
 # ---------------------------------------------------------------------------

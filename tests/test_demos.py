@@ -13,7 +13,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 # Lines each demo must print, whole: results that a wrong answer changes.
 RESULTS = {
-    "01_gyrogroups.py": ["gyrogroup axioms pass: True"],
+    "01_gyrogroups.py": ["gyrogroup axioms pass: True", "  <1> = [0, 1, 2, 3]"],
     "02_power_graphs.py": ["n=5: clique size 16, 16 pendants at vertex 0"],
     "03_distances_and_polynomials.py": [
         "dds summary: (((1, 7), 1), ((1, 1, 6), 4), ((1, 3, 4), 3))"

@@ -3,13 +3,20 @@
 import contextlib
 import io
 import json
+import random
 import tracemalloc
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_verification import count_calls
+from test_verification import (
+    changed,
+    count_calls,
+    cyclic_monoid,
+    left_powers,
+    relabelled_gn,
+)
 
 from gyrograph import (
     Graph,
@@ -26,7 +33,6 @@ from gyrograph import (
     load_table,
     polynomials,
     power_graph,
-    power_sequence,
     to_dot,
     to_json,
 )
@@ -38,16 +44,11 @@ GN3_EDGES = {
 }
 
 
-def brute_force_power_edges(g):
-    """Oracle form of the adjacency rule: scan all powers u^m, v^m."""
-    edges = set()
-    for u in g.elements():
-        pu = set(power_sequence(g, u, g.order))
-        for v in range(u + 1, g.order):
-            pv = set(power_sequence(g, v, g.order))
-            if v in pu or u in pv:
-                edges.add((u, v))
-    return edges
+def reference_power_graph(g):
+    """The former power_graph, edge by edge: u ~ v for each v != u among
+    the powers u^1..u^N."""
+    edges = ((u, v) for u in g.elements() for v in set(left_powers(g, u, g.order)) if v != u)
+    return Graph.from_edges(g.order, edges, labels=g.labels)
 
 
 def test_power_graph_gn3_explicit_edges():
@@ -75,16 +76,37 @@ def test_power_graph_trivial():
     assert graph.n == 1 and graph.edge_count == 0
 
 
-@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_power_graph_matches_pairwise_power_scan(n):
-    g = build_gn(n)
-    assert power_graph(g).edges == frozenset(brute_force_power_edges(g))
+    rng = random.Random(f"power-graph:{n}")
+    for g in (build_gn(n), relabelled_gn(n, rng), relabelled_gn(n, rng)):
+        assert power_graph(g) == reference_power_graph(g)
 
 
-@pytest.mark.parametrize("name", ["k1", "n1", "g8", "m1"])
+@pytest.mark.parametrize("name", ["k1", "n1", "g8", "m1", "gn3"])
 def test_power_graph_matches_oracle_on_bundled_tables(name):
     g = bundled_gyrogroup(name)
-    assert power_graph(g).edges == frozenset(brute_force_power_edges(g))
+    assert power_graph(g) == reference_power_graph(g)
+
+
+def test_power_graph_matches_the_reference_on_cyclic_groups():
+    for k in range(1, 41):
+        z = cyclic_group(k)
+        assert power_graph(z) == reference_power_graph(z)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_power_graph_matches_the_reference_on_corrupted_and_rho_shaped_tables(n):
+    # Each corrupted G(n) has one changed product; a cyclic monoid's powers
+    # of 1 run into a cycle that does not return to 1.
+    rng = random.Random(f"corrupted:{n}")
+    g = build_gn(n)
+    tables = [cyclic_monoid(n - 2 + r, p) for r in (0, 1, 2) for p in range(1, 2 * n)]
+    for _ in range(10):
+        x, y = rng.randrange(1, g.order), rng.randrange(g.order)
+        tables.append(changed(g, x, y, (g.op(x, y) + rng.randrange(1, g.order)) % g.order))
+    for h in tables:
+        assert power_graph(h) == reference_power_graph(h)
 
 
 def test_power_graph_is_simple_and_symmetric():
@@ -406,13 +428,13 @@ def test_each_graph_builds_its_twin_parts_and_blocks_once(monkeypatch, run):
     twin_builds = count_calls(monkeypatch, graphs, "twin_parts")
     block_builds = count_calls(monkeypatch, graphs, "biconnected_components")
     built = []
-    init = Graph.__init__
+    set_rows = Graph._set_rows  # every graph is built through it
 
-    def recording(self, *args, **kwargs):
-        init(self, *args, **kwargs)
+    def recording(self, *args):
+        set_rows(self, *args)
         built.append(self)
 
-    monkeypatch.setattr(Graph, "__init__", recording)
+    monkeypatch.setattr(Graph, "_set_rows", recording)
     run()
     assert block_builds and len({id(g) for g in block_builds}) == len(block_builds)
     assert len(block_builds) <= len(built)
@@ -430,13 +452,13 @@ def test_no_graph_builds_its_edge_set(run):
 
 def test_verify_gn_builds_the_power_graph_and_its_pendant_part_only(monkeypatch):
     built = []
-    init = Graph.__init__
+    set_rows = Graph._set_rows  # every graph is built through it
 
-    def recording(self, *args, **kwargs):
-        init(self, *args, **kwargs)
+    def recording(self, *args):
+        set_rows(self, *args)
         built.append((self.n, self.edge_count))
 
-    monkeypatch.setattr(Graph, "__init__", recording)
+    monkeypatch.setattr(Graph, "_set_rows", recording)
     verify_gn(5)
     assert built == [(32, 16 * 15 // 2 + 16), (32, 16)]
 

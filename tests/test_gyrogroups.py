@@ -22,15 +22,14 @@ from gyrograph import (
     load_table,
     parse_cayley_csv,
     parse_cayley_json,
-    power_closure,
-    power_sequence,
+    powers,
     relabel,
     to_cayley_csv,
     to_cayley_json,
     verify_axioms,
 )
 from gyrograph.axioms import MAX_COUNTEREXAMPLES, gatherer, table_rows
-from test_verification import right_powers
+from test_verification import changed, cyclic_monoid, left_powers, right_powers
 
 KLEIN4 = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
 
@@ -770,47 +769,59 @@ def test_verify_axioms_matches_both_references_at_orders_1_and_2(g):
 
 def test_power_examples():
     g = build_gn(3)
-    assert power_sequence(g, 4, 2) == [4, 0]
-    assert power_sequence(g, 1, 3) == [1, 2, 3]  # under addition mod 4
-    assert power_sequence(g, 0, 9) == [0] * 9
+    assert powers(g, 4) == [4, 0]
+    assert powers(g, 1) == [1, 2, 3, 0]  # under addition mod 4
+    assert powers(g, 0) == [0]
 
 
-def test_power_sequence_of_length_zero_is_empty_and_bad_arguments_raise():
+def test_powers_of_an_element_out_of_range_raise():
     g = build_gn(3)
-    assert power_sequence(g, 1, 0) == right_powers(g, 1, 0) == []
-    assert power_sequence(g, 1, 1) == [1]
-    for a, length in ((1, -1), (8, 2), (-1, 2), (8, 0)):
-        with pytest.raises(ValueError):
-            power_sequence(g, a, length)
     for a in (8, -1):
         with pytest.raises(ValueError, match=f"element {a} out of range 0..7"):
-            power_closure(g, a)
+            powers(g, a)
 
 
 def test_power_closures():
     g = build_gn(3)
-    assert power_closure(g, 4) == {4, 0}
-    assert power_closure(g, 0) == {0}
-    assert power_closure(g, 1) == {0, 1, 2, 3}
+    assert set(powers(g, 4)) == {4, 0}
+    assert set(powers(g, 0)) == {0}
+    assert set(powers(g, 1)) == {0, 1, 2, 3}
     for i in range(4, 8):
-        assert power_closure(g, i) == {i, 0}
+        assert set(powers(g, i)) == {i, 0}
 
 
 def test_power_sequence_left_vs_right_agree_on_gn():
     for n in (3, 4):
         g = build_gn(n)
         for a in g.elements():
-            assert power_sequence(g, a, g.order) == right_powers(g, a, g.order)
+            walk = powers(g, a)
+            assert walk == right_powers(g, a, len(walk))
+            assert left_powers(g, a, g.order) == right_powers(g, a, g.order)
 
 
 def test_power_left_iteration_is_default():
     # a^(m+1) = a + a^m by definition.
     g = bundled_gyrogroup("g8")
     for a in g.elements():
-        powers = [a]
-        while len(powers) < 8:
-            powers.append(g.op(a, powers[-1]))
-        assert power_sequence(g, a, 8) == powers
+        walk = [a]
+        while g.op(a, walk[-1]) not in walk:
+            walk.append(g.op(a, walk[-1]))
+        assert powers(g, a) == walk
+
+
+def test_powers_stop_before_the_first_repeat_of_the_left_powers():
+    # G(3..5), the bundled tables, Z1..Z12, rho-shaped cyclic monoids, and
+    # G(4) and Z12 with one changed product.
+    tables = [build_gn(n) for n in (3, 4, 5)]
+    tables += [bundled_gyrogroup(name) for name in ("k1", "n1", "g8", "m1", "gn3")]
+    tables += [cyclic_group(k) for k in range(1, 13)]
+    tables += [cyclic_monoid(index, period) for index in (1, 2, 4) for period in (1, 3, 5)]
+    tables += [changed(build_gn(4), 1, 2, 9), changed(cyclic_group(12), 1, 5, 3)]
+    for g in tables:
+        for a in g.elements():
+            terms = left_powers(g, a, g.order + 1)  # a repeat within N + 1 terms
+            length = next(k for k in range(1, g.order + 1) if terms[k] in terms[:k])
+            assert powers(g, a) == terms[:length]
 
 
 def test_relabel_transports_structure():

@@ -22,8 +22,8 @@ from gyrograph import (
     load_table,
     is_hamiltonian,
     is_planar,
-    power_closure,
     power_graph,
+    powers,
     relabel,
     trace_faces,
     verify_isomorphism,
@@ -681,8 +681,8 @@ def all_pairs_gyro_isomorphic(g1, g2):
     """The former search: the same backtracking as gyro_isomorphic, but
     each step re-checks every pair of mapped elements."""
     n = g1.order
-    size1 = [len(power_closure(g1, a)) for a in range(n)]
-    size2 = [len(power_closure(g2, a)) for a in range(n)]
+    size1 = [len(powers(g1, a)) for a in range(n)]
+    size2 = [len(powers(g2, a)) for a in range(n)]
     if sorted(size1) != sorted(size2):
         return None
     images = {g1.identity: g2.identity}

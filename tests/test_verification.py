@@ -14,14 +14,15 @@ from gyrograph import (
     build_gn,
     cyclic_group,
     distances,
+    graphs,
     load_table,
     polynomials,
-    power_closure,
-    power_sequence,
+    powers,
     relabel,
     run_verification,
     spectral,
     verification,
+    verify_axioms,
 )
 from gyrograph.errors import BoundExceededError
 from gyrograph.verification import (
@@ -165,6 +166,15 @@ def test_report_reaches_n8_with_every_entry_computed():
     assert elapsed < 20.0, f"took {elapsed:.1f} s"
 
 
+def left_powers(g, a, length):
+    """[a^1, ..., a^length], left-iterated: a^(m+1) = a + a^m."""
+    out, acc = [], a
+    for _ in range(length):
+        out.append(acc)
+        acc = g.op(a, acc)
+    return out
+
+
 def right_powers(g, a, length):
     """[a^1, ..., a^length], right-iterated: a^(m+1) = a^m + a."""
     out, acc = [], a
@@ -174,6 +184,11 @@ def right_powers(g, a, length):
     return out
 
 
+def walks(g):
+    """powers(g, a) for each element a, as verify_gn reads them."""
+    return [powers(g, a) for a in g.elements()]
+
+
 def conventions_corrupted(g, rng):
     """A copy of g with one entry off the identity row changed: either
     x + a for a power x of a, which the right-iterated powers of a read,
@@ -181,8 +196,7 @@ def conventions_corrupted(g, rng):
     rows = [list(r) for r in g.table]
     a = rng.randrange(1, g.order)
     if rng.random() < 0.7:
-        powers = [x for x in power_sequence(g, a, g.order - 1) if x != g.identity]
-        x, b = rng.choice(powers), a
+        x, b = rng.choice([x for x in left_powers(g, a, g.order - 1) if x != g.identity]), a
     else:
         x, b = rng.randrange(1, g.order), rng.randrange(g.order)
     rows[x][b] = (rows[x][b] + rng.randrange(1, g.order)) % g.order
@@ -202,7 +216,7 @@ def test_power_conventions_entry_compares_left_and_right_powers(monkeypatch, n):
         monkeypatch.setattr(verification, "build_gn", lambda _: h)
         entry = next(e for e in verify_gn(n) if e.claim_id == f"power-conventions[n={n}]")
         agree = all(
-            power_sequence(h, a, h.order) == right_powers(h, a, h.order) for a in h.elements()
+            left_powers(h, a, h.order) == right_powers(h, a, h.order) for a in h.elements()
         )
         assert entry.verdict == ("match" if agree else "mismatch")
         assert entry.computed == ("agree" if agree else "disagree")
@@ -214,7 +228,7 @@ def reference_power_associative(g):
     """The report's former loop: a^i + a^j = a^(i+j) for i + j <= order."""
     big = g.order
     for a in g.elements():
-        seq = power_sequence(g, a, big)
+        seq = left_powers(g, a, big)
         for i in range(1, big):
             for j in range(1, big - i + 1):
                 if g.op(seq[i - 1], seq[j - 1]) != seq[i + j - 1]:
@@ -235,7 +249,7 @@ def test_power_associativity_matches_the_loop(n):
         tables.append(load_table(rows, identity_hint=g.identity))
     verdicts = []
     for h in tables:
-        verdicts.append(_power_associative(h))
+        verdicts.append(_power_associative(h, walks(h)))
         assert verdicts[-1] == reference_power_associative(h)
     assert verdicts[0] and not all(verdicts)
 
@@ -267,9 +281,9 @@ def test_power_associativity_matches_the_tensor_check(n):
         tables.append(load_table(rows, identity_hint=g.identity))
     verdicts = []
     for h in tables:
-        powers = [power_sequence(h, a, h.order) for a in h.elements()]
-        verdicts.append(_power_associative(h))
-        assert verdicts[-1] == tensor_power_associative(h.table, powers)
+        table_powers = [left_powers(h, a, h.order) for a in h.elements()]
+        verdicts.append(_power_associative(h, walks(h)))
+        assert verdicts[-1] == tensor_power_associative(h.table, table_powers)
     assert verdicts[0] and not all(verdicts)
 
 
@@ -279,9 +293,9 @@ def test_power_associativity_matches_the_tensor_check_at_the_byte_boundary(k):
     rows = [list(r) for r in z.table]
     rows[2][1] = k - 1  # 1^2 + 1^1 is now k - 1, not 1^3 = 1 + 1^2 = 3
     for h in (z, load_table(rows, identity_hint=0)):
-        powers = [power_sequence(h, a, k) for a in h.elements()]
-        verdict = _power_associative(h)
-        assert verdict == tensor_power_associative(h.table, powers)
+        table_powers = [left_powers(h, a, k) for a in h.elements()]
+        verdict = _power_associative(h, walks(h))
+        assert verdict == tensor_power_associative(h.table, table_powers)
         assert verdict == (h is z)
 
 
@@ -311,7 +325,7 @@ def assert_power_entries_match_the_oracles(monkeypatch, tables):
     for h in tables:
         conventions, associativity = power_entries(monkeypatch, h)
         agree = all(
-            power_sequence(h, a, h.order) == right_powers(h, a, h.order) for a in h.elements()
+            left_powers(h, a, h.order) == right_powers(h, a, h.order) for a in h.elements()
         )
         assert conventions == ("match" if agree else "mismatch")
         assert associativity == ("match" if reference_power_associative(h) else "mismatch")
@@ -327,8 +341,7 @@ def relabelled_gn(n, rng):
 
 def long_cycle(g):
     """The powers a^1..a^L of the first element a with the longest cycle."""
-    a = max(g.elements(), key=lambda x: len(power_closure(g, x)))
-    return power_sequence(g, a, len(power_closure(g, a)))
+    return max(walks(g), key=len)
 
 
 def changed(g, x, y, value):
@@ -390,8 +403,8 @@ def test_power_entries_match_the_oracles_on_rho_shaped_powers(monkeypatch, n):
     for _ in range(6):
         k = rng.randrange(1, len(cycle) - 1)
         h = changed(g, cycle[0], cycle[k], cycle[rng.randrange(1, k + 1)])
-        assert len(power_closure(h, cycle[0])) == k + 1
-        assert cycle[0] not in power_sequence(h, cycle[0], 2 * k + 2)[k + 1 :]
+        assert len(powers(h, cycle[0])) == k + 1
+        assert cycle[0] not in left_powers(h, cycle[0], 2 * k + 2)[k + 1 :]
         tables.append(h)
     # Cyclic monoids pass; one changed product in a non-identity row of each
     # mostly fails.
@@ -447,30 +460,41 @@ def test_power_entries_match_the_oracles_on_cyclic_groups(monkeypatch):
 
 @pytest.mark.parametrize("n", [6, 7, 8])
 def test_power_entries_stop_at_the_cycle(monkeypatch, n):
-    # Terms asked of power_sequence and power_closure on G(n), N = 2^n.
-    # The conventions entry asks for |<a>| of each per element, which sums
-    # to about N^2/3; power associativity asks for about 3|<a>| per cyclic
-    # subgroup it reads, one of order N/2 and N/2 of order 2.  Walking N
-    # terms per element for each entry asks for 2N^2 - N.
-    requested = []
+    # On G(n), N = 2^n, verify_gn walks the powers of each element once for
+    # the power graph and once for both power entries.  A walk stops at the
+    # cycle: N/2 elements of the cyclic half, whose orders sum to about
+    # N^2/6, and N/2 of order 2.  The table entries that the walks and the
+    # two entries read come to about 0.92 N^2: each walk reads its terms,
+    # the conventions entry two per term and power associativity about N^2/4
+    # on the cyclic half.  Walking N terms per element in either entry reads
+    # at least N^2/2 more.
+    big = 2**n
+    g = build_gn(n)
+    report = verify_axioms(g)
+    reads = []
 
-    def counted_sequence(g, a, length):
-        requested.append(length)
-        return power_sequence(g, a, length)
+    class Row(tuple):
+        def __getitem__(self, i):
+            reads.append(i)
+            return tuple.__getitem__(self, i)
 
-    def counted_closure(g, a):
-        closure = power_closure(g, a)
-        requested.append(len(closure))
-        return closure
+    g.__dict__["table"] = tuple(map(Row, g.table))  # entry reads are counted
+    terms = []
 
-    monkeypatch.setattr(verification, "power_sequence", counted_sequence)
-    monkeypatch.setattr(verification, "power_closure", counted_closure)
+    def counted_powers(h, a):
+        walk = powers(h, a)
+        terms.append(len(walk))
+        return walk
+
+    monkeypatch.setattr(verification, "build_gn", lambda _: g)
+    monkeypatch.setattr(verification, "verify_axioms", lambda _: report)
+    monkeypatch.setattr(verification, "powers", counted_powers)
+    monkeypatch.setattr(graphs, "powers", counted_powers)
     entries = verify_gn(n)
     assert all(e.verdict != "mismatch" for e in entries)
-    assert sum(requested) <= 4**n // 2
-    requested.clear()
-    assert _power_associative(build_gn(n))
-    assert sum(requested) <= 5 * 2**n
+    assert len(terms) <= 2 * big
+    assert sum(terms) <= big * big // 2
+    assert len(reads) <= big * big + 8 * big
 
 
 def test_example_entries_isolated():
