@@ -1,12 +1,12 @@
 """Planarity with checkable certificates, and Hamiltonicity.
 
-Planarity is decided block by block with the face-insertion method: embed
-a cycle, then repeatedly route a path of some unembedded fragment through
-a face whose boundary contains all of the fragment's attachment points.
-A fragment with no admissible face proves non-planarity; in that case a
-subdivision witness is extracted (a complete 5-clique when one exists,
-otherwise by deleting edges while non-planarity persists, which always
-terminates in a bare subdivision).
+Planarity is decided block by block with the face-insertion method of
+Demoucron, Malgrange and Pertuiset (1964), on the graph's bitmask rows:
+embed a cycle, then repeatedly route a path of some unembedded fragment
+through a face whose vertex mask covers the fragment's attachments.  A
+fragment with no admissible face proves non-planarity; then a subdivision
+witness is extracted (a complete 5-clique when one exists, otherwise by
+deleting edges while non-planarity persists, down to a bare subdivision).
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ from .graphs import Graph, biconnected_components, reachable, set_bits
 
 #: Default cap on edges x vertices for the Kuratowski edge deletion (one
 #: planarity test per edge), and, past it, on the fruitless steps of the
-#: 5-clique search tried first.  On 2 CPUs K48,48 (221 184) takes 1.3 s, a
-#: 20 x 20 grid with two chords (304 800) 11 s and K64,64 (524 288) 4 s.
+#: 5-clique search tried first.  On 2 CPUs K48,48 (221 184) takes 1.0 s, a
+#: 20 x 20 grid with two chords (304 800) 7 s and K64,64 (524 288) 3.1 s.
 KURATOWSKI_WORK_BOUND = 250_000
 HAMILTONIAN_ORDER_BOUND = 32
 
@@ -73,12 +73,8 @@ def _planar_rotation(adj: Sequence[int], blocks: Iterable) -> tuple[tuple[int, .
     """
     rotations: list[list[int]] = [[] for _ in adj]
     for block in blocks:
-        if len(block) == 2:
-            u, v = block
-            rotations[u].append(v)
-            rotations[v].append(u)
-            continue
-        faces = _embed_block(adj, block)
+        # A bridge bounds one face, the closed walk u, v.
+        faces = [list(block)] if len(block) == 2 else _embed_block(adj, block)
         if faces is None:
             return None
         for v, cyc in _rotation_from_faces(faces).items():
@@ -86,165 +82,145 @@ def _planar_rotation(adj: Sequence[int], blocks: Iterable) -> tuple[tuple[int, .
     return tuple(tuple(r) for r in rotations)
 
 
-def _embed_block(adj_bits: Sequence[int], block: tuple[int, ...]) -> list[list[int]] | None:
+def _embed_block(adj: Sequence[int], block: tuple[int, ...]) -> list[list[int]] | None:
     """Face-insertion embedding of one 2-connected block, given by its
     ascending vertices: its edges are the rows' edges between them.
 
-    Returns the face boundaries (vertex cycles) of a planar embedding, or
-    None when some fragment has no admissible face.
+    The embedded part is the vertex mask placed and, at each vertex v,
+    done[v], the mask of its embedded edges; each face's vertex mask is
+    kept beside its cycle.  Returns the face boundaries (vertex cycles) of
+    a planar embedding, or None when some fragment has no admissible face.
     """
-    mask = sum(1 << v for v in block)
-    nv = len(block)
-    ne = sum((adj_bits[v] & mask).bit_count() for v in block) // 2
+    mask, nv = _mask(block), len(block)
+    ne = sum((adj[v] & mask).bit_count() for v in block) // 2
     if ne > 3 * nv - 6:
         return None
-    adj = {v: set_bits(adj_bits[v] & mask) for v in block}
-    edges = {(u, v) for u in block for v in set_bits(adj_bits[u] & mask, u + 1)}
-
-    cycle = _find_cycle(adj)
-    faces: list[list[int]] = [cycle, list(reversed(cycle))]
-    embedded_v = set(cycle)
-    embedded_e = {
-        (min(a, b), max(a, b)) for a, b in zip(cycle, cycle[1:] + cycle[:1])
-    }
-
-    while len(embedded_e) < ne:
-        fragments = _fragments(adj, edges, embedded_v, embedded_e)
-        admissible: list[list[int]] = []
-        for attachments, _ in fragments:
-            ok = [
-                i for i, f in enumerate(faces) if attachments.issubset(set(f))
-            ]
-            if not ok:
-                return None
-            admissible.append(ok)
-        pick = next(
-            (i for i, ok in enumerate(admissible) if len(ok) == 1), 0
-        )
-        attachments, payload = fragments[pick]
-        face_idx = admissible[pick][0]
-        path = _fragment_path(adj, attachments, payload)
-        _insert_path(faces, face_idx, path)
-        embedded_v.update(path)
+    cycle = _find_cycle(adj, block, mask)
+    faces: list[list[int]] = [cycle, cycle[::-1]]
+    face_masks = [_mask(cycle)] * 2
+    done = dict.fromkeys(block, 0)
+    placed = embedded = 0
+    path = cycle + cycle[:1]
+    while True:
         for a, b in zip(path, path[1:]):
-            embedded_e.add((min(a, b), max(a, b)))
+            done[a] |= 1 << b
+            done[b] |= 1 << a
+        placed |= _mask(path)
+        embedded += len(path) - 1
+        if embedded == ne:
+            break
+        fragments = _fragments(adj, mask, placed, done)
+        admissible = [
+            [i for i, fm in enumerate(face_masks) if not attachments & ~fm]
+            for attachments, _ in fragments
+        ]
+        if not all(admissible):
+            return None
+        pick = next((i for i, ok in enumerate(admissible) if len(ok) == 1), 0)
+        path = _fragment_path(adj, *fragments[pick])
+        _insert_path(faces, face_masks, admissible[pick][0], path)
 
-    total_darts = sum(len(f) for f in faces)
-    if total_darts != 2 * ne or len(faces) != ne - nv + 2:
+    if sum(map(len, faces)) != 2 * ne or len(faces) != ne - nv + 2:
         raise AssertionError("embedding bookkeeping is inconsistent")
     return faces
 
 
-def _find_cycle(adj: dict[int, list[int]]) -> list[int]:
-    """Any cycle in a graph with min degree >= 2: take a BFS tree, pick the
-    least non-tree edge, and join the endpoints' tree paths at their
-    lowest common ancestor."""
-    start = min(adj)
-    parent: dict[int, int] = {start: -1}
-    depth: dict[int, int] = {start: 0}
+def _mask(vertices: Iterable[int]) -> int:
+    """The bitmask of vertices, which may repeat (as a closed path does)."""
+    bits = 0
+    for v in vertices:
+        bits |= 1 << v
+    return bits
+
+
+def _find_cycle(adj: Sequence[int], block: tuple[int, ...], mask: int) -> list[int]:
+    """Any cycle in a block with min degree >= 2: take a BFS tree from the
+    least vertex, pick the least non-tree edge, and join the endpoints'
+    tree paths at their lowest common ancestor."""
+    start = block[0]
+    parent, depth, tree = {start: -1}, {start: 0}, {start: 0}
+    seen = 1 << start
     queue = [start]
-    i = 0
-    while i < len(queue):
-        v = queue[i]
-        i += 1
-        for w in adj[v]:
-            if w not in parent:
-                parent[w] = v
-                depth[w] = depth[v] + 1
-                queue.append(w)
-    nontree = min(
-        (min(u, v), max(u, v))
-        for u in adj
-        for v in adj[u]
-        if parent.get(u) != v and parent.get(v) != u
-    )
-    u, v = nontree
-    up_u, up_v = [u], [v]
-    while depth[up_u[-1]] > depth[up_v[-1]]:
-        up_u.append(parent[up_u[-1]])
-    while depth[up_v[-1]] > depth[up_u[-1]]:
-        up_v.append(parent[up_v[-1]])
-    while up_u[-1] != up_v[-1]:
-        up_u.append(parent[up_u[-1]])
-        up_v.append(parent[up_v[-1]])
+    for v in queue:
+        fresh = adj[v] & mask & ~seen
+        seen |= fresh
+        tree[v] |= fresh
+        while fresh:
+            low = fresh & -fresh
+            fresh ^= low
+            w = low.bit_length() - 1
+            parent[w], depth[w], tree[w] = v, depth[v] + 1, 1 << v
+            queue.append(w)
+    for u in block:
+        rest = adj[u] & mask & ~tree[u] & (-1 << u + 1)
+        if rest:
+            break
+    up_u, up_v = [u], [(rest & -rest).bit_length() - 1]
+    while up_u[-1] != up_v[-1]:  # climb the deeper end
+        up = up_u if depth[up_u[-1]] >= depth[up_v[-1]] else up_v
+        up.append(parent[up[-1]])
     # up_u ends at the LCA; up_v duplicates it.
-    return up_u + list(reversed(up_v[:-1]))
+    return up_u + up_v[-2::-1]
 
 
 def _fragments(
-    adj: dict[int, list[int]],
-    edges: set[tuple[int, int]],
-    embedded_v: set[int],
-    embedded_e: set[tuple[int, int]],
-) -> list[tuple[frozenset[int], tuple]]:
-    """Chords and attached components relative to the embedded subgraph.
-
-    Each fragment is (attachment vertices, payload); the payload is
-    ("chord", u, v) or ("component", sorted vertex tuple).
-    """
-    out: list[tuple[frozenset[int], tuple]] = []
-    for u, v in sorted(edges - embedded_e):
-        if u in embedded_v and v in embedded_v:
-            out.append((frozenset((u, v)), ("chord", u, v)))
-    outside = sorted(set(adj) - embedded_v)
-    seen: set[int] = set()
-    for s in outside:
-        if s in seen:
-            continue
-        comp = [s]
-        seen.add(s)
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in embedded_v and y not in seen:
-                    seen.add(y)
-                    comp.append(y)
-                    stack.append(y)
-        attach = {
-            y for x in comp for y in adj[x] if y in embedded_v
-        }
-        out.append((frozenset(attach), ("component", tuple(sorted(comp)))))
+    adj: Sequence[int], mask: int, placed: int, done: dict[int, int]
+) -> list[tuple[int, int]]:
+    """Chords and attached components relative to the embedded part, as
+    (attachment mask, component mask) pairs, a chord's component mask
+    being 0: chords first, in edge order, then components by least
+    vertex."""
+    out: list[tuple[int, int]] = []
+    for u in set_bits(placed):
+        if chords := adj[u] & placed & ~done[u] & (-1 << u + 1):
+            out += [(1 << u | 1 << v, 0) for v in set_bits(chords)]
+    outside = mask & ~placed
+    while outside:
+        comp = reachable(adj, (outside & -outside).bit_length() - 1, outside)
+        outside &= ~comp
+        attachments = 0
+        for x in set_bits(comp):
+            attachments |= adj[x]
+        out.append((attachments & placed, comp))
     return out
 
 
-def _fragment_path(
-    adj: dict[int, list[int]],
-    attachments: frozenset[int],
-    payload: tuple,
-) -> list[int]:
-    """A path between two distinct attachments through the fragment."""
-    if payload[0] == "chord":
-        return [payload[1], payload[2]]
-    comp = set(payload[1])
-    a1 = min(attachments)
-    targets = attachments - {a1}
-    # BFS inside the component, seeded by a1's component neighbors.
-    parent: dict[int, int] = {}
-    queue = sorted(comp & set(adj[a1]))
+def _fragment_path(adj: Sequence[int], attachments: int, comp: int) -> list[int]:
+    """A path through the fragment from its least attachment to another:
+    a chord, or a BFS inside the component seeded by the least
+    attachment's neighbors there, up to the first vertex next to another
+    attachment."""
+    a1 = (attachments & -attachments).bit_length() - 1
+    if not comp:
+        return [a1, attachments.bit_length() - 1]
+    targets = attachments ^ 1 << a1
+    seen = comp & adj[a1]
+    queue = set_bits(seen)
+    parent = dict.fromkeys(queue, a1)
     for x in queue:
-        parent[x] = -1
-    i = 0
-    while i < len(queue):
-        x = queue[i]
-        i += 1
-        hit = sorted(t for t in targets if t in adj[x])
+        hit = adj[x] & targets
         if hit:
-            path = [hit[0], x]
-            while parent[x] != -1:
-                x = parent[x]
+            path = [(hit & -hit).bit_length() - 1]
+            while x is not None:  # up the BFS tree to a1, which has no parent
                 path.append(x)
-            path.append(a1)
-            return list(reversed(path))
-        for y in adj[x]:
-            if y in comp and y not in parent:
-                parent[y] = x
-                queue.append(y)
+                x = parent.get(x)
+            return path[::-1]
+        fresh = adj[x] & comp & ~seen
+        seen |= fresh
+        while fresh:
+            low = fresh & -fresh
+            fresh ^= low
+            y = low.bit_length() - 1
+            parent[y] = x
+            queue.append(y)
     raise AssertionError("fragment must reach a second attachment")
 
 
-def _insert_path(faces: list[list[int]], face_idx: int, path: list[int]) -> None:
-    """Split a face along a path between two of its boundary vertices."""
+def _insert_path(
+    faces: list[list[int]], face_masks: list[int], face_idx: int, path: list[int]
+) -> None:
+    """Split a face along a path between two of its boundary vertices,
+    and its vertex mask with it."""
     face = faces[face_idx]
     a1, a2 = path[0], path[-1]
     i, j = face.index(a1), face.index(a2)
@@ -252,19 +228,18 @@ def _insert_path(faces: list[list[int]], face_idx: int, path: list[int]) -> None
     arc1 = [face[(i + s) % length] for s in range((j - i) % length + 1)]
     arc2 = [face[(j + s) % length] for s in range((i - j) % length + 1)]
     interior = path[1:-1]
-    faces[face_idx] = arc1 + list(reversed(interior))
+    faces[face_idx] = arc1 + interior[::-1]
     faces.append(arc2 + interior)
+    face_masks[face_idx] = _mask(faces[face_idx])
+    face_masks.append(_mask(faces[-1]))
 
 
 def _rotation_from_faces(faces: list[list[int]]) -> dict[int, list[int]]:
     """Recover the cyclic neighbor order at each vertex from face cycles."""
     succ: dict[int, dict[int, int]] = {}
     for face in faces:
-        length = len(face)
-        for idx in range(length):
-            u, v, w = face[idx], face[(idx + 1) % length], face[(idx + 2) % length]
-            succ.setdefault(v, {})
-            if u in succ[v]:
+        for u, v, w in zip(face, face[1:] + face[:1], face[2:] + face[:2]):
+            if u in succ.setdefault(v, {}):
                 raise AssertionError("dart covered by two faces")
             succ[v][u] = w
     rotations: dict[int, list[int]] = {}
@@ -285,11 +260,14 @@ def trace_faces(
     graph: Graph, rotation: tuple[tuple[int, ...], ...]
 ) -> list[list[tuple[int, int]]]:
     """Face orbits of a rotation system: the dart after (u, v) is
-    (v, w) with w the successor of u in the rotation at v."""
-    succ_index = [
-        {u: rot[(k + 1) % len(rot)] for k, u in enumerate(rot)} if rot else {}
-        for rot in rotation
-    ]
+    (v, w) with w the successor of u in the rotation at v.  Raises
+    ValueError unless the rotation at each vertex lists its neighbors
+    exactly once."""
+    if len(rotation) != graph.n or any(
+        sorted(rot) != set_bits(row) for rot, row in zip(rotation, graph.adj_bits)
+    ):
+        raise ValueError("a rotation must list its vertex's neighbors exactly once")
+    succ_index = [dict(zip(rot, rot[1:] + rot[:1])) for rot in rotation]
     remaining = {(u, v) for u, row in enumerate(graph.adj_bits) for v in set_bits(row)}
     faces = []
     while remaining:
@@ -311,12 +289,10 @@ def check_embedding(graph: Graph, rotation: tuple[tuple[int, ...], ...]) -> bool
     """Self-check a rotation system: it must list each vertex's neighbors
     exactly once, and the traced faces must satisfy V - E + F = 2 on every
     connected component (edgeless components count one face)."""
-    if len(rotation) != graph.n:
+    try:
+        faces = trace_faces(graph, rotation)
+    except ValueError:
         return False
-    for v in graph.vertices():
-        if sorted(rotation[v]) != set_bits(graph.adj_bits[v]):
-            return False
-    faces = trace_faces(graph, rotation)
     comps = graph.connected_components()
     comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
     face_count = [0] * len(comps)
@@ -488,33 +464,25 @@ class HamiltonicityResult(NamedTuple):
     reason: str = ""
 
 
-def is_hamiltonian(
-    graph: Graph,
-    order_bound: int = HAMILTONIAN_ORDER_BOUND,
-    shortcut: bool = True,
-) -> HamiltonicityResult:
+def is_hamiltonian(graph: Graph, order_bound: int = HAMILTONIAN_ORDER_BOUND) -> HamiltonicityResult:
     """Hamiltonian-cycle decision with a certificate cycle when positive.
 
-    Negative fast paths: fewer than 3 vertices, disconnection, or (when
-    shortcut is on) a vertex of degree <= 1 or a cut vertex, which a
-    Hamiltonian cycle would have to pass twice.  Otherwise exact
-    backtracking bounded by order_bound.
+    Negative fast paths: fewer than 3 vertices, disconnection, a vertex of
+    degree <= 1, or a cut vertex, which a Hamiltonian cycle would have to
+    pass twice.  Otherwise exact backtracking bounded by order_bound.
     """
     n = graph.n
     if n < 3:
         return HamiltonicityResult(False, reason="fewer than 3 vertices")
     if not graph.is_connected():
         return HamiltonicityResult(False, reason="disconnected")
-    if shortcut:
-        pendant = next((v for v in graph.vertices() if graph.degree(v) <= 1), None)
-        if pendant is not None:
-            return HamiltonicityResult(
-                False, reason=f"vertex {pendant} has degree <= 1"
-            )
-        block_count = Counter(v for block in graph.blocks for v in block)
-        cut = [v for v, count in block_count.items() if count > 1]
-        if cut:
-            return HamiltonicityResult(False, reason=f"vertex {min(cut)} is a cut vertex")
+    pendant = next((v for v in graph.vertices() if graph.degree(v) <= 1), None)
+    if pendant is not None:
+        return HamiltonicityResult(False, reason=f"vertex {pendant} has degree <= 1")
+    block_count = Counter(v for block in graph.blocks for v in block)
+    cut = [v for v, count in block_count.items() if count > 1]
+    if cut:
+        return HamiltonicityResult(False, reason=f"vertex {min(cut)} is a cut vertex")
     if n > order_bound:
         raise BoundExceededError(
             f"Hamiltonian search refused: order {n} exceeds bound {order_bound}"

@@ -8,11 +8,15 @@ GOLDEN.
 """
 
 import hashlib
+import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import gyrograph
 from gyrograph import build_gn, cyclic_group, to_cayley_csv
 from gyrograph.cli import _build_parser
 from gyrograph.gyrogroups import bundled_table_text
@@ -127,6 +131,21 @@ def test_every_subcommand_is_pinned():
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_cli_output_matches_the_recorded_hashes(name, tables):
     assert run_golden(name, tables) == GOLDEN[name]
+
+
+def test_the_oldest_supported_python_prints_the_same_bytes():
+    # pyproject.toml asks for Python >= 3.10.
+    py310 = shutil.which("python3.10")
+    if py310 is None or subprocess.run([py310, "-c", ""], capture_output=True).returncode:
+        pytest.skip("python3.10 is not on PATH")
+    env = {**os.environ, "PYTHONPATH": str(Path(gyrograph.__file__).parents[1])}
+    for argv in (("verify-paper", "--n", "3..4", "--format", "json"), ("invariants", "--gn", "3", "--all")):
+        outputs = []
+        for python in (sys.executable, py310):
+            r = subprocess.run([python, "-m", "gyrograph.cli", *argv], capture_output=True, env=env)
+            outputs.append((r.returncode, r.stdout, r.stderr))
+        assert outputs[0][1].startswith(b"{")  # a JSON payload, not an error
+        assert outputs[1] == outputs[0]
 
 
 if __name__ == "__main__":

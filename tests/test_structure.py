@@ -29,7 +29,8 @@ from gyrograph import (
     verify_isomorphism,
     verify_kuratowski,
 )
-from gyrograph.structure import _find_k5_clique, _planar_rotation
+from gyrograph.graphs import reachable, set_bits
+from gyrograph.structure import PlanarityResult, _find_k5_clique, _rotation_from_faces
 
 K33 = Graph.from_edges(6, [(i, j + 3) for i in range(3) for j in range(3)])
 PETERSEN = Graph.from_edges(
@@ -222,14 +223,136 @@ def test_clique_search_counts_its_steps_against_the_bound():
     )
 
 
+def reference_planar_rotation(graph):
+    """The former face-insertion embedding, on a copy of each block as a
+    dict of neighbor lists, an edge set and one vertex set per face: the
+    rotation system of the graph, or None if it is not planar."""
+    rotations = [[] for _ in range(graph.n)]
+    for block in graph.blocks:
+        if len(block) == 2:
+            u, v = block
+            rotations[u].append(v)
+            rotations[v].append(u)
+            continue
+        faces = reference_embed_block(graph, block)
+        if faces is None:
+            return None
+        for v, cyc in _rotation_from_faces(faces).items():
+            rotations[v].extend(cyc)
+    return tuple(tuple(r) for r in rotations)
+
+
+def reference_embed_block(graph, block):
+    inside = set(block)
+    adj = {v: sorted(set(graph.neighbors(v)) & inside) for v in block}
+    edges = {(u, v) for u in block for v in adj[u] if u < v}
+    if len(edges) > 3 * len(block) - 6:
+        return None
+    cycle = reference_find_cycle(adj)
+    faces = [cycle, list(reversed(cycle))]
+    embedded_v = set(cycle)
+    embedded_e = {(min(a, b), max(a, b)) for a, b in zip(cycle, cycle[1:] + cycle[:1])}
+    while len(embedded_e) < len(edges):
+        fragments = []  # (attachments, path endpoints or component)
+        for u, v in sorted(edges - embedded_e):
+            if u in embedded_v and v in embedded_v:
+                fragments.append(({u, v}, [u, v]))
+        seen = set()
+        for s in sorted(inside - embedded_v):
+            if s in seen:
+                continue
+            comp, stack = {s}, [s]
+            while stack:
+                for y in adj[stack.pop()]:
+                    if y not in embedded_v and y not in comp:
+                        comp.add(y)
+                        stack.append(y)
+            seen |= comp
+            fragments.append(({y for x in comp for y in adj[x] if y in embedded_v}, comp))
+        admissible = [[i for i, f in enumerate(faces) if att <= set(f)] for att, _ in fragments]
+        if not all(admissible):
+            return None
+        pick = next((i for i, ok in enumerate(admissible) if len(ok) == 1), 0)
+        attachments, body = fragments[pick]
+        path = body if isinstance(body, list) else reference_fragment_path(adj, attachments, body)
+        face = faces[admissible[pick][0]]
+        i, j = face.index(path[0]), face.index(path[-1])
+        arc1 = [face[(i + k) % len(face)] for k in range((j - i) % len(face) + 1)]
+        arc2 = [face[(j + k) % len(face)] for k in range((i - j) % len(face) + 1)]
+        faces[admissible[pick][0]] = arc1 + list(reversed(path[1:-1]))
+        faces.append(arc2 + path[1:-1])
+        embedded_v.update(path)
+        embedded_e.update((min(a, b), max(a, b)) for a, b in zip(path, path[1:]))
+    return faces
+
+
+def reference_find_cycle(adj):
+    """BFS tree from the least vertex, least non-tree edge, tree paths
+    joined at the lowest common ancestor."""
+    start = min(adj)
+    parent, depth, queue = {start: -1}, {start: 0}, [start]
+    for v in queue:
+        for w in adj[v]:
+            if w not in parent:
+                parent[w], depth[w] = v, depth[v] + 1
+                queue.append(w)
+    u, v = min((u, v) for u in adj for v in adj[u]
+               if u < v and parent[u] != v and parent[v] != u)
+    up_u, up_v = [u], [v]
+    while depth[up_u[-1]] > depth[up_v[-1]]:
+        up_u.append(parent[up_u[-1]])
+    while depth[up_v[-1]] > depth[up_u[-1]]:
+        up_v.append(parent[up_v[-1]])
+    while up_u[-1] != up_v[-1]:
+        up_u.append(parent[up_u[-1]])
+        up_v.append(parent[up_v[-1]])
+    return up_u + list(reversed(up_v[:-1]))
+
+
+def reference_fragment_path(adj, attachments, comp):
+    """BFS inside the component from the least attachment's neighbors
+    there, to the first vertex next to another attachment."""
+    a1 = min(attachments)
+    targets = attachments - {a1}
+    queue = sorted(comp & set(adj[a1]))
+    parent = dict.fromkeys(queue, -1)
+    for x in queue:
+        hit = sorted(t for t in targets if t in adj[x])
+        if hit:
+            path = [hit[0], x]
+            while parent[x] != -1:
+                x = parent[x]
+                path.append(x)
+            return list(reversed(path + [a1]))
+        for y in adj[x]:
+            if y in comp and y not in parent:
+                parent[y] = x
+                queue.append(y)
+    raise AssertionError("fragment must reach a second attachment")
+
+
 def reference_kuratowski_edges(graph):
     """The former edge deletion, with a fresh Graph for every trial."""
     current = set(graph.sorted_edges())
     for e in sorted(current):
         trial = Graph.from_edges(graph.n, current - {e})
-        if _planar_rotation(trial.adj_bits, trial.blocks) is None:
+        if reference_planar_rotation(trial) is None:
             current = current - {e}
     return frozenset(current)
+
+
+def reference_is_planar(graph):
+    """is_planar from the references: the former embedding, then the
+    rescanning 5-clique search, then the former edge deletion."""
+    rotation = reference_planar_rotation(graph)
+    if rotation is not None:
+        return PlanarityResult(is_planar=True, rotation=rotation)
+    clique = reference_k5_clique(graph)
+    if clique is not None:
+        edges = frozenset((u, v) for i, u in enumerate(clique) for v in clique[i + 1:])
+    else:
+        edges = reference_kuratowski_edges(graph)
+    return PlanarityResult(False, None, edges, verify_kuratowski(graph, edges))
 
 
 @st.composite
@@ -247,7 +370,7 @@ def k5_free_graphs(draw):
 @settings(max_examples=150, deadline=None)
 @given(k5_free_graphs())
 def test_kuratowski_deletion_matches_a_fresh_graph_per_trial(graph):
-    assume(_planar_rotation(graph.adj_bits, graph.blocks) is None)
+    assume(reference_planar_rotation(graph) is None)
     result = is_planar(graph)
     assert result.kuratowski_edges == reference_kuratowski_edges(graph)
     assert verify_kuratowski(graph, result.kuratowski_edges) == result.kuratowski_kind
@@ -272,6 +395,21 @@ def test_embedding_check_rejects_wrong_rotation():
     g = Graph.cycle(4)
     bad = ((1, 2), (0, 2), (1, 3), (0, 2))  # wrong neighbor sets
     assert not check_embedding(g, bad)
+
+
+@pytest.mark.parametrize(
+    "rotation",
+    [
+        ((1, 3), (0,), (1, 3), (0, 2)),  # a neighbor of 1 missing
+        ((1, 3), (0, 2), (1, 3)),  # no rotation at 3
+        ((1, 3), (0, 2, 2), (1, 3), (0, 2)),  # a neighbor of 1 listed twice
+    ],
+)
+def test_trace_faces_rejects_a_rotation_that_is_not_the_neighbors(rotation):
+    g = Graph.cycle(4)
+    with pytest.raises(ValueError, match="neighbors exactly once"):
+        trace_faces(g, rotation)
+    assert not check_embedding(g, rotation)
 
 
 def test_planarity_against_networkx_on_random_graphs():
@@ -401,6 +539,24 @@ def test_blocks_and_rotations_with_many_cut_vertices_are_pinned(name):
 # ---------------------------------------------------------------------------
 
 
+def reference_is_hamiltonian(graph):
+    """The exhaustive search of is_hamiltonian without its early exits
+    (degree <= 1, cut vertex): extend a path from vertex 0, pruned when the
+    unvisited vertices are not all reachable from its end."""
+    n, rows = graph.n, graph.adj_bits
+    full = (1 << n) - 1
+
+    def extend(v, visited, length):
+        if length == n:
+            return bool(rows[v] & 1)
+        free = full & ~visited
+        if reachable(rows, v, free) & free != free:
+            return False
+        return any(extend(w, visited | 1 << w, length + 1) for w in set_bits(rows[v] & free))
+
+    return n >= 3 and extend(0, 1, 1)
+
+
 def check_cycle(graph, cycle):
     assert cycle is not None
     assert sorted(cycle) == list(range(graph.n))
@@ -465,9 +621,7 @@ def test_pendant_shortcut_agrees_with_exhaustive_search():
         PETERSEN,
     ]
     for graph in corpus:
-        with_shortcut = is_hamiltonian(graph, shortcut=True)
-        without = is_hamiltonian(graph, shortcut=False)
-        assert with_shortcut.is_hamiltonian == without.is_hamiltonian
+        assert is_hamiltonian(graph).is_hamiltonian == reference_is_hamiltonian(graph)
 
 
 def test_cut_vertex_shortcut():
@@ -481,7 +635,7 @@ def test_cut_vertex_shortcut():
         6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 3)]
     )
     assert is_hamiltonian(hung).reason == "vertex 3 is a cut vertex"
-    assert is_hamiltonian(hung, shortcut=False).reason == "exhaustive search found no cycle"
+    assert not reference_is_hamiltonian(hung)
 
 
 def test_cut_vertex_shortcut_needs_no_search_above_the_bound():
@@ -518,9 +672,7 @@ def small_graphs(draw):
 @settings(max_examples=200, deadline=None)
 @given(small_graphs())
 def test_shortcuts_agree_with_exhaustive_search_on_random_graphs(graph):
-    with_shortcut = is_hamiltonian(graph, shortcut=True)
-    without = is_hamiltonian(graph, shortcut=False)
-    assert with_shortcut.is_hamiltonian == without.is_hamiltonian
+    assert is_hamiltonian(graph).is_hamiltonian == reference_is_hamiltonian(graph)
 
 
 def graphs_and_relabellings():
@@ -560,6 +712,33 @@ def test_planarity_certificates_follow_a_relabelling(case):
             assert check_embedding(g, result.rotation)
         else:
             assert verify_kuratowski(g, result.kuratowski_edges) == result.kuratowski_kind
+
+
+@st.composite
+def sparse_trees(draw):
+    """A random tree on at most 60 vertices with a few chords added: sparse
+    blocks whose fragments are long paths, planar or not."""
+    rnd = draw(st.randoms(use_true_random=False))
+    n = draw(st.integers(3, 60))
+    edges = {(rnd.randrange(v), v) for v in range(1, n)}
+    edges |= {tuple(sorted(rnd.sample(range(n), 2))) for _ in range(draw(st.integers(0, n // 2)))}
+    return Graph.from_edges(n, sorted(edges))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        small_graphs(),
+        st.builds(block_tree, st.integers(0, 2**32), st.integers(1, 8)),
+        k5_free_graphs(),
+        sparse_trees(),
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_planarity_matches_the_former_embedding(graph, rng):
+    # The rotation, witness and kind, on the graph and on a relabelling.
+    for g in (graph, relabel_graph(graph, rng)):
+        assert is_planar(g) == reference_is_planar(g)
 
 
 def test_hamiltonian_order_bound():
