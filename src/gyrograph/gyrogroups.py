@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import json
-import operator
 import os
 from typing import Iterable, Iterator, Sequence
 
@@ -294,14 +293,12 @@ def parse_cayley_json(text: str) -> GyroGroup:
     table = data.get("table")
     if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
         raise ValueError('"table" must be a list of rows, each a list')
-    try:
-        rows = [list(map(operator.index, row)) for row in table]
-        order = operator.index(data.get("order", len(rows)))
-    except TypeError:
-        raise ValueError('the table entries and "order" must be integers') from None
-    if order != len(rows):
+    order = data.get("order", len(table))
+    if any(type(x) is not int for row in [[order], *table] for x in row):  # not bool, an int subclass
+        raise ValueError('the table entries and "order" must be integers')
+    if order != len(table):
         raise ValueError("declared order does not match table size")
-    return _from_grid(rows)
+    return _from_grid(table)
 
 
 def _from_grid(rows: list[list[int]]) -> GyroGroup:

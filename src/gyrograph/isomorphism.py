@@ -24,16 +24,17 @@ class IsomorphismWitness(NamedTuple):
 def verify_isomorphism(
     g1: Graph, g2: Graph, mapping: Permutation | list[int] | tuple[int, ...]
 ) -> IsomorphismWitness:
-    """Check the edge-preservation biconditional over all vertex pairs."""
+    """Check that the map carries each row of g1 onto the row of its image
+    in g2, which is the edge-preservation biconditional over all pairs."""
     if g1.n != g2.n:
         raise ValueError("graphs have different orders")
     perm = mapping if isinstance(mapping, Permutation) else Permutation(tuple(mapping))
     if perm.size != g1.n:
         raise ValueError("mapping size does not match the graphs")
+    p = perm.map
     valid = all(
-        g1.has_edge(u, v) == g2.has_edge(perm(u), perm(v))
-        for u in range(g1.n)
-        for v in range(u + 1, g1.n)
+        sum(1 << p[v] for v in set_bits(row)) == g2.adj_bits[p[u]]
+        for u, row in enumerate(g1.adj_bits)
     )
     return IsomorphismWitness(map=perm, valid=valid)
 

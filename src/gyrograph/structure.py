@@ -7,6 +7,9 @@ through a face whose vertex mask covers the fragment's attachments.  A
 fragment with no admissible face proves non-planarity; then a subdivision
 witness is extracted (a complete 5-clique when one exists, otherwise by
 deleting edges while non-planarity persists, down to a bare subdivision).
+The certificate checkers walk the rows as well: face tracing keeps a mask
+of the untraced darts at each vertex, and the Kuratowski check contracts
+the witness's own rows along its degree-2 paths.
 """
 
 from __future__ import annotations
@@ -260,50 +263,42 @@ def trace_faces(
     graph: Graph, rotation: tuple[tuple[int, ...], ...]
 ) -> list[list[tuple[int, int]]]:
     """Face orbits of a rotation system: the dart after (u, v) is
-    (v, w) with w the successor of u in the rotation at v.  Raises
-    ValueError unless the rotation at each vertex lists its neighbors
-    exactly once."""
+    (v, w) with w the successor of u in the rotation at v, and each orbit
+    starts at the least untraced dart.  Raises ValueError unless the
+    rotation at each vertex lists its neighbors exactly once."""
     if len(rotation) != graph.n or any(
         sorted(rot) != set_bits(row) for rot, row in zip(rotation, graph.adj_bits)
     ):
         raise ValueError("a rotation must list its vertex's neighbors exactly once")
     succ_index = [dict(zip(rot, rot[1:] + rot[:1])) for rot in rotation]
-    remaining = {(u, v) for u, row in enumerate(graph.adj_bits) for v in set_bits(row)}
+    left = list(graph.adj_bits)  # left[u]: the mask of the untraced darts (u, v)
     faces = []
-    while remaining:
-        dart = min(remaining)
-        orbit = []
-        cur = dart
-        while True:
-            orbit.append(cur)
-            remaining.discard(cur)
-            u, v = cur
-            cur = (v, succ_index[v][u])
-            if cur == dart:
-                break
-        faces.append(orbit)
+    for start in range(graph.n):
+        while left[start]:
+            u, v = start, (left[start] & -left[start]).bit_length() - 1
+            orbit = []
+            while left[u] >> v & 1:
+                orbit.append((u, v))
+                left[u] ^= 1 << v
+                u, v = v, succ_index[v][u]
+            faces.append(orbit)
     return faces
 
 
 def check_embedding(graph: Graph, rotation: tuple[tuple[int, ...], ...]) -> bool:
     """Self-check a rotation system: it must list each vertex's neighbors
     exactly once, and the traced faces must satisfy V - E + F = 2 on every
-    connected component (edgeless components count one face)."""
+    connected component (edgeless components count one face).  A rotation
+    of a connected graph has V - E + F = 2 - 2g with genus g >= 0, so the
+    sum over the components reaches twice their number only when each
+    term is 2."""
     try:
         faces = trace_faces(graph, rotation)
     except ValueError:
         return False
-    comps = graph.connected_components()
-    comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
-    face_count = [0] * len(comps)
-    for orbit in faces:
-        face_count[comp_of[orbit[0][0]]] += 1
-    for ci, comp in enumerate(comps):
-        ec = sum(map(graph.degree, comp)) // 2
-        fc = face_count[ci] if ec else 1
-        if len(comp) - ec + fc != 2:
-            return False
-    return True
+    isolated = graph.adj_bits.count(0)
+    components = len(graph.connected_components())
+    return graph.n - graph.edge_count + len(faces) + isolated == 2 * components
 
 
 # -- Kuratowski witnesses ----------------------------------------------------
@@ -373,84 +368,49 @@ def _find_k5_clique(graph: Graph, step_budget: int | None = None) -> tuple[int, 
 
 def verify_kuratowski(graph: Graph, edges: frozenset[tuple[int, int]]) -> str:
     """Check that the edge set is a genuine K5 or K33 subdivision inside
-    the graph, by contracting its degree-2 paths.  Returns "K5" or "K33";
-    raises ValueError otherwise."""
-    norm = {(min(u, v), max(u, v)) for u, v in edges}
-    if not all(0 <= u and v < graph.n and graph.has_edge(u, v) for u, v in norm):
-        raise ValueError("witness uses edges absent from the graph")
-    adj: dict[int, set[int]] = {}
-    for u, v in norm:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    degrees = {v: len(ns) for v, ns in adj.items()}
-    branch = sorted(v for v, d in degrees.items() if d >= 3)
-    if any(d < 2 for d in degrees.values()):
+    the graph, by contracting its degree-2 paths on the witness's own
+    bitmask rows.  Returns "K5" or "K33"; raises ValueError otherwise."""
+    n, adj = graph.n, graph.adj_bits
+    rows = [0] * n
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n and adj[u] >> v & 1):
+            raise ValueError("witness uses edges absent from the graph")
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    degrees = [row.bit_count() for row in rows]
+    branch = [v for v, d in enumerate(degrees) if d >= 3]
+    if 1 in degrees:
         raise ValueError("witness has a vertex of degree < 2")
-    if len(branch) == 5:
-        expected_degree, kind = 4, "K5"
-    elif len(branch) == 6:
-        expected_degree, kind = 3, "K33"
-    else:
+    if len(branch) not in (5, 6):
         raise ValueError(f"witness has {len(branch)} branch vertices, need 5 or 6")
-    if any(degrees[b] != expected_degree for b in branch):
+    kind, want = ("K5", 4) if len(branch) == 5 else ("K33", 3)
+    if any(degrees[b] != want for b in branch):
         raise ValueError("branch vertex degrees do not fit K5 or K33")
-    branch_set = set(branch)
-    # Walk every path leaving a branch vertex down to the next branch
-    # vertex; each branch-pair path is traversed once from each end.
-    pair_paths: dict[tuple[int, int], int] = {}
-    interior_visits: dict[int, int] = {}
+    # Walk every path leaving a branch vertex down to the next one, in the
+    # mask ends: contracted[b] collects the far ends, and every interior
+    # vertex (degree 2) is passed once from each end of its path.
+    ends, contracted, passes = _mask(branch), [0] * n, 0
     for b in branch:
-        for first in sorted(adj[b]):
+        for first in set_bits(rows[b]):
             prev, cur = b, first
-            while cur not in branch_set:
-                interior_visits[cur] = interior_visits.get(cur, 0) + 1
-                nxts = [x for x in adj[cur] if x != prev]
-                if len(nxts) != 1:
-                    raise ValueError("subdivision path is not a simple chain")
-                prev, cur = cur, nxts[0]
-            if cur == b:
-                raise ValueError("witness contains a loop at a branch vertex")
-            key = (min(b, cur), max(b, cur))
-            pair_paths[key] = pair_paths.get(key, 0) + 1
-    stray = set(degrees) - branch_set
-    if set(interior_visits) != stray or any(
-        c != 2 for c in interior_visits.values()
-    ):
+            while not ends >> cur & 1:
+                passes += 1
+                prev, cur = cur, (rows[cur] ^ 1 << prev).bit_length() - 1
+            contracted[b] |= 1 << cur
+        if contracted[b] >> b & 1:
+            raise ValueError("witness contains a loop at a branch vertex")
+        if contracted[b].bit_count() != want:
+            raise ValueError("two branch vertices are joined by parallel paths")
+    if passes != 2 * degrees.count(2):
         raise ValueError("stray vertices outside the subdivision paths")
-    if any(count != 2 for count in pair_paths.values()):
-        raise ValueError("two branch vertices are joined by parallel paths")
-    pairs = set(pair_paths)
-    if kind == "K5":
-        want = {
-            (u, v) for i, u in enumerate(branch) for v in branch[i + 1 :]
-        }
-        if pairs != want:
-            raise ValueError("contracted witness is not K5")
-        return "K5"
-    # K33: contracted graph must be 3-regular bipartite with parts of size 3.
-    nbrs = {b: set() for b in branch}
-    for u, v in pairs:
-        nbrs[u].add(v)
-        nbrs[v].add(u)
-    if any(len(ns) != 3 for ns in nbrs.values()):
-        raise ValueError("contracted witness is not 3-regular")
-    color = {branch[0]: 0}
-    queue = [branch[0]]
-    while queue:
-        x = queue.pop()
-        for y in nbrs[x]:
-            if y not in color:
-                color[y] = 1 - color[x]
-                queue.append(y)
-            elif color[y] == color[x]:
-                raise ValueError("contracted witness is not bipartite")
-    part0 = sorted(v for v in branch if color.get(v) == 0)
-    part1 = sorted(v for v in branch if color.get(v) == 1)
-    if len(part0) != 3 or len(part1) != 3:
-        raise ValueError("contracted witness parts are not 3+3")
-    if {(min(u, v), max(u, v)) for u in part0 for v in part1} != pairs:
-        raise ValueError("contracted witness is not complete bipartite")
-    return "K33"
+    # Now each contracted[b] is ends ^ 1 << b for K5.  A K33 is 3-regular
+    # and simple here, so it is K3,3 exactly when it is bipartite.
+    side = contracted[branch[0]]
+    if kind == "K5" or all(
+        contracted[b] == (ends ^ side if side >> b & 1 else side) for b in branch
+    ):
+        return kind
+    raise ValueError("contracted witness is not bipartite")
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,8 @@ def test_build_requires_an_input():
         ('{"table": [[0, 1.5], [1, 0]]}', 'the table entries and "order" must be integers'),
         ('{"order": null, "table": [[0]]}', 'the table entries and "order" must be integers'),
         ('{"order": 2.7, "table": [[0, 1], [1, 0]]}', 'the table entries and "order" must be integers'),
+        ('{"order": true, "table": [[0]]}', 'the table entries and "order" must be integers'),
+        ('{"table": [[false, true], [true, false]]}', 'the table entries and "order" must be integers'),
     ],
 )
 @pytest.mark.parametrize("command", ["build", "invariants"])

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from gyrograph import (
     BoundExceededError,
     Graph,
+    IsomorphismWitness,
     Permutation,
     build_gn,
     bundled_gyrogroup,
@@ -412,6 +413,300 @@ def test_trace_faces_rejects_a_rotation_that_is_not_the_neighbors(rotation):
     assert not check_embedding(g, rotation)
 
 
+def test_ascending_rotation_of_k4_is_not_an_embedding():
+    # 2 faces: V - E + F = 4 - 6 + 2 = 0, a torus.
+    k4 = Graph.complete(4)
+    ascending = tuple(tuple(set_bits(row)) for row in k4.adj_bits)
+    assert len(trace_faces(k4, ascending)) == 2
+    assert not check_embedding(k4, ascending)
+    # Beside a triangle (2 faces) and two isolated vertices (1 face each)
+    # the sum is V - E + F = 9 - 9 + 6 = 6, not 2 per component (8): no
+    # component exceeds 2, so none makes up for the K4's deficit.
+    graph = Graph.from_edges(9, [(0, 1), (1, 2), (0, 2)] + k4_edges([3, 4, 5, 6]))
+    rotation = tuple(tuple(set_bits(row)) for row in graph.adj_bits)
+    assert len(trace_faces(graph, rotation)) == 4
+    assert not check_embedding(graph, rotation)
+
+
+def reference_trace_faces(graph, rotation):
+    """The former face tracing: a set of the untraced darts, each face
+    started at its least one."""
+    if len(rotation) != graph.n or any(
+        sorted(rot) != set_bits(row) for rot, row in zip(rotation, graph.adj_bits)
+    ):
+        raise ValueError("a rotation must list its vertex's neighbors exactly once")
+    succ_index = [dict(zip(rot, rot[1:] + rot[:1])) for rot in rotation]
+    remaining = {(u, v) for u, row in enumerate(graph.adj_bits) for v in set_bits(row)}
+    faces = []
+    while remaining:
+        dart = min(remaining)
+        orbit = []
+        cur = dart
+        while True:
+            orbit.append(cur)
+            remaining.discard(cur)
+            u, v = cur
+            cur = (v, succ_index[v][u])
+            if cur == dart:
+                break
+        faces.append(orbit)
+    return faces
+
+
+def reference_check_embedding(graph, rotation):
+    """The former embedding check: V - E + F = 2 on each component, the
+    faces tallied per component through a vertex -> component dict."""
+    try:
+        faces = reference_trace_faces(graph, rotation)
+    except ValueError:
+        return False
+    comps = graph.connected_components()
+    comp_of = {v: ci for ci, comp in enumerate(comps) for v in comp}
+    face_count = [0] * len(comps)
+    for orbit in faces:
+        face_count[comp_of[orbit[0][0]]] += 1
+    for ci, comp in enumerate(comps):
+        ec = sum(map(graph.degree, comp)) // 2
+        fc = face_count[ci] if ec else 1
+        if len(comp) - ec + fc != 2:
+            return False
+    return True
+
+
+@st.composite
+def rotations(draw):
+    """A random graph on 0..12 vertices (often disconnected, with isolated
+    vertices) and a rotation for it: is_planar's when it is planar, else
+    the ascending neighbors; then left alone, shuffled at some vertices,
+    or given one duplicated or one missing entry."""
+    n = draw(st.integers(0, 12))
+    density = draw(st.sampled_from([0.1, 0.2, 0.3, 0.5, 0.8]))
+    rnd = draw(st.randoms(use_true_random=True))
+    graph = Graph.from_edges(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < density]
+    )
+    planar = is_planar(graph).rotation
+    rotation = [list(r) for r in planar or map(set_bits, graph.adj_bits)]
+    change = draw(st.sampled_from(["none", "shuffle", "duplicate", "drop"]))
+    busy = [v for v in range(n) if rotation[v]]
+    if change == "shuffle":
+        for v in busy:
+            if rnd.random() < 0.5:
+                rnd.shuffle(rotation[v])
+    elif change != "none" and busy:
+        rot = rotation[rnd.choice(busy)]
+        if change == "duplicate":
+            rot.insert(rnd.randrange(len(rot)), rnd.choice(rot))
+        else:
+            rot.pop(rnd.randrange(len(rot)))
+    return graph, tuple(map(tuple, rotation))
+
+
+@settings(max_examples=400, deadline=None)
+@given(rotations())
+def test_face_tracing_and_embedding_check_match_the_former_ones(case):
+    graph, rotation = case
+    try:
+        expected = reference_trace_faces(graph, rotation)
+    except ValueError:
+        expected = ValueError
+    try:
+        faces = trace_faces(graph, rotation)
+    except ValueError:
+        faces = ValueError
+    assert faces == expected
+    assert check_embedding(graph, rotation) == reference_check_embedding(graph, rotation)
+
+
+def reference_verify_kuratowski(graph, edges):
+    """The former witness check, on an edge set and a dict of neighbor
+    sets: "K5" or "K33", or ValueError."""
+    norm = {(min(u, v), max(u, v)) for u, v in edges}
+    if not all(0 <= u and v < graph.n and graph.has_edge(u, v) for u, v in norm):
+        raise ValueError("witness uses edges absent from the graph")
+    adj = {}
+    for u, v in norm:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    degrees = {v: len(ns) for v, ns in adj.items()}
+    branch = sorted(v for v, d in degrees.items() if d >= 3)
+    if any(d < 2 for d in degrees.values()):
+        raise ValueError("witness has a vertex of degree < 2")
+    if len(branch) == 5:
+        expected_degree, kind = 4, "K5"
+    elif len(branch) == 6:
+        expected_degree, kind = 3, "K33"
+    else:
+        raise ValueError(f"witness has {len(branch)} branch vertices, need 5 or 6")
+    if any(degrees[b] != expected_degree for b in branch):
+        raise ValueError("branch vertex degrees do not fit K5 or K33")
+    branch_set = set(branch)
+    pair_paths = {}
+    interior_visits = {}
+    for b in branch:
+        for first in sorted(adj[b]):
+            prev, cur = b, first
+            while cur not in branch_set:
+                interior_visits[cur] = interior_visits.get(cur, 0) + 1
+                nxts = [x for x in adj[cur] if x != prev]
+                if len(nxts) != 1:
+                    raise ValueError("subdivision path is not a simple chain")
+                prev, cur = cur, nxts[0]
+            if cur == b:
+                raise ValueError("witness contains a loop at a branch vertex")
+            key = (min(b, cur), max(b, cur))
+            pair_paths[key] = pair_paths.get(key, 0) + 1
+    stray = set(degrees) - branch_set
+    if set(interior_visits) != stray or any(c != 2 for c in interior_visits.values()):
+        raise ValueError("stray vertices outside the subdivision paths")
+    if any(count != 2 for count in pair_paths.values()):
+        raise ValueError("two branch vertices are joined by parallel paths")
+    pairs = set(pair_paths)
+    if kind == "K5":
+        if pairs != {(u, v) for i, u in enumerate(branch) for v in branch[i + 1:]}:
+            raise ValueError("contracted witness is not K5")
+        return "K5"
+    nbrs = {b: set() for b in branch}
+    for u, v in pairs:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    if any(len(ns) != 3 for ns in nbrs.values()):
+        raise ValueError("contracted witness is not 3-regular")
+    color = {branch[0]: 0}
+    queue = [branch[0]]
+    while queue:
+        x = queue.pop()
+        for y in nbrs[x]:
+            if y not in color:
+                color[y] = 1 - color[x]
+                queue.append(y)
+            elif color[y] == color[x]:
+                raise ValueError("contracted witness is not bipartite")
+    part0 = sorted(v for v in branch if color.get(v) == 0)
+    part1 = sorted(v for v in branch if color.get(v) == 1)
+    if len(part0) != 3 or len(part1) != 3:
+        raise ValueError("contracted witness parts are not 3+3")
+    if {(min(u, v), max(u, v)) for u in part0 for v in part1} != pairs:
+        raise ValueError("contracted witness is not complete bipartite")
+    return "K33"
+
+
+def kuratowski_verdict(check, graph, edges):
+    try:
+        return check(graph, edges)
+    except ValueError:
+        return ValueError
+
+
+# Multigraphs to subdivide into witnesses: the two Kuratowski graphs, and
+# near misses with branch degrees that fit them: the 3-prism (3-regular,
+# not bipartite), 3- and 4-regular ones with parallel edges and a
+# 4-regular one with a loop and a parallel edge.
+KURATOWSKI_BASES = {
+    "K5": [(u, v) for u in range(5) for v in range(u + 1, 5)],
+    "parallel K5": [(0, 2), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 3), (1, 4), (2, 4), (3, 4)],
+    "K33": [(i, 3 + j) for i in range(3) for j in range(3)],
+    "prism": [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)],
+    "parallel": [(0, 1), (0, 1), (2, 3), (2, 3), (4, 5), (4, 5), (0, 2), (1, 4), (3, 5)],
+    "loop": [(0, 0), (0, 1), (0, 2), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (3, 4)],
+}
+
+
+@st.composite
+def kuratowski_cases(draw):
+    """A host graph and a candidate witness: a base multigraph with 0-2
+    vertices on each edge (enough to keep it simple), maybe beside a
+    triangle, inside a host with extra vertices and edges, all
+    relabelled; the witness left intact, with one edge dropped, with one
+    host edge added, or cut down to a random subset of the host's edges."""
+    rnd = draw(st.randoms(use_true_random=True))
+    base = KURATOWSKI_BASES[draw(st.sampled_from(["K5", "K33"] * 2 + sorted(KURATOWSKI_BASES)))]
+    n = max(map(max, base)) + 1
+    witness, seen = [], set()
+    for u, v in base:
+        least = 2 if u == v else (u, v) in seen
+        seen.add((u, v))
+        chain = [u, *range(n, n + rnd.randint(least, 2)), v]
+        n += len(chain) - 2
+        witness += zip(chain, chain[1:])
+    if draw(st.booleans()):
+        witness += [(n, n + 1), (n + 1, n + 2), (n, n + 2)]
+        n += 3
+    n += rnd.randint(0, 3)
+    density = draw(st.sampled_from([0.0, 0.1, 0.3]))
+    extra = [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < density]
+    perm = list(range(n))
+    rnd.shuffle(perm)
+    graph = relabelled(n, witness + extra, perm)
+    witness = {(perm[u], perm[v])[:: rnd.choice([1, -1])] for u, v in witness}
+    change = draw(st.sampled_from(["none", "none", "drop", "add", "subset"]))
+    if change == "drop":
+        witness.discard(rnd.choice(sorted(witness)))
+    elif change == "add":
+        witness.add(rnd.choice(graph.sorted_edges()))
+    elif change == "subset":
+        witness = {e for e in graph.sorted_edges() if rnd.random() < 0.7}
+    return graph, frozenset(witness)
+
+
+@settings(max_examples=500, deadline=None)
+@given(kuratowski_cases())
+def test_verify_kuratowski_matches_the_former_check_on_subdivisions(case):
+    graph, witness = case
+    assert kuratowski_verdict(verify_kuratowski, graph, witness) == kuratowski_verdict(
+        reference_verify_kuratowski, graph, witness
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 10),
+    st.sampled_from([0.3, 0.6, 0.9]),
+    st.sampled_from([0.5, 0.8, 1.0]),
+    st.randoms(use_true_random=True),
+)
+def test_verify_kuratowski_matches_the_former_check_on_random_edge_subsets(n, density, keep, rnd):
+    graph = Graph.from_edges(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < density]
+    )
+    witness = frozenset(e for e in graph.sorted_edges() if rnd.random() < keep)
+    assert kuratowski_verdict(verify_kuratowski, graph, witness) == kuratowski_verdict(
+        reference_verify_kuratowski, graph, witness
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(k5_free_graphs())
+def test_verify_kuratowski_matches_the_former_check_on_planarity_witnesses(graph):
+    result = is_planar(graph)
+    assume(not result.is_planar)
+    witness = result.kuratowski_edges
+    assert verify_kuratowski(graph, witness) == reference_verify_kuratowski(graph, witness)
+
+
+@pytest.mark.parametrize(
+    ("base", "subdivide", "message"),
+    [
+        ("prism", 0, "contracted witness is not bipartite"),
+        ("parallel", 1, "two branch vertices are joined by parallel paths"),
+        ("parallel K5", 1, "two branch vertices are joined by parallel paths"),
+        ("loop", 2, "witness contains a loop at a branch vertex"),
+    ],
+)
+def test_verify_kuratowski_names_a_near_miss(base, subdivide, message):
+    # Every edge gets `subdivide` vertices, enough to make the base simple.
+    edges, n = [], 6
+    for u, v in KURATOWSKI_BASES[base]:
+        chain = [u, *range(n, n + subdivide), v]
+        n += subdivide
+        edges += zip(chain, chain[1:])
+    graph = Graph.from_edges(n, edges)
+    with pytest.raises(ValueError, match=message):
+        verify_kuratowski(graph, graph.edges)
+    with pytest.raises(ValueError):
+        reference_verify_kuratowski(graph, graph.edges)
+
+
 def test_planarity_against_networkx_on_random_graphs():
     nx = pytest.importorskip("networkx")
     import random
@@ -775,6 +1070,47 @@ def test_identity_map_is_always_valid():
 def test_verify_isomorphism_rejects_size_mismatch():
     with pytest.raises(ValueError):
         verify_isomorphism(Graph.complete(3), Graph.complete(4), (0, 1, 2))
+
+
+def reference_verify_isomorphism(g1, g2, mapping):
+    """The former map check: has_edge on both sides of every vertex pair."""
+    if g1.n != g2.n:
+        raise ValueError("graphs have different orders")
+    perm = mapping if isinstance(mapping, Permutation) else Permutation(tuple(mapping))
+    if perm.size != g1.n:
+        raise ValueError("mapping size does not match the graphs")
+    valid = all(
+        g1.has_edge(u, v) == g2.has_edge(perm(u), perm(v))
+        for u in range(g1.n)
+        for v in range(u + 1, g1.n)
+    )
+    return IsomorphismWitness(map=perm, valid=valid)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    small_graphs(),
+    st.sampled_from(["relabelled", "one pair toggled", "random"]),
+    st.booleans(),
+    st.randoms(use_true_random=True),
+)
+def test_verify_isomorphism_matches_the_former_check(graph, second, keep_map, rnd):
+    # The second graph is a relabelled copy, that copy with one vertex pair
+    # toggled, or a random graph of the same order; the map is the
+    # relabelling or a random one.
+    n = graph.n
+    perm = list(range(n))
+    rnd.shuffle(perm)
+    edges = {tuple(sorted((perm[u], perm[v]))) for u, v in graph.sorted_edges()}
+    if second == "one pair toggled" and n >= 2:
+        edges ^= {tuple(sorted(rnd.sample(range(n), 2)))}
+    elif second == "random":
+        edges = {(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < 0.5}
+    image = Graph.from_edges(n, edges)
+    mapping = perm if keep_map else rnd.sample(range(n), n)
+    witness = verify_isomorphism(graph, image, mapping)
+    assert witness == reference_verify_isomorphism(graph, image, mapping)
+    assert witness.valid or second != "relabelled" or not keep_map
 
 
 def test_find_isomorphism_on_power_graph_pairs():
