@@ -131,8 +131,8 @@ def _tolerance(text: str) -> float:
 
 
 def _count(text: str) -> int:
-    """A --detour-bound value: an integer >= 0."""
-    if not text.strip().isdecimal():
+    """A --detour-bound value: an integer >= 0 in ASCII digits."""
+    if not (text.isascii() and text.strip().isdigit()):
         raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
     return int(text)
 
@@ -330,10 +330,9 @@ def _render_invariants(data: dict) -> str:
 
 def _parse_range(spec: str) -> list[int]:
     lo, dots, hi = spec.partition("..")
-    try:
-        values = list(range(int(lo), int(hi if dots else lo) + 1))
-    except ValueError:
-        values = []
+    hi = hi if dots else lo
+    digits = spec.isascii() and lo.isdigit() and hi.isdigit()
+    values = list(range(int(lo), int(hi) + 1)) if digits else []
     if not values or any(v < 3 for v in values):
         raise ValueError(f"range {spec!r} must contain integers >= 3")
     return values

@@ -285,11 +285,17 @@ class StructureSummary(NamedTuple):
 
 
 def power_graph(g: GyroGroup) -> Graph:
-    """Power graph: u ~ v iff v is a power of u or u a power of v.  Each walk
-    u^1..u^L is ORed into row u, and bit u into the row of each power."""
+    """Power graph: u ~ v iff v is a power of u or u a power of v."""
+    return _power_graph(g, (powers(g, u) for u in g.elements()))
+
+
+def _power_graph(g: GyroGroup, walks: Iterable[list[int]]) -> Graph:
+    """The power graph from each element's walk u^1..u^L = powers(g, u), in
+    element order: each walk is ORed into row u, and bit u into the row of
+    each power."""
     rows = [0] * g.order
-    for u in g.elements():
-        walk, bit = powers(g, u), 1 << u
+    for u, walk in enumerate(walks):
+        bit = 1 << u
         rows[u] |= sum(map((1).__lshift__, walk))  # the powers are distinct
         for v in walk:
             rows[v] |= bit

@@ -267,8 +267,9 @@ def _check_element(g: GyroGroup, a: int) -> None:
 
 
 def parse_cayley_csv(text: str) -> GyroGroup:
-    """Parse N rows of N comma-separated integers.  Every distinct cell
-    text is converted once, so the rows share one int per cell text."""
+    """Parse N rows of N comma-separated integers, each cell an optional
+    "-" and ASCII digits.  Every distinct cell text is converted once, so
+    the rows share one int per cell text."""
     cell = _CellInts().__getitem__
     rows = [list(map(cell, record)) for record in csv.reader(text.splitlines()) if record]
     return _from_grid(rows)
@@ -278,6 +279,8 @@ class _CellInts(dict):
     """Cell text -> its int, converted on first lookup."""
 
     def __missing__(self, text: str) -> int:
+        if not (text.isascii() and text.removeprefix("-").isdigit()):
+            raise ValueError(f"CSV cell {text!r} is not an integer")
         value = self[text] = int(text)
         return value
 

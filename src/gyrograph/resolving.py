@@ -5,11 +5,11 @@ Twin vertices (equal open or closed neighborhoods) are interchangeable in
 distance vectors, so a resolving set can omit at most one vertex of each
 twin part (the graph's ``twin_parts``).  Swapping two twins is an
 automorphism that fixes every other vertex, so whether a subset resolves
-depends only on which parts its complement touches, and it is read off
-the distance matrix's part table: the omitted vertices, one per part, are
-told apart by the table rows of their parts.  The search tests one subset
-per omission pattern, and a budget of distance lookups, not the order,
-fences it.
+depends only on its omission pattern, the set of parts its complement
+touches, and it is read off the distance matrix's part table: the omitted
+vertices, one per part, are told apart by the table rows of their parts,
+read at the parts that keep a member.  The search tests each omission
+pattern once, and a budget of distance lookups, not the order, fences it.
 
 Everything but `twin_partition` takes the shortest-distance matrix: it
 holds the graph's twin parts and the distances between them.
@@ -17,10 +17,9 @@ holds the graph's twin parts and the distances between them.
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import combinations, dropwhile
 from math import comb, prod
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, NamedTuple
 
 from .distances import DistanceMatrix, _require_shortest
 from .errors import BoundExceededError
@@ -28,7 +27,7 @@ from .graphs import Graph
 from .polynomials import IntPolynomial
 
 #: Default cap on the distance lookups of one search (omission patterns x
-#: order x subset size, summed over the layers searched).
+#: min(subset size, parts) x parts, summed over the layers searched).
 LOOKUP_BUDGET = 100_000_000
 
 
@@ -69,59 +68,42 @@ def twin_partition(graph: Graph) -> TwinPartition:
 
 def is_resolving(dm: DistanceMatrix, subset: Iterable[int]) -> bool:
     """True iff the distance-vector map v -> (d(v, s) for s in subset) is
-    injective on the vertices.  The subset is canonicalized to ascending
-    order; injectivity does not depend on the ordering."""
-    s = sorted(set(subset))
-    for v in s:
+    injective on the vertices; the order of subset does not matter.  Two
+    omitted vertices of one part are twins, which no member tells apart."""
+    members = set(subset)
+    for v in members:
         if not 0 <= v < dm.n:
             raise ValueError(f"vertex {v} out of range")
     _require_shortest(dm, "resolving sets need a connected graph")
-    return _resolves(dm, s)
+    omitted = [dm._part_of[v] for v in range(dm.n) if v not in members]
+    return len(set(omitted)) == len(omitted) and _resolves(dm, omitted)
 
 
-def _resolves(dm: DistanceMatrix, subset: Sequence[int]) -> bool:
-    """Whether the distinct vertices of subset resolve, read off the part table.
-    Members are told apart by their 0.  Two omitted twins are swapped by an
-    automorphism fixing the subset; omitted vertices of parts i and j collide
-    when the symmetric table's rows i and j agree on the members' parts."""
-    members = Counter(map(dm._part_of.__getitem__, subset))
-    if not members:
-        return dm.n <= 1
-    covered = [i for i, count in members.items() if count == len(dm.parts[i][0])]
-    if dm.n - len(subset) != len(dm.parts) - len(covered):
-        return False  # some part has two omitted vertices
-    vectors = list(zip(*map(dm.table.__getitem__, members)))
-    for i in covered:
-        vectors[i] = i  # no omitted vertex: unequal to every other vector
-    return len(set(vectors)) == len(vectors)
-
-
-def _omission_patterns(
-    n: int, units: list[tuple[int, ...]], k: int
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """(representative, weight) for every choice of n - k units to omit a
-    vertex from.  The representative omits each chosen unit's largest
-    vertex, so it is the least k-subset of its pattern; the weight, the
-    product of the chosen units' sizes, counts the pattern's k-subsets.
-    Choices are enumerated by the k - (n - len(units)) units kept whole."""
-    base = [v for unit in units for v in unit[:-1]]
-    total = prod(map(len, units))
-    for kept in combinations(units, k - len(base)):
-        yield (
-            tuple(sorted(base + [unit[-1] for unit in kept])),
-            total // prod(map(len, kept)),
-        )
+def _resolves(dm: DistanceMatrix, omitted: Collection[int]) -> bool:
+    """Whether omitting one vertex from each part in omitted leaves a
+    resolving set, read off the part table.  Members are told apart by their
+    0.  The omitted vertex of part i is at table[i][j] from the members of
+    part j, so the omitted vertices are told apart when their rows differ at
+    the parts that keep a member: all parts but the singletons in omitted."""
+    gone = {i for i in omitted if len(dm.parts[i][0]) == 1}
+    kept = [row for j, row in enumerate(dm.table) if j not in gone]
+    if not kept:
+        return len(omitted) <= 1
+    columns = list(zip(*kept))  # the symmetric table's rows at the kept parts
+    return len({columns[i] for i in omitted}) == len(omitted)
 
 
 def _layer_sizes(dm: DistanceMatrix, lookup_budget: int) -> Iterator[int]:
-    """Each k from the twin lower bound up to n.  A layer whose lookups
-    (patterns x n x k) would take the total past lookup_budget is refused."""
+    """Each k from the twin lower bound up to n.  A pattern of layer k reads
+    at most min(k, parts) kept rows of the table, each at every part, and a
+    layer whose lookups (patterns x min(k, parts) x parts) would take the
+    total past lookup_budget is refused."""
     n, parts = dm.n, len(dm.parts)
     _require_shortest(dm, "metric dimension needs a connected graph")
     spent = 0
     for k in range(n - parts, n + 1):
         patterns = comb(parts, n - k)
-        lookups = patterns * n * k
+        lookups = patterns * min(k, parts) * parts
         if spent + lookups > lookup_budget:
             raise BoundExceededError(
                 f"resolving-set search refused at layer k={k}: {patterns} "
@@ -136,19 +118,22 @@ def _resolving_layers(
     dm: DistanceMatrix, sizes: Iterable[int]
 ) -> Iterator[tuple[int, int, tuple[int, ...] | None]]:
     """Yield (k, number of resolving k-subsets, least resolving k-subset or
-    None) for each k of sizes (see :func:`_layer_sizes`), testing every
-    omission pattern once; the omission units are the matrix's twin parts."""
-    n = dm.n
-    units = [part for part, _ in dm.parts]
+    None) for each k of sizes (see :func:`_layer_sizes`), testing each
+    omission pattern, a choice of n - k parts to lose one vertex each, once.
+    A pattern stands for the product of its parts' sizes k-subsets, and the
+    least of them omits each part's largest vertex.  Patterns run in
+    ascending order of those vertices, so the last resolving pattern omits
+    the greatest ones and holds the least resolving k-subset."""
+    n, parts = dm.n, [part for part, _ in dm.parts]
+    order = sorted(range(len(parts)), key=lambda i: parts[i][-1])
     for k in sizes:
-        count = 0
-        least: tuple[int, ...] | None = None
-        for subset, weight in _omission_patterns(n, units, k):
-            if _resolves(dm, subset):
-                count += weight
-                if least is None or subset < least:
-                    least = subset
-        yield k, count, least
+        count, last = 0, None
+        for omitted in combinations(order, n - k):
+            if _resolves(dm, omitted):
+                count += prod(len(parts[i]) for i in omitted)
+                last = omitted
+        dropped = {parts[i][-1] for i in last or ()}
+        yield k, count, tuple(v for v in range(n) if v not in dropped) if count else None
 
 
 def metric_dimension(dm: DistanceMatrix, lookup_budget: int = LOOKUP_BUDGET) -> int:
@@ -168,9 +153,9 @@ def resolving_polynomial(
 
     Subsets omitting two vertices of one twin class never resolve and are
     never generated; the others are tested one omission pattern at a time
-    (its least member stands for all, which differ by twin swaps).  Every
-    layer is searched, so BoundExceededError is raised before the first one
-    when some layer would take the lookups past lookup_budget.
+    (its subsets differ by twin swaps).  Every layer is searched, so
+    BoundExceededError is raised before the first one when some layer would
+    take the lookups past lookup_budget.
     """
     sizes = list(_layer_sizes(dm, lookup_budget))
     layers = list(dropwhile(lambda layer: not layer[1], _resolving_layers(dm, sizes)))

@@ -28,7 +28,7 @@ from .distances import (
     reciprocal_status_hosoya,
 )
 from .errors import BoundExceededError
-from .graphs import Graph, classify_gn_shape, power_graph
+from .graphs import Graph, _power_graph, classify_gn_shape, power_graph
 from .gyrogroups import GyroGroup, build_gn, bundled_gyrogroup, powers
 from .isomorphism import find_isomorphism, gyro_isomorphic, verify_isomorphism
 from .polynomials import IntPolynomial
@@ -230,7 +230,8 @@ def _power_associative(g: GyroGroup, walks: list[list[int]]) -> bool:
 def verify_gn(n: int) -> list[ReportEntry]:
     """All closed-form checks for one n."""
     g = build_gn(n)
-    graph = power_graph(g)
+    walks = [powers(g, a) for a in g.elements()]  # for the graph and the power entries
+    graph = _power_graph(g, walks)
     m = 2 ** (n - 1)
     big = 2**n
     tag = f"n={n}"
@@ -261,7 +262,6 @@ def verify_gn(n: int) -> list[ReportEntry]:
     # powers (a^(m+1) = a^m + a) agree with the left-iterated ones up to 2^n
     # iff a + x = x + a for x = a^1..a^min(|<a>|, 2^n - 1), by induction on m.
     t = g.table
-    walks = [powers(g, a) for a in g.elements()]
     left_right_agree = all(
         t[a][x] == t[x][a] for a, walk in enumerate(walks) for x in walk[: g.order - 1]
     )

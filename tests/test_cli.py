@@ -146,6 +146,27 @@ def test_malformed_json_table_is_a_usage_error(capsys, tmp_path, command, docume
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+@pytest.mark.parametrize(
+    ("document", "cell"),
+    [
+        ("0,1\n1,0_0\n", "0_0"),
+        ("0,+1\n+1,0\n", "+1"),
+        ("0,\u0661\n\u0661,0\n", "\u0661"),
+        ("0,1\n1,0,\n", ""),
+    ],
+    ids=["underscore", "plus", "arabic-indic-digit", "empty"],
+)
+@pytest.mark.parametrize("command", ["build", "invariants"])
+def test_csv_cell_that_is_not_an_ascii_integer_is_a_usage_error(
+    capsys, tmp_path, command, document, cell
+):
+    # int() reads all four; a cell is an optional "-" and ASCII digits.
+    path = tmp_path / "table.csv"
+    path.write_text(document, encoding="utf-8")
+    assert cli.main([command, "--table", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: CSV cell {cell!r} is not an integer\n")
+
+
 @pytest.mark.parametrize("command", ["build", "invariants"])
 def test_deeply_nested_json_table_is_a_usage_error(tmp_path, command):
     # The JSON parser raises RecursionError on this document.
@@ -584,7 +605,7 @@ def test_tol_must_be_finite_and_positive(capsys, command, tol):
     assert "argument --tol" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bound", ["-1", "1.5", "abc", ""])
+@pytest.mark.parametrize("bound", ["-1", "1.5", "abc", "", "\u0661"])
 @pytest.mark.parametrize(
     "command", [["invariants", "--gn", "3", "--detour"], ["invariants", "--gn", "3"]]
 )
@@ -678,7 +699,7 @@ def test_verify_paper_rejects_bad_range():
     assert r.returncode == 2
 
 
-@pytest.mark.parametrize("spec", ["x", "3..x", "3..", "..4", "3..2", "3.5"])
+@pytest.mark.parametrize("spec", ["x", "3..x", "3..", "..4", "3..2", "3.5", "0_3", "+3"])
 def test_verify_paper_names_a_malformed_range_in_one_line(capsys, spec):
     assert cli.main(["verify-paper", "--n", spec]) == 2
     assert capsys.readouterr().err == f"error: range {spec!r} must contain integers >= 3\n"

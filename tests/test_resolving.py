@@ -2,6 +2,7 @@
 
 import random
 import time
+from collections import Counter
 from itertools import combinations
 
 import networkx as nx
@@ -38,21 +39,22 @@ def z12():
     return power_graph(cyclic_group(12))
 
 
-def unpruned_resolving_counts(graph):
-    """Oracle: test every subset of every size directly."""
+def unpruned_resolving_subsets(graph):
+    """Oracle: every resolving subset, by size and then lexicographically,
+    each tested directly on its distance vectors."""
     dm = distance_matrix(graph)
-    counts = {}
     for k in range(graph.n + 1):
-        c = 0
         for subset in combinations(range(graph.n), k):
             vectors = {
                 tuple(dm[v, s] for s in subset) for v in range(graph.n)
             }
             if len(vectors) == graph.n:
-                c += 1
-        if c:
-            counts[k] = c
-    return counts
+                yield subset
+
+
+def unpruned_resolving_counts(graph):
+    """Oracle: the number of resolving subsets of each size."""
+    return dict(Counter(map(len, unpruned_resolving_subsets(graph))))
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +317,11 @@ def random_connected_graph(rng, n):
 
 
 def assert_matches_unpruned(graph):
-    full = unpruned_resolving_counts(graph)
-    psi = min(full)
+    subsets = list(unpruned_resolving_subsets(graph))
+    full = dict(Counter(map(len, subsets)))
+    least = subsets[0]  # the least resolving subset of the least size
+    psi = len(least)
     dm = distance_matrix(graph)
-    least = next(
-        s for s in combinations(range(graph.n), psi) if is_resolving(dm, s)
-    )
     prof = resolving_polynomial(dm)
     assert metric_dimension(dm) == prof.metric_dimension == psi
     assert prof.resolving_sequence == tuple(full[k] for k in range(psi, graph.n + 1))
@@ -341,15 +342,20 @@ def test_single_pass_matches_all_subsets_on_z12(z12):
 
 
 def record_layers(monkeypatch):
-    """Record the size k of every _omission_patterns enumeration."""
-    original = resolving._omission_patterns
+    """Record the size k of every layer that _resolving_layers enumerates,
+    as its loop takes k from the sizes it is given."""
+    original = resolving._resolving_layers
     layers = []
 
-    def recording(n, units, k):
-        layers.append(k)
-        return original(n, units, k)
+    def recording(dm, sizes):
+        def recorded():
+            for k in sizes:
+                layers.append(k)
+                yield k
 
-    monkeypatch.setattr(resolving, "_omission_patterns", recording)
+        return original(dm, recorded())
+
+    monkeypatch.setattr(resolving, "_resolving_layers", recording)
     return layers
 
 
@@ -422,7 +428,7 @@ def test_large_twinless_graph_is_refused_quickly():
     assert time.perf_counter() - start < 1.0
 
 
-@pytest.mark.parametrize("n", [6, 7, 8])
+@pytest.mark.parametrize("n", [6, 7, 8, 12])
 def test_resolving_polynomial_of_gn_within_the_default_budget(n):
     graph = power_graph(build_gn(n))
     start = time.perf_counter()
