@@ -1,11 +1,12 @@
-"""The gyrogroup axiom check: gyrations, their symbol grid, and the
-exhaustive check of the axioms on a Cayley table, which reports failures
-with witnesses instead of raising.
+"""The gyrogroup axiom check: one table of the distinct gyrations of a
+Cayley table serves the gyration symbol grid and the exhaustive check of
+the axioms, which reports failures with witnesses instead of raising.
 """
 
 from __future__ import annotations
 
 import operator
+from itertools import chain, count, islice, repeat
 from typing import Callable, NamedTuple, Sequence
 
 from .gyrogroups import GyroGroup, Permutation, _check_element
@@ -73,25 +74,23 @@ def gyration_symbol_grid(g: GyroGroup) -> tuple[list[str], dict[str, Permutation
     The identity permutation is named "I"; further distinct permutations
     are named "X1", "X2", ... in first-appearance order (row major).
     Returns (rows of concatenated symbols, symbol -> permutation map).
+    Raises for the first pair, row major, whose a + b has no left inverse
+    or whose gyration is not a bijection.
     """
-    names: dict[Permutation, str] = {}
-    legend: dict[str, Permutation] = {}
-    rows = []
-    counter = 0
-    for a in g.elements():
-        syms = []
-        for b in g.elements():
-            p = gyration(g, a, b)
-            if p not in names:
-                if p.is_identity():
-                    names[p] = "I"
-                else:
-                    counter += 1
-                    names[p] = f"X{counter}"
-                legend[names[p]] = p
-            syms.append(names[p])
-        rows.append("".join(syms))
-    return rows, legend
+    t, e = table_rows(g.table), g.identity
+    inv = [column.index(e) if e in column else None for column in zip(*t)]
+    gyrs, grid = _gyrations(t, [gatherer(row) for row in t], inv)
+    bijective = [len(set(p)) == g.order for p in gyrs] + [False]  # [-1]: undefined
+    for a, ids in enumerate(grid):
+        for b, k in enumerate(ids):
+            if not bijective[k]:
+                g.left_inverse(t[a][b])  # raises if a + b has none
+                raise ValueError(f"gyration map for ({a},{b}) is not a bijection")
+    symbols = (f"X{i}" for i in count(1))
+    perms = [Permutation(tuple(p)) for p in gyrs]
+    legend = {"I" if p.is_identity() else next(symbols): p for p in perms}
+    names = list(legend)
+    return ["".join(map(names.__getitem__, ids)) for ids in grid], legend
 
 
 def table_rows(rows: Sequence[Sequence[int]]) -> list:
@@ -125,82 +124,64 @@ def verify_axioms(g: GyroGroup) -> AxiomReport:
     gyro-commutativity, and plain associativity (is_group).  Failures are
     collected with witnesses, never raised.
 
-    One row-major pass over the pairs (a, b) composes table rows with
-    :func:`gatherer`, as bytes up to order 256 and as tuples above (see
-    :func:`table_rows`).  gyr[a,b] = L_-s o L_a o L_b, with s = a + b, is
-    interned to an id, and each distinct gyration is checked for the
-    automorphism property once.  a + (b + c) = s + gyr[a,b]c holds for
-    every c when L_s o L_-s is the identity, so only the pairs whose s
-    fails that test are checked per c.  The left loop property compares
-    ids one column at a time; is_group compares L_a o L_b with L_s.
-    Memory is the n^2 ids plus the distinct gyrations.  An axiom's
-    witnesses are its first MAX_COUNTEREXAMPLES failures in row-major
-    order (gyro-commutativity keeps only the first).
+    The gyrations come from :func:`_gyrations`, each distinct one checked
+    for the automorphism property once.  Each axiom is then one row-major
+    scan of their index grid that keeps its first MAX_COUNTEREXAMPLES
+    witnesses (gyro-commutativity its first), skipped when it cannot fail:
+    the left loop property when each grid column, gathered by the same
+    table column, is unchanged; gyroassociativity and the automorphism
+    check when every gyration is an automorphism and L_s o L_-s is the
+    identity for every s = a + b, which gives a + (b + c) = s + gyr[a,b]c.
+    Then L_a o L_b = L_s exactly when gyr[a,b] is the identity, so is_group
+    is read off the distinct gyrations instead of compared pair by pair.
     """
     n, t, e = g.order, table_rows(g.table), g.identity
     gather = [gatherer(row) for row in t]
+    columns = list(zip(*t))
     # Left inverses: the first y with y + a = e.
-    inv = [column.index(e) if e in column else None for column in zip(*t)]
-    found: dict[str, list[tuple[int, ...]]] = {
-        # Left identity: guaranteed by construction, but re-checked so the
-        # report stands on its own.
-        "left_identity": [(e, a) for a in range(n) if t[e][a] != a][:MAX_COUNTEREXAMPLES],
-        "left_inverse": [(a,) for a in range(n) if inv[a] is None][:MAX_COUNTEREXAMPLES],
-        "gyroassociativity": [],
-        "left_loop": [],
-        "gyr_is_automorphism": [],
-        "gyrocommutative": [],
-    }
-
-    def note(axiom: str, witness: tuple[int, ...]) -> None:
-        limit = 1 if axiom == "gyrocommutative" else MAX_COUNTEREXAMPLES
-        if len(found[axiom]) < limit:
-            found[axiom].append(witness)
-
-    # Once an axiom's list is full, its checks below are skipped.
-    assoc, auto = found["gyroassociativity"], found["gyr_is_automorphism"]
+    inv = [column.index(e) if e in column else None for column in columns]
+    gyrs, grid = _gyrations(t, gather, inv)
     cancels = [y is not None and gather[y](t[s]) == t[e] for s, y in enumerate(inv)]
-    distinct: dict[Sequence[int], int] = {}
-    automorphism_failures: list[tuple[int, ...] | None] = []
-    gyr_ids = []  # -1 where a + b has no left inverse and gyr[a,b] is undefined
-    is_group = True
-    for a, row_a in enumerate(t):
-        ids = []
-        gyr_ids.append(ids)
-        for b, s in enumerate(row_a):
-            if is_group:
-                is_group = gather[b](row_a) == t[s]
-            if inv[s] is None:
-                ids.append(-1)
-                note("gyroassociativity", (a, b))
-                note("gyr_is_automorphism", (a, b))
-                note("gyrocommutative", (a, b))
-                continue
-            gyr = gather[b](gather[a](t[inv[s]]))
-            k = distinct.setdefault(gyr, len(distinct))
-            if k == len(automorphism_failures):  # a new gyration
-                automorphism_failures.append(_automorphism_failure(t, gather, gyr))
-            ids.append(k)
-            if not cancels[s] and len(assoc) < MAX_COUNTEREXAMPLES:
-                a_bc = gather[b](row_a)
-                c = next((c for c in range(n) if t[s][gyr[c]] != a_bc[c]), None)
-                if c is not None:
-                    assoc.append((a, b, c))
-            if automorphism_failures[k] is not None and len(auto) < MAX_COUNTEREXAMPLES:
-                auto.append((a, b, *automorphism_failures[k]))
-            # Gyro-commutativity: a + b = gyr[a,b](b + a).
-            if not found["gyrocommutative"] and s != gyr[t[b][a]]:
-                note("gyrocommutative", (a, b))
+    # failures[-1], read at index -1, makes an undefined gyration's witness (a, b).
+    failures = [_automorphism_failure(t, gather, p) for p in gyrs] + [()]
+    sound = all(cancels) and failures.count(None) == len(gyrs)
 
-    # Left loop: gyr[a+b, b] = gyr[a, b].
-    loop_failures = []
-    for b, (column, ids) in enumerate(zip(zip(*t), zip(*gyr_ids))):
-        if -1 in ids or gatherer(column)(ids) != ids:
-            loop_failures += [
-                (a, b) for a, s in enumerate(column) if not -1 < ids[a] == ids[s]
-            ]
-    found["left_loop"] = sorted(loop_failures)[:MAX_COUNTEREXAMPLES]
+    def pairs():
+        """(a, b, a + b, the index of gyr[a,b], b + a) in row-major order."""
+        for a, rows in enumerate(zip(t, grid, columns)):
+            yield from zip(repeat(a), count(), *rows)
 
+    def first(witnesses, limit=MAX_COUNTEREXAMPLES):
+        return list(islice(filter(None, witnesses), limit))
+
+    def associator(a, b, s, k):
+        """(a, b) if gyr[a,b] is undefined, else the first (a, b, c) with
+        a + (b + c) != s + gyr[a,b]c, if any."""
+        if k < 0:
+            return a, b
+        lhs, rhs = gather[b](t[a]), gatherer(gyrs[k])(t[s])
+        return next(((a, b, c) for c in range(n) if lhs[c] != rhs[c]), None)
+
+    found = {
+        # Left identity holds by construction; re-checked so the report stands alone.
+        "left_identity": first((e, a) for a in range(n) if t[e][a] != a),
+        "left_inverse": first((a,) for a in range(n) if inv[a] is None),
+        "gyroassociativity": [] if sound else first(
+            associator(a, b, s, k) for a, b, s, k, _ in pairs() if not cancels[s]
+        ),
+        # Left loop: gyr[a+b, b] = gyr[a, b].
+        "left_loop": [] if all(
+            -1 not in ids and gatherer(column)(ids) == ids
+            for column, ids in zip(columns, zip(*grid))
+        ) else first((a, b) for a, b, s, k, _ in pairs() if not -1 < k == grid[s][b]),
+        "gyr_is_automorphism": [] if sound else first(
+            (a, b, *failures[k]) for a, b, _, k, _ in pairs() if failures[k] is not None
+        ),
+        # Gyro-commutativity: a + b = gyr[a,b](b + a).
+        "gyrocommutative": first(
+            ((a, b) for a, b, s, k, ba in pairs() if k < 0 or s != gyrs[k][ba]), 1
+        ),
+    }
     return AxiomReport(
         left_identity_ok=not found["left_identity"],
         left_inverse_ok=not found["left_inverse"],
@@ -208,9 +189,25 @@ def verify_axioms(g: GyroGroup) -> AxiomReport:
         left_loop_ok=not found["left_loop"],
         gyr_is_automorphism_ok=not found["gyr_is_automorphism"],
         gyrocommutative=not found["gyrocommutative"],
-        is_group=is_group,
+        is_group=gyrs == [t[e]] if sound else all(
+            gather[b](row_a) == t[s] for row_a in t for b, s in enumerate(row_a)
+        ),
         counterexamples=tuple((ax, w) for ax, ws in found.items() for w in ws),
     )
+
+
+def _gyrations(t, gather, inv) -> tuple[list[Sequence[int]], list[list[int]]]:
+    """The distinct gyrations gyr[a,b] = L_-(a+b) o L_a o L_b of the table t,
+    with gather[x] = gatherer(t[x]) and inv[x] the left inverse of x or None:
+    their rows in row-major order of first appearance, and the n x n grid of
+    their indices, -1 where a + b has no left inverse."""
+    index: dict[Sequence[int], int] = {}
+    grid = [
+        [-1 if inv[s] is None else index.setdefault(gather[b](gather[a](t[inv[s]])), len(index))
+         for b, s in enumerate(row_a)]
+        for a, row_a in enumerate(t)
+    ]
+    return list(index), grid
 
 
 def _automorphism_failure(t, gather, p: Sequence[int]) -> tuple[int, ...] | None:

@@ -78,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_input_flags(p: argparse.ArgumentParser) -> None:
         src = p.add_mutually_exclusive_group(required=True)
-        src.add_argument("--gn", type=int, metavar="N",
+        src.add_argument("--gn", metavar="N",
                          help="build the order-2^N family member (N >= 3)")
         src.add_argument("--table", metavar="PATH",
                          help="load a Cayley table from a .csv or .json file")
@@ -107,10 +107,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     vp = sub.add_parser("verify-paper", help="verify all closed forms against "
                         "direct computation")
-    vp.add_argument("--n", default="3..4", metavar="RANGE",
-                    help="single n or inclusive range like 3..5 (default 3..4)")
-    vp.add_argument("--examples", action="store_true",
-                    help="only the bundled-table demonstrations")
+    scope = vp.add_mutually_exclusive_group()
+    scope.add_argument("--n", default="3..4", metavar="RANGE",
+                       help="single n or inclusive range like 3..5 (default 3..4)")
+    scope.add_argument("--examples", action="store_true",
+                       help="only the bundled-table demonstrations")
     vp.add_argument("--format", choices=("text", "json"), default="text")
     vp.add_argument("--out", metavar="PATH")
     return parser
@@ -138,9 +139,11 @@ def _count(text: str) -> int:
 
 
 def _load_input(args: argparse.Namespace) -> gyrogroups.GyroGroup:
-    if args.gn is not None:
-        return gyrogroups.build_gn(args.gn)
-    return gyrogroups.read_cayley_file(args.table)
+    if args.gn is None:
+        return gyrogroups.read_cayley_file(args.table)
+    if not (args.gn.isascii() and args.gn.removeprefix("-").isdigit()):  # as a CSV cell
+        raise ValueError(f"--gn {args.gn!r} is not an integer")
+    return gyrogroups.build_gn(int(args.gn))
 
 
 def _encode(payload: dict) -> str:

@@ -326,7 +326,7 @@ def read_cayley_file(path: str | os.PathLike) -> GyroGroup:
     path = os.fspath(path)
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    if path.endswith(".json"):
+    if path.lower().endswith(".json"):
         return parse_cayley_json(text)
     return parse_cayley_csv(text)
 

@@ -61,6 +61,9 @@ def test_build_gn2_is_a_usage_error():
     r = run_cli("build", "--gn", "2")
     assert r.returncode == 2
     assert "n >= 3" in r.stderr or "n=2" in r.stderr
+    r = run_cli("build", "--gn", "-1")
+    assert r.returncode == 2
+    assert r.stderr == "error: the G(n) family is defined for n >= 3, got n=-1\n"
 
 
 def test_build_from_table_file(tmp_path):
@@ -160,11 +163,21 @@ def test_malformed_json_table_is_a_usage_error(capsys, tmp_path, command, docume
 def test_csv_cell_that_is_not_an_ascii_integer_is_a_usage_error(
     capsys, tmp_path, command, document, cell
 ):
-    # int() reads all four; a cell is an optional "-" and ASCII digits.
+    # int() reads all four; a cell, like a --gn value, is an optional "-"
+    # and ASCII digits.
     path = tmp_path / "table.csv"
     path.write_text(document, encoding="utf-8")
     assert cli.main([command, "--table", str(path)]) == 2
     assert capsys.readouterr() == ("", f"error: CSV cell {cell!r} is not an integer\n")
+    assert cli.main([command, "--gn", cell]) == 2
+    assert capsys.readouterr() == ("", f"error: --gn {cell!r} is not an integer\n")
+
+
+def test_table_suffix_is_matched_without_case(capsys, tmp_path):
+    path = tmp_path / "z2.JSON"
+    path.write_text(to_cayley_json(cyclic_group(2)), encoding="utf-8")
+    assert cli.main(["build", "--table", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"order": 2, "table": [[0, 1], [1, 0]]}
 
 
 @pytest.mark.parametrize("command", ["build", "invariants"])
@@ -623,6 +636,22 @@ def test_verify_paper_rejects_tol_and_detour_bound(capsys, flag):
         cli.main(["verify-paper", "--n", "3", *flag])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["--n", "3..6", "--examples"], "argument --examples: not allowed with argument --n"),
+        (["--examples", "--n", "3..4"], "argument --n: not allowed with argument --examples"),
+    ],
+    ids=["n-first", "examples-first"],
+)
+def test_verify_paper_rejects_n_with_examples(capsys, argv, message):
+    # --examples runs only the bundled-table demonstrations and reads no --n.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify-paper", *argv])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_invariants_output_is_deterministic():

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gyrograph
 from gyrograph import (
     AxiomReport,
     GyroGroup,
@@ -29,7 +30,7 @@ from gyrograph import (
     verify_axioms,
 )
 from gyrograph.axioms import MAX_COUNTEREXAMPLES, gatherer, table_rows
-from test_verification import changed, cyclic_monoid, left_powers, right_powers
+from test_verification import changed, count_calls, cyclic_monoid, left_powers, right_powers
 
 KLEIN4 = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
 
@@ -356,6 +357,7 @@ def test_gyration_symbol_grids_match_published_layouts():
         assert tuple(r.replace("X1", "X") for r in grid) == target
 
 
+
 def test_order_256_axiom_check_within_gate():
     g = build_gn(8)
     rows = [list(r) for r in g.table]
@@ -611,6 +613,94 @@ def test_verify_axioms_matches_reference_on_bundled_tables(name):
 @pytest.mark.parametrize("k", [1, 2, 3, 5, 6, 12])
 def test_verify_axioms_matches_reference_on_cyclic_groups(k):
     _assert_matches_reference(cyclic_group(k))
+
+
+# ---------------------------------------------------------------------------
+# gyration_symbol_grid against the per-pair reference
+# ---------------------------------------------------------------------------
+
+
+def reference_gyration_symbol_grid(g):
+    """The symbol grid built from one gyration() call per pair."""
+    names: dict[Permutation, str] = {}
+    legend: dict[str, Permutation] = {}
+    rows = []
+    counter = 0
+    for a in g.elements():
+        syms = []
+        for b in g.elements():
+            p = gyration(g, a, b)
+            if p not in names:
+                if p.is_identity():
+                    names[p] = "I"
+                else:
+                    counter += 1
+                    names[p] = f"X{counter}"
+                legend[names[p]] = p
+            syms.append(names[p])
+        rows.append("".join(syms))
+    return rows, legend
+
+
+def _grid_or_error(grid, g):
+    """(rows, legend items in order) of grid(g), or the text of its ValueError."""
+    try:
+        rows, legend = grid(g)
+    except ValueError as exc:
+        return str(exc)
+    return rows, list(legend.items())
+
+
+def _grid_table(name):
+    """Relabelled G(n) for "G<n>", Z_k for "Z<k>", else a bundled table."""
+    if name[0] == "Z":
+        return cyclic_group(int(name[1:]))
+    if name[0] == "G":
+        perm = list(range(2 ** int(name[1:])))
+        random.Random(name).shuffle(perm)
+        return relabel(build_gn(int(name[1:])), Permutation(tuple(perm)))
+    return bundled_gyrogroup(name)
+
+
+@pytest.mark.parametrize(
+    "name", ["G3", "G4", "G5", "k1", "n1", "g8", "m1", "gn3", *(f"Z{k}" for k in range(1, 13))]
+)
+def test_symbol_grid_matches_the_per_pair_reference(name):
+    g = _grid_table(name)
+    assert _grid_or_error(gyration_symbol_grid, g) == _grid_or_error(
+        reference_gyration_symbol_grid, g
+    )
+
+
+@pytest.mark.parametrize(
+    ("rows", "message"),
+    [
+        ([[0, 1, 2], [0, 1, 0], [0, 1, 0]], "element 1 has no left inverse"),
+        ([[0, 1, 2], [0, 0, 0], [0, 0, 0]], "gyration map for (0,1) is not a bijection"),
+    ],
+    ids=["no-left-inverse", "not-a-bijection"],
+)
+def test_symbol_grid_errors_match_the_reference(rows, message):
+    g = load_table(rows)
+    assert _grid_or_error(gyration_symbol_grid, g) == message
+    assert _grid_or_error(reference_gyration_symbol_grid, g) == message
+
+
+@settings(max_examples=200, deadline=None)
+@given(magmas())
+def test_symbol_grid_matches_the_per_pair_reference_on_random_magmas(g):
+    # The error, if any, names the first pair in row-major order that lacks
+    # a left inverse or a bijective gyration.
+    assert _grid_or_error(gyration_symbol_grid, g) == _grid_or_error(
+        reference_gyration_symbol_grid, g
+    )
+
+
+def test_symbol_grid_builds_one_permutation_per_distinct_gyration(monkeypatch):
+    g = build_gn(5)
+    built = count_calls(monkeypatch, gyrograph.gyrogroups, "Permutation")
+    grid, legend = gyration_symbol_grid(g)
+    assert len(built) == len(legend) == 2  # not one per pair, 32 * 32
 
 
 # ---------------------------------------------------------------------------
