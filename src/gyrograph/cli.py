@@ -50,23 +50,16 @@ INVARIANT_FLAGS = (
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)  # a command is required
+    run = {"build": _cmd_build, "invariants": _cmd_invariants, "verify-paper": _cmd_verify}
     try:
-        if args.command == "build":
-            return _cmd_build(args)
-        if args.command == "invariants":
-            return _cmd_invariants(args)
-        if args.command == "verify-paper":
-            return _cmd_verify(args)
+        return run[args.command](args)
     except BoundExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    parser.error("no command given")
-    return 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -133,17 +126,17 @@ def _tolerance(text: str) -> float:
 
 def _count(text: str) -> int:
     """A --detour-bound value: an integer >= 0 in ASCII digits."""
-    if not (text.isascii() and text.strip().isdigit()):
+    if (value := gyrogroups.read_int(text)) is None or value < 0:
         raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return int(text)
+    return value
 
 
 def _load_input(args: argparse.Namespace) -> gyrogroups.GyroGroup:
     if args.gn is None:
         return gyrogroups.read_cayley_file(args.table)
-    if not (args.gn.isascii() and args.gn.removeprefix("-").isdigit()):  # as a CSV cell
+    if (n := gyrogroups.read_int(args.gn)) is None:
         raise ValueError(f"--gn {args.gn!r} is not an integer")
-    return gyrogroups.build_gn(int(args.gn))
+    return gyrogroups.build_gn(n)
 
 
 def _encode(payload: dict) -> str:
@@ -331,14 +324,13 @@ def _render_invariants(data: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _parse_range(spec: str) -> list[int]:
+def _parse_range(spec: str) -> range:
     lo, dots, hi = spec.partition("..")
-    hi = hi if dots else lo
-    digits = spec.isascii() and lo.isdigit() and hi.isdigit()
-    values = list(range(int(lo), int(hi) + 1)) if digits else []
-    if not values or any(v < 3 for v in values):
+    lo, hi = gyrogroups.read_int(lo), gyrogroups.read_int(hi if dots else lo)
+    if lo is None or hi is None or not 3 <= lo <= hi:
         raise ValueError(f"range {spec!r} must contain integers >= 3")
-    return values
+    gyrogroups.check_gn(hi)  # before any entry runs
+    return range(lo, hi + 1)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

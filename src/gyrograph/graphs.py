@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import BoundExceededError
 from .gyrogroups import GyroGroup, _Value, powers
@@ -210,6 +210,27 @@ def reachable(adj_bits: Sequence[int], v: int, allowed: int) -> int:
             seen |= low
             stack.append(low.bit_length() - 1)
     return seen
+
+
+def _least_extension(images: dict, keys: Sequence, candidates: Callable, fits: Callable) -> bool:
+    """Extend the injective map images over keys, in order, depth first: each
+    key takes a value that candidates(key, used) yields (used: the bitmask of
+    the values taken, which it leaves out) and fits(key, value, used) accepts
+    once placed.  Returns whether some extension is complete; images then
+    holds the first, else is as given."""
+
+    def extend(i: int, used: int) -> bool:
+        if i == len(keys):
+            return True
+        key = keys[i]
+        for value in candidates(key, used):
+            images[key] = value
+            if fits(key, value, used | 1 << value) and extend(i + 1, used | 1 << value):
+                return True
+        images.pop(key, None)
+        return False
+
+    return extend(0, sum(1 << value for value in images.values()))
 
 
 def twin_parts(adj_bits: Sequence[int]) -> list[tuple[list[int], str]]:

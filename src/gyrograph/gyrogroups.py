@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import sys
 from typing import Iterable, Iterator, Sequence
 
 # Names of the Cayley tables shipped with the package.
@@ -145,10 +146,9 @@ def build_gn(n: int) -> GyroGroup:
     entry and c = i mod m, row i is rot(P, i) + rot(P+m, i) for i in P and
     rot(Q+m, r) + rot(Q, (m/2+1)*r) for i in H.
     """
-    if n < 3:
-        raise ValueError(f"the G(n) family is defined for n >= 3, got n={n}")
+    check_gn(n)
     m = 2 ** (n - 1)
-    try:  # an order past the memory, or past a list's length, is refused
+    try:  # an order past the memory is refused
         w = m // 2 - 1
         w_inv = pow(w, -1, m)
         p = list(range(m))
@@ -167,6 +167,14 @@ def build_gn(n: int) -> GyroGroup:
         return GyroGroup(order=2 * m, table=rows(), identity=0)
     except (OverflowError, MemoryError):
         raise ValueError(f"G({n}) has order 2^{n}, too large to build") from None
+
+
+def check_gn(n: int) -> None:
+    """Refuse, before any work, an n that build_gn(n) refuses by its value."""
+    if n < 3:
+        raise ValueError(f"the G(n) family is defined for n >= 3, got n={n}")
+    if n > sys.maxsize.bit_length():  # 2^(n-1) elements are past a list's length
+        raise ValueError(f"G({n}) has order 2^{n}, too large to build")
 
 
 def load_table(
@@ -279,10 +287,15 @@ class _CellInts(dict):
     """Cell text -> its int, converted on first lookup."""
 
     def __missing__(self, text: str) -> int:
-        if not (text.isascii() and text.removeprefix("-").isdigit()):
+        if (value := read_int(text)) is None:
             raise ValueError(f"CSV cell {text!r} is not an integer")
-        value = self[text] = int(text)
+        self[text] = value
         return value
+
+
+def read_int(text: str) -> int | None:
+    """The int that text spells as an optional "-" and ASCII digits, else None."""
+    return int(text) if text.isascii() and text.removeprefix("-").isdigit() else None
 
 
 def parse_cayley_json(text: str) -> GyroGroup:
@@ -324,7 +337,7 @@ def _from_grid(rows: list[list[int]]) -> GyroGroup:
 def read_cayley_file(path: str | os.PathLike) -> GyroGroup:
     """Load a Cayley table from a .csv or .json file."""
     path = os.fspath(path)
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is not text
         text = fh.read()
     if path.lower().endswith(".json"):
         return parse_cayley_json(text)

@@ -1,15 +1,16 @@
-"""Isomorphism searches for power graphs and for gyrogroup tables, each
-returning the lexicographically least witness, and the check of a given
-vertex map.
+"""Isomorphism searches for power graphs and for gyrogroup tables, and the
+check of a given vertex map.  Both searches, like Hamiltonicity, run the
+least-extension search of :mod:`gyrograph.graphs` over candidates taken in
+ascending order, so each returns the lexicographically least witness.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .distances import distance_matrix
 from .errors import BoundExceededError
-from .graphs import Graph, set_bits
+from .graphs import Graph, _least_extension, set_bits
 from .gyrogroups import GyroGroup, Permutation, powers
 
 GRAPH_ISO_ORDER_BOUND = 16
@@ -42,8 +43,8 @@ def verify_isomorphism(
 def find_isomorphism(
     g1: Graph, g2: Graph, order_bound: int = GRAPH_ISO_ORDER_BOUND
 ) -> IsomorphismWitness | None:
-    """Backtracking isomorphism search with signature pruning; returns the
-    lexicographically least witness, or None when none exists."""
+    """The least isomorphism, or None: each v of g1 maps to a w of equal
+    signature whose row among the images so far is the image of v's row below v."""
     if g1.n != g2.n or g1.edge_count != g2.edge_count:
         return None
     n = g1.n
@@ -55,42 +56,34 @@ def find_isomorphism(
     sig2 = _vertex_signatures(g2)
     if sorted(sig1) != sorted(sig2):
         return None
-    images: list[int] = []
-    used = [False] * n
+    rows1, rows2 = g1.adj_bits, g2.adj_bits
+    images: dict[int, int] = {}
 
-    def backtrack(v: int) -> bool:
-        if v == n:
-            return True
-        for w in range(n):
-            if used[w] or sig1[v] != sig2[w]:
-                continue
-            if any(
-                g1.has_edge(u, v) != g2.has_edge(images[u], w) for u in range(v)
-            ):
-                continue
-            images.append(w)
-            used[w] = True
-            if backtrack(v + 1):
-                return True
-            images.pop()
-            used[w] = False
-        return False
+    def fits(v: int, w: int, used: int) -> bool:
+        below = sum(1 << images[u] for u in set_bits(rows1[v] & (1 << v) - 1))
+        return rows2[w] & used == below
 
-    if backtrack(0):
-        witness = IsomorphismWitness(map=Permutation(tuple(images)), valid=True)
-        assert verify_isomorphism(g1, g2, witness.map).valid
-        return witness
-    return None
+    if not _least_extension(images, range(n), _alike(sig1, sig2), fits):
+        return None
+    witness = IsomorphismWitness(Permutation(tuple(images[v] for v in range(n))), True)
+    assert verify_isomorphism(g1, g2, witness.map).valid
+    return witness
+
+
+def _alike(keys1: list, keys2: list) -> Callable[[int, int], list[int]]:
+    """The search's candidates of v: the unused w with keys2[w] == keys1[v]."""
+    masks = [sum(1 << w for w, key in enumerate(keys2) if key == k) for k in keys1]
+    return lambda v, used: set_bits(masks[v] & ~used)
 
 
 def _vertex_signatures(graph: Graph) -> list[tuple]:
-    dm = distance_matrix(graph)
-    sigs = []
-    for v in graph.vertices():
-        nd = tuple(sorted(graph.degree(w) for w in set_bits(graph.adj_bits[v])))
-        dp = tuple(sorted(dm.counts[v].items()))
-        sigs.append((graph.degree(v), nd, dp))
-    return sigs
+    degrees = [row.bit_count() for row in graph.adj_bits]
+    counts = distance_matrix(graph).counts
+    return [
+        (degrees[v], tuple(sorted(map(degrees.__getitem__, set_bits(row)))),
+         tuple(sorted(counts[v].items())))
+        for v, row in enumerate(graph.adj_bits)
+    ]
 
 
 def gyro_isomorphic(
@@ -99,8 +92,8 @@ def gyro_isomorphic(
     """Operation-preserving bijection between two tables, or None.
 
     The identity must map to the identity, and powers map to powers, so
-    candidates are filtered by power-closure size before the factorial
-    backtracking.  The returned witness is lexicographically least.
+    the candidates have equal power-walk size.  The returned witness is
+    lexicographically least.
     """
     if g1.order != g2.order:
         return None
@@ -114,16 +107,13 @@ def gyro_isomorphic(
     if sorted(size1) != sorted(size2):
         return None
     images: dict[int, int] = {g1.identity: g2.identity}
-    used = [False] * n
-    used[g2.identity] = True
-    order = [a for a in range(n) if a != g1.identity]
     t1, t2 = g1.table, g2.table
     preimages: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for x, row in enumerate(t1):
         for y, z in enumerate(row):
             preimages[z].append((x, y))
 
-    def consistent(a: int) -> bool:
+    def consistent(a: int, b: int, used: int) -> bool:
         # Only the triples x + y = z that involve a, the element just
         # mapped: the others held when their last element was mapped.
         pairs = [(a, y) for y in images] + [(x, a) for x in images]
@@ -134,21 +124,7 @@ def gyro_isomorphic(
                 return False
         return True
 
-    def backtrack(idx: int) -> bool:
-        if idx == len(order):
-            return True
-        a = order[idx]
-        for b in range(n):
-            if used[b] or size1[a] != size2[b]:
-                continue
-            images[a] = b
-            used[b] = True
-            if consistent(a) and backtrack(idx + 1):
-                return True
-            del images[a]
-            used[b] = False
-        return False
-
-    if backtrack(0):
+    order = [a for a in range(n) if a != g1.identity]
+    if _least_extension(images, order, _alike(size1, size2), consistent):
         return Permutation(tuple(images[a] for a in range(n)))
     return None

@@ -1,4 +1,5 @@
-"""Planarity with checkable certificates, and Hamiltonicity.
+"""Planarity with checkable certificates, and Hamiltonicity by the
+least-extension search that the isomorphism searches share.
 
 Planarity is decided block by block with the face-insertion method of
 Demoucron, Malgrange and Pertuiset (1964), on the graph's bitmask rows:
@@ -18,7 +19,7 @@ from collections import Counter
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BoundExceededError
-from .graphs import Graph, biconnected_components, reachable, set_bits
+from .graphs import Graph, _least_extension, biconnected_components, reachable, set_bits
 
 #: Default cap on edges x vertices for the Kuratowski edge deletion (one
 #: planarity test per edge), and, past it, on the fruitless steps of the
@@ -429,7 +430,8 @@ def is_hamiltonian(graph: Graph, order_bound: int = HAMILTONIAN_ORDER_BOUND) -> 
 
     Negative fast paths: fewer than 3 vertices, disconnection, a vertex of
     degree <= 1, or a cut vertex, which a Hamiltonian cycle would have to
-    pass twice.  Otherwise exact backtracking bounded by order_bound.
+    pass twice.  Otherwise the least cycle from vertex 0, by a search bounded by
+    order_bound that keeps the unused vertices reachable from the path's end.
     """
     n = graph.n
     if n < 3:
@@ -449,23 +451,18 @@ def is_hamiltonian(graph: Graph, order_bound: int = HAMILTONIAN_ORDER_BOUND) -> 
         )
     adj_bits = graph.adj_bits
     full = (1 << n) - 1
-    path = [0]
+    path = {0: 0}  # position -> vertex
 
-    def extend(v: int, visited: int) -> bool:
-        if len(path) == n:
-            return bool(adj_bits[v] >> 0 & 1)
-        free = full & ~visited
-        if reachable(adj_bits, v, free) & free != free:
-            return False
-        for w in set_bits(adj_bits[v] & free):
-            path.append(w)
-            if extend(w, visited | 1 << w):
-                return True
-            path.pop()
-        return False
+    def fits(i: int, w: int, used: int) -> bool:
+        # The unused vertices stay reachable from w; the last one closes the cycle.
+        free = full & ~used
+        return reachable(adj_bits, w, free) & free == free if free else bool(adj_bits[w] & 1)
 
-    if extend(0, 1):
-        return HamiltonicityResult(True, cycle=tuple(path))
+    def unused_neighbors(i: int, used: int) -> list[int]:
+        return set_bits(adj_bits[path[i - 1]] & ~used)
+
+    if _least_extension(path, range(1, n), unused_neighbors, fits):
+        return HamiltonicityResult(True, cycle=tuple(path[i] for i in range(n)))
     return HamiltonicityResult(False, reason="exhaustive search found no cycle")
 
 

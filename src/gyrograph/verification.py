@@ -13,7 +13,7 @@ refusal and is never counted as a failure).
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from . import closed_forms as cf
 from .axioms import gyration_symbol_grid, verify_axioms
@@ -665,7 +665,7 @@ def verify_example_tables() -> list[ReportEntry]:
     return entries
 
 
-def run_verification(ns: list[int]) -> VerificationReport:
+def run_verification(ns: Iterable[int]) -> VerificationReport:
     """The entries of verify_gn for each n, then those of the bundled tables."""
     entries: list[ReportEntry] = []
     for n in ns:

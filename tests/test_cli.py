@@ -156,8 +156,9 @@ def test_malformed_json_table_is_a_usage_error(capsys, tmp_path, command, docume
         ("0,+1\n+1,0\n", "+1"),
         ("0,\u0661\n\u0661,0\n", "\u0661"),
         ("0,1\n1,0,\n", ""),
+        ("0, 1\n1,0\n", " 1"),
     ],
-    ids=["underscore", "plus", "arabic-indic-digit", "empty"],
+    ids=["underscore", "plus", "arabic-indic-digit", "empty", "space"],
 )
 @pytest.mark.parametrize("command", ["build", "invariants"])
 def test_csv_cell_that_is_not_an_ascii_integer_is_a_usage_error(
@@ -171,6 +172,16 @@ def test_csv_cell_that_is_not_an_ascii_integer_is_a_usage_error(
     assert capsys.readouterr() == ("", f"error: CSV cell {cell!r} is not an integer\n")
     assert cli.main([command, "--gn", cell]) == 2
     assert capsys.readouterr() == ("", f"error: --gn {cell!r} is not an integer\n")
+
+
+@pytest.mark.parametrize("suffix", ["csv", "json"])
+def test_a_byte_order_mark_is_not_part_of_the_table(capsys, tmp_path, suffix):
+    # Excel's "CSV UTF-8" starts the file with one.
+    path = tmp_path / f"z2.{suffix}"
+    text = to_cayley_csv(cyclic_group(2)) if suffix == "csv" else to_cayley_json(cyclic_group(2))
+    path.write_text("\ufeff" + text, encoding="utf-8")
+    assert cli.main(["build", "--table", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"order": 2, "table": [[0, 1], [1, 0]]}
 
 
 def test_table_suffix_is_matched_without_case(capsys, tmp_path):
@@ -618,7 +629,7 @@ def test_tol_must_be_finite_and_positive(capsys, command, tol):
     assert "argument --tol" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bound", ["-1", "1.5", "abc", "", "\u0661"])
+@pytest.mark.parametrize("bound", ["-1", "1.5", "abc", "", "\u0661", " 5", "5 "])
 @pytest.mark.parametrize(
     "command", [["invariants", "--gn", "3", "--detour"], ["invariants", "--gn", "3"]]
 )
@@ -741,11 +752,14 @@ TOO_LARGE_COMMANDS = (
 )
 
 
-@pytest.mark.parametrize("argv", TOO_LARGE_COMMANDS)
+@pytest.mark.parametrize("argv", [*TOO_LARGE_COMMANDS, ["verify-paper", "--n", "3..{n}"]])
 def test_an_order_past_a_list_length_is_a_usage_error(capsys, argv):
-    # 2^69 elements overflow a list's length before anything is allocated.
-    assert cli.main([a.format(n=70) for a in argv]) == 2
-    assert capsys.readouterr() == ("", "error: G(70) has order 2^70, too large to build\n")
+    # 2^69 elements overflow a list's length; the order is refused before
+    # 2^(n-1) is computed (10^12 bits here), and the top of a range before
+    # any n of it runs.
+    for n in (70, 10**12):
+        assert cli.main([a.format(n=n) for a in argv]) == 2
+        assert capsys.readouterr() == ("", f"error: G({n}) has order 2^{n}, too large to build\n")
 
 
 @pytest.mark.parametrize("argv", TOO_LARGE_COMMANDS)

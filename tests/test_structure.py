@@ -995,6 +995,30 @@ def test_hamiltonicity_follows_a_relabelling(case):
             check_cycle(g, list(result.cycle))
 
 
+def random_graph(n, density, rnd):
+    return Graph.from_edges(
+        n, [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < density]
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 8), st.sampled_from([0.4, 0.6, 0.8]), st.randoms(use_true_random=False))
+def test_hamiltonian_cycle_is_the_first_closing_permutation(n, density, rnd):
+    # The oracle tries every ordering of 1..n-1 after 0, in lexicographic
+    # order, and keeps the first whose path and closing edge are all edges.
+    graph = random_graph(n, density, rnd)
+    first = next(
+        (
+            cycle
+            for rest in permutations(range(1, n))
+            for cycle in [(0, *rest)]
+            if all(graph.adj_bits[a] >> b & 1 for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+        ),
+        None,
+    )
+    assert is_hamiltonian(graph).cycle == first
+
+
 @settings(max_examples=150, deadline=None)
 @given(graphs_and_relabellings())
 def test_planarity_certificates_follow_a_relabelling(case):
@@ -1148,6 +1172,43 @@ def test_find_isomorphism_is_deterministic_lex_least():
     g = Graph.cycle(4)
     w = find_isomorphism(g, g)
     assert w.map.map == (0, 1, 2, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 7),
+    st.sampled_from([0.3, 0.5, 0.7]),
+    st.sampled_from(["relabelled", "one edge moved", "random"]),
+    st.randoms(use_true_random=False),
+)
+def test_find_isomorphism_returns_the_least_isomorphism(n, density, second, rnd):
+    # The second graph is a relabelled copy, that copy with one edge moved
+    # to a non-edge (the same edge count, rarely isomorphic), or a random
+    # graph; the oracle tries every permutation in lexicographic order.
+    graph = random_graph(n, density, rnd)
+    perm = list(range(n))
+    rnd.shuffle(perm)
+    edges = {tuple(sorted((perm[u], perm[v]))) for u, v in graph.sorted_edges()}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    non_edges = [pair for pair in pairs if pair not in edges]
+    if second == "one edge moved" and edges and non_edges:
+        edges = edges - {rnd.choice(sorted(edges))} | {rnd.choice(non_edges)}
+    elif second == "random":
+        edges = {pair for pair in pairs if rnd.random() < density}
+    image = Graph.from_edges(n, edges)
+    least = next(
+        (
+            p
+            for p in permutations(range(n))
+            if all(
+                sum(1 << p[v] for v in set_bits(row)) == image.adj_bits[p[u]]
+                for u, row in enumerate(graph.adj_bits)
+            )
+        ),
+        None,
+    )
+    witness = find_isomorphism(graph, image)
+    assert (witness and witness.map.map) == least
 
 
 def test_find_isomorphism_order_bound():
