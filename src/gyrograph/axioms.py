@@ -39,13 +39,7 @@ class AxiomReport(NamedTuple):
 
     def to_dict(self) -> dict:
         return {
-            "left_identity_ok": self.left_identity_ok,
-            "left_inverse_ok": self.left_inverse_ok,
-            "gyroassociativity_ok": self.gyroassociativity_ok,
-            "left_loop_ok": self.left_loop_ok,
-            "gyr_is_automorphism_ok": self.gyr_is_automorphism_ok,
-            "gyrocommutative": self.gyrocommutative,
-            "is_group": self.is_group,
+            **self._asdict(),
             "is_gyrogroup": self.is_gyrogroup,
             "counterexamples": [[axiom, list(w)] for axiom, w in self.counterexamples],
         }

@@ -126,7 +126,11 @@ def _tolerance(text: str) -> float:
 
 def _count(text: str) -> int:
     """A --detour-bound value: an integer >= 0 in ASCII digits."""
-    if (value := gyrogroups.read_int(text)) is None or value < 0:
+    try:
+        value = gyrogroups.read_int(text, "value")
+    except ValueError as exc:  # too many digits; argparse would hide why
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if value is None or value < 0:
         raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
     return value
 
@@ -134,7 +138,7 @@ def _count(text: str) -> int:
 def _load_input(args: argparse.Namespace) -> gyrogroups.GyroGroup:
     if args.gn is None:
         return gyrogroups.read_cayley_file(args.table)
-    if (n := gyrogroups.read_int(args.gn)) is None:
+    if (n := gyrogroups.read_int(args.gn, "--gn")) is None:
         raise ValueError(f"--gn {args.gn!r} is not an integer")
     return gyrogroups.build_gn(n)
 
@@ -243,12 +247,13 @@ def _compute_invariant(flag: str, graph, shortest, args) -> object:
         p = distances.hosoya_polynomial(shortest)
         return {"polynomial": str(p), "coefficients": p.to_dict()}
     if flag == "rs_hosoya":
-        sums = distances.reciprocal_status_edge_sums(shortest)
-        if any(s.denominator != 1 for s in sums):
+        scale, sums = distances._edge_status_sums(shortest)  # ints over one scale
+        if any(s % scale for s in sums):
             # Non-integer edge sums make no polynomial in x; report their
             # exact multiset.
-            return {"edge_sums": {str(s): count for s, count in sums.items()}}
-        p = polynomials.IntPolynomial({int(s): count for s, count in sums.items()})
+            from fractions import Fraction
+            return {"edge_sums": {str(Fraction(s, scale)): c for s, c in sums.items()}}
+        p = polynomials.IntPolynomial({s // scale: count for s, count in sums.items()})
         return {"polynomial": str(p), "coefficients": p.to_dict()}
     if flag == "dds":
         dds = distances.distance_degree_sequence(shortest)
@@ -326,7 +331,7 @@ def _render_invariants(data: dict) -> str:
 
 def _parse_range(spec: str) -> range:
     lo, dots, hi = spec.partition("..")
-    lo, hi = gyrogroups.read_int(lo), gyrogroups.read_int(hi if dots else lo)
+    lo, hi = (gyrogroups.read_int(end, "verify-paper --n") for end in (lo, hi if dots else lo))
     if lo is None or hi is None or not 3 <= lo <= hi:
         raise ValueError(f"range {spec!r} must contain integers >= 3")
     gyrogroups.check_gn(hi)  # before any entry runs

@@ -15,15 +15,18 @@ starts, guards that DFS.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
-from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .errors import BoundExceededError, DisconnectedGraphError
 from .graphs import Graph, check_vertex, reachable, set_bits
 from .gyrogroups import _Value
 from .polynomials import IntPolynomial
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 INF = float("inf")
 
@@ -269,43 +272,60 @@ def hosoya_polynomial(dm: DistanceMatrix) -> IntPolynomial:
 
 def reciprocal_status(dm: DistanceMatrix, v: int) -> Fraction:
     """rs(v) = sum over u != v of 1/d(u,v), exactly."""
+    from fractions import Fraction  # built only where one is returned
+
     _require_shortest(dm, "reciprocal status needs a connected graph")
     check_vertex(dm.n, v)
-    return _rs_from_row(dm.counts[v])
+    scale = math.lcm(*filter(None, dm.counts[v]))
+    return Fraction(_rs_from_row(dm.counts[v], scale), scale)
 
 
-def _rs_from_row(counts: Counter) -> Fraction:
-    """Sum of count/d over the distances d > 0 of one row's counts."""
-    return sum((Fraction(c, int(d)) for d, c in counts.items() if d), Fraction(0))
+def _rs_from_row(counts: Counter, scale: int) -> int:
+    """scale * (the sum of count/d over the distances d > 0 of one row's
+    counts), for a scale that every such d divides."""
+    return sum(c * (scale // d) for d, c in counts.items() if d)
 
 
-def reciprocal_status_edge_sums(dm: DistanceMatrix) -> dict[Fraction, int]:
-    """Multiset {rs(u)+rs(v) : uv an edge} with exact rational keys."""
+def _edge_status_sums(dm: DistanceMatrix) -> tuple[int, dict[int, int]]:
+    """(L, {L * (rs(u)+rs(v)): number of edges uv}), all ints: L is the lcm
+    of the distances present, and the statuses L * rs are computed once per
+    twin part.  The CLI's rs_hosoya field reads this table too."""
     _require_shortest(dm, "reciprocal status needs a connected graph")
-    rs = [_rs_from_row(dm.counts[part[0]]) for part, _ in dm.parts]
+    scale = math.lcm(*filter(None, set().union(*dm.table)))
+    rs = [_rs_from_row(dm.counts[part[0]], scale) for part, _ in dm.parts]
     ordered_sums: Counter = Counter()
     for i, (part, _) in enumerate(dm.parts):
         for j, (other, _) in enumerate(dm.parts):
             if dm.table[i][j] == 1:
                 ordered_sums[rs[i] + rs[j]] += len(part) * (len(other) - (i == j))
-    return {key: k // 2 for key, k in ordered_sums.items()}
+    return scale, {key: k // 2 for key, k in ordered_sums.items()}
+
+
+def reciprocal_status_edge_sums(dm: DistanceMatrix) -> dict[Fraction, int]:
+    """Multiset {rs(u)+rs(v) : uv an edge} with exact rational keys."""
+    from fractions import Fraction
+
+    scale, sums = _edge_status_sums(dm)
+    return {Fraction(key, scale): k for key, k in sums.items()}
 
 
 def reciprocal_status_hosoya(dm: DistanceMatrix) -> IntPolynomial:
-    """Sum over edges uv of x^(rs(u)+rs(v)).
+    """Sum over edges uv of x^(rs(u)+rs(v)), from the int sums of
+    :func:`_edge_status_sums`; a Fraction is built only to report one.
 
     All exponents must be integers (true for the power graphs treated
     here); for graphs with fractional sums use
     :func:`reciprocal_status_edge_sums`, which reports the exact rationals.
     """
-    sums = reciprocal_status_edge_sums(dm)
-    for key in sums:
-        if key.denominator != 1:
-            raise ValueError(
-                f"edge reciprocal-status sum {key} is not an integer; "
-                "use reciprocal_status_edge_sums for the exact rationals"
-            )
-    return IntPolynomial({int(key): count for key, count in sums.items()})
+    scale, sums = _edge_status_sums(dm)
+    if fractional := [key for key in sums if key % scale]:
+        from fractions import Fraction
+
+        raise ValueError(
+            f"edge reciprocal-status sum {Fraction(fractional[0], scale)} is not an integer; "
+            "use reciprocal_status_edge_sums for the exact rationals"
+        )
+    return IntPolynomial({key // scale: count for key, count in sums.items()})
 
 
 # ---------------------------------------------------------------------------

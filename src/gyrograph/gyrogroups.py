@@ -13,7 +13,6 @@ isomorphism search all read an element's powers through :func:`powers`.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import sys
@@ -276,26 +275,46 @@ def _check_element(g: GyroGroup, a: int) -> None:
 
 def parse_cayley_csv(text: str) -> GyroGroup:
     """Parse N rows of N comma-separated integers, each cell an optional
-    "-" and ASCII digits.  Every distinct cell text is converted once, so
+    "-" and ASCII digits; only quoted text loads the csv module
+    (:func:`_csv_records`).  Every distinct cell text is converted once, so
     the rows share one int per cell text."""
     cell = _CellInts().__getitem__
-    rows = [list(map(cell, record)) for record in csv.reader(text.splitlines()) if record]
-    return _from_grid(rows)
+    return _from_grid([list(map(cell, record)) for record in _csv_records(text)])
+
+
+def _csv_records(text: str) -> Iterator[list[str]]:
+    """The non-empty records csv.reader reads from text's lines, one at a
+    time; text with no '"' is split on commas instead, which reads the same."""
+    lines = text.splitlines()
+    if '"' not in text:
+        yield from (line.split(",") for line in lines if line)
+        return
+    import csv
+    try:
+        yield from filter(None, csv.reader(lines))
+    except csv.Error as exc:  # a field past csv.field_size_limit()
+        raise ValueError(f"CSV table: {exc}") from None
 
 
 class _CellInts(dict):
     """Cell text -> its int, converted on first lookup."""
 
     def __missing__(self, text: str) -> int:
-        if (value := read_int(text)) is None:
+        if (value := read_int(text, "CSV cell")) is None:
             raise ValueError(f"CSV cell {text!r} is not an integer")
         self[text] = value
         return value
 
 
-def read_int(text: str) -> int | None:
-    """The int that text spells as an optional "-" and ASCII digits, else None."""
-    return int(text) if text.isascii() and text.removeprefix("-").isdigit() else None
+def read_int(text: str, name: str) -> int | None:
+    """The int that text spells as an optional "-" and ASCII digits, else
+    None; a ValueError calls it name past int()'s digit limit."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{name} is too large: {len(text.lstrip('-'))} digits") from None
 
 
 def parse_cayley_json(text: str) -> GyroGroup:
@@ -304,6 +323,10 @@ def parse_cayley_json(text: str) -> GyroGroup:
         data = json.loads(text)
     except RecursionError:
         raise ValueError("the JSON table is nested too deeply") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # the only other one: an integer past int()'s digit limit
+        raise ValueError("a JSON table entry is too large to read as an integer") from None
     if not isinstance(data, dict):
         raise ValueError("a JSON table must be an object")
     table = data.get("table")

@@ -772,6 +772,116 @@ def test_running_out_of_memory_while_building_is_a_usage_error(monkeypatch, caps
     assert capsys.readouterr() == ("", "error: G(5) has order 2^5, too large to build\n")
 
 
+#: Past int()'s default limit of 4300 digits for integer text.
+HUGE = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    ("argv", "flag"),
+    [
+        (["build", "--gn", HUGE], "--gn"),
+        (["invariants", "--gn", HUGE, "--hosoya"], "--gn"),
+        (["verify-paper", "--n", HUGE], "verify-paper --n"),
+        (["verify-paper", "--n", f"3..{HUGE}"], "verify-paper --n"),
+        (["verify-paper", f"--n=-{HUGE}..3"], "verify-paper --n"),
+    ],
+    ids=["build", "invariants", "verify-paper", "verify-paper-range", "verify-paper-negative"],
+)
+def test_integer_text_past_the_digit_limit_names_its_flag(capsys, argv, flag):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {flag} is too large: 5000 digits\n")
+
+
+def test_a_detour_bound_past_the_digit_limit_is_named_too_large(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["invariants", "--gn", "3", "--detour", "--detour-bound", HUGE])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("error: argument --detour-bound: value is too large: 5000 digits\n")
+
+
+@pytest.mark.parametrize("command", ["build", "invariants"])
+def test_a_csv_cell_past_the_digit_limit_is_named_too_large(capsys, tmp_path, command):
+    path = tmp_path / "table.csv"
+    path.write_text(f"0,1\n1,{HUGE}\n", encoding="utf-8")
+    assert cli.main([command, "--table", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: CSV cell is too large: 5000 digits\n")
+
+
+@pytest.mark.parametrize(
+    "document",
+    [f'{{"order": 2, "table": [[0, 1], [1, -{HUGE}]]}}', f'{{"order": {HUGE}, "table": [[0]]}}'],
+    ids=["entry", "order"],
+)
+def test_a_json_entry_past_the_digit_limit_is_named_too_large(capsys, tmp_path, document):
+    path = tmp_path / "table.json"
+    path.write_text(document, encoding="utf-8")
+    assert cli.main(["build", "--table", str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: a JSON table entry is too large to read as an integer\n")
+
+
+@pytest.mark.parametrize(
+    ("cell", "message"),
+    [
+        ("1" * 200_000, "CSV cell is too large: 200000 digits"),
+        ('"' + "1" * 200_000 + '"', "CSV table: field larger than field limit (131072)"),
+    ],
+    ids=["unquoted", "quoted"],
+)
+def test_a_csv_field_past_the_csv_field_limit_is_a_usage_error(tmp_path, cell, message):
+    # csv.reader refuses a field over csv.field_size_limit(); quote-free
+    # text never reaches it.
+    path = tmp_path / "table.csv"
+    path.write_text(f"0,{cell}\n", encoding="utf-8")
+    r = run_cli("build", "--table", str(path))
+    assert (r.returncode, r.stdout, r.stderr) == (2, "", f"error: {message}\n")
+
+
+# ---------------------------------------------------------------------------
+# modules a command loads
+# ---------------------------------------------------------------------------
+
+#: Runs the CLI on its arguments, then prints its exit code and which of the
+#: modules named in the first argument it loaded.
+LOADED_BY_MAIN = """
+import sys
+before = set(sys.modules)
+watched, argv = sys.argv[1].split(","), sys.argv[2:]
+from gyrograph import cli
+code = cli.main(argv)
+print(code, sorted(set(watched) & (set(sys.modules) - before)))
+"""
+
+#: Exact rationals and the csv module: Fraction pulls in decimal and numbers.
+COLD_MODULES = ("fractions", "decimal", "numbers", "csv")
+
+
+def loaded_by_main(tmp_path, *argv):
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(gyrograph.__file__))}
+    out = tmp_path / "out.txt"
+    r = subprocess.run(
+        [sys.executable, "-c", LOADED_BY_MAIN, ",".join(COLD_MODULES), *argv, "--out", str(out)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return r.stdout
+
+
+def test_commands_load_neither_rationals_nor_csv(tmp_path):
+    table = tmp_path / "g5.csv"
+    table.write_text(to_cayley_csv(build_gn(5)), encoding="utf-8")
+    assert loaded_by_main(tmp_path, "invariants", "--table", str(table), "--all",
+                          "--format", "json") == "0 []\n"
+    assert loaded_by_main(tmp_path, "invariants", "--gn", "4", "--all") == "0 []\n"
+    # Exit 1: the report refutes one published claim.
+    assert loaded_by_main(tmp_path, "verify-paper", "--n", "3..4") == "1 []\n"
+
+
+def test_a_quoted_table_loads_csv(tmp_path):
+    table = tmp_path / "z2.csv"
+    table.write_text('"0",1\n1,"0"\n', encoding="utf-8")
+    assert loaded_by_main(tmp_path, "invariants", "--table", str(table), "--all") == "0 ['csv']\n"
+
+
 # ---------------------------------------------------------------------------
 # bundled data via environment override
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from gyrograph import (
 )
 from gyrograph import distances
 from gyrograph.graphs import reachable, twin_parts
+from test_spectral import connected_graphs
 
 INF = float("inf")
 
@@ -595,6 +596,34 @@ def test_rs_is_exact_rational_on_paths():
 def test_reciprocal_status_rejects_out_of_range_vertices(gn3, v):
     with pytest.raises(ValueError, match="out of range"):
         reciprocal_status(distance_matrix(gn3), v)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(connected_graphs(), twin_heavy_graphs().filter(Graph.is_connected)))
+@example(power_graph(cyclic_group(12)))  # fractional edge sums
+@example(Graph.path(4))
+@example(Graph(0, ()))
+def test_reciprocal_status_matches_the_fraction_reference(graph):
+    # The library sums ints over one common denominator; the reference sums
+    # Fractions vertex by vertex.
+    dm = distance_matrix(graph)
+    statuses = [reciprocal_status(dm, v) for v in graph.vertices()]
+    assert statuses == [oracle_rs(row) for row in expand(dm)]
+    assert all(type(rs) is Fraction for rs in statuses)
+    sums = reciprocal_status_edge_sums(dm)
+    assert sums == oracle_edge_sums(dm)
+    assert all(type(key) is Fraction for key in sums)
+    if fractional := [key for key in sums if key.denominator != 1]:
+        with pytest.raises(ValueError, match=f"sum {fractional[0]} is not an integer"):
+            reciprocal_status_hosoya(dm)
+    else:
+        assert reciprocal_status_hosoya(dm) == IntPolynomial({int(k): c for k, c in sums.items()})
+
+
+def test_z12_has_fractional_edge_sums():
+    # The example above reaches the report path.
+    sums = reciprocal_status_edge_sums(distance_matrix(power_graph(cyclic_group(12))))
+    assert any(key.denominator != 1 for key in sums)
 
 
 # ---------------------------------------------------------------------------

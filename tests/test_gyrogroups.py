@@ -1,5 +1,6 @@
 """Gyrogroup construction, gyrations, axiom verification, and powers."""
 
+import csv
 import json
 import random
 import time
@@ -7,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gyrograph
@@ -123,6 +124,26 @@ def test_relabeled_external_table_round_trips():
     assert (crlf.table, crlf.labels) == (g.table, g.labels)
 
 
+#: Characters csv.reader treats as plain text (no quote), with the line
+#: breaks that str.splitlines() cuts at.
+QUOTE_FREE = "01-, \t\x00\n\r\x0b\x1c\u2028'\\a"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(QUOTE_FREE, max_size=60))
+@example("0,1\n\n 1 ,0,\n\x00\n,\n")
+def test_quote_free_csv_splits_into_the_records_csv_reader_reads(text):
+    # Empty lines, spaces, NULs and trailing commas read as csv.reader reads them.
+    expected = [record for record in csv.reader(text.splitlines()) if record]
+    assert list(gyrograph.gyrogroups._csv_records(text)) == expected
+
+
+@pytest.mark.parametrize("text", ['"0",1\n1,"0"\n', '"0,1",2\n', '0,"1""2"\n\n'])
+def test_quoted_csv_is_read_by_csv_reader(text):
+    expected = [record for record in csv.reader(text.splitlines()) if record]
+    assert list(gyrograph.gyrogroups._csv_records(text)) == expected
+
+
 def test_csv_json_round_trip():
     g = build_gn(3)
     assert parse_cayley_csv(to_cayley_csv(g)).table == g.table
@@ -190,6 +211,26 @@ def test_table_builders_hold_one_copy_of_the_rows(setup):
         tracemalloc.stop()
     assert g.order == 1024
     assert peak <= 1.1 * kept, f"peak {peak / 2**20:.1f} MiB, table {kept / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("quoted", [False, True], ids=["split", "csv-reader"])
+def test_parsing_a_csv_holds_one_record_of_cell_texts_at_a_time(quoted):
+    # Each record's cell texts are converted and dropped before the next is
+    # read: the peak is the table, the lines and the row lists, about twice
+    # what is kept, where all records at once would be about eight times.
+    image = list(range(256))
+    random.Random(8).shuffle(image)
+    text = to_cayley_csv(relabel(build_gn(8), Permutation(tuple(image))))
+    if quoted:  # the first cell, so that csv.reader reads the text
+        text = '"' + text.replace(",", '",', 1)
+    tracemalloc.start()
+    try:
+        g = parse_cayley_csv(text)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert g.order == 256
+    assert peak <= 3 * kept, f"peak {peak / 2**20:.2f} MiB, table {kept / 2**20:.2f} MiB"
 
 
 def _distinct_entry_objects(g):

@@ -2,13 +2,14 @@
 
 import math
 import random
+import struct
 import weakref
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gyrograph import (
@@ -463,6 +464,71 @@ def test_spectral_radius_is_correctly_rounded_on_weighted_matrices(graph, rnd):
     rnd.shuffle(perm)
     shuffled = Graph.from_edges(graph.n, {(perm[u], perm[v]) for u, v in graph.sorted_edges()})
     assert spectral_radius(shuffled) == lam
+
+
+def reference_spectral_radius(graph):
+    """The float bisection of spectral_radius with each root test on a
+    Fraction: the tested float is Fraction(x), and the last test is at the
+    Fraction midpoint of the two bracketing floats."""
+    rows, _ = graph.twin_quotient
+    if not any(map(any, rows)):
+        return 0.0
+    p = graph.quotient_charpoly
+    coeffs = [p.coefficient(k) for k in range(p.degree + 1)]
+    lo = max(min(x, y) for row, col in zip(rows, zip(*rows)) for x, y in zip(row, col))
+    lo = float_bits(float(lo))
+    hi = float_bits(float(2 ** max(map(sum, rows)).bit_length()))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if reference_has_root_from(coeffs, Fraction(bits_float(mid))):
+            lo = mid
+        else:
+            hi = mid
+    below, above = bits_float(lo), bits_float(hi)
+    if reference_has_root_from(coeffs, (Fraction(below) + Fraction(above)) / 2):
+        return above
+    return below
+
+
+def reference_has_root_from(coeffs, c):
+    """Some coefficient of den^d p((z + num) / den), c = num / den, is not positive."""
+    num, den = c.numerator, c.denominator
+    d = len(coeffs) - 1
+    b = [coeff * den ** (d - k) for k, coeff in enumerate(coeffs)]
+    for i in range(d):
+        for j in range(d - 1, i - 1, -1):
+            b[j] += num * b[j + 1]
+    return any(coeff <= 0 for coeff in b)
+
+
+def float_bits(x):
+    return struct.unpack("<q", struct.pack("<d", x))[0]
+
+
+def bits_float(bits):
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+@st.composite
+def twinless_graphs(draw):
+    """A random graph on 1-10 vertices in which no two vertices are twins,
+    so the twin quotient is the whole adjacency matrix."""
+    n = draw(st.integers(1, 10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    graph = Graph.from_edges(n, draw(st.sets(st.sampled_from(pairs))) if pairs else ())
+    assume(len(graph.twin_parts) == n)
+    return graph
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(twinned_graphs(), connected_graphs(), weighted_blowups(), twinless_graphs()))
+@example(Graph(0, ()))
+@example(Graph(6, ()))
+@example(Graph.cycle(7))
+def test_spectral_radius_matches_the_fraction_reference(graph):
+    # The bisection on int ratios tests the same points as the one on
+    # Fractions, so the two return the same float, bit for bit.
+    assert float_bits(spectral_radius(graph)) == float_bits(reference_spectral_radius(graph))
 
 
 def test_spectral_radius_refuses_a_large_quotient_before_the_recurrence(monkeypatch):
