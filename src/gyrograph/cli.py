@@ -62,8 +62,15 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """Its errors, and its subparsers', are one `error:` line and exit 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gyrograph",
         description="finite gyrogroups, power graphs, and exact graph invariants",
     )

@@ -361,20 +361,20 @@ def boundary_interior_center(
 
 def bondy_chvatal_closure(graph: Graph) -> Graph:
     """Add edges between non-adjacent pairs with degree sum >= n until no
-    such pair remains.  The fixed point does not depend on the order in
-    which qualifying edges are added; if none is, it is the input graph."""
-    n = graph.n
-    rows = list(graph.adj_bits)
-    deg = [row.bit_count() for row in rows]
-    changed = True
-    while changed:
-        changed = False
-        for u in range(n):
-            for v in range(u + 1, n):
-                if deg[u] + deg[v] >= n and not rows[u] >> v & 1:
-                    rows[u] |= 1 << v
-                    rows[v] |= 1 << u
-                    deg[u] += 1
-                    deg[v] += 1
-                    changed = True
-    return graph if tuple(rows) == graph.adj_bits else Graph._from_rows(rows, graph.labels)
+    such pair remains; if none is added, it is the input graph.  Degrees
+    only grow, so each round adds every pair that qualifies at its start
+    (Bondy and Chvatal, 1976): row u gains at_least[n - deg(u)], the mask
+    of the vertices of degree >= n - deg(u), less its neighbors and u."""
+    n, rows = graph.n, graph.adj_bits
+    while True:
+        deg = [row.bit_count() for row in rows]
+        at_least = [0] * (n + 1)
+        for v, d in enumerate(deg):
+            at_least[d] |= 1 << v
+        for d in range(n - 1, -1, -1):
+            at_least[d] |= at_least[d + 1]
+        new = [at_least[n - d] & ~row & ~(1 << u) for u, (row, d) in enumerate(zip(rows, deg))]
+        if not any(new):
+            break
+        rows = [row | gain for row, gain in zip(rows, new)]
+    return graph if rows is graph.adj_bits else Graph._from_rows(rows, graph.labels)

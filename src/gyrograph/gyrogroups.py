@@ -176,26 +176,19 @@ def check_gn(n: int) -> None:
         raise ValueError(f"G({n}) has order 2^{n}, too large to build")
 
 
-def load_table(
-    rows: Sequence[Sequence[int]],
-    identity_hint: int | None = None,
-    labels: tuple[str, ...] = (),
-) -> GyroGroup:
-    """Build a GyroGroup from a square grid with entries in 0..N-1.
-
-    Without a hint the identity is located by scanning for a row equal to
-    (0, 1, ..., N-1); the scan takes the lowest such row.
+def load_table(rows: Sequence[Sequence[int]], labels: tuple[str, ...] = ()) -> GyroGroup:
+    """Build a GyroGroup from a square grid with entries in 0..N-1, whose
+    identity is the lowest row equal to (0, 1, ..., N-1).  A caller that
+    knows the identity passes it to GyroGroup, which checks it.
     """
     n = len(rows)
     if n == 0 or any(len(r) != n for r in rows):
         raise ValueError("grid is not square")
-    e = identity_hint
+    ident = list(range(n))
+    e = next((i for i, row in enumerate(rows) if list(row) == ident), None)
     if e is None:
-        ident = list(range(n))
-        e = next((i for i, row in enumerate(rows) if list(row) == ident), None)
-        if e is None:
-            _interned_rows(rows, n)  # a bad entry is reported first
-            raise ValueError("no left identity row found")
+        _interned_rows(rows, n)  # a bad entry is reported first
+        raise ValueError("no left identity row found")
     return GyroGroup(order=n, table=rows, identity=e, labels=labels)
 
 

@@ -40,17 +40,16 @@ def verify_isomorphism(
     return IsomorphismWitness(map=perm, valid=valid)
 
 
-def find_isomorphism(
-    g1: Graph, g2: Graph, order_bound: int = GRAPH_ISO_ORDER_BOUND
-) -> IsomorphismWitness | None:
+def find_isomorphism(g1: Graph, g2: Graph) -> IsomorphismWitness | None:
     """The least isomorphism, or None: each v of g1 maps to a w of equal
-    signature whose row among the images so far is the image of v's row below v."""
+    signature whose row among the images so far is the image of v's row below v.
+    Graphs of equal size and order above GRAPH_ISO_ORDER_BOUND are refused."""
     if g1.n != g2.n or g1.edge_count != g2.edge_count:
         return None
     n = g1.n
-    if n > order_bound:
+    if n > GRAPH_ISO_ORDER_BOUND:
         raise BoundExceededError(
-            f"graph isomorphism refused: order {n} exceeds bound {order_bound}"
+            f"graph isomorphism refused: order {n} exceeds bound {GRAPH_ISO_ORDER_BOUND}"
         )
     sig1 = _vertex_signatures(g1)
     sig2 = _vertex_signatures(g2)
@@ -86,21 +85,20 @@ def _vertex_signatures(graph: Graph) -> list[tuple]:
     ]
 
 
-def gyro_isomorphic(
-    g1: GyroGroup, g2: GyroGroup, order_bound: int = GYRO_ISO_ORDER_BOUND
-) -> Permutation | None:
+def gyro_isomorphic(g1: GyroGroup, g2: GyroGroup) -> Permutation | None:
     """Operation-preserving bijection between two tables, or None.
 
     The identity must map to the identity, and powers map to powers, so
     the candidates have equal power-walk size.  The returned witness is
-    lexicographically least.
+    lexicographically least.  Tables of equal order above
+    GYRO_ISO_ORDER_BOUND are refused.
     """
     if g1.order != g2.order:
         return None
     n = g1.order
-    if n > order_bound:
+    if n > GYRO_ISO_ORDER_BOUND:
         raise BoundExceededError(
-            f"gyrogroup isomorphism refused: order {n} exceeds bound {order_bound}"
+            f"gyrogroup isomorphism refused: order {n} exceeds bound {GYRO_ISO_ORDER_BOUND}"
         )
     size1 = [len(powers(g1, a)) for a in range(n)]
     size2 = [len(powers(g2, a)) for a in range(n)]

@@ -23,10 +23,10 @@ from typing import Collection, Iterable, Iterator, NamedTuple
 
 from .distances import DistanceMatrix, _require_shortest
 from .errors import BoundExceededError
-from .graphs import Graph
+from .graphs import Graph, check_vertex
 from .polynomials import IntPolynomial
 
-#: Default cap on the distance lookups of one search (omission patterns x
+#: Cap on the distance lookups of one search (omission patterns x
 #: min(subset size, parts) x parts, summed over the layers searched).
 LOOKUP_BUDGET = 100_000_000
 
@@ -71,9 +71,7 @@ def is_resolving(dm: DistanceMatrix, subset: Iterable[int]) -> bool:
     injective on the vertices; the order of subset does not matter.  Two
     omitted vertices of one part are twins, which no member tells apart."""
     members = set(subset)
-    for v in members:
-        if not 0 <= v < dm.n:
-            raise ValueError(f"vertex {v} out of range")
+    check_vertex(dm.n, *members)
     _require_shortest(dm, "resolving sets need a connected graph")
     omitted = [dm._part_of[v] for v in range(dm.n) if v not in members]
     return len(set(omitted)) == len(omitted) and _resolves(dm, omitted)
@@ -93,22 +91,22 @@ def _resolves(dm: DistanceMatrix, omitted: Collection[int]) -> bool:
     return len({columns[i] for i in omitted}) == len(omitted)
 
 
-def _layer_sizes(dm: DistanceMatrix, lookup_budget: int) -> Iterator[int]:
+def _layer_sizes(dm: DistanceMatrix) -> Iterator[int]:
     """Each k from the twin lower bound up to n.  A pattern of layer k reads
     at most min(k, parts) kept rows of the table, each at every part, and a
     layer whose lookups (patterns x min(k, parts) x parts) would take the
-    total past lookup_budget is refused."""
+    total past LOOKUP_BUDGET is refused."""
     n, parts = dm.n, len(dm.parts)
     _require_shortest(dm, "metric dimension needs a connected graph")
     spent = 0
     for k in range(n - parts, n + 1):
         patterns = comb(parts, n - k)
         lookups = patterns * min(k, parts) * parts
-        if spent + lookups > lookup_budget:
+        if spent + lookups > LOOKUP_BUDGET:
             raise BoundExceededError(
                 f"resolving-set search refused at layer k={k}: {patterns} "
                 f"omission patterns, {lookups} distance lookups avoided "
-                f"({spent} spent, budget {lookup_budget})"
+                f"({spent} spent, budget {LOOKUP_BUDGET})"
             )
         spent += lookups
         yield k
@@ -136,18 +134,17 @@ def _resolving_layers(
         yield k, count, tuple(v for v in range(n) if v not in dropped) if count else None
 
 
-def metric_dimension(dm: DistanceMatrix, lookup_budget: int = LOOKUP_BUDGET) -> int:
+def metric_dimension(dm: DistanceMatrix) -> int:
     """Minimum size of a resolving set: the first non-empty layer of the
-    ascending-size search over omission patterns."""
-    for k, count, _ in _resolving_layers(dm, _layer_sizes(dm, lookup_budget)):
+    ascending-size search over omission patterns, refused at the first layer
+    that would take the lookups past LOOKUP_BUDGET."""
+    for k, count, _ in _resolving_layers(dm, _layer_sizes(dm)):
         if count:
             return k
     raise AssertionError("the full vertex set always resolves")
 
 
-def resolving_polynomial(
-    dm: DistanceMatrix, lookup_budget: int = LOOKUP_BUDGET
-) -> ResolvingProfile:
+def resolving_polynomial(dm: DistanceMatrix) -> ResolvingProfile:
     """Count resolving k-subsets for every k from the metric dimension up
     to n.
 
@@ -155,9 +152,9 @@ def resolving_polynomial(
     never generated; the others are tested one omission pattern at a time
     (its subsets differ by twin swaps).  Every layer is searched, so
     BoundExceededError is raised before the first one when some layer would
-    take the lookups past lookup_budget.
+    take the lookups past LOOKUP_BUDGET.
     """
-    sizes = list(_layer_sizes(dm, lookup_budget))
+    sizes = list(_layer_sizes(dm))
     layers = list(dropwhile(lambda layer: not layer[1], _resolving_layers(dm, sizes)))
     psi, _, witness = layers[0]
     counts = {k: count for k, count, _ in layers}

@@ -21,10 +21,10 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import BoundExceededError
 from .graphs import Graph, _least_extension, biconnected_components, reachable, set_bits
 
-#: Default cap on edges x vertices for the Kuratowski edge deletion (one
-#: planarity test per edge), and, past it, on the fruitless steps of the
-#: 5-clique search tried first.  On 2 CPUs K48,48 (221 184) takes 1.0 s, a
-#: 20 x 20 grid with two chords (304 800) 7 s and K64,64 (524 288) 3.1 s.
+#: Cap on edges x vertices for the Kuratowski edge deletion (one planarity
+#: test per edge), and, past it, on the fruitless steps of the 5-clique
+#: search tried first.  On 2 CPUs K48,48 (221 184) takes 1.0 s, a 20 x 20
+#: grid with two chords (304 800) 7 s and K64,64 (524 288) 3.1 s.
 KURATOWSKI_WORK_BOUND = 250_000
 HAMILTONIAN_ORDER_BOUND = 32
 
@@ -53,16 +53,16 @@ class PlanarityResult(NamedTuple):
         }
 
 
-def is_planar(graph: Graph, work_bound: int = KURATOWSKI_WORK_BOUND) -> PlanarityResult:
+def is_planar(graph: Graph) -> PlanarityResult:
     """Exact planarity with a certificate either way: a rotation system
     when planar, a verified K5/K33 subdivision when not.  Deciding is never
     refused; extracting a witness is, when edges x vertices exceeds
-    work_bound and the 5-clique search either finds none or takes more than
-    work_bound fruitless steps."""
+    KURATOWSKI_WORK_BOUND and the 5-clique search either finds none or
+    takes more than that many fruitless steps."""
     rotation = _planar_rotation(graph.adj_bits, graph.blocks)
     if rotation is not None:
         return PlanarityResult(is_planar=True, rotation=rotation)
-    edges, kind = _extract_kuratowski(graph, work_bound)
+    edges, kind = _extract_kuratowski(graph)
     return PlanarityResult(
         is_planar=False, kuratowski_edges=edges, kuratowski_kind=kind
     )
@@ -305,8 +305,8 @@ def check_embedding(graph: Graph, rotation: tuple[tuple[int, ...], ...]) -> bool
 # -- Kuratowski witnesses ----------------------------------------------------
 
 
-def _extract_kuratowski(graph: Graph, work_bound: int) -> tuple[frozenset[tuple[int, int]], str]:
-    work = graph.edge_count * graph.n
+def _extract_kuratowski(graph: Graph) -> tuple[frozenset[tuple[int, int]], str]:
+    work, work_bound = graph.edge_count * graph.n, KURATOWSKI_WORK_BOUND
     refusal = (
         f"{graph.edge_count} edges x {graph.n} vertices = {work} exceeds "
         f"bound {work_bound} (one planarity test per edge deleted)"
@@ -425,13 +425,14 @@ class HamiltonicityResult(NamedTuple):
     reason: str = ""
 
 
-def is_hamiltonian(graph: Graph, order_bound: int = HAMILTONIAN_ORDER_BOUND) -> HamiltonicityResult:
+def is_hamiltonian(graph: Graph) -> HamiltonicityResult:
     """Hamiltonian-cycle decision with a certificate cycle when positive.
 
     Negative fast paths: fewer than 3 vertices, disconnection, a vertex of
     degree <= 1, or a cut vertex, which a Hamiltonian cycle would have to
-    pass twice.  Otherwise the least cycle from vertex 0, by a search bounded by
-    order_bound that keeps the unused vertices reachable from the path's end.
+    pass twice.  Otherwise the least cycle from vertex 0, by a search that
+    keeps the unused vertices reachable from the path's end; an order above
+    HAMILTONIAN_ORDER_BOUND is refused before it starts.
     """
     n = graph.n
     if n < 3:
@@ -445,9 +446,9 @@ def is_hamiltonian(graph: Graph, order_bound: int = HAMILTONIAN_ORDER_BOUND) -> 
     cut = [v for v, count in block_count.items() if count > 1]
     if cut:
         return HamiltonicityResult(False, reason=f"vertex {min(cut)} is a cut vertex")
-    if n > order_bound:
+    if n > HAMILTONIAN_ORDER_BOUND:
         raise BoundExceededError(
-            f"Hamiltonian search refused: order {n} exceeds bound {order_bound}"
+            f"Hamiltonian search refused: order {n} exceeds bound {HAMILTONIAN_ORDER_BOUND}"
         )
     adj_bits = graph.adj_bits
     full = (1 << n) - 1

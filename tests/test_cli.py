@@ -640,6 +640,28 @@ def test_detour_bound_must_be_a_nonnegative_integer(capsys, command, bound):
     assert "argument --detour-bound" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["invariants", "--gn", "3", "--detour-bound", "-1"],
+         "argument --detour-bound: expected an integer >= 0, got '-1'"),
+        (["invariants", "--gn", "3", "--tol", "0"],
+         "argument --tol: expected a finite number > 0, got '0'"),
+        (["build", "--gn", "3", "--bogus"], "unrecognized arguments: --bogus"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["detour-bound", "tol", "unknown-flag", "no-command"],
+)
+def test_an_argument_error_is_one_line(capsys, argv, message):
+    # Like every other error: one `error:` line on stderr and exit code 2,
+    # with no usage block before it.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("flag", [["--tol", "1e-10"], ["--detour-bound", "16"]])
 def test_verify_paper_rejects_tol_and_detour_bound(capsys, flag):
     # Nothing in the report reads either value, so verify-paper has neither.

@@ -748,6 +748,49 @@ def test_closure_matches_the_set_based_scan(case):
     assert (closure is graph) == (expected == graph.edges)
 
 
+def reference_bondy_chvatal_closure(graph: Graph) -> Graph:
+    """The closure by repeated scans of the pairs, each pair added as soon
+    as it qualifies; the input graph itself when none does."""
+    n = graph.n
+    rows = list(graph.adj_bits)
+    deg = [row.bit_count() for row in rows]
+    changed = True
+    while changed:
+        changed = False
+        for u in range(n):
+            for v in range(u + 1, n):
+                if deg[u] + deg[v] >= n and not rows[u] >> v & 1:
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+                    deg[u] += 1
+                    deg[v] += 1
+                    changed = True
+    return graph if tuple(rows) == graph.adj_bits else Graph._from_rows(rows, graph.labels)
+
+
+def assert_closure_matches_the_reference(graph):
+    expected = reference_bondy_chvatal_closure(graph)
+    closure = bondy_chvatal_closure(graph)
+    assert closure == expected
+    assert (closure is graph) == (expected is graph)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(), st.data())
+def test_closure_in_rounds_matches_the_pair_scan_under_relabelling(case, data):
+    n, edges = case
+    perm = data.draw(st.permutations(range(n)))
+    assert_closure_matches_the_reference(Graph.from_edges(n, edges))
+    assert_closure_matches_the_reference(
+        Graph.from_edges(n, [(perm[u], perm[v]) for u, v in edges])
+    )
+
+
+def test_closure_in_rounds_matches_the_pair_scan_on_cyclic_power_graphs():
+    for k in range(1, 41):
+        assert_closure_matches_the_reference(power_graph(cyclic_group(k)))
+
+
 def test_closure_is_order_independent():
     # Relabeling the vertices (hence changing scan order) commutes with
     # taking the closure.

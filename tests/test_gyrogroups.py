@@ -108,9 +108,11 @@ def test_load_table_scans_for_identity_row():
 
 
 def test_load_table_identity_hint_is_checked():
-    with pytest.raises(ValueError):
-        load_table(KLEIN4, identity_hint=2)
-    assert load_table(KLEIN4, identity_hint=0).identity == 0
+    # load_table takes no hint; a known identity goes to GyroGroup, which
+    # checks it.
+    with pytest.raises(ValueError, match="row 2 is not a left identity row"):
+        GyroGroup(4, KLEIN4, 2)
+    assert GyroGroup(4, KLEIN4, 0).identity == 0
 
 
 def test_relabeled_external_table_round_trips():
@@ -458,7 +460,7 @@ def corrupt_to_largest(g, rng):
         if e not in (a, b) and rows[a][b] not in (e, top):
             break
     rows[a][b] = top
-    return load_table(rows, identity_hint=e)
+    return GyroGroup(len(rows), rows, e)
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +574,7 @@ def _corrupt(g, rng):
     a = rng.choice([x for x in g.elements() if x != g.identity])
     b = rng.randrange(g.order)
     rows[a][b] = (rows[a][b] + rng.randrange(1, g.order)) % g.order
-    return load_table(rows, identity_hint=g.identity)
+    return GyroGroup(len(rows), rows, g.identity)
 
 
 def _assert_matches_reference(g):
@@ -604,14 +606,14 @@ def magmas(draw):
             list(range(n)) if a == e else draw(st.lists(cell, min_size=n, max_size=n))
             for a in range(n)
         ]
-        return load_table(rows, identity_hint=e)
+        return GyroGroup(len(rows), rows, e)
     base = draw(st.sampled_from(_BASES))
     g = relabel(base, Permutation(tuple(draw(st.permutations(range(base.order))))))
     rows = [list(r) for r in g.table]
     for _ in range(draw(st.integers(0, 3)) if g.order > 1 else 0):
         a = draw(st.sampled_from([x for x in g.elements() if x != g.identity]))
         rows[a][draw(st.integers(0, g.order - 1))] = draw(st.integers(0, g.order - 1))
-    return load_table(rows, identity_hint=g.identity)
+    return GyroGroup(len(rows), rows, g.identity)
 
 
 @settings(max_examples=300, deadline=None)
@@ -830,7 +832,7 @@ def corrupt_off_identity(g, rng):
         if e not in (a, b) and rows[a][b] != e:
             break
     rows[a][b] = rng.choice([v for v in g.elements() if v not in (e, rows[a][b])])
-    return load_table(rows, identity_hint=e)
+    return GyroGroup(len(rows), rows, e)
 
 
 def _assert_matches_tensor_reference(g):
@@ -884,7 +886,7 @@ def _small_tables():
         for other in ([0, 0], [0, 1], [1, 0], [1, 1]):
             rows = [other, other]
             rows[e] = [0, 1]
-            yield load_table(rows, identity_hint=e)
+            yield GyroGroup(len(rows), rows, e)
 
 
 @pytest.mark.parametrize("g", list(_small_tables()), ids=lambda g: str(g.table))

@@ -408,16 +408,17 @@ def test_budget_refuses_before_a_layer_it_cannot_afford(monkeypatch):
     # layers 0..2 spend 0 + 36 + 180 = 216 and layer 3 would add 360.  The
     # polynomial needs every layer, so it refuses before searching any.
     layers = record_layers(monkeypatch)
+    monkeypatch.setattr(resolving, "LOOKUP_BUDGET", 216)
     message = (
         "resolving-set search refused at layer k=3: 20 omission patterns, "
         "360 distance lookups avoided (216 spent, budget 216)"
     )
     with pytest.raises(BoundExceededError) as info:
-        resolving_polynomial(distance_matrix(Graph.path(6)), lookup_budget=216)
+        resolving_polynomial(distance_matrix(Graph.path(6)))
     assert str(info.value) == message
     assert layers == []
     # metric_dimension stops at layer 1 and never asks for layer 3.
-    assert metric_dimension(distance_matrix(Graph.path(6)), lookup_budget=216) == 1
+    assert metric_dimension(distance_matrix(Graph.path(6))) == 1
     assert layers == [0, 1]
 
 

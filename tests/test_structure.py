@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 from gyrograph import (
     BoundExceededError,
     Graph,
+    GyroGroup,
     IsomorphismWitness,
     Permutation,
     build_gn,
     bundled_gyrogroup,
     check_embedding,
+    cyclic_group,
     find_isomorphism,
     gyro_isomorphic,
     load_table,
@@ -30,6 +32,7 @@ from gyrograph import (
     verify_isomorphism,
     verify_kuratowski,
 )
+from gyrograph import isomorphism, structure
 from gyrograph.graphs import reachable, set_bits
 from gyrograph.structure import PlanarityResult, _find_k5_clique, _rotation_from_faces
 
@@ -149,14 +152,18 @@ def complete_bipartite(k):
     return Graph.from_edges(2 * k, {(u, k + v) for u in range(k) for v in range(k)})
 
 
-def test_planarity_extraction_bound():
+def test_planarity_extraction_bound(monkeypatch):
     # Deciding is never refused, and neither is a K5 clique reached with no
     # fruitless step; otherwise the extraction counts against the bound.
-    assert is_planar(grid_graph(16, 16), work_bound=0).is_planar
-    assert is_planar(Graph.complete(6), work_bound=0).kuratowski_kind == "K5"
+    monkeypatch.setattr(structure, "KURATOWSKI_WORK_BOUND", 0)
+    assert is_planar(grid_graph(16, 16)).is_planar
+    assert is_planar(Graph.complete(6)).kuratowski_kind == "K5"
+    monkeypatch.setattr(structure, "KURATOWSKI_WORK_BOUND", 53)
     with pytest.raises(BoundExceededError, match="9 edges x 6 vertices = 54 exceeds bound 53"):
-        is_planar(complete_bipartite(3), work_bound=53)
-    assert is_planar(complete_bipartite(3), work_bound=54).kuratowski_kind == "K33"
+        is_planar(complete_bipartite(3))
+    monkeypatch.setattr(structure, "KURATOWSKI_WORK_BOUND", 54)
+    assert is_planar(complete_bipartite(3)).kuratowski_kind == "K33"
+    monkeypatch.undo()
     # K64,64 would take about 4 s to extract; it is refused at once.
     start = time.perf_counter()
     with pytest.raises(BoundExceededError, match="4096 edges x 128 vertices = 524288"):
@@ -1062,7 +1069,7 @@ def test_planarity_matches_the_former_embedding(graph, rng):
 
 def test_hamiltonian_order_bound():
     with pytest.raises(BoundExceededError):
-        is_hamiltonian(Graph.cycle(10), order_bound=5)
+        is_hamiltonian(Graph.cycle(33))
 
 
 # ---------------------------------------------------------------------------
@@ -1213,7 +1220,7 @@ def test_find_isomorphism_returns_the_least_isomorphism(n, density, second, rnd)
 
 def test_find_isomorphism_order_bound():
     with pytest.raises(BoundExceededError):
-        find_isomorphism(Graph.cycle(17), Graph.cycle(17), order_bound=16)
+        find_isomorphism(Graph.cycle(17), Graph.cycle(17))
 
 
 # ---------------------------------------------------------------------------
@@ -1312,14 +1319,14 @@ def test_gyro_isomorphic_matches_the_all_pairs_search_on_random_magmas():
     for _ in range(150):
         n = rng.choice([4, 5, 6])
         rows = [list(range(n))] + [[rng.randrange(n) for _ in range(n)] for _ in range(n - 1)]
-        g1 = load_table(rows, identity_hint=0)
+        g1 = GyroGroup(n, rows, 0)
         perm = list(range(n))
         rng.shuffle(perm)
         rows = [list(r) for r in relabel(g1, Permutation(tuple(perm))).table]
         if rng.random() < 0.5:
             a = rng.choice([x for x in range(n) if x != perm[0]])
             rows[a][rng.randrange(n)] = rng.randrange(n)
-        g2 = load_table(rows, identity_hint=perm[0])
+        g2 = GyroGroup(n, rows, perm[0])
         w = gyro_isomorphic(g1, g2)
         assert w == all_pairs_gyro_isomorphic(g1, g2)
         if w is not None:
@@ -1364,4 +1371,28 @@ def test_gyro_isomorphic_order_bound():
     from gyrograph import cyclic_group
 
     with pytest.raises(BoundExceededError):
-        gyro_isomorphic(cyclic_group(12), cyclic_group(12), order_bound=10)
+        gyro_isomorphic(cyclic_group(12), cyclic_group(12))
+
+
+@pytest.mark.parametrize(
+    ("module", "bound", "search", "refusal"),
+    [
+        (structure, "HAMILTONIAN_ORDER_BOUND",
+         lambda: is_hamiltonian(Graph.cycle(6)).is_hamiltonian, "Hamiltonian search refused"),
+        (isomorphism, "GRAPH_ISO_ORDER_BOUND",
+         lambda: find_isomorphism(Graph.cycle(6), Graph.cycle(6)), "graph isomorphism refused"),
+        (isomorphism, "GYRO_ISO_ORDER_BOUND",
+         lambda: gyro_isomorphic(cyclic_group(6), cyclic_group(6)),
+         "gyrogroup isomorphism refused"),
+    ],
+    ids=["hamiltonian", "graph-isomorphism", "gyro-isomorphism"],
+)
+def test_an_order_bound_is_read_when_the_search_runs(monkeypatch, module, bound, search, refusal):
+    # Each search reads its module's bound when called: lowering it below
+    # the order 6 moves the refusal onto a search that succeeds at 6.
+    monkeypatch.setattr(module, bound, 6)
+    assert search()
+    monkeypatch.setattr(module, bound, 5)
+    with pytest.raises(BoundExceededError) as info:
+        search()
+    assert str(info.value) == f"{refusal}: order 6 exceeds bound 5"

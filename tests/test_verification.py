@@ -10,12 +10,12 @@ import pytest
 
 from gyrograph import (
     Graph,
+    GyroGroup,
     Permutation,
     build_gn,
     cyclic_group,
     distances,
     graphs,
-    load_table,
     polynomials,
     powers,
     relabel,
@@ -200,7 +200,7 @@ def conventions_corrupted(g, rng):
     else:
         x, b = rng.randrange(1, g.order), rng.randrange(g.order)
     rows[x][b] = (rows[x][b] + rng.randrange(1, g.order)) % g.order
-    return load_table(rows, identity_hint=g.identity)
+    return GyroGroup(len(rows), rows, g.identity)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -246,7 +246,7 @@ def test_power_associativity_matches_the_loop(n):
         a = rng.randrange(1, g.order)
         b = rng.randrange(g.order)
         rows[a][b] = (rows[a][b] + rng.randrange(1, g.order)) % g.order
-        tables.append(load_table(rows, identity_hint=g.identity))
+        tables.append(GyroGroup(len(rows), rows, g.identity))
     verdicts = []
     for h in tables:
         verdicts.append(_power_associative(h, walks(h)))
@@ -278,7 +278,7 @@ def test_power_associativity_matches_the_tensor_check(n):
                 a = rng.randrange(1, g.order)
             a, b = g.op(a, a), a
         rows[a][b] = (rows[a][b] + rng.randrange(1, g.order)) % g.order
-        tables.append(load_table(rows, identity_hint=g.identity))
+        tables.append(GyroGroup(len(rows), rows, g.identity))
     verdicts = []
     for h in tables:
         table_powers = [left_powers(h, a, h.order) for a in h.elements()]
@@ -292,7 +292,7 @@ def test_power_associativity_matches_the_tensor_check_at_the_byte_boundary(k):
     z = cyclic_group(k)
     rows = [list(r) for r in z.table]
     rows[2][1] = k - 1  # 1^2 + 1^1 is now k - 1, not 1^3 = 1 + 1^2 = 3
-    for h in (z, load_table(rows, identity_hint=0)):
+    for h in (z, GyroGroup(len(rows), rows, 0)):
         table_powers = [left_powers(h, a, k) for a in h.elements()]
         verdict = _power_associative(h, walks(h))
         assert verdict == tensor_power_associative(h.table, table_powers)
@@ -348,7 +348,7 @@ def changed(g, x, y, value):
     """A copy of g with x + y set to value."""
     rows = [list(r) for r in g.table]
     rows[x][y] = value
-    return load_table(rows, identity_hint=g.identity)
+    return GyroGroup(len(rows), rows, g.identity)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -389,7 +389,7 @@ def cyclic_monoid(index, period):
 
     rows = [list(range(size))]
     rows += [[i] + [power(i + j) for j in range(1, size)] for i in range(1, size)]
-    return load_table(rows, identity_hint=0)
+    return GyroGroup(len(rows), rows, 0)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
@@ -421,11 +421,9 @@ def test_power_entries_match_the_oracles_on_rho_shaped_powers(monkeypatch, n):
 def padded_cyclic(period, order):
     """Z_period on 0..period-1, padded to the given order with elements x
     whose rows and columns are the identity's: x + v = v and u + x = x."""
-    return load_table(
-        [[(u + v) % period if max(u, v) < period else v for v in range(order)]
-         for u in range(order)],
-        identity_hint=0,
-    )
+    rows = [[(u + v) % period if max(u, v) < period else v for v in range(order)]
+            for u in range(order)]
+    return GyroGroup(order, rows, 0)
 
 
 @pytest.mark.parametrize("period", [3, 4, 5, 8])
