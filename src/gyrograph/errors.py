@@ -2,8 +2,8 @@
 
 
 class BoundExceededError(ValueError):
-    """A search refused its input before starting: the size that drives its
-    work (block, edges x vertices, lookups, quotient, order) exceeds a bound."""
+    """A search refused its input: the size that drives its work exceeds a
+    bound before it starts, or the steps it has taken pass a budget."""
 
 
 class DisconnectedGraphError(ValueError):

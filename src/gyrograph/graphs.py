@@ -212,25 +212,45 @@ def reachable(adj_bits: Sequence[int], v: int, allowed: int) -> int:
     return seen
 
 
-def _least_extension(images: dict, keys: Sequence, candidates: Callable, fits: Callable) -> bool:
+#: Cap on the least-extension search's fits tests, each charged len(keys), about
+#: what one test reads.  On 2 CPUs K7,8 is refused after 2.6-3.4 s.
+SEARCH_BUDGET = 20_000_000
+
+
+def _least_extension(
+    search: str, images: dict, keys: Sequence, candidates: Callable, fits: Callable
+) -> bool:
     """Extend the injective map images over keys, in order, depth first: each
     key takes a value that candidates(key, used) yields (used: the bitmask of
     the values taken, which it leaves out) and fits(key, value, used) accepts
     once placed.  Returns whether some extension is complete; images then
-    holds the first, else is as given."""
-
-    def extend(i: int, used: int) -> bool:
-        if i == len(keys):
-            return True
-        key = keys[i]
-        for value in candidates(key, used):
+    holds the first, else is as given.  The search is refused once its
+    fits tests, charged len(keys) each, pass SEARCH_BUDGET."""
+    charge, budget, spent = len(keys), SEARCH_BUDGET, 0
+    depth, used, stack = 0, sum(1 << value for value in images.values()), []
+    while depth < len(keys):  # stack: the candidates left to keys[:depth + 1]
+        key = keys[depth]
+        if depth == len(stack):
+            stack.append(iter(candidates(key, used)))
+        else:  # back from a dead end: key's value is taken no more
+            used ^= 1 << images[key]
+        for value in stack[depth]:
+            spent += charge
+            if spent > budget:
+                raise BoundExceededError(f"{search} refused: {spent // charge} steps x "
+                                         f"{charge} keys = {spent} exceeds budget {budget}")
             images[key] = value
-            if fits(key, value, used | 1 << value) and extend(i + 1, used | 1 << value):
-                return True
-        images.pop(key, None)
-        return False
-
-    return extend(0, sum(1 << value for value in images.values()))
+            if fits(key, value, used | 1 << value):
+                used |= 1 << value
+                depth += 1
+                break
+        else:  # no value fits key
+            images.pop(key, None)
+            stack.pop()
+            if not depth:
+                return False
+            depth -= 1
+    return True
 
 
 def twin_parts(adj_bits: Sequence[int]) -> list[tuple[list[int], str]]:

@@ -9,12 +9,8 @@ from __future__ import annotations
 from typing import Callable, NamedTuple
 
 from .distances import distance_matrix
-from .errors import BoundExceededError
 from .graphs import Graph, _least_extension, set_bits
 from .gyrogroups import GyroGroup, Permutation, powers
-
-GRAPH_ISO_ORDER_BOUND = 16
-GYRO_ISO_ORDER_BOUND = 10
 
 
 class IsomorphismWitness(NamedTuple):
@@ -42,15 +38,10 @@ def verify_isomorphism(
 
 def find_isomorphism(g1: Graph, g2: Graph) -> IsomorphismWitness | None:
     """The least isomorphism, or None: each v of g1 maps to a w of equal
-    signature whose row among the images so far is the image of v's row below v.
-    Graphs of equal size and order above GRAPH_ISO_ORDER_BOUND are refused."""
+    signature whose row among the images so far is the image of v's row below v."""
     if g1.n != g2.n or g1.edge_count != g2.edge_count:
         return None
     n = g1.n
-    if n > GRAPH_ISO_ORDER_BOUND:
-        raise BoundExceededError(
-            f"graph isomorphism refused: order {n} exceeds bound {GRAPH_ISO_ORDER_BOUND}"
-        )
     sig1 = _vertex_signatures(g1)
     sig2 = _vertex_signatures(g2)
     if sorted(sig1) != sorted(sig2):
@@ -62,7 +53,7 @@ def find_isomorphism(g1: Graph, g2: Graph) -> IsomorphismWitness | None:
         below = sum(1 << images[u] for u in set_bits(rows1[v] & (1 << v) - 1))
         return rows2[w] & used == below
 
-    if not _least_extension(images, range(n), _alike(sig1, sig2), fits):
+    if not _least_extension("graph isomorphism", images, range(n), _alike(sig1, sig2), fits):
         return None
     witness = IsomorphismWitness(Permutation(tuple(images[v] for v in range(n))), True)
     assert verify_isomorphism(g1, g2, witness.map).valid
@@ -90,16 +81,10 @@ def gyro_isomorphic(g1: GyroGroup, g2: GyroGroup) -> Permutation | None:
 
     The identity must map to the identity, and powers map to powers, so
     the candidates have equal power-walk size.  The returned witness is
-    lexicographically least.  Tables of equal order above
-    GYRO_ISO_ORDER_BOUND are refused.
-    """
+    lexicographically least."""
     if g1.order != g2.order:
         return None
     n = g1.order
-    if n > GYRO_ISO_ORDER_BOUND:
-        raise BoundExceededError(
-            f"gyrogroup isomorphism refused: order {n} exceeds bound {GYRO_ISO_ORDER_BOUND}"
-        )
     size1 = [len(powers(g1, a)) for a in range(n)]
     size2 = [len(powers(g2, a)) for a in range(n)]
     if sorted(size1) != sorted(size2):
@@ -123,6 +108,6 @@ def gyro_isomorphic(g1: GyroGroup, g2: GyroGroup) -> Permutation | None:
         return True
 
     order = [a for a in range(n) if a != g1.identity]
-    if _least_extension(images, order, _alike(size1, size2), consistent):
+    if _least_extension("gyrogroup isomorphism", images, order, _alike(size1, size2), consistent):
         return Permutation(tuple(images[a] for a in range(n)))
     return None

@@ -26,7 +26,6 @@ from .graphs import Graph, _least_extension, biconnected_components, reachable, 
 #: search tried first.  On 2 CPUs K48,48 (221 184) takes 1.0 s, a 20 x 20
 #: grid with two chords (304 800) 7 s and K64,64 (524 288) 3.1 s.
 KURATOWSKI_WORK_BOUND = 250_000
-HAMILTONIAN_ORDER_BOUND = 32
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +430,7 @@ def is_hamiltonian(graph: Graph) -> HamiltonicityResult:
     Negative fast paths: fewer than 3 vertices, disconnection, a vertex of
     degree <= 1, or a cut vertex, which a Hamiltonian cycle would have to
     pass twice.  Otherwise the least cycle from vertex 0, by a search that
-    keeps the unused vertices reachable from the path's end; an order above
-    HAMILTONIAN_ORDER_BOUND is refused before it starts.
+    keeps the unused vertices reachable from the path's end.
     """
     n = graph.n
     if n < 3:
@@ -446,10 +444,6 @@ def is_hamiltonian(graph: Graph) -> HamiltonicityResult:
     cut = [v for v, count in block_count.items() if count > 1]
     if cut:
         return HamiltonicityResult(False, reason=f"vertex {min(cut)} is a cut vertex")
-    if n > HAMILTONIAN_ORDER_BOUND:
-        raise BoundExceededError(
-            f"Hamiltonian search refused: order {n} exceeds bound {HAMILTONIAN_ORDER_BOUND}"
-        )
     adj_bits = graph.adj_bits
     full = (1 << n) - 1
     path = {0: 0}  # position -> vertex
@@ -462,7 +456,7 @@ def is_hamiltonian(graph: Graph) -> HamiltonicityResult:
     def unused_neighbors(i: int, used: int) -> list[int]:
         return set_bits(adj_bits[path[i - 1]] & ~used)
 
-    if _least_extension(path, range(1, n), unused_neighbors, fits):
+    if _least_extension("Hamiltonian search", path, range(1, n), unused_neighbors, fits):
         return HamiltonicityResult(True, cycle=tuple(path[i] for i in range(n)))
     return HamiltonicityResult(False, reason="exhaustive search found no cycle")
 

@@ -32,7 +32,7 @@ from gyrograph import (
     verify_isomorphism,
     verify_kuratowski,
 )
-from gyrograph import isomorphism, structure
+from gyrograph import graphs, structure
 from gyrograph.graphs import reachable, set_bits
 from gyrograph.structure import PlanarityResult, _find_k5_clique, _rotation_from_faces
 
@@ -148,8 +148,8 @@ def test_k6_nonplanar():
     )
 
 
-def complete_bipartite(k):
-    return Graph.from_edges(2 * k, {(u, k + v) for u in range(k) for v in range(k)})
+def complete_bipartite(a, b):
+    return Graph.from_edges(a + b, [(u, a + v) for u in range(a) for v in range(b)])
 
 
 def test_planarity_extraction_bound(monkeypatch):
@@ -160,14 +160,14 @@ def test_planarity_extraction_bound(monkeypatch):
     assert is_planar(Graph.complete(6)).kuratowski_kind == "K5"
     monkeypatch.setattr(structure, "KURATOWSKI_WORK_BOUND", 53)
     with pytest.raises(BoundExceededError, match="9 edges x 6 vertices = 54 exceeds bound 53"):
-        is_planar(complete_bipartite(3))
+        is_planar(complete_bipartite(3, 3))
     monkeypatch.setattr(structure, "KURATOWSKI_WORK_BOUND", 54)
-    assert is_planar(complete_bipartite(3)).kuratowski_kind == "K33"
+    assert is_planar(complete_bipartite(3, 3)).kuratowski_kind == "K33"
     monkeypatch.undo()
     # K64,64 would take about 4 s to extract; it is refused at once.
     start = time.perf_counter()
     with pytest.raises(BoundExceededError, match="4096 edges x 128 vertices = 524288"):
-        is_planar(complete_bipartite(64))
+        is_planar(complete_bipartite(64, 64))
     assert time.perf_counter() - start < 1.0
 
 
@@ -940,12 +940,32 @@ def test_cut_vertex_shortcut():
     assert not reference_is_hamiltonian(hung)
 
 
-def test_cut_vertex_shortcut_needs_no_search_above_the_bound():
-    # Two 20-cycles sharing a vertex: order 39 > the default bound 32.
+def two_20_cycles_sharing_vertex_0():
     edges = [(i, (i + 1) % 20) for i in range(20)]
     edges += [(0, 20), (38, 0)] + [(i, i + 1) for i in range(20, 38)]
-    res = is_hamiltonian(Graph.from_edges(39, edges))
-    assert res.reason == "vertex 0 is a cut vertex"
+    return Graph.from_edges(39, edges)
+
+
+@pytest.mark.parametrize(
+    ("search", "answer"),
+    [
+        (lambda: is_hamiltonian(Graph.complete(2)).reason, "fewer than 3 vertices"),
+        (lambda: is_hamiltonian(Graph.from_edges(6, k4_edges([0, 1, 2]) + k4_edges([3, 4, 5])))
+         .reason, "disconnected"),
+        (lambda: is_hamiltonian(Graph.path(40)).reason, "vertex 0 has degree <= 1"),
+        (lambda: is_hamiltonian(two_20_cycles_sharing_vertex_0()).reason,
+         "vertex 0 is a cut vertex"),
+        (lambda: find_isomorphism(Graph.cycle(40), Graph.path(40)), None),
+        (lambda: find_isomorphism(Graph.star(3), Graph.path(4)), None),
+        (lambda: gyro_isomorphic(cyclic_group(8), build_gn(3)), None),
+    ],
+    ids=["order", "disconnected", "pendant", "cut-vertex", "edge-count", "signature",
+         "power-walk-size"],
+)
+def test_fast_paths_spend_no_budget(monkeypatch, search, answer):
+    # With no budget, the first fits test of a search would be refused.
+    monkeypatch.setattr(graphs, "SEARCH_BUDGET", 0)
+    assert search() == answer
 
 
 @st.composite
@@ -1067,9 +1087,27 @@ def test_planarity_matches_the_former_embedding(graph, rng):
         assert is_planar(g) == reference_is_planar(g)
 
 
-def test_hamiltonian_order_bound():
-    with pytest.raises(BoundExceededError):
-        is_hamiltonian(Graph.cycle(33))
+def test_hamiltonian_order_bound(monkeypatch):
+    # No order bound: C33 (past the old bound 32) is answered, and K5,6 runs
+    # its whole search.  The search budget, lowered here, refuses K7,8
+    # (about 3 s at the default) with one line.
+    assert is_hamiltonian(Graph.cycle(33)).cycle == tuple(range(33))
+    assert is_hamiltonian(complete_bipartite(5, 6)).reason == "exhaustive search found no cycle"
+    monkeypatch.setattr(graphs, "SEARCH_BUDGET", 1000)
+    with pytest.raises(BoundExceededError) as info:
+        is_hamiltonian(complete_bipartite(7, 8))
+    assert str(info.value) == (
+        "Hamiltonian search refused: 72 steps x 14 keys = 1008 exceeds budget 1000"
+    )
+
+
+def test_deep_searches_answer():
+    # C1200 places 1199 keys, one stack frame each if the search recursed:
+    # past the default recursion limit.  P(G(9)) places 512.
+    assert is_hamiltonian(Graph.cycle(1200)).cycle == tuple(range(1200))
+    graph = power_graph(build_gn(9))
+    witness = find_isomorphism(graph, relabel_graph(graph, random.Random(9)))
+    assert witness is not None and witness.valid
 
 
 # ---------------------------------------------------------------------------
@@ -1218,9 +1256,30 @@ def test_find_isomorphism_returns_the_least_isomorphism(n, density, second, rnd)
     assert (witness and witness.map.map) == least
 
 
-def test_find_isomorphism_order_bound():
-    with pytest.raises(BoundExceededError):
-        find_isomorphism(Graph.cycle(17), Graph.cycle(17))
+def test_find_isomorphism_order_bound(monkeypatch):
+    # No order bound: C17 (past the old bound 16) is answered, and so is a
+    # pair that runs the search to the end, which a lowered search budget
+    # refuses.  The 4 x 4 rook graph and the Shrikhande graph are strongly
+    # regular with equal parameters, so equal signatures, and not isomorphic.
+    rook = Graph.from_edges(
+        16,
+        [(u, v) for u in range(16) for v in range(u + 1, 16)
+         if (u // 4 == v // 4) != (u % 4 == v % 4)],
+    )
+    steps = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
+    shrikhande = Graph.from_edges(
+        16,
+        [(u, v) for u in range(16) for v in range(u + 1, 16)
+         if ((v // 4 - u // 4) % 4, (v % 4 - u % 4) % 4) in steps],
+    )
+    assert find_isomorphism(Graph.cycle(17), Graph.cycle(17)).map.map == tuple(range(17))
+    assert find_isomorphism(rook, shrikhande) is None
+    monkeypatch.setattr(graphs, "SEARCH_BUDGET", 1000)
+    with pytest.raises(BoundExceededError) as info:
+        find_isomorphism(rook, shrikhande)
+    assert str(info.value) == (
+        "graph isomorphism refused: 63 steps x 16 keys = 1008 exceeds budget 1000"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1367,32 +1426,44 @@ def test_gyro_isomorphic_order_mismatch_is_none():
     assert gyro_isomorphic(cyclic_group(4), cyclic_group(5)) is None
 
 
-def test_gyro_isomorphic_order_bound():
-    from gyrograph import cyclic_group
-
-    with pytest.raises(BoundExceededError):
-        gyro_isomorphic(cyclic_group(12), cyclic_group(12))
+def test_gyro_isomorphic_order_bound(monkeypatch):
+    # No order bound: Z12 (past the old bound 10) is answered, and so is a
+    # pair that runs the search to the end, which a lowered search budget
+    # refuses.  Z4 x Z4 and Z4 x| Z4 (the second factor acting by inversion)
+    # have equal power-walk sizes and are not isomorphic.
+    product = load_table([[4 * ((a // 4 + b // 4) % 4) + (a + b) % 4 for b in range(16)]
+                          for a in range(16)])
+    semidirect = load_table([[4 * ((a // 4 + (-1) ** (a % 4) * (b // 4)) % 4) + (a + b) % 4
+                              for b in range(16)] for a in range(16)])
+    assert gyro_isomorphic(cyclic_group(12), cyclic_group(12)).map == tuple(range(12))
+    assert gyro_isomorphic(product, semidirect) is None
+    monkeypatch.setattr(graphs, "SEARCH_BUDGET", 1000)
+    with pytest.raises(BoundExceededError) as info:
+        gyro_isomorphic(product, semidirect)
+    assert str(info.value) == (
+        "gyrogroup isomorphism refused: 67 steps x 15 keys = 1005 exceeds budget 1000"
+    )
 
 
 @pytest.mark.parametrize(
-    ("module", "bound", "search", "refusal"),
+    ("search", "charge", "refusal"),
     [
-        (structure, "HAMILTONIAN_ORDER_BOUND",
-         lambda: is_hamiltonian(Graph.cycle(6)).is_hamiltonian, "Hamiltonian search refused"),
-        (isomorphism, "GRAPH_ISO_ORDER_BOUND",
-         lambda: find_isomorphism(Graph.cycle(6), Graph.cycle(6)), "graph isomorphism refused"),
-        (isomorphism, "GYRO_ISO_ORDER_BOUND",
-         lambda: gyro_isomorphic(cyclic_group(6), cyclic_group(6)),
-         "gyrogroup isomorphism refused"),
+        (lambda: is_hamiltonian(Graph.cycle(6)).is_hamiltonian, 25,
+         "Hamiltonian search refused: 5 steps x 5 keys = 25 exceeds budget 24"),
+        (lambda: find_isomorphism(Graph.cycle(6), Graph.cycle(6)), 36,
+         "graph isomorphism refused: 6 steps x 6 keys = 36 exceeds budget 35"),
+        (lambda: gyro_isomorphic(cyclic_group(6), cyclic_group(6)), 25,
+         "gyrogroup isomorphism refused: 5 steps x 5 keys = 25 exceeds budget 24"),
     ],
     ids=["hamiltonian", "graph-isomorphism", "gyro-isomorphism"],
 )
-def test_an_order_bound_is_read_when_the_search_runs(monkeypatch, module, bound, search, refusal):
-    # Each search reads its module's bound when called: lowering it below
-    # the order 6 moves the refusal onto a search that succeeds at 6.
-    monkeypatch.setattr(module, bound, 6)
+def test_the_search_budget_is_read_when_the_search_runs(monkeypatch, search, charge, refusal):
+    # Each search on order 6 places its keys without backtracking, at one
+    # step of len(keys) units per key: a budget of that charge suffices,
+    # and one unit less refuses it.
+    monkeypatch.setattr(graphs, "SEARCH_BUDGET", charge)
     assert search()
-    monkeypatch.setattr(module, bound, 5)
+    monkeypatch.setattr(graphs, "SEARCH_BUDGET", charge - 1)
     with pytest.raises(BoundExceededError) as info:
         search()
-    assert str(info.value) == f"{refusal}: order 6 exceeds bound 5"
+    assert str(info.value) == refusal
