@@ -103,7 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     inv.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
     inv.add_argument("--tol", type=_tolerance, default=1e-10)
-    inv.add_argument("--detour-bound", type=_count)
 
     vp = sub.add_parser("verify-paper", help="verify all closed forms against "
                         "direct computation")
@@ -129,17 +128,6 @@ def _tolerance(text: str) -> float:
     if not (math.isfinite(tol) and tol > 0):
         raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
     return tol
-
-
-def _count(text: str) -> int:
-    """A --detour-bound value: an integer >= 0 in ASCII digits."""
-    try:
-        value = gyrogroups.read_int(text, "value")
-    except ValueError as exc:  # too many digits; argparse would hide why
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    if value is None or value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return value
 
 
 def _load_input(args: argparse.Namespace) -> gyrogroups.GyroGroup:
@@ -211,7 +199,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
             result[flag] = result["resolving"]["psi"]
             continue
         try:
-            result[flag] = _compute_invariant(flag, graph, shortest, args)
+            result[flag] = _compute_invariant(flag, graph, shortest)
         except BoundExceededError as exc:
             # A refusal fails the command only for a flag the user named;
             # one implied by --all (or by no flags) is reported as skipped.
@@ -242,14 +230,11 @@ class _ShortestDistances:
         return getattr(self.matrix, name)
 
 
-def _compute_invariant(flag: str, graph, shortest, args) -> object:
+def _compute_invariant(flag: str, graph, shortest) -> object:
     if flag == "distances":
         return _eccentricities(shortest)
     if flag == "detour":
-        bound = args.detour_bound
-        if bound is None:  # the library's default, read only when detour runs
-            bound = distances.DETOUR_BLOCK_BOUND
-        return _eccentricities(distances.detour_matrix(graph, block_bound=bound))
+        return _eccentricities(distances.detour_matrix(graph))
     if flag == "hosoya":
         p = distances.hosoya_polynomial(shortest)
         return {"polynomial": str(p), "coefficients": p.to_dict()}

@@ -8,9 +8,8 @@ and one distance per pair of parts, and its readers work on parts.
 Shortest distances come from BFS and detour distances (longest simple
 paths) are summed along the block-cut tree of the graph's ``blocks``, both
 from one vertex per twin part.  Complete blocks need no search; only the
-other blocks run an exhaustive DFS, exponential in the block's size.  A
-bound on the largest non-complete block, checked before any search
-starts, guards that DFS.
+other blocks run an exhaustive DFS, exponential in the block's size and
+fenced by ``graphs.SEARCH_BUDGET``.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from collections import Counter
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
+from . import graphs
 from .errors import BoundExceededError, DisconnectedGraphError
 from .graphs import Graph, check_vertex, reachable, set_bits
 from .gyrogroups import _Value
@@ -29,11 +29,6 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 INF = float("inf")
-
-#: Default cap on the size of the largest non-complete block, where the
-#: detour DFS runs.  On 2 CPUs the one block of the power graph of Z2 x Z10
-#: takes 22 s at 20 vertices and 1.8 s with 4 removed; Z3 x Z6 (18) 7.6 s.
-DETOUR_BLOCK_BOUND = 16
 
 
 class DistanceMatrix(_Value):
@@ -134,7 +129,7 @@ def _by_twin_parts(graph: Graph, kind: str, row_from) -> DistanceMatrix:
     return DistanceMatrix(kind, parts, table)
 
 
-def detour_matrix(graph: Graph, block_bound: int = DETOUR_BLOCK_BOUND) -> DistanceMatrix:
+def detour_matrix(graph: Graph) -> DistanceMatrix:
     """Exact longest-simple-path lengths between all pairs.
 
     A simple path cannot leave a block (biconnected component) and enter
@@ -142,32 +137,25 @@ def detour_matrix(graph: Graph, block_bound: int = DETOUR_BLOCK_BOUND) -> Distan
     along the block-cut-tree path.  A complete block on k vertices (a
     bridge is one with k = 2) gives k - 1 between any two of its vertices;
     any other block is searched exhaustively, which is exponential in that
-    block's size only.  Refuses, before any search, a graph whose largest
-    non-complete block has more than block_bound vertices.
+    block's size only.  The searches of all blocks and pairs share one
+    charge, and the call is refused once it passes graphs.SEARCH_BUDGET
+    (see :func:`_longest_path`).
     """
     adj_bits = graph.adj_bits
-    # (vertices, their mask, whether complete) for each block.
-    components = []
-    for verts in graph.blocks:
-        mask = sum(1 << v for v in verts)
-        components.append((verts, mask, all((adj_bits[v] | 1 << v) & mask == mask for v in verts)))
-    largest = max((len(verts) for verts, _, complete in components if not complete), default=0)
-    if largest > block_bound:
-        raise BoundExceededError(
-            f"detour search refused: a non-complete block of {largest} vertices "
-            f"exceeds block bound {block_bound}"
-        )
+    budget, spent = graphs.SEARCH_BUDGET, 0
     # blocks[b] = (vertices, in-block detour by vertex pair or None when
     # the block is complete); vertex_blocks[v] = the blocks holding v.
     blocks: list[tuple[tuple[int, ...], dict[int, dict[int, int]] | None]] = []
     vertex_blocks: list[list[int]] = [[] for _ in graph.vertices()]
-    for verts, mask, complete in components:
+    for verts in graph.blocks:
+        mask = sum(1 << v for v in verts)
         inner = None
-        if not complete:
+        if not all((adj_bits[v] | 1 << v) & mask == mask for v in verts):
             inner = {u: {} for u in verts}
             for i, u in enumerate(verts):
                 for v in verts[i + 1:]:
-                    inner[u][v] = inner[v][u] = _longest_path(adj_bits, mask, u, v)
+                    length, spent = _longest_path(adj_bits, mask, u, v, spent, budget)
+                    inner[u][v] = inner[v][u] = length
         for v in verts:
             vertex_blocks[v].append(len(blocks))
         blocks.append((verts, inner))
@@ -192,11 +180,16 @@ def detour_matrix(graph: Graph, block_bound: int = DETOUR_BLOCK_BOUND) -> Distan
     return _by_twin_parts(graph, "detour", walk)
 
 
-def _longest_path(adj_bits: Sequence[int], allowed: int, s: int, t: int) -> int:
-    """Length of a longest simple s-t path inside the vertex mask allowed
-    (which holds s and t), or -1 when there is none: iterative DFS over
-    simple paths, pruned by counting and by reachability."""
-    best_len = -1
+def _longest_path(
+    adj_bits: Sequence[int], allowed: int, s: int, t: int, spent: int, budget: int
+) -> tuple[int, int]:
+    """(Length of a longest simple s-t path inside the vertex mask allowed
+    (which holds s and t), or -1 when there is none; spent plus this
+    search's charge): iterative DFS over simple paths, pruned by counting
+    and by reachability.  Each reachability sweep is charged the vertices
+    of allowed, the most it reads, and the search is refused once the
+    charge passes budget; a pop pruned by counting is free."""
+    charge, best_len = allowed.bit_count(), -1
     stack = [(s, 1 << s, 0)]
     while stack:
         v, visited, length = stack.pop()
@@ -208,6 +201,11 @@ def _longest_path(adj_bits: Sequence[int], allowed: int, s: int, t: int) -> int:
         # Upper bound: each unvisited vertex adds at most one edge.
         if length + free.bit_count() <= best_len:
             continue
+        spent += charge
+        if spent > budget:
+            raise BoundExceededError(
+                f"detour search refused: sweeps over {spent} block vertices exceed budget {budget}"
+            )
         if not reachable(adj_bits, v, free) >> t & 1:
             continue
         nxt = adj_bits[v] & free
@@ -216,7 +214,7 @@ def _longest_path(adj_bits: Sequence[int], allowed: int, s: int, t: int) -> int:
             nxt ^= low
             w = low.bit_length() - 1
             stack.append((w, visited | low, length + 1))
-    return best_len
+    return best_len, spent
 
 
 def eccentricity_profile(dm: DistanceMatrix) -> EccentricityProfile:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import pytest
+from test_distances import z2_times
 from test_verification import count_calls, record_builds
 
 import gyrograph
@@ -224,24 +225,28 @@ def test_invariants_json_format():
     assert data["hosoya"]["coefficients"] == {"2": 18, "1": 10, "0": 8}
 
 
-def z20_table(tmp_path):
-    # P(Z20) is one non-complete block of 20 vertices, past the detour
-    # block bound of 16.
-    path = tmp_path / "z20.csv"
-    path.write_text(to_cayley_csv(cyclic_group(20)))
+def table_file(tmp_path, name, group):
+    path = tmp_path / f"{name}.csv"
+    path.write_text(to_cayley_csv(group))
     return str(path)
 
 
-def test_invariants_detour_bound_refusal(tmp_path):
-    r = run_cli("invariants", "--table", z20_table(tmp_path), "--detour")
+def z2_times_10_table(tmp_path):
+    # P(Z2 x Z10) is one non-complete block of 20 vertices, whose detour
+    # search passes the search budget.
+    return table_file(tmp_path, "z2xz10", z2_times(10))
+
+
+def test_invariants_detour_refusal(tmp_path):
+    r = run_cli("invariants", "--table", z2_times_10_table(tmp_path), "--detour")
     assert r.returncode == 3
     assert r.stderr == (
-        "error: detour search refused: a non-complete block of 20 vertices "
-        "exceeds block bound 16\n"
+        "error: detour search refused: sweeps over 20000020 block vertices "
+        "exceed budget 20000000\n"
     )
-    # An explicit bound at the block size lets the search run.
-    r = run_cli("invariants", "--table", z20_table(tmp_path), "--detour",
-                "--detour-bound", "20", "--format", "json")
+    # P(Z20), a block of the same size, is answered within the budget.
+    r = run_cli("invariants", "--table", table_file(tmp_path, "z20", cyclic_group(20)),
+                "--detour", "--format", "json")
     assert r.returncode == 0, r.stderr
     assert json.loads(r.stdout)["detour"]["diameter"] == 19
 
@@ -471,16 +476,16 @@ def test_invariants_payload_holds_only_json_types(monkeypatch, capsys):
     assert all(map(plain, values)), values
 
 
-@pytest.mark.parametrize("source", ["gn3", "z28"])
+@pytest.mark.parametrize("source", ["gn3", "z28", "z2xz10"])
 def test_both_is_json_then_the_text_read_off_the_payload(tmp_path, capsys, source):
-    # Z28 with --all has a skipped detour (a 28-vertex block) and
-    # half-integer rs edge sums, so rs_hosoya takes its edge_sums form.
+    # Z28 with --all has half-integer rs edge sums, so rs_hosoya takes its
+    # edge_sums form; Z2 x Z10 with --all has a skipped detour.
     if source == "gn3":
         argv = ["--gn", "3", "--all"]
+    elif source == "z28":
+        argv = ["--table", table_file(tmp_path, "z28", cyclic_group(28)), "--all"]
     else:
-        path = tmp_path / "z28.csv"
-        path.write_text(to_cayley_csv(cyclic_group(28)))
-        argv = ["--table", str(path), "--all"]
+        argv = ["--table", z2_times_10_table(tmp_path), "--all"]
     payload, text, both = (
         invariants_output(capsys, fmt, *argv) for fmt in ("json", "text", "both")
     )
@@ -488,7 +493,9 @@ def test_both_is_json_then_the_text_read_off_the_payload(tmp_path, capsys, sourc
 
     data = json.loads(payload)
     if source == "z28":
-        assert "skipped" in data["detour"] and "edge_sums" in data["rs_hosoya"]
+        assert data["detour"]["diameter"] == 27 and "edge_sums" in data["rs_hosoya"]
+    if source == "z2xz10":
+        assert "skipped" in data["detour"]
     keys = ["order", "edges", *sorted(k for k in data if k not in ("order", "edges"))]
     expected = []
     for key in keys:
@@ -597,8 +604,8 @@ def test_metric_dimension_searches_when_resolving_was_skipped(monkeypatch, capsy
 
 def test_implied_detour_skip_carries_the_library_refusal(capsys, tmp_path):
     with pytest.raises(BoundExceededError) as refusal:
-        detour_matrix(power_graph(cyclic_group(20)))
-    path = z20_table(tmp_path)
+        detour_matrix(power_graph(z2_times(10)))
+    path = z2_times_10_table(tmp_path)
     assert cli.main(["invariants", "--table", path, "--all", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert data["detour"] == {"skipped": str(refusal.value)}
@@ -629,22 +636,11 @@ def test_tol_must_be_finite_and_positive(capsys, command, tol):
     assert "argument --tol" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("bound", ["-1", "1.5", "abc", "", "\u0661", " 5", "5 "])
-@pytest.mark.parametrize(
-    "command", [["invariants", "--gn", "3", "--detour"], ["invariants", "--gn", "3"]]
-)
-def test_detour_bound_must_be_a_nonnegative_integer(capsys, command, bound):
-    with pytest.raises(SystemExit) as exc:
-        cli.main([*command, "--detour-bound", bound])
-    assert exc.value.code == 2
-    assert "argument --detour-bound" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize(
     ("argv", "message"),
     [
-        (["invariants", "--gn", "3", "--detour-bound", "-1"],
-         "argument --detour-bound: expected an integer >= 0, got '-1'"),
+        (["invariants", "--gn", "3", "--detour", "--detour-bound", "16"],
+         "unrecognized arguments: --detour-bound 16"),
         (["invariants", "--gn", "3", "--tol", "0"],
          "argument --tol: expected a finite number > 0, got '0'"),
         (["build", "--gn", "3", "--bogus"], "unrecognized arguments: --bogus"),
@@ -664,7 +660,7 @@ def test_an_argument_error_is_one_line(capsys, argv, message):
 
 @pytest.mark.parametrize("flag", [["--tol", "1e-10"], ["--detour-bound", "16"]])
 def test_verify_paper_rejects_tol_and_detour_bound(capsys, flag):
-    # Nothing in the report reads either value, so verify-paper has neither.
+    # Nothing in the report reads --tol, and no search takes a bound flag.
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify-paper", "--n", "3", *flag])
     assert exc.value.code == 2
@@ -688,8 +684,8 @@ def test_verify_paper_rejects_n_with_examples(capsys, argv, message):
 
 
 def test_invariants_output_is_deterministic():
-    a = run_cli("invariants", "--gn", "3", "--all", "--detour-bound", "8")
-    b = run_cli("invariants", "--gn", "3", "--all", "--detour-bound", "8")
+    a = run_cli("invariants", "--gn", "3", "--all")
+    b = run_cli("invariants", "--gn", "3", "--all")
     assert a.stdout == b.stdout
 
 
@@ -812,14 +808,6 @@ HUGE = "9" * 5000
 def test_integer_text_past_the_digit_limit_names_its_flag(capsys, argv, flag):
     assert cli.main(argv) == 2
     assert capsys.readouterr() == ("", f"error: {flag} is too large: 5000 digits\n")
-
-
-def test_a_detour_bound_past_the_digit_limit_is_named_too_large(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["invariants", "--gn", "3", "--detour", "--detour-bound", HUGE])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.endswith("error: argument --detour-bound: value is too large: 5000 digits\n")
 
 
 @pytest.mark.parametrize("command", ["build", "invariants"])

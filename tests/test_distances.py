@@ -142,13 +142,23 @@ def test_detour_dominates_distance_and_equals_on_trees(gn3):
         assert expand(detour_matrix(tree)) == expand(distance_matrix(tree))
 
 
-def test_detour_block_bound():
-    # The bound counts the largest non-complete block, not the order:
-    # P(G(4)) has order 16 and only complete blocks, so it needs no search.
-    assert detour_matrix(power_graph(build_gn(4)), block_bound=0).n == 16
-    with pytest.raises(BoundExceededError, match="block of 5 vertices exceeds block bound 4"):
-        detour_matrix(Graph.cycle(5), block_bound=4)
-    assert detour_matrix(Graph.cycle(5), block_bound=5)[0, 1] == 4
+def test_the_search_budget_fences_the_detour_search(monkeypatch):
+    # Complete blocks need no search: P(G(4)) has order 16 and spends nothing.
+    monkeypatch.setattr("gyrograph.graphs.SEARCH_BUDGET", 0)
+    assert detour_matrix(power_graph(build_gn(4))).n == 16
+    # C5 spends 40 sweeps of its 5 vertices, and two C5 blocks at one cut
+    # vertex spend 400 between them: the charge is one per call.
+    c5 = Graph.cycle(5)
+    two = Graph.from_edges(9, [*c5.edges, (0, 5), (5, 6), (6, 7), (7, 8), (8, 0)])
+    for graph, charge in ((c5, 200), (two, 400)):
+        monkeypatch.setattr("gyrograph.graphs.SEARCH_BUDGET", charge)
+        assert detour_matrix(graph)[0, 1] == 4
+        monkeypatch.setattr("gyrograph.graphs.SEARCH_BUDGET", charge - 1)
+        with pytest.raises(BoundExceededError) as refusal:
+            detour_matrix(graph)
+        assert str(refusal.value) == (
+            f"detour search refused: sweeps over {charge} block vertices exceed budget {charge - 1}"
+        )
 
 
 def z2_times(k):
@@ -160,16 +170,36 @@ def z2_times(k):
 
 @pytest.mark.parametrize(("group", "block"), [(cyclic_group(20), 20), (z2_times(30), 60)])
 def test_detour_refuses_a_large_block_before_searching(group, block):
-    # One non-complete block holds every vertex of each power graph; the
-    # search takes about 22 s on Z2 x Z10 and had not ended after 130 s
-    # on Z2 x Z30.
+    # One non-complete block holds every vertex of each power graph.  The
+    # search budget answers P(Z20) and refuses P(Z2 x Z30), whose search
+    # does not end in minutes, within a second.
     graph = power_graph(group)
     start = time.perf_counter()
-    with pytest.raises(
-        BoundExceededError, match=f"block of {block} vertices exceeds block bound 16"
-    ):
-        detour_matrix(graph)
+    if block == 20:
+        assert eccentricity_profile(detour_matrix(graph))[2:] == (19, 19)
+    else:
+        with pytest.raises(BoundExceededError) as refusal:
+            detour_matrix(graph)
+        assert str(refusal.value) == (
+            "detour search refused: sweeps over 20000040 block vertices exceed budget 20000000"
+        )
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [power_graph(cyclic_group(n)) for n in (18, 20, 28)] + [Graph.cycle(17), Graph.cycle(32)],
+    ids=["P(Z18)", "P(Z20)", "P(Z28)", "C17", "C32"],
+)
+def test_detour_of_one_large_block_matches_the_reference(graph):
+    # Each graph is one non-complete block of 17 to 32 vertices.
+    perm = list(graph.vertices())
+    random.Random(graph.n).shuffle(perm)
+    relabelled = Graph.from_edges(graph.n, ((perm[u], perm[v]) for u, v in graph.edges))
+    dd, rd = detour_matrix(graph), detour_matrix(relabelled)
+    assert expand(dd) == reference_detour_matrix(graph)
+    assert expand(rd) == reference_detour_matrix(relabelled)
+    assert all(rd[perm[u], perm[v]] == dd[u, v] for u in graph.vertices() for v in graph.vertices())
 
 
 def test_detour_on_cycle():
@@ -871,11 +901,12 @@ def oracle_adj_bits(dm):
 
 def bounded_matrices(graph):
     """The shortest-distance matrix, and the detour matrix unless a
-    non-complete block has more than 10 vertices."""
-    try:
-        return [distance_matrix(graph), detour_matrix(graph, block_bound=10)]
-    except BoundExceededError:
+    non-complete block, where the detour search runs, has more than 10
+    vertices."""
+    complete = [all(graph.has_edge(u, v) for u, v in combinations(b, 2)) for b in graph.blocks]
+    if any(len(b) > 10 and not c for b, c in zip(graph.blocks, complete)):
         return [distance_matrix(graph)]
+    return [distance_matrix(graph), detour_matrix(graph)]
 
 
 @settings(max_examples=200, deadline=None)

@@ -55,6 +55,7 @@ COMMANDS = {
         "--resolving", "--metric-dimension", "--spectral", "--planarity", "--hamiltonicity",
         "--power-graph", "--tol", "1e-10", "--format", "json",
     ),
+    "invariants-z28-detour-json": ("invariants", "--table", "{z28}", "--detour", "--format", "json"),
 }
 
 #: name -> (exit code, sha256 of stdout, sha256 of stderr)
@@ -86,6 +87,7 @@ GOLDEN = {
     'dot-gn4': (0, '297308fdc535b19d2b3ef7b96411793a3b454119d5eaf8ed446c99a2bd844092', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'spectral-z60-both': (0, '49065085ef301baa45fa0404dc113b5959cb6958a2ed338e5fae8f321533e872', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
     'invariants-z28-json': (0, '7c3b074c1b799e46a5600303271c117b1b2c36a6c222eceba1921df8af55bfb8', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
+    'invariants-z28-detour-json': (0, '081de507b94b54083bc43faad8dfaedef0dea5fbba9237c82244dfdd17299d18', 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855'),
 }
 
 

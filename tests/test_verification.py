@@ -132,10 +132,9 @@ def test_refused_resolving_search_is_skipped(monkeypatch):
     )
 
 
-def test_verify_gn_passes_the_detour_bound_through(monkeypatch):
-    # verify_gn has no detour bound of its own: detour_matrix runs on the
-    # graph alone, at the library default, and every block of P(G(7)) is
-    # complete, so order 128 is computed.
+def test_verify_gn_runs_the_detour_on_the_graph_alone(monkeypatch):
+    # detour_matrix takes the graph alone, and every block of P(G(7)) is
+    # complete, so order 128 is computed with no search.
     calls = []
     original = verification.detour_matrix
 
